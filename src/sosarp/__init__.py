@@ -24,8 +24,7 @@ from .sos_certify import (CertificateReport, CertificationError,
                           verify_certificate)
 from .subproblem import SubsolveResult, SubsolverFailure, minimize_model
 from .tensor_poly import (DerivativeBundle, Polynomial, SymmetricTensor,
-                          min_eigenvalue, taylor_value, tensor_apply,
-                          tensor_norm)
+                          min_eigenvalue, taylor_value, tensor_apply)
 
 __version__ = "0.1.0"
 
@@ -44,6 +43,6 @@ __all__ = [
     "is_sos_convex", "min_sigma_sos", "verify_certificate",
     "SubsolveResult", "SubsolverFailure", "minimize_model",
     "DerivativeBundle", "Polynomial", "SymmetricTensor", "min_eigenvalue",
-    "taylor_value", "tensor_apply", "tensor_norm",
+    "taylor_value", "tensor_apply",
     "__version__",
 ]

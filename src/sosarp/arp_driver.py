@@ -195,17 +195,17 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
         if cache is None:
             bundle = func.derivatives(x, config.p)
             grad_norm = float(np.linalg.norm(bundle.gradient()))
+            # a stationary point needs no certificate
+            if grad_norm <= config.epsilon:
+                status = RunStatus.CONVERGED
+                break
             lam, _ = min_eigenvalue(bundle.hessian())
             case = classify_case(lam, delta)
             base_model = build_model(bundle, case, delta, sigma=0.0)
             sigma_bar, certificate = min_sigma_sos(base_model)
-            cache = (bundle, grad_norm, lam, case, base_model, sigma_bar)
+            cache = (bundle, lam, case, base_model, sigma_bar)
         else:
-            bundle, grad_norm, lam, case, base_model, sigma_bar = cache
-
-        if grad_norm <= config.epsilon:
-            status = RunStatus.CONVERGED
-            break
+            bundle, lam, case, base_model, sigma_bar = cache
 
         sigma_k = max(sigma_bar, sigma_r)
         sigma_max = max(sigma_max, sigma_k)
@@ -269,11 +269,10 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
                 status = RunStatus.SUBSOLVER_FAILURE
                 break
 
-    if cache is not None:
-        grad_norm = cache[1]
-    else:
+    if cache is None and status is not RunStatus.CONVERGED:
+        # the last step moved x; grad_norm belongs to the previous point
         grad_norm = float(np.linalg.norm(func.derivatives(x, 1).gradient()))
-        if grad_norm <= config.epsilon and status is RunStatus.MAX_ITERATIONS:
+        if grad_norm <= config.epsilon:
             status = RunStatus.CONVERGED
 
     successes = sum(1 for r in records if r.success)

@@ -365,18 +365,3 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
                        primal_residual=p_res, dual_residual=d_res,
                        iterations=iteration, trace=trace)
 
-
-def dump_problem(problem: SdpProblem, path: str) -> None:
-    """Plain-text matrix listing of an SDP, for external cross-checks."""
-    lines = [f"blocks {' '.join(str(d) for d in problem.block_sizes)}"]
-    lines.append("objective")
-    for blk in problem.objective:
-        for row in blk:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-    for k, (blocks, bk) in enumerate(problem.constraints):
-        lines.append(f"constraint {k} rhs {bk:.17g}")
-        for blk in blocks:
-            for row in blk:
-                lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")

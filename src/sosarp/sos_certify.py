@@ -3,14 +3,19 @@
 A polynomial matrix M(s) is an SoS-matrix iff y^T M(s) y is a sum of squares
 in the joint variables (s, y).  For the models built here that form, called
 h_hat below, is quadratic in y, so its Gram factor only needs the basis
-{y_i * s^beta : |beta| <= (p'-2)/2}.  Both the minimal regularization weight
-(sigma linear in the coefficient-matching constraints, minimized directly)
-and the fixed-sigma membership check (always-feasible phase-I formulation)
-are small block-diagonal SDPs.
+{y_i * s^beta : |beta| <= (p'-2)/2}.  Matching the coefficients of h_hat and
+z'Qz depends on the model only through the right-hand side, so the matching
+rows are built once per (n, p') and cached: the basis, one pair matrix per
+monomial y_i y_i' s^alpha, the regularizer's coefficients at sigma = 1 and
+the t-shift column.  Both the minimal regularization weight (sigma linear in
+the rows, minimized directly) and the fixed-sigma membership check
+(always-feasible phase-I formulation) solve the same small block-diagonal
+SDP over that structure, differing only in the column of the 1x1 block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -19,10 +24,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .sdp_core import SdpProblem, SdpSolution, SdpStatus, solve_sdp
-from .tensor_poly import (Exponents, Polynomial, SymmetricTensor, inf_star_norm,
+from .tensor_poly import (Exponents, Polynomial, SymmetricTensor,
                           min_eigenvalue, monomials_up_to, tensor_apply)
 
 BasisElement = Tuple[int, Exponents]
+
+# Residuals at or below this mark an SDP iterate as feasible.
+_CLEAN_RESIDUAL = 1e-8
+# Widest stalled-gap bracket, relative to max(1, sigma), still accepted.
+_STALLED_WIDTH = 1e-5
+# Coefficient match, relative to 1 + max |coefficient| of h_hat.
+_COEFF_MATCH = 1e-7
 
 
 class ConvexityCase(Enum):
@@ -164,116 +176,141 @@ def _regularizer_form(n: int, p_prime: int) -> Polynomial:
                                              + (p_prime - 2) * s_dot_y * s_dot_y)
 
 
-def _base_form(model: SosModel) -> Polynomial:
-    """y' (H_bar + sum_j T_j[s]^(j-2)/(j-2)!) y as a polynomial in (s, y)."""
-    n = model.n
-    dim = 2 * n
-    terms: Dict[Exponents, float] = {}
+@dataclass(frozen=True, eq=False)
+class _GramStructure:
+    """Coefficient matching of h_hat against z'Qz for one (n, p').
 
-    def bump(alpha: Sequence[int], i: int, j: int, coeff: float) -> None:
-        gamma = list(alpha) + [0] * n
-        gamma[n + i] += 1
-        gamma[n + j] += 1
-        key = tuple(gamma)
-        terms[key] = terms.get(key, 0.0) + coeff
+    Row k is the monomial rows[k] = (i, i', alpha), i <= i', standing for
+    y_i y_i' s^alpha.  <pair_matrices[k], Q> is its coefficient in z'Qz,
+    reg[k] its coefficient in the regularizer's form at sigma = 1 and
+    shift[k] its coefficient in the phase-I shift sum_u z_u^2.
+    """
 
-    zero_alpha = (0,) * n
-    for i in range(n):
-        bump(zero_alpha, i, i, float(model.H_bar[i, i]))
-        for j in range(i + 1, n):
-            bump(zero_alpha, i, j, 2.0 * float(model.H_bar[i, j]))
-
-    for order, tensor in enumerate(model.higher, start=3):
-        scale = 1.0 / math.factorial(order - 2)
-        for key, value in tensor.entries.items():
-            for a in set(key):
-                partial = list(key)
-                partial.remove(a)
-                for b in set(partial):
-                    rest = list(partial)
-                    rest.remove(b)
-                    alpha = [0] * n
-                    for idx in rest:
-                        alpha[idx] += 1
-                    orderings = math.factorial(len(rest))
-                    for idx in set(rest):
-                        orderings //= math.factorial(rest.count(idx))
-                    lo, hi = (a, b) if a <= b else (b, a)
-                    bump(alpha, lo, hi, scale * value * orderings)
-    return Polynomial(dim, terms)
+    basis: Tuple[BasisElement, ...]
+    rows: Tuple[Tuple[int, int, Exponents], ...]
+    pair_matrices: Tuple[np.ndarray, ...]
+    reg: np.ndarray
+    shift: np.ndarray
 
 
-def hessian_form(model: SosModel) -> Polynomial:
-    """The quadratic-in-y form y' H_model(s) y, degree p'-2 in s."""
-    return _base_form(model) + _regularizer_form(model.n, model.p_prime) * model.sigma
-
-
-def _coeff_table(form: Polynomial, n: int) -> Dict[Tuple[int, int, Exponents], float]:
-    """Index a (s, y) form's coefficients by (i <= i', s-exponents)."""
-    table: Dict[Tuple[int, int, Exponents], float] = {}
-    for gamma, coeff in form.terms.items():
-        alpha = gamma[:n]
-        y_idx = [i for i, e in enumerate(gamma[n:]) for _ in range(e)]
-        if len(y_idx) != 2:
-            raise ValueError("form is not quadratic in y")
-        table[(y_idx[0], y_idx[1], alpha)] = coeff
-    return table
-
-
-def _constraint_monomials(n: int, p_prime: int) -> List[Tuple[int, int, Exponents]]:
+@functools.lru_cache(maxsize=None)
+def _gram_structure(n: int, p_prime: int) -> _GramStructure:
+    """Shared by every call with this (n, p'), so all of it is read-only."""
+    basis = gram_basis(n, p_prime)
+    size = len(basis)
+    basis_index = {elem: k for k, elem in enumerate(basis)}
+    half = (p_prime - 2) // 2
+    half_list = monomials_up_to(n, half)
     alphas = monomials_up_to(n, p_prime - 2)
-    return [(i, ip, alpha)
-            for i in range(n) for ip in range(i, n) for alpha in alphas]
+    reg_terms = _regularizer_form(n, p_prime).terms
+
+    rows: List[Tuple[int, int, Exponents]] = []
+    pair_matrices: List[np.ndarray] = []
+    reg: List[float] = []
+    shift: List[float] = []
+    for i in range(n):
+        for ip in range(i, n):
+            for alpha in alphas:
+                A = np.zeros((size, size))
+                for beta in half_list:
+                    rem = tuple(a - b for a, b in zip(alpha, beta))
+                    if any(e < 0 for e in rem) or sum(rem) > half:
+                        continue
+                    A[basis_index[(i, beta)], basis_index[(ip, rem)]] += 1.0
+                    if i != ip:
+                        A[basis_index[(ip, beta)], basis_index[(i, rem)]] += 1.0
+                A.setflags(write=False)
+                gamma = list(alpha) + [0] * n
+                gamma[n + i] += 1
+                gamma[n + ip] += 1
+                rows.append((i, ip, alpha))
+                pair_matrices.append(A)
+                reg.append(reg_terms.get(tuple(gamma), 0.0))
+                # z_u^2 contributes only to diagonal rows with even exponents
+                shift.append(1.0 if i == ip and all(e % 2 == 0 for e in alpha)
+                             else 0.0)
+    columns = np.array([reg, shift])
+    columns.setflags(write=False)
+    return _GramStructure(basis=tuple(basis), rows=tuple(rows),
+                          pair_matrices=tuple(pair_matrices),
+                          reg=columns[0], shift=columns[1])
 
 
-def _pair_matrix(basis_index: Dict[BasisElement, int], half_list: List[Exponents],
-                 half: int, size: int, i: int, ip: int,
-                 alpha: Exponents) -> np.ndarray:
-    """Matrix A with <A, Q> = coefficient of y_i y_i' s^alpha in z'Qz."""
-    A = np.zeros((size, size))
-    for beta in half_list:
-        rem = tuple(a - b for a, b in zip(alpha, beta))
-        if any(e < 0 for e in rem) or sum(rem) > half:
+def _coefficients(model: SosModel, structure: _GramStructure,
+                  sigma: float) -> np.ndarray:
+    """Coefficient of each row's monomial in h_hat at weight sigma.
+
+    From m''(s) = H_bar + sum_j T_j[s]^(j-2)/(j-2)! + sigma * (regularizer),
+    row (i, i', alpha) takes H_bar[i, i'] when |alpha| = 0 and otherwise
+    T_{|alpha|+2}[i, i', alpha] / prod(alpha!), doubled when i != i'.
+    """
+    closed = np.zeros(len(structure.rows))
+    for k, (i, ip, alpha) in enumerate(structure.rows):
+        degree = sum(alpha)
+        if degree == 0:
+            value = float(model.H_bar[i, ip])
+        elif degree + 2 <= model.p:
+            key = (i, ip) + tuple(idx for idx, e in enumerate(alpha)
+                                  for _ in range(e))
+            value = (model.higher[degree - 1].get(key)
+                     / math.prod(math.factorial(e) for e in alpha))
+        else:
             continue
-        A[basis_index[(i, beta)], basis_index[(ip, rem)]] += 1.0
-        if i != ip:
-            A[basis_index[(ip, beta)], basis_index[(i, rem)]] += 1.0
-    return A
+        closed[k] = value if i == ip else 2.0 * value
+    return closed + sigma * structure.reg
 
 
-def _reconstructed_terms(basis: List[BasisElement], Q: np.ndarray,
-                         n: int) -> Dict[Exponents, float]:
-    terms: Dict[Exponents, float] = {}
+def _coefficient_residual(basis: Sequence[BasisElement], Q: np.ndarray,
+                          rows: Sequence[Tuple[int, int, Exponents]],
+                          target: np.ndarray) -> float:
+    """Largest coefficient mismatch of z'Qz against target, row by row.
+
+    z'Qz is re-expanded from the basis pairs, independently of the pair
+    matrices the SDP was built from.
+    """
+    recon: Dict[Tuple[int, int, Exponents], float] = {}
     size = len(basis)
     for u in range(size):
         iu, bu = basis[u]
         for w in range(u, size):
             iw, bw = basis[w]
-            gamma = list(bu[k] + bw[k] for k in range(n)) + [0] * n
-            gamma[n + iu] += 1
-            gamma[n + iw] += 1
-            key = tuple(gamma)
+            key = (min(iu, iw), max(iu, iw),
+                   tuple(a + b for a, b in zip(bu, bw)))
             weight = 1.0 if u == w else 2.0
-            terms[key] = terms.get(key, 0.0) + weight * float(Q[u, w])
-    return terms
+            recon[key] = recon.get(key, 0.0) + weight * float(Q[u, w])
+    mismatch = [abs(recon.pop(row, 0.0) - t)
+                for row, t in zip(rows, target.tolist())]
+    mismatch.extend(abs(c) for c in recon.values())  # monomials outside every row
+    return max(mismatch, default=0.0)
 
 
-def _coefficient_residual(basis: List[BasisElement], Q: np.ndarray,
-                          target: Polynomial, n: int) -> float:
-    recon = _reconstructed_terms(basis, Q, n)
-    keys = set(recon) | set(target.terms)
-    return max((abs(recon.get(k, 0.0) - target.terms.get(k, 0.0)) for k in keys),
-               default=0.0)
+def _clean(solution: SdpSolution) -> bool:
+    """Both residuals are small, though the gap may have stalled."""
+    return (solution.status in (SdpStatus.OPTIMAL, SdpStatus.MAX_ITERATIONS,
+                                SdpStatus.NUMERICAL_FAILURE)
+            and solution.primal_residual <= _CLEAN_RESIDUAL
+            and solution.dual_residual <= _CLEAN_RESIDUAL)
 
 
-def _usable(solution: SdpSolution, needed: float) -> bool:
+def _usable(solution: SdpSolution) -> bool:
     """Solver output is decision-grade even when the target tol was missed."""
-    if solution.status is SdpStatus.OPTIMAL:
-        return True
-    if solution.status in (SdpStatus.MAX_ITERATIONS, SdpStatus.NUMERICAL_FAILURE):
-        return (solution.gap <= needed and solution.primal_residual <= needed
-                and solution.dual_residual <= needed)
-    return False
+    return (solution.status is SdpStatus.OPTIMAL
+            or (_clean(solution) and solution.gap <= _CLEAN_RESIDUAL))
+
+
+def _solve_gram(structure: _GramStructure, column: np.ndarray, rhs: np.ndarray,
+                tol: float) -> SdpSolution:
+    """min c s.t. <A_k, Q> - column[k] * c = rhs[k], Q PSD, c >= 0.
+
+    c is the 1x1 second block: sigma for the minimal weight, t for phase I.
+    """
+    size = len(structure.basis)
+    constraints = [([A, np.array([[-c]])], b) for A, c, b in
+                   zip(structure.pair_matrices, column.tolist(), rhs.tolist())]
+    objective = [np.zeros((size, size)), np.array([[1.0]])]
+    problem = SdpProblem(block_sizes=[size, 1], objective=objective,
+                         constraints=constraints)
+    return solve_sdp(problem, tol=tol)
 
 
 def min_sigma_sos(model: SosModel, tol: float = 1e-10) -> Tuple[float, GramCertificate]:
@@ -283,50 +320,26 @@ def min_sigma_sos(model: SosModel, tol: float = 1e-10) -> Tuple[float, GramCerti
     the SDP variable and enters each coefficient-matching row linearly.  On
     solver breakdown, falls back to bisection driven by is_sos_convex.
     """
-    n = model.n
-    basis = gram_basis(n, model.p_prime)
-    size = len(basis)
-    basis_index = {elem: k for k, elem in enumerate(basis)}
-    half = (model.p_prime - 2) // 2
-    half_list = monomials_up_to(n, half)
-
-    base = _base_form(model)
-    reg = _regularizer_form(n, model.p_prime)
-    base_table = _coeff_table(base, n)
-    reg_table = _coeff_table(reg, n)
+    structure = _gram_structure(model.n, model.p_prime)
+    base = _coefficients(model, structure, 0.0)
     # rescale the matching rows to O(1); sigma and Q scale back linearly
-    scale = max(1.0, max(map(abs, base_table.values()), default=0.0))
-
-    constraints = []
-    for (i, ip, alpha) in _constraint_monomials(n, model.p_prime):
-        A_gram = _pair_matrix(basis_index, half_list, half, size, i, ip, alpha)
-        A_sigma = np.array([[-reg_table.get((i, ip, alpha), 0.0)]])
-        rhs = base_table.get((i, ip, alpha), 0.0) / scale
-        constraints.append(([A_gram, A_sigma], rhs))
-    objective = [np.zeros((size, size)), np.array([[1.0]])]
-    problem = SdpProblem(block_sizes=[size, 1], objective=objective,
-                         constraints=constraints)
-    solution = solve_sdp(problem, tol=tol)
+    scale = max(1.0, float(np.max(np.abs(base))))
+    solution = _solve_gram(structure, structure.reg, base / scale, tol)
 
     sigma_hat = max(0.0, float(solution.X[1][0, 0]))
-    accept = _usable(solution, needed=1e-8)
-    if (not accept and solution.primal_residual <= 1e-8
-            and solution.dual_residual <= 1e-8
-            and solution.status in (SdpStatus.MAX_ITERATIONS,
-                                    SdpStatus.NUMERICAL_FAILURE)):
-        # The complementarity gap can stall on badly conditioned instances
-        # while both residuals stay clean; the optimum then lies between the
-        # dual and primal objectives.  Taking the primal side over-estimates
-        # sigma_bar, which is safe because feasibility is monotone in sigma.
-        width = solution.gap * (2.0 + 2.0 * sigma_hat)
-        accept = width <= 1e-5 * max(1.0, sigma_hat)
-
-    if accept:
+    # The complementarity gap can stall on badly conditioned instances while
+    # both residuals stay clean; the optimum then lies between the dual and
+    # primal objectives.  Taking the primal side over-estimates sigma_bar,
+    # which is safe because feasibility is monotone in sigma.
+    width = solution.gap * (2.0 + 2.0 * sigma_hat)
+    if _usable(solution) or (_clean(solution)
+                             and width <= _STALLED_WIDTH * max(1.0, sigma_hat)):
         sigma_bar = sigma_hat * scale
         Q = solution.X[0] * scale
-        target = base + reg * sigma_bar
-        residual = _coefficient_residual(basis, Q, target, n)
-        return sigma_bar, GramCertificate(basis=basis, Q=Q, residual=residual)
+        residual = _coefficient_residual(structure.basis, Q, structure.rows,
+                                         base + sigma_bar * structure.reg)
+        return sigma_bar, GramCertificate(basis=list(structure.basis), Q=Q,
+                                          residual=residual)
 
     return _bisect_sigma(model)
 
@@ -368,54 +381,35 @@ def is_sos_convex(model: SosModel,
     is a sum of squares iff the optimal t is zero up to tolerance.  Solver
     breakdown raises SosIndeterminate rather than returning false.
     """
-    n = model.n
-    basis = gram_basis(n, model.p_prime)
-    size = len(basis)
-    basis_index = {elem: k for k, elem in enumerate(basis)}
-    half = (model.p_prime - 2) // 2
-    half_list = monomials_up_to(n, half)
-
-    target = hessian_form(model)
-    table = _coeff_table(target, n)
-    scale = max(1.0, max(map(abs, table.values()), default=0.0))
-
-    constraints = []
-    for (i, ip, alpha) in _constraint_monomials(n, model.p_prime):
-        A_gram = _pair_matrix(basis_index, half_list, half, size, i, ip, alpha)
-        # t shifts the Gram diagonal: z_u^2 contributes only to even monomials
-        shift = 1.0 if (i == ip and all(e % 2 == 0 for e in alpha)) else 0.0
-        A_t = np.array([[-shift]])
-        rhs = table.get((i, ip, alpha), 0.0) / scale
-        constraints.append(([A_gram, A_t], rhs))
-    objective = [np.zeros((size, size)), np.array([[1.0]])]
-    problem = SdpProblem(block_sizes=[size, 1], objective=objective,
-                         constraints=constraints)
-    solution = solve_sdp(problem, tol=tol)
-    usable = _usable(solution, needed=1e-8)
-    clean = (solution.primal_residual <= 1e-8 and solution.dual_residual <= 1e-8
-             and solution.status in (SdpStatus.OPTIMAL, SdpStatus.MAX_ITERATIONS,
-                                     SdpStatus.NUMERICAL_FAILURE))
-    if not usable and not clean:
+    structure = _gram_structure(model.n, model.p_prime)
+    target = _coefficients(model, structure, model.sigma)
+    target_norm = float(np.max(np.abs(target)))
+    scale = max(1.0, target_norm)
+    solution = _solve_gram(structure, structure.shift, target / scale, tol)
+    usable = _usable(solution)
+    if not usable and not _clean(solution):
         raise SosIndeterminate(
             f"phase-I SDP ended with {solution.status.value} "
             f"(gap {solution.gap:.3e})")
 
-    t_star = max(0.0, float(solution.X[1][0, 0])) * scale
-    threshold = 1e-7 * (1.0 + inf_star_norm(target))
+    t_hat = max(0.0, float(solution.X[1][0, 0]))
+    t_star = t_hat * scale
+    threshold = _COEFF_MATCH * (1.0 + target_norm)
     if t_star > threshold:
         if usable:
             return False, None
         # stalled gap: t_star only upper-bounds the optimum; refuse unless
         # the dual side t_star - width also clears the threshold
-        width = solution.gap * (2.0 + 2.0 * t_star / scale) * scale
+        width = solution.gap * (2.0 + 2.0 * t_hat) * scale
         if t_star - width > threshold:
             return False, None
         raise SosIndeterminate(
             f"stalled too close to the membership threshold "
             f"(t={t_star:.3e}, width={width:.3e}, threshold={threshold:.3e})")
     Q = solution.X[0] * scale
-    residual = _coefficient_residual(basis, Q, target, n)
-    return True, GramCertificate(basis=basis, Q=Q, residual=residual)
+    residual = _coefficient_residual(structure.basis, Q, structure.rows, target)
+    return True, GramCertificate(basis=list(structure.basis), Q=Q,
+                                 residual=residual)
 
 
 def verify_certificate(cert: GramCertificate, model: SosModel,
@@ -426,8 +420,9 @@ def verify_certificate(cert: GramCertificate, model: SosModel,
     coefficient, reports lambda_min(Q), and spot-checks positive
     semidefiniteness of the model Hessian at sampled steps.
     """
-    target = hessian_form(model)
-    mismatch = _coefficient_residual(cert.basis, cert.Q, target, model.n)
+    structure = _gram_structure(model.n, model.p_prime)
+    target = _coefficients(model, structure, model.sigma)
+    mismatch = _coefficient_residual(cert.basis, cert.Q, structure.rows, target)
     gram_min = float(np.min(np.linalg.eigvalsh(cert.Q))) if cert.Q.size else 0.0
 
     rng = np.random.default_rng(seed)
@@ -441,27 +436,10 @@ def verify_certificate(cert: GramCertificate, model: SosModel,
             violations += 1
 
     q_scale = float(np.max(np.abs(cert.Q))) if cert.Q.size else 0.0
-    ok = (mismatch <= 1e-7 * (1.0 + inf_star_norm(target))
+    ok = (mismatch <= _COEFF_MATCH * (1.0 + float(np.max(np.abs(target))))
           and gram_min >= -1e-9 * (1.0 + q_scale)
           and violations == 0)
     return CertificateReport(max_coeff_mismatch=mismatch,
                              gram_min_eigenvalue=gram_min,
                              hessian_violations=violations,
                              samples=samples, ok=ok)
-
-
-def format_hessian_form(model: SosModel) -> str:
-    """Text dump of h_hat and the Gram basis, for debugging."""
-    form = hessian_form(model)
-    names = [f"s{i + 1}" for i in range(model.n)] + [f"y{i + 1}" for i in range(model.n)]
-    parts = []
-    for gamma in sorted(form.terms, key=lambda t: (sum(t), t)):
-        coeff = form.terms[gamma]
-        mono = "*".join(f"{nm}^{e}" if e > 1 else nm
-                        for nm, e in zip(names, gamma) if e)
-        parts.append(f"{coeff:+.12g}*{mono}" if mono else f"{coeff:+.12g}")
-    basis = ", ".join(
-        f"y{i + 1}" + "".join(f"*s{k + 1}^{e}" if e > 1 else f"*s{k + 1}"
-                              for k, e in enumerate(beta) if e)
-        for i, beta in gram_basis(model.n, model.p_prime))
-    return "h_hat = " + " ".join(parts) + "\nbasis = [" + basis + "]"

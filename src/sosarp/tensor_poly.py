@@ -1,8 +1,8 @@
 """Symmetric derivative tensors and multivariate polynomial algebra.
 
 Order-j symmetric tensors are stored sparsely: one value per sorted index
-tuple.  Multinomial multiplicities are applied at contraction and expansion
-time, so symmetry is structural and cannot be violated by construction.
+tuple.  Multinomial multiplicities are applied at contraction time, so
+symmetry is structural and cannot be violated by construction.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -208,61 +208,6 @@ def min_eigenvalue(H: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(eigenvalues[0]), eigenvectors[:, 0].copy()
 
 
-class TensorNorm(NamedTuple):
-    value: float
-    exact: bool
-
-
-def tensor_norm(tensor: SymmetricTensor, restarts: int = 50, iters: int = 200,
-                seed: int = 0) -> TensorNorm:
-    """Operator norm max |T[v]^j| over unit vectors.
-
-    Orders 1 and 2 are exact (Euclidean / spectral norm).  For order >= 3 the
-    value is a lower-bound estimate from multi-start projected-gradient ascent
-    on the sphere, flagged approximate; it is used for diagnostics only.
-    """
-    if tensor.order == 1:
-        return TensorNorm(float(np.linalg.norm(tensor.to_dense())), True)
-    if tensor.order == 2:
-        eigenvalues = np.linalg.eigvalsh(tensor.to_dense())
-        return TensorNorm(float(np.max(np.abs(eigenvalues))), True)
-
-    rng = np.random.default_rng(seed)
-    starts: List[np.ndarray] = [np.eye(tensor.dim)[i] for i in range(tensor.dim)]
-    while len(starts) < restarts:
-        v = rng.standard_normal(tensor.dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            starts.append(v / norm)
-
-    best = 0.0
-    for v in starts:
-        value = tensor_apply(tensor, v, 0)
-        step = 0.5
-        for _ in range(iters):
-            gradient = tensor_apply(tensor, v, 1)
-            direction = gradient if value >= 0.0 else -gradient
-            moved = False
-            while step > 1e-12:
-                candidate = v + step * direction
-                norm = np.linalg.norm(candidate)
-                if norm <= 1e-12:
-                    step *= 0.5
-                    continue
-                candidate /= norm
-                cand_value = tensor_apply(tensor, candidate, 0)
-                if abs(cand_value) > abs(value) * (1.0 + 1e-14) + 1e-15:
-                    v, value = candidate, cand_value
-                    step = min(step * 2.0, 4.0)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        best = max(best, abs(value))
-    return TensorNorm(best, False)
-
-
 @dataclass(eq=True)
 class Polynomial:
     """Multivariate polynomial as a map exponent-vector -> coefficient.
@@ -346,71 +291,6 @@ class Polynomial:
         for _ in range(exponent):
             result = result * base
         return result
-
-    def differentiate(self, variable: int) -> "Polynomial":
-        if variable < 0 or variable >= self.dim:
-            raise ValueError("variable index out of range")
-        terms: Dict[Exponents, float] = {}
-        for alpha, coeff in self.terms.items():
-            e = alpha[variable]
-            if e == 0:
-                continue
-            reduced = list(alpha)
-            reduced[variable] = e - 1
-            key = tuple(reduced)
-            terms[key] = terms.get(key, 0.0) + coeff * e
-        return Polynomial(self.dim, terms, self.drop_tol)
-
-
-def poly_gradient(q: Polynomial, s: Sequence[float]) -> np.ndarray:
-    """Gradient of the polynomial at s by exact symbolic differentiation."""
-    return np.array([q.differentiate(i)(s) for i in range(q.dim)])
-
-
-def poly_hessian(q: Polynomial, s: Sequence[float]) -> np.ndarray:
-    """Hessian of the polynomial at s by exact symbolic differentiation."""
-    out = np.zeros((q.dim, q.dim))
-    for i in range(q.dim):
-        partial = q.differentiate(i)
-        for j in range(i, q.dim):
-            out[i, j] = out[j, i] = partial.differentiate(j)(s)
-    return out
-
-
-def inf_star_norm(q: Polynomial) -> float:
-    """Largest absolute coefficient in the standard monomial basis."""
-    if not q.terms:
-        return 0.0
-    return max(abs(c) for c in q.terms.values())
-
-
-def expand_to_polynomial(bundle: DerivativeBundle,
-                         include_orders: Optional[Iterable[int]] = None) -> Polynomial:
-    """Expand sum_j (1/j!) T_j[s]^j for the selected orders into a Polynomial.
-
-    Order 0 contributes the constant bundle.value.  The coefficient of s^alpha
-    coming from the order-j tensor is the stored entry divided by the product
-    of the factorials of alpha (multiplicity over orderings cancels j!).
-    """
-    if include_orders is None:
-        orders = set(range(bundle.p + 1))
-    else:
-        orders = set(include_orders)
-        if any(j < 0 or j > bundle.p for j in orders):
-            raise ValueError("include_orders outside 0..p")
-    n = bundle.n
-    terms: Dict[Exponents, float] = {}
-    if 0 in orders:
-        terms[(0,) * n] = bundle.value
-    for j in sorted(orders - {0}):
-        tensor = bundle.tensors[j - 1]
-        for key, value in tensor.entries.items():
-            alpha = _counts(key, n)
-            denom = 1
-            for e in alpha:
-                denom *= math.factorial(e)
-            terms[alpha] = terms.get(alpha, 0.0) + value / denom
-    return Polynomial(n, terms)
 
 
 def monomials_up_to(dim: int, degree: int) -> List[Exponents]:

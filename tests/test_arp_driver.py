@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sosarp import arp_driver
 from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import build_function, derivatives
@@ -80,6 +81,17 @@ class TestRuns:
         result = run(bundled["quad2"], ArpConfig(p=3, epsilon=1e-6))
         assert result.status is RunStatus.CONVERGED
         assert result.records == []
+
+    def test_stationary_point_is_not_certified(self, bundled, monkeypatch):
+        def refuse(model):
+            raise AssertionError("certified a stationary point")
+
+        monkeypatch.setattr(arp_driver, "min_sigma_sos", refuse)
+        result = run(bundled["quartic_sc2"],
+                     ArpConfig(p=3, epsilon=1e-6, x0=[0.0, 0.0]))
+        assert result.status is RunStatus.CONVERGED
+        assert result.records == []
+        assert result.grad_norm <= 1e-6
 
     def test_iteration_budget_respected(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-8, x0=[-1.2, 1.0], max_iter=3)

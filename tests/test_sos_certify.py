@@ -1,10 +1,15 @@
 """Gram-matrix certification of model convexity and the minimal weight."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosarp.sos_certify import (CertificationError, ConvexityCase, SosModel,
-                                gram_basis, is_sos_convex, min_sigma_sos,
+                                _coefficients, _gram_structure, gram_basis,
+                                is_sos_convex, min_sigma_sos,
                                 verify_certificate)
 from sosarp.tensor_poly import SymmetricTensor
 from conftest import random_certified_model
@@ -92,11 +97,40 @@ class TestUnivariateOracle:
         assert cert.residual <= 1e-10
 
 
+class TestCoefficients:
+    @given(n=st.integers(1, 3), p=st.sampled_from([3, 4]),
+           sigma=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
+           s=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           y=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_reproduce_model_hessian_form(self, n, p, sigma, seed, s, y):
+        # the closed-form coefficients and the regularizer column, summed
+        # over the rows, must give y' m''(s) y as tensor_apply computes it
+        model = random_certified_model(np.random.default_rng(seed), n, p,
+                                       sigma=sigma)
+        structure = _gram_structure(n, model.p_prime)
+        coeff = _coefficients(model, structure, 0.0)
+        s, y = np.array(s[:n]), np.array(y[:n])
+        terms = [(c + sigma * r) * y[i] * y[ip] * math.prod(s ** np.array(alpha))
+                 for (i, ip, alpha), c, r in zip(structure.rows, coeff,
+                                                 structure.reg)]
+        expected = float(y @ model.hessian(s) @ y)
+        assert abs(sum(terms) - expected) <= 1e-9 * sum(map(abs, terms))
+
+
 class TestMembership:
     def test_bracketing_around_minimal_weight(self):
+        self._check_bracketing(p=3)
+
+    def test_bracketing_around_minimal_weight_p4(self):
+        # p' = 6: the t-shift column reaches degree-4 monomials in s
+        self._check_bracketing(p=4)
+
+    @staticmethod
+    def _check_bracketing(p):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            model = random_certified_model(rng, 2, 3)
+            model = random_certified_model(rng, 2, p)
             sigma_bar, _ = min_sigma_sos(model)
             if sigma_bar <= 1e-9:
                 continue

@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosarp.tensor_poly import (DerivativeBundle, Polynomial, SymmetricTensor,
-                                expand_to_polynomial, inf_star_norm,
-                                min_eigenvalue, monomials_up_to, poly_gradient,
-                                poly_hessian, taylor_value, tensor_apply,
-                                tensor_norm)
+                                min_eigenvalue, monomials_up_to, taylor_value,
+                                tensor_apply)
 from conftest import random_tensor
 
 
@@ -65,15 +63,6 @@ class TestTaylor:
         expected = 1.0 + 2.0 + 4.0 + (1.0 / 6.0) * 72.0
         assert taylor_value(self._bundle(), s) == pytest.approx(expected)
 
-    def test_expand_to_polynomial_agrees_pointwise(self):
-        bundle = self._bundle()
-        q = expand_to_polynomial(bundle)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            s = rng.standard_normal(2)
-            assert q(s) == pytest.approx(taylor_value(bundle, s), rel=1e-12,
-                                         abs=1e-12)
-
     def test_bundle_accessors(self):
         bundle = self._bundle()
         assert bundle.n == 2 and bundle.p == 3
@@ -93,60 +82,11 @@ class TestEigen:
             assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
-class TestTensorNorm:
-    def test_order_two_is_spectral_norm(self):
-        rng = np.random.default_rng(5)
-        raw = rng.standard_normal((3, 3))
-        H = (raw + raw.T) / 2.0
-        t = SymmetricTensor.from_dense(H)
-        result = tensor_norm(t)
-        assert result.exact
-        assert result.value == pytest.approx(
-            np.max(np.abs(np.linalg.eigvalsh(H))), rel=1e-12)
-
-    def test_order_three_rank_one_known_value(self):
-        t = SymmetricTensor(3, 2, {(0, 0, 0): 6.0})
-        result = tensor_norm(t)
-        assert not result.exact
-        assert result.value == pytest.approx(6.0, rel=1e-8)
-
-    def test_never_below_grid_oracle(self):
-        # grid includes the axis unit vectors, so inequality-style uses of
-        # the estimate cannot fail because the oracle undershoots
-        rng = np.random.default_rng(6)
-        t = random_tensor(rng, 3, 2)
-        dense = t.to_dense()
-        best = 0.0
-        for angle in np.linspace(0.0, 2.0 * math.pi, 721):
-            s = np.array([math.cos(angle), math.sin(angle)])
-            best = max(best, abs(np.einsum("ijk,i,j,k->", dense, s, s, s)))
-        assert tensor_norm(t).value >= best - 1e-9
-
-
 class TestPolynomial:
     def test_product_and_derivative(self):
         p = Polynomial(1, {(1,): 1.0, (0,): 1.0})
         square = p * p
         assert square.terms == {(2,): 1.0, (1,): 2.0, (0,): 1.0}
-        assert square.differentiate(0).terms == {(1,): 2.0, (0,): 2.0}
-        assert inf_star_norm(square) == 2.0
-
-    def test_gradient_hessian_match_finite_differences(self):
-        rng = np.random.default_rng(7)
-        terms = {expo: float(rng.standard_normal())
-                 for expo in monomials_up_to(2, 4)}
-        q = Polynomial(2, terms)
-        s = rng.standard_normal(2)
-        h = 1e-6
-        grad = poly_gradient(q, s)
-        hess = poly_hessian(q, s)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            assert grad[i] == pytest.approx((q(s + e) - q(s - e)) / (2 * h),
-                                            rel=1e-6, abs=1e-6)
-            fd_row = (poly_gradient(q, s + e) - poly_gradient(q, s - e)) / (2 * h)
-            assert np.allclose(hess[i], fd_row, rtol=1e-6, atol=1e-6)
 
     def test_monomial_count(self):
         # binomial(n + d, d) monomials up to degree d
