@@ -129,8 +129,6 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _driver_config(args: argparse.Namespace,
                    x0: Optional[np.ndarray]) -> ArpConfig:
-    if args.a is not None and args.delta is not None:
-        raise UsageError("--a and --delta are mutually exclusive")
     try:
         return ArpConfig(p=args.p, epsilon=args.eps, a=args.a,
                          delta=args.delta, eta=args.eta, gamma1=args.gamma1,

@@ -465,7 +465,7 @@ def check_derivatives(spec: ProblemSpec, x: Sequence[float],
         h = 1e-5 if j <= 2 else 1e-4
         threshold = 1e-5 if j <= 3 else 1e-3
         tensor = exact.tensors[j - 1]
-        scale = 1.0 + max((abs(v) for v in tensor.entries.values()), default=0.0)
+        scale = 1.0 + float(np.max(np.abs(tensor.array)))
         worst = 0.0
         for key in itertools.combinations_with_replacement(range(func.n), j):
             i = key[0]

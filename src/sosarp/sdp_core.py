@@ -44,10 +44,6 @@ class IterateLog(NamedTuple):
     centering: float = math.nan
 
 
-def block_identity(sizes: Sequence[int]) -> Blocks:
-    return [np.eye(d) for d in sizes]
-
-
 def block_zeros(sizes: Sequence[int]) -> Blocks:
     return [np.zeros((d, d)) for d in sizes]
 

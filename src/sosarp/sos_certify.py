@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .sdp_core import SdpProblem, SdpSolution, SdpStatus, solve_sdp
-from .tensor_poly import (Exponents, Polynomial, SymmetricTensor,
-                          min_eigenvalue, monomials_up_to, tensor_apply)
+from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
+                          monomials_up_to, tensor_apply)
 
 BasisElement = Tuple[int, Exponents]
 
@@ -159,21 +159,12 @@ def gram_basis(n: int, p_prime: int) -> List[BasisElement]:
     return [(i, beta) for i in range(n) for beta in monomials_up_to(n, half)]
 
 
-def _regularizer_form(n: int, p_prime: int) -> Polynomial:
-    """Hessian quadratic form of ||s||^p'/p' at sigma = 1, in (s, y).
-
-    Expands ||s||^(p'-4) * (||s||^2 ||y||^2 + (p'-2)(s.y)^2) over 2n
-    variables (s first, then y).
-    """
-    dim = 2 * n
-    s_sq = Polynomial(dim, {tuple(2 if k == i else 0 for k in range(dim)): 1.0
-                            for i in range(n)})
-    y_sq = Polynomial(dim, {tuple(2 if k == n + i else 0 for k in range(dim)): 1.0
-                            for i in range(n)})
-    s_dot_y = Polynomial(dim, {tuple(1 if k in (i, n + i) else 0 for k in range(dim)): 1.0
-                               for i in range(n)})
-    return (s_sq ** ((p_prime - 4) // 2)) * (s_sq * y_sq
-                                             + (p_prime - 2) * s_dot_y * s_dot_y)
+def _norm_power_coefficient(alpha: Sequence[int], k: int) -> float:
+    """Coefficient of s^alpha in ||s||^(2k) = (sum_j s_j^2)^k."""
+    if sum(alpha) != 2 * k or any(e < 0 or e % 2 for e in alpha):
+        return 0.0
+    return float(math.factorial(k)
+                 // math.prod(math.factorial(e // 2) for e in alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +193,6 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
     half = (p_prime - 2) // 2
     half_list = monomials_up_to(n, half)
     alphas = monomials_up_to(n, p_prime - 2)
-    reg_terms = _regularizer_form(n, p_prime).terms
 
     rows: List[Tuple[int, int, Exponents]] = []
     pair_matrices: List[np.ndarray] = []
@@ -220,12 +210,17 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
                     if i != ip:
                         A[basis_index[(ip, beta)], basis_index[(i, rem)]] += 1.0
                 A.setflags(write=False)
-                gamma = list(alpha) + [0] * n
-                gamma[n + i] += 1
-                gamma[n + ip] += 1
                 rows.append((i, ip, alpha))
                 pair_matrices.append(A)
-                reg.append(reg_terms.get(tuple(gamma), 0.0))
+                # the regularizer's form at sigma = 1 is
+                # ||s||^(p'-2) ||y||^2 + (p'-2) ||s||^(p'-4) (s.y)^2
+                rest = list(alpha)
+                rest[i] -= 1
+                rest[ip] -= 1
+                reg.append((p_prime - 2) * (1.0 if i == ip else 2.0)
+                           * _norm_power_coefficient(rest, half - 1)
+                           + (_norm_power_coefficient(alpha, half) if i == ip
+                              else 0.0))
                 # z_u^2 contributes only to diagonal rows with even exponents
                 shift.append(1.0 if i == ip and all(e % 2 == 0 for e in alpha)
                              else 0.0)

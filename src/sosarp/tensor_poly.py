@@ -1,36 +1,22 @@
-"""Symmetric derivative tensors and multivariate polynomial algebra.
+"""Symmetric derivative tensors, Taylor values and polynomial evaluation.
 
-Order-j symmetric tensors are stored sparsely: one value per sorted index
-tuple.  Multinomial multiplicities are applied at contraction time, so
-symmetry is structural and cannot be violated by construction.
+An order-j symmetric tensor is one dense read-only ``(n,) * j`` array with
+every permutation of each given index filled in at construction, so
+symmetry cannot be violated afterwards and contracting with a step s is a
+chain of matrix-vector products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations_with_replacement, permutations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 Index = Tuple[int, ...]
 Exponents = Tuple[int, ...]
-
-
-def _orderings(key: Sequence[int]) -> int:
-    """Number of distinct orderings of the multiset ``key``."""
-    key = tuple(key)
-    count = math.factorial(len(key))
-    for i in set(key):
-        count //= math.factorial(key.count(i))
-    return count
-
-
-def _drop_one(key: Index, value: int) -> Index:
-    out = list(key)
-    out.remove(value)
-    return tuple(out)
 
 
 def _counts(key: Sequence[int], dim: int) -> Exponents:
@@ -42,23 +28,25 @@ def _counts(key: Sequence[int], dim: int) -> Exponents:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricTensor:
-    """Symmetric order-j tensor over R^n, keyed by sorted multi-index.
+    """Symmetric order-j tensor over R^n, held as one dense array.
 
-    ``entries`` maps a sorted tuple (i1 <= ... <= ij) of 0-based indices to
-    the common value of all its permutations.  Missing keys are zero.
+    ``entries`` maps an index tuple to the common value of all its
+    permutations; missing keys are zero.  Every permutation is written into
+    ``array``, a read-only ``(dim,) * order`` ndarray, at construction.
     """
 
     order: int
     dim: int
-    entries: Dict[Index, float] = field(default_factory=dict)
+    entries: InitVar[Optional[Mapping[Index, float]]] = None
+    array: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, entries: Optional[Mapping[Index, float]]) -> None:
         if self.order < 1:
             raise ValueError("tensor order must be >= 1")
         if self.dim < 1:
             raise ValueError("tensor dimension must be >= 1")
         normalized: Dict[Index, float] = {}
-        for key, value in self.entries.items():
+        for key, value in (entries or {}).items():
             key = tuple(int(i) for i in key)
             if len(key) != self.order:
                 raise ValueError(
@@ -70,41 +58,20 @@ class SymmetricTensor:
             if skey in normalized and normalized[skey] != float(value):
                 raise ValueError(f"conflicting values for symmetric index {skey}")
             normalized[skey] = float(value)
-        object.__setattr__(self, "entries", normalized)
+        array = np.zeros((self.dim,) * self.order)
+        for key, value in normalized.items():
+            for perm in set(permutations(key)):
+                array[perm] = value
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
 
     def get(self, key: Sequence[int]) -> float:
-        """Value at an index tuple; unsorted lookups are sorted first."""
-        return self.entries.get(tuple(sorted(key)), 0.0)
+        """Value at an index tuple, in any ordering."""
+        return float(self.array[tuple(key)])
 
     def to_dense(self) -> np.ndarray:
-        """Dense ndarray with all symmetric copies filled in (small dims only)."""
-        if self.order == 1:
-            out = np.zeros(self.dim)
-            for key, value in self.entries.items():
-                out[key[0]] = value
-            return out
-        out = np.zeros((self.dim,) * self.order)
-        for key, value in self.entries.items():
-            for perm in set(permutations(key)):
-                out[perm] = value
-        return out
-
-    @staticmethod
-    def from_dense(arr: np.ndarray) -> "SymmetricTensor":
-        arr = np.asarray(arr, dtype=float)
-        order = arr.ndim
-        dim = arr.shape[0] if order else 0
-        if any(s != dim for s in arr.shape):
-            raise ValueError("dense tensor must be hypercubic")
-        entries: Dict[Index, float] = {}
-        for key in combinations_with_replacement(range(dim), order):
-            value = arr[key]
-            for perm in permutations(key):
-                if abs(arr[perm] - value) > 1e-12 * (1.0 + abs(value)):
-                    raise ValueError(f"dense tensor is not symmetric at {key}")
-            if value != 0.0:
-                entries[key] = float(value)
-        return SymmetricTensor(order, dim, entries)
+        """Writable copy of the dense array."""
+        return self.array.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +110,7 @@ def tensor_apply(tensor: SymmetricTensor, s: Sequence[float], drop: int = 0):
     """Contract all but ``drop`` slots of ``tensor`` with the vector ``s``.
 
     drop=0 gives the scalar T[s]^j, drop=1 the vector T[s]^(j-1), drop=2 the
-    matrix T[s]^(j-2).  Multiplicities of the symmetric storage are applied
-    exactly (multinomial counts over index orderings).
+    matrix T[s]^(j-2).  Slots are contracted from the last axis inward.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (tensor.dim,):
@@ -153,38 +119,12 @@ def tensor_apply(tensor: SymmetricTensor, s: Sequence[float], drop: int = 0):
         raise ValueError("drop must be 0, 1 or 2")
     if drop > tensor.order:
         raise ValueError("cannot drop more slots than the tensor order")
-
-    if drop == 0:
-        total = 0.0
-        for key, value in tensor.entries.items():
-            term = value * _orderings(key)
-            for i in key:
-                term *= s[i]
-            total += term
-        return total
-
-    if drop == 1:
-        out = np.zeros(tensor.dim)
-        for key, value in tensor.entries.items():
-            for a in set(key):
-                rest = _drop_one(key, a)
-                term = value * _orderings(rest)
-                for i in rest:
-                    term *= s[i]
-                out[a] += term
-        return out
-
-    out = np.zeros((tensor.dim, tensor.dim))
-    for key, value in tensor.entries.items():
-        for a in set(key):
-            partial = _drop_one(key, a)
-            for b in set(partial):
-                rest = _drop_one(partial, b)
-                term = value * _orderings(rest)
-                for i in rest:
-                    term *= s[i]
-                out[a, b] += term
-    return out
+    if drop == tensor.order:
+        return tensor.to_dense()
+    out = tensor.array
+    for _ in range(tensor.order - drop):
+        out = out @ s
+    return float(out) if drop == 0 else out
 
 
 def taylor_value(bundle: DerivativeBundle, s: Sequence[float]) -> float:
@@ -212,13 +152,11 @@ def min_eigenvalue(H: np.ndarray) -> Tuple[float, np.ndarray]:
 class Polynomial:
     """Multivariate polynomial as a map exponent-vector -> coefficient.
 
-    Coefficients with absolute value <= drop_tol are not stored; the default
-    of 0 keeps every nonzero coefficient exactly.
+    Repeated exponent vectors are summed; exact zeros are not stored.
     """
 
     dim: int
     terms: Dict[Exponents, float] = field(default_factory=dict)
-    drop_tol: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dim < 0:
@@ -232,12 +170,7 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {alpha}")
             coeff = cleaned.get(alpha, 0.0) + float(coeff)
             cleaned[alpha] = coeff
-        self.terms = {a: c for a, c in cleaned.items() if abs(c) > self.drop_tol}
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(alpha) for alpha in self.terms)
+        self.terms = {a: c for a, c in cleaned.items() if abs(c) > 0.0}
 
     def __call__(self, point: Sequence[float]) -> float:
         point = np.asarray(point, dtype=float)
@@ -251,46 +184,6 @@ class Polynomial:
                     term *= x ** e
             total += term
         return total
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("polynomial dimensions differ")
-        terms = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            terms[alpha] = terms.get(alpha, 0.0) + coeff
-        return Polynomial(self.dim, terms, self.drop_tol)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other * (-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial(self.dim,
-                              {a: c * float(other) for a, c in self.terms.items()},
-                              self.drop_tol)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("polynomial dimensions differ")
-        terms: Dict[Exponents, float] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                terms[alpha] = terms.get(alpha, 0.0) + c1 * c2
-        return Polynomial(self.dim, terms, self.drop_tol)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Polynomial(self.dim, {(0,) * self.dim: 1.0})
-        base = self
-        for _ in range(exponent):
-            result = result * base
-        return result
 
 
 def monomials_up_to(dim: int, degree: int) -> List[Exponents]:

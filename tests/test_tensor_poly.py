@@ -1,5 +1,6 @@
-"""Symmetric tensors, Taylor values, and polynomial arithmetic."""
+"""Symmetric tensors, Taylor values, and monomial enumeration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sosarp.tensor_poly import (DerivativeBundle, Polynomial, SymmetricTensor,
+from sosarp.tensor_poly import (DerivativeBundle, SymmetricTensor,
                                 min_eigenvalue, monomials_up_to, taylor_value,
                                 tensor_apply)
 from conftest import random_tensor
@@ -26,9 +27,36 @@ class TestSymmetricTensor:
         # dense array is symmetric under any index permutation
         assert np.allclose(dense, np.transpose(dense, (1, 0, 2)))
         assert np.allclose(dense, np.transpose(dense, (2, 1, 0)))
-        back = SymmetricTensor.from_dense(dense)
-        assert back.order == 3 and back.dim == 3
-        assert np.allclose(back.to_dense(), dense)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_fill_is_symmetric_and_euler(self, data):
+        order = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 4))
+        keys = st.lists(st.integers(0, n - 1), min_size=order, max_size=order)
+        sparse = data.draw(st.dictionaries(keys.map(lambda k: tuple(sorted(k))),
+                                           st.floats(-10, 10), max_size=6))
+        # hand each key over in an arbitrary ordering
+        given_keys = {key: data.draw(st.permutations(key)) for key in sparse}
+        t = SymmetricTensor(order, n, {tuple(given_keys[k]): v
+                                       for k, v in sparse.items()})
+        dense = t.to_dense()
+        for axes in itertools.permutations(range(order)):
+            assert np.array_equal(np.transpose(dense, axes), dense)
+        for idx in np.ndindex(dense.shape):
+            assert dense[idx] == sparse.get(tuple(sorted(idx)), 0.0)
+        for key, value in sparse.items():
+            for perm in itertools.permutations(key):
+                assert t.get(perm) == value
+        s = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=n,
+                                        max_size=n)))
+        scale = 1.0 + float(np.sum(np.abs(dense)))
+        scale *= (1.0 + float(np.max(np.abs(s)))) ** order
+        assert abs(tensor_apply(t, s, 1) @ s - tensor_apply(t, s, 0)) <= \
+            1e-12 * scale
+        if order >= 2:
+            assert np.allclose(tensor_apply(t, s, 2) @ s, tensor_apply(t, s, 1),
+                               rtol=0.0, atol=1e-12 * scale)
 
     def test_full_contraction_matches_dense_einsum(self):
         rng = np.random.default_rng(1)
@@ -83,22 +111,7 @@ class TestEigen:
 
 
 class TestPolynomial:
-    def test_product_and_derivative(self):
-        p = Polynomial(1, {(1,): 1.0, (0,): 1.0})
-        square = p * p
-        assert square.terms == {(2,): 1.0, (1,): 2.0, (0,): 1.0}
-
     def test_monomial_count(self):
         # binomial(n + d, d) monomials up to degree d
         assert len(monomials_up_to(2, 4)) == math.comb(6, 4)
         assert len(monomials_up_to(3, 3)) == math.comb(6, 3)
-
-    @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-           st.lists(st.floats(-5, 5), min_size=2, max_size=2))
-    @settings(max_examples=25, deadline=None)
-    def test_addition_is_pointwise(self, a, b):
-        q1 = Polynomial(2, {(1, 0): a[0], (0, 2): a[1]})
-        q2 = Polynomial(2, {(1, 0): b[0], (1, 1): b[1]})
-        s = np.array([0.7, -1.3])
-        assert (q1 + q2)(s) == pytest.approx(q1(s) + q2(s), rel=1e-12,
-                                             abs=1e-12)
