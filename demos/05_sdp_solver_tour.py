@@ -15,8 +15,7 @@ from sosarp import SdpProblem, SdpStatus, solve_sdp
 #    at the all-ones matrix with objective 2.
 # ---------------------------------------------------------------------------
 A = np.array([[0.0, 1.0], [1.0, 0.0]])
-problem = SdpProblem(block_sizes=[2], objective=[np.eye(2)],
-                     constraints=[([A], 2.0)])
+problem = SdpProblem(objective=[np.eye(2)], constraints=[A[None]], b=[2.0])
 sol = solve_sdp(problem)
 obj = float(np.sum(np.eye(2) * sol.X[0]))
 print("coupling instance: status=%s objective=%.8f (expected 2)"
@@ -36,17 +35,14 @@ eig_x[:r] = rng.uniform(0.5, 2.0, r)
 eig_z[r:] = rng.uniform(0.5, 2.0, d - r)
 X_star = basis @ np.diag(eig_x) @ basis.T
 Z_star = basis @ np.diag(eig_z) @ basis.T
-A_list = []
-for _ in range(m):
-    raw = rng.standard_normal((d, d))
-    A_list.append((raw + raw.T) / 2.0)
-b = np.array([np.sum(a * X_star) for a in A_list])
+raw = rng.standard_normal((m, d, d))
+A_stack = (raw + raw.transpose(0, 2, 1)) / 2.0   # one (m, d, d) stack per block
+b = np.einsum("kij,ij->k", A_stack, X_star)
 y_star = rng.standard_normal(m)
-C = Z_star + sum(yk * ak for yk, ak in zip(y_star, A_list))
+C = Z_star + np.tensordot(y_star, A_stack, axes=1)
 target = float(np.sum(C * X_star))
 
-planted = SdpProblem(block_sizes=[d], objective=[C],
-                     constraints=[([a], bk) for a, bk in zip(A_list, b)])
+planted = SdpProblem(objective=[C], constraints=[A_stack], b=b)
 sol = solve_sdp(planted, tol=1e-9)
 recovered = float(np.sum(C * sol.X[0]))
 print("\nplanted instance (block 8, rank 2, 12 constraints):")
@@ -59,14 +55,13 @@ print("  objective %.10f vs planted %.10f (error %.2e)"
 # ---------------------------------------------------------------------------
 # 3. Status detection
 # ---------------------------------------------------------------------------
-impossible = SdpProblem(block_sizes=[3], objective=[np.eye(3)],
-                        constraints=[([np.eye(3)], -1.0)])
+impossible = SdpProblem(objective=[np.eye(3)], constraints=[np.eye(3)[None]],
+                        b=[-1.0])
 print("\ntrace(X) = -1 over PSD X: status=%s"
       % solve_sdp(impossible).status.value)
 
 E00 = np.zeros((2, 2))
 E00[0, 0] = 1.0
-unbounded = SdpProblem(block_sizes=[2], objective=[-np.eye(2)],
-                       constraints=[([E00], 1.0)])
+unbounded = SdpProblem(objective=[-np.eye(2)], constraints=[E00[None]], b=[1.0])
 print("unbounded objective: status=%s" % solve_sdp(unbounded).status.value)
 assert solve_sdp(unbounded).status is SdpStatus.DUAL_INFEASIBLE

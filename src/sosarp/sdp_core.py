@@ -1,10 +1,12 @@
 """Dense primal-dual interior-point solver for small block-diagonal SDPs.
 
 Standard primal form: minimize <C, X> subject to <A_k, X> = b_k, X PSD, with
-X constrained to a fixed block-diagonal structure.  The solver is a
-Mehrotra-style predictor-corrector on the HKM search direction (linearize
-dX Z + X dZ = R_c, solve, symmetrize dX), with dense factorizations
-throughout.  Desk-scale targets: block sizes <= ~60, <= ~500 constraints.
+X constrained to a fixed block-diagonal structure.  Each block's constraint
+matrices are one stacked (m, d, d) array, so A, its adjoint and the Schur
+complement are array products.  The solver is a Mehrotra-style
+predictor-corrector on the HKM search direction (linearize dX Z + X dZ = R_c,
+solve, symmetrize dX), with dense factorizations throughout.  Desk-scale
+targets: block sizes <= ~60, <= ~500 constraints.
 """
 
 from __future__ import annotations
@@ -13,14 +15,21 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 Blocks = List[np.ndarray]
 
-_SQRT2 = math.sqrt(2.0)
+_SYMMETRY_TOL = 1e-10  # relative asymmetry of an input matrix accepted as rounding
+_RANK_TOL = 1e-10  # a row within this of the earlier rows' span, relative, is dependent
+_JITTER_START = 1e-14  # first relative Cholesky shift: rounding level, changes nothing else
+_JITTER_GROWTH = 100.0  # three tries reach _JITTER_MAX, so a failing factor fails fast
+_JITTER_MAX = 1e-10  # a matrix that needs a larger relative shift is not numerically PD
+_STEP_FRACTION = 0.98  # share of the step to the cone boundary: keeps X and Z interior
+_DIVERGENCE = 1e12  # an objective or trace(X) beyond this marks (dual) infeasibility
+_MIN_STEP = 1e-10  # both step lengths below this: the iteration cannot progress
 
 
 class SdpStatus(Enum):
@@ -44,10 +53,6 @@ class IterateLog(NamedTuple):
     centering: float = math.nan
 
 
-def block_zeros(sizes: Sequence[int]) -> Blocks:
-    return [np.zeros((d, d)) for d in sizes]
-
-
 def block_inner(A: Blocks, B: Blocks) -> float:
     return float(sum(np.sum(a * b) for a, b in zip(A, B)))
 
@@ -60,68 +65,87 @@ def _vec(blocks: Blocks) -> np.ndarray:
     return np.concatenate([blk.ravel() for blk in blocks])
 
 
-def _svec(blocks: Blocks) -> np.ndarray:
-    """Upper-triangle vectorization with sqrt(2) off-diagonal scaling."""
-    parts = []
-    for blk in blocks:
-        rows, cols = np.triu_indices(blk.shape[0])
-        parts.append(blk[rows, cols] * np.where(rows == cols, 1.0, _SQRT2))
-    return np.concatenate(parts)
+def _rows(stacks: Blocks) -> np.ndarray:
+    """Row k holds the k-th matrix of every stack, flattened and concatenated."""
+    return np.concatenate([s.reshape(s.shape[0], s.shape[1] * s.shape[2])
+                           for s in stacks], axis=1)
 
 
-def _check_block(mat: np.ndarray, size: int, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (size, size):
-        raise ValueError(f"{what} block has shape {mat.shape}, expected ({size}, {size})")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
-        raise ValueError(f"{what} block is not symmetric")
-    return (mat + mat.T) / 2.0
+def _symmetrized(stack: np.ndarray, what: str) -> np.ndarray:
+    """Stack of (S + S')/2; raises ValueError naming what.format(k) if S_k is not symmetric."""
+    scale = np.max(np.abs(stack), axis=(1, 2), initial=1.0)
+    skew = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(skew > _SYMMETRY_TOL * scale)
+    if bad.size:
+        raise ValueError(what.format(bad[0]) + " is not symmetric")
+    return (stack + stack.transpose(0, 2, 1)) / 2.0
 
 
 @dataclass
 class SdpProblem:
     """minimize <C, X> s.t. <A_k, X> = b_k, X PSD block-diagonal.
 
-    Linearly dependent constraint rows (rank tolerance 1e-10) are dropped
-    with a warning during construction.
+    objective[j] is block j of C, a (d_j, d_j) matrix; constraints[j] is the
+    (m, d_j, d_j) stack of block j of A_1..A_m, and b has length m.  Linearly
+    dependent constraint rows (rank tolerance 1e-10) are dropped with a
+    warning during construction.
     """
 
-    block_sizes: List[int]
     objective: Blocks
-    constraints: List[Tuple[Blocks, float]]
+    constraints: Blocks
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.block_sizes or any(d < 1 for d in self.block_sizes):
-            raise ValueError("block sizes must be positive")
-        if len(self.objective) != len(self.block_sizes):
-            raise ValueError("objective does not conform to the block structure")
-        self.objective = [_check_block(c, d, "objective")
-                          for c, d in zip(self.objective, self.block_sizes)]
-        checked: List[Tuple[Blocks, float]] = []
-        for k, (blocks, bk) in enumerate(self.constraints):
-            if len(blocks) != len(self.block_sizes):
-                raise ValueError(f"constraint {k} does not conform to the block structure")
-            blocks = [_check_block(a, d, f"constraint {k}")
-                      for a, d in zip(blocks, self.block_sizes)]
-            checked.append((blocks, float(bk)))
+        if len(self.objective) == 0:
+            raise ValueError("objective has no blocks")
+        if len(self.constraints) != len(self.objective):
+            raise ValueError(f"constraints have {len(self.constraints)} blocks, "
+                             f"objective has {len(self.objective)}")
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1:
+            raise ValueError(f"b has shape {b.shape}, expected a vector")
+        m = len(b)
+        objective: Blocks = []
+        constraints: Blocks = []
+        for j, (c, a) in enumerate(zip(self.objective, self.constraints)):
+            c = np.asarray(c, dtype=float)
+            a = np.asarray(a, dtype=float)
+            if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
+                raise ValueError(f"objective block {j} has shape {c.shape}, "
+                                 f"expected a nonempty square matrix")
+            d = c.shape[0]
+            if a.ndim != 3 or a.shape[0] != m:
+                raise ValueError(f"constraint block {j} has shape {a.shape}, "
+                                 f"expected one matrix per entry of b ({m})")
+            if a.shape[1:] != (d, d):
+                raise ValueError(f"constraint block {j} holds {a.shape[1:]} "
+                                 f"matrices, the objective block is ({d}, {d})")
+            objective.append(_symmetrized(c[None], f"objective block {j}")[0])
+            constraints.append(_symmetrized(a, f"constraint {{}} in block {j}"))
 
-        kept: List[Tuple[Blocks, float]] = []
-        basis: List[np.ndarray] = []
-        for k, (blocks, bk) in enumerate(checked):
-            row = _svec(blocks)
-            residual = row.copy()
-            for _ in range(2):
-                for q in basis:
-                    residual -= q * (q @ residual)
+        # greedy Gram-Schmidt over the rows in order; <vec A, vec B> = <A, B>
+        rows = _rows(constraints)
+        basis = np.empty_like(rows)
+        kept: List[int] = []
+        for k, row in enumerate(rows):
+            Q = basis[:len(kept)]
+            residual = row - Q.T @ (Q @ row)
+            residual -= Q.T @ (Q @ residual)
             norm = float(np.linalg.norm(residual))
-            if norm > 1e-10 * max(1.0, float(np.linalg.norm(row))):
-                basis.append(residual / norm)
-                kept.append((blocks, bk))
+            if norm > _RANK_TOL * max(1.0, float(np.linalg.norm(row))):
+                basis[len(kept)] = residual / norm
+                kept.append(k)
             else:
                 warnings.warn(f"dropping linearly dependent SDP constraint row {k}",
                               RuntimeWarning, stacklevel=2)
-        self.constraints = kept
+        if len(kept) < m:
+            constraints = [a[kept] for a in constraints]
+            b = b[kept]
+        self.objective, self.constraints, self.b = objective, constraints, b
+
+    @property
+    def block_sizes(self) -> List[int]:
+        return [c.shape[0] for c in self.objective]
 
     @property
     def n_total(self) -> int:
@@ -150,24 +174,23 @@ class SdpSolution:
 
 
 def _chol(mat: np.ndarray) -> np.ndarray:
-    """Cholesky factor with escalating diagonal jitter up to 1e-10 (scaled)."""
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
+    """Cholesky factor with escalating diagonal jitter up to _JITTER_MAX (scaled)."""
+    scale = float(np.max(np.abs(mat), initial=1.0))
     jitter = 0.0
     while True:
         try:
             shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
             return np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
-            if jitter > 1e-10 * scale:
+            jitter = _JITTER_START * scale if jitter == 0.0 else jitter * _JITTER_GROWTH
+            if jitter > _JITTER_MAX * scale:
                 raise
 
 
-def _max_step(S: Blocks, dS: Blocks) -> float:
-    """Largest alpha with S + alpha*dS still positive definite (per block)."""
+def _max_step(chols: Blocks, dS: Blocks) -> float:
+    """Largest alpha with S + alpha*dS still positive definite, S = L L' per block."""
     alpha = np.inf
-    for s_blk, d_blk in zip(S, dS):
-        L = _chol(s_blk)
+    for L, d_blk in zip(chols, dS):
         half = solve_triangular(L, d_blk, lower=True)
         G = solve_triangular(L, half.T, lower=True)
         lam = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
@@ -186,39 +209,34 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
     """
     sizes = problem.block_sizes
     n_tot = problem.n_total
-    m = len(problem.constraints)
     C = problem.objective
-    A = [blocks for blocks, _ in problem.constraints]
-    b = np.array([bk for _, bk in problem.constraints])
-
-    Avec = (np.stack([_vec(blocks) for blocks in A])
-            if m else np.zeros((0, sum(d * d for d in sizes))))
+    A = problem.constraints
+    b = problem.b
+    Avec = _rows(A)
+    offsets = np.cumsum([d * d for d in sizes])[:-1]
 
     def apply_A(mat: Blocks) -> np.ndarray:
         return Avec @ _vec(mat)
 
-    if m:
-        gram = Avec @ Avec.T
-        gram_chol = _chol((gram + gram.T) / 2.0)
-    else:
-        gram_chol = np.zeros((0, 0))
-
     def apply_At(y: np.ndarray) -> Blocks:
-        out = block_zeros(sizes)
-        for k in range(m):
-            for blk_out, blk_a in zip(out, A[k]):
-                blk_out += y[k] * blk_a
-        return out
+        # einsum adds y_k A_k in order of k; a BLAS product would sum in
+        # another order and move every iterate by rounding
+        flat = np.einsum("k,kn->n", y, Avec)
+        return [part.reshape(d, d) for part, d in zip(np.split(flat, offsets), sizes)]
 
-    b_scale = max(1.0, float(np.max(np.abs(b))) if m else 0.0)
-    a_scale = max([block_norm(blocks) for blocks in A], default=0.0)
+    gram = Avec @ Avec.T
+    gram_chol = _chol((gram + gram.T) / 2.0)
+
+    b_scale = float(np.max(np.abs(b), initial=1.0))
+    a_scale = math.sqrt(float(np.max(sum(np.sum(a * a, axis=(1, 2)) for a in A),
+                                     initial=0.0)))
     c_scale = block_norm(C)
     xi = max(10.0, math.sqrt(n_tot), n_tot * b_scale / max(1.0, a_scale))
     eta = max(10.0, math.sqrt(n_tot), c_scale, a_scale)
 
     X = [xi * np.eye(d) for d in sizes]
     Z = [eta * np.eye(d) for d in sizes]
-    y = np.zeros(m)
+    y = np.zeros(len(b))
 
     trace: List[IterateLog] = []
     status = SdpStatus.MAX_ITERATIONS
@@ -248,10 +266,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
         if gap <= tol and p_res <= tol and d_res <= tol:
             status = SdpStatus.OPTIMAL
             break
-        if abs(obj_d) > 1e12:
+        if abs(obj_d) > _DIVERGENCE:
             status = SdpStatus.INFEASIBLE
             break
-        if sum(float(np.trace(x)) for x in X) > 1e12:
+        if sum(float(np.trace(x)) for x in X) > _DIVERGENCE:
             status = SdpStatus.DUAL_INFEASIBLE
             break
         if iteration == max_iter:
@@ -259,6 +277,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
             break
 
         try:
+            X_chols = [_chol(x) for x in X]
             Z_chols = [_chol(z) for z in Z]
             Z_inv = []
             for L, d in zip(Z_chols, sizes):
@@ -266,21 +285,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
                 Z_inv.append(L_inv.T @ L_inv)
 
             # Schur complement M[i, j] = sum_blocks <A_i, X A_j Zinv>
-            W = []
-            for k in range(m):
-                W.append([x @ a @ zi for x, a, zi in zip(X, A[k], Z_inv)])
-            if m:
-                Wvec = np.stack([_vec(wk) for wk in W])
-                M = Avec @ Wvec.T
-                M = (M + M.T) / 2.0
-                M_chol = _chol(M)
-            else:
-                M = np.zeros((0, 0))
-                M_chol = M
+            M = Avec @ _rows([x @ a @ zi for x, a, zi in zip(X, A, Z_inv)]).T
+            M = (M + M.T) / 2.0
+            M_chol = _chol(M)
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                if m == 0:
-                    return rhs
                 def backsolve(v: np.ndarray) -> np.ndarray:
                     half = solve_triangular(M_chol, v, lower=True)
                     return solve_triangular(M_chol.T, half, lower=False)
@@ -297,8 +306,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
                 # near the optimum; re-imposing A(dX) = r_p through the
                 # constant, well-conditioned constraint Gram matrix stops the
                 # primal residual from regrowing late in the run.
-                if m == 0:
-                    return dX
                 before = r_p - apply_A(dX)
                 corrected = dX
                 for _ in range(2):
@@ -326,8 +333,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
             # predictor (affine scaling): Rc = -XZ
             Rc_aff = [-(x @ z) for x, z in zip(X, Z)]
             dX_aff, dy_aff, dZ_aff = direction(Rc_aff)
-            ap_aff = min(1.0, 0.98 * _max_step(X, dX_aff))
-            ad_aff = min(1.0, 0.98 * _max_step(Z, dZ_aff))
+            ap_aff = min(1.0, _STEP_FRACTION * _max_step(X_chols, dX_aff))
+            ad_aff = min(1.0, _STEP_FRACTION * _max_step(Z_chols, dZ_aff))
             X_aff = [x + ap_aff * dx for x, dx in zip(X, dX_aff)]
             Z_aff = [z + ad_aff * dz for z, dz in zip(Z, dZ_aff)]
             mu_aff = block_inner(X_aff, Z_aff) / n_tot
@@ -337,15 +344,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
             Rc = [center * mu * np.eye(d) - (x @ z) - (dxa @ dza)
                   for d, x, z, dxa, dza in zip(sizes, X, Z, dX_aff, dZ_aff)]
             dX, dy, dZ = direction(Rc)
-            alpha_p = min(1.0, 0.98 * _max_step(X, dX))
-            alpha_d = min(1.0, 0.98 * _max_step(Z, dZ))
+            alpha_p = min(1.0, _STEP_FRACTION * _max_step(X_chols, dX))
+            alpha_d = min(1.0, _STEP_FRACTION * _max_step(Z_chols, dZ))
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
         trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d,
                                        centering=center)
-        if alpha_p < 1e-10 and alpha_d < 1e-10:
+        if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
@@ -360,4 +367,3 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
     return SdpSolution(X=X, y=y, Z=Z, status=status, gap=gap,
                        primal_residual=p_res, dual_residual=d_res,
                        iterations=iteration, trace=trace)
-

@@ -6,11 +6,12 @@ h_hat below, is quadratic in y, so its Gram factor only needs the basis
 {y_i * s^beta : |beta| <= (p'-2)/2}.  Matching the coefficients of h_hat and
 z'Qz depends on the model only through the right-hand side, so the matching
 rows are built once per (n, p') and cached: the basis, one pair matrix per
-monomial y_i y_i' s^alpha, the regularizer's coefficients at sigma = 1 and
-the t-shift column.  Both the minimal regularization weight (sigma linear in
-the rows, minimized directly) and the fixed-sigma membership check
-(always-feasible phase-I formulation) solve the same small block-diagonal
-SDP over that structure, differing only in the column of the 1x1 block.
+monomial y_i y_i' s^alpha (stacked into one array, the solver's constraint
+format), the regularizer's coefficients at sigma = 1 and the t-shift column.
+Both the minimal regularization weight (sigma linear in the rows, minimized
+directly) and the fixed-sigma membership check (always-feasible phase-I
+formulation) solve the same small block-diagonal SDP over that structure,
+differing only in the column of the 1x1 block.
 """
 
 from __future__ import annotations
@@ -175,11 +176,13 @@ class _GramStructure:
     y_i y_i' s^alpha.  <pair_matrices[k], Q> is its coefficient in z'Qz,
     reg[k] its coefficient in the regularizer's form at sigma = 1 and
     shift[k] its coefficient in the phase-I shift sum_u z_u^2.
+    pair_matrices is one (len(rows), size, size) stack, the layout of an
+    SdpProblem constraint block.
     """
 
     basis: Tuple[BasisElement, ...]
     rows: Tuple[Tuple[int, int, Exponents], ...]
-    pair_matrices: Tuple[np.ndarray, ...]
+    pair_matrices: np.ndarray
     reg: np.ndarray
     shift: np.ndarray
 
@@ -194,40 +197,37 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
     half_list = monomials_up_to(n, half)
     alphas = monomials_up_to(n, p_prime - 2)
 
-    rows: List[Tuple[int, int, Exponents]] = []
-    pair_matrices: List[np.ndarray] = []
+    rows = [(i, ip, alpha) for i in range(n) for ip in range(i, n)
+            for alpha in alphas]
+    pair_matrices = np.zeros((len(rows), size, size))
     reg: List[float] = []
     shift: List[float] = []
-    for i in range(n):
-        for ip in range(i, n):
-            for alpha in alphas:
-                A = np.zeros((size, size))
-                for beta in half_list:
-                    rem = tuple(a - b for a, b in zip(alpha, beta))
-                    if any(e < 0 for e in rem) or sum(rem) > half:
-                        continue
-                    A[basis_index[(i, beta)], basis_index[(ip, rem)]] += 1.0
-                    if i != ip:
-                        A[basis_index[(ip, beta)], basis_index[(i, rem)]] += 1.0
-                A.setflags(write=False)
-                rows.append((i, ip, alpha))
-                pair_matrices.append(A)
-                # the regularizer's form at sigma = 1 is
-                # ||s||^(p'-2) ||y||^2 + (p'-2) ||s||^(p'-4) (s.y)^2
-                rest = list(alpha)
-                rest[i] -= 1
-                rest[ip] -= 1
-                reg.append((p_prime - 2) * (1.0 if i == ip else 2.0)
-                           * _norm_power_coefficient(rest, half - 1)
-                           + (_norm_power_coefficient(alpha, half) if i == ip
-                              else 0.0))
-                # z_u^2 contributes only to diagonal rows with even exponents
-                shift.append(1.0 if i == ip and all(e % 2 == 0 for e in alpha)
-                             else 0.0)
+    for k, (i, ip, alpha) in enumerate(rows):
+        A = pair_matrices[k]
+        for beta in half_list:
+            rem = tuple(a - b for a, b in zip(alpha, beta))
+            if any(e < 0 for e in rem) or sum(rem) > half:
+                continue
+            A[basis_index[(i, beta)], basis_index[(ip, rem)]] += 1.0
+            if i != ip:
+                A[basis_index[(ip, beta)], basis_index[(i, rem)]] += 1.0
+        # the regularizer's form at sigma = 1 is
+        # ||s||^(p'-2) ||y||^2 + (p'-2) ||s||^(p'-4) (s.y)^2
+        rest = list(alpha)
+        rest[i] -= 1
+        rest[ip] -= 1
+        reg.append((p_prime - 2) * (1.0 if i == ip else 2.0)
+                   * _norm_power_coefficient(rest, half - 1)
+                   + (_norm_power_coefficient(alpha, half) if i == ip
+                      else 0.0))
+        # z_u^2 contributes only to diagonal rows with even exponents
+        shift.append(1.0 if i == ip and all(e % 2 == 0 for e in alpha)
+                     else 0.0)
+    pair_matrices.setflags(write=False)
     columns = np.array([reg, shift])
     columns.setflags(write=False)
     return _GramStructure(basis=tuple(basis), rows=tuple(rows),
-                          pair_matrices=tuple(pair_matrices),
+                          pair_matrices=pair_matrices,
                           reg=columns[0], shift=columns[1])
 
 
@@ -300,11 +300,10 @@ def _solve_gram(structure: _GramStructure, column: np.ndarray, rhs: np.ndarray,
     c is the 1x1 second block: sigma for the minimal weight, t for phase I.
     """
     size = len(structure.basis)
-    constraints = [([A, np.array([[-c]])], b) for A, c, b in
-                   zip(structure.pair_matrices, column.tolist(), rhs.tolist())]
-    objective = [np.zeros((size, size)), np.array([[1.0]])]
-    problem = SdpProblem(block_sizes=[size, 1], objective=objective,
-                         constraints=constraints)
+    problem = SdpProblem(objective=[np.zeros((size, size)), np.ones((1, 1))],
+                         constraints=[structure.pair_matrices,
+                                      -column[:, None, None]],
+                         b=rhs)
     return solve_sdp(problem, tol=tol)
 
 

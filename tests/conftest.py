@@ -42,27 +42,17 @@ def planted_sdp(rng: np.random.Generator, max_block: int = 20,
         Xs.append(basis @ np.diag(lx) @ basis.T)
         Zs.append(basis @ np.diag(lz) @ basis.T)
 
-    A = []
+    stacks: List[List[np.ndarray]] = [[] for _ in sizes]
     for _ in range(m):
-        blocks = []
-        for d in sizes:
+        for blocks, d in zip(stacks, sizes):
             raw = rng.standard_normal((d, d))
             blocks.append((raw + raw.T) / 2)
-        A.append(blocks)
-    b = np.array([sum(np.sum(a * x) for a, x in zip(blocks, Xs))
-                  for blocks in A])
+    A = [np.array(blocks) for blocks in stacks]
+    b = sum(np.einsum("kij,ij->k", a, x) for a, x in zip(A, Xs))
     y_star = rng.standard_normal(m)
-    C = []
-    for ib, d in enumerate(sizes):
-        c = Zs[ib].copy()
-        for k in range(m):
-            c += y_star[k] * A[k][ib]
-        C.append(c)
+    C = [z + np.tensordot(y_star, a, axes=1) for z, a in zip(Zs, A)]
     obj_star = sum(np.sum(c * x) for c, x in zip(C, Xs))
-    problem = SdpProblem(block_sizes=sizes, objective=C,
-                         constraints=[(blocks, bk)
-                                      for blocks, bk in zip(A, b)])
-    return problem, obj_star
+    return SdpProblem(objective=C, constraints=A, b=b), obj_star
 
 
 def random_tensor(rng: np.random.Generator, order: int, n: int,

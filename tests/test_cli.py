@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestScans:
                      "--seed", "9", "--output", out_b]) == 0
         assert main(["scan-tensor", "--scales", "1", "--seeds", "2",
                      "--output", out_c]) == 0
-        read = lambda p: open(p).read()
+        read = lambda p: Path(p).read_text()
         assert read(out_a) == read(out_b)      # env supplies the seed
         assert read(out_a) != read(out_c)      # default seed differs
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosarp.sos_certify import (CertificationError, ConvexityCase, SosModel,
-                                _coefficients, _gram_structure, gram_basis,
+                                _coefficient_residual, _coefficients,
+                                _gram_structure, gram_basis,
                                 is_sos_convex, min_sigma_sos,
                                 verify_certificate)
 from sosarp.tensor_poly import SymmetricTensor
@@ -116,6 +117,24 @@ class TestCoefficients:
                                                  structure.reg)]
         expected = float(y @ model.hessian(s) @ y)
         assert abs(sum(terms) - expected) <= 1e-9 * sum(map(abs, terms))
+
+    @given(n=st.integers(1, 3), p_prime=st.sampled_from([4, 6]),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_matrices_match_basis_expansion(self, n, p_prime, seed, scale):
+        # <pair_matrices[k], Q> must be row k's coefficient in z'Qz as the
+        # certificate check re-expands it from the basis pairs
+        structure = _gram_structure(n, p_prime)
+        size = len(structure.basis)
+        assert structure.pair_matrices.shape == (len(structure.rows), size, size)
+        raw = np.random.default_rng(seed).standard_normal((size, size)) * scale
+        Q = (raw + raw.T) / 2.0
+        target = np.einsum("kij,ij->k", structure.pair_matrices, Q)
+        residual = _coefficient_residual(structure.basis, Q, structure.rows,
+                                         target)
+        assert residual <= 1e-12 * (1.0 + float(np.max(np.abs(Q))))
+        with pytest.raises(ValueError, match="read-only"):
+            structure.pair_matrices[0, 0, 0] = 1.0
 
 
 class TestMembership:
