@@ -23,8 +23,8 @@ from .sos_certify import (CertificateReport, CertificationError,
                           SosModel, gram_basis, is_sos_convex, min_sigma_sos,
                           verify_certificate)
 from .subproblem import SubsolveResult, SubsolverFailure, minimize_model
-from .tensor_poly import (DerivativeBundle, Polynomial, SymmetricTensor,
-                          min_eigenvalue, taylor_value, tensor_apply)
+from .tensor_poly import (DerivativeBundle, SymmetricTensor, min_eigenvalue,
+                          taylor_value, tensor_apply)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "GramCertificate", "SosIndeterminate", "SosModel", "gram_basis",
     "is_sos_convex", "min_sigma_sos", "verify_certificate",
     "SubsolveResult", "SubsolverFailure", "minimize_model",
-    "DerivativeBundle", "Polynomial", "SymmetricTensor", "min_eigenvalue",
-    "taylor_value", "tensor_apply",
+    "DerivativeBundle", "SymmetricTensor", "min_eigenvalue", "taylor_value",
+    "tensor_apply",
     "__version__",
 ]

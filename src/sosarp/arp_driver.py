@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .problems_io import ProblemFunction, ProblemSpec, build_function
-from .sos_certify import (ConvexityCase, GramCertificate, SosModel,
+from .sos_certify import (CertificationError, ConvexityCase, SosModel,
                           min_sigma_sos)
 from .subproblem import SubsolverFailure, minimize_model
 from .tensor_poly import min_eigenvalue, taylor_value
@@ -27,7 +27,8 @@ from .tensor_poly import min_eigenvalue, taylor_value
 class RunStatus(Enum):
     CONVERGED = "Converged"
     MAX_ITERATIONS = "MaxIterations"
-    SUBSOLVER_FAILURE = "SubsolverFailure"
+    STALLED = "Stalled"  # MAX_CONSECUTIVE_FAILURES rejected steps in a row
+    CERTIFICATION_FAILURE = "CertificationFailure"  # min_sigma_sos raised
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,11 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
             lam, _ = min_eigenvalue(bundle.hessian())
             case = classify_case(lam, delta)
             base_model = build_model(bundle, case, delta, sigma=0.0)
-            sigma_bar, certificate = min_sigma_sos(base_model)
+            try:
+                sigma_bar, _ = min_sigma_sos(base_model)
+            except CertificationError:
+                status = RunStatus.CERTIFICATION_FAILURE
+                break
             cache = (bundle, lam, case, base_model, sigma_bar)
         else:
             bundle, lam, case, base_model, sigma_bar = cache
@@ -266,10 +271,10 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
         else:
             consecutive_failures += 1
             if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
-                status = RunStatus.SUBSOLVER_FAILURE
+                status = RunStatus.STALLED
                 break
 
-    if cache is None and status is not RunStatus.CONVERGED:
+    if cache is None and status is RunStatus.MAX_ITERATIONS:
         # the last step moved x; grad_norm belongs to the previous point
         grad_norm = float(np.linalg.norm(func.derivatives(x, 1).gradient()))
         if grad_norm <= config.epsilon:

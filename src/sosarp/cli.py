@@ -9,7 +9,8 @@ Subcommands:
   check-derivs finite-difference audit of a problem's exact derivatives
 
 Exit codes: 0 success/Converged, 1 usage or input-file error, 2 iteration
-budget exhausted, 3 algorithm failure (subsolver or certification).  All
+budget exhausted, 3 algorithm failure (a Stalled or CertificationFailure
+run, or a failed standalone certification).  All
 flags are validated and input files read before any output file is opened,
 so a failing invocation never leaves a partial CSV behind.  The random seed
 comes from --seed when given, else the SOSARP_SEED environment variable,
@@ -32,7 +33,6 @@ from .experiments import ScanConfig, ScanResult, convex_rate, scan_delta, scan_t
 from .problems_io import (ProblemFormatError, ProblemSpec, build_function,
                           check_derivatives, load_point, load_problem)
 from .sos_certify import CertificationError, min_sigma_sos
-from .subproblem import SubsolverFailure
 from .tensor_poly import min_eigenvalue
 
 EXIT_OK = 0
@@ -43,7 +43,8 @@ EXIT_FAILURE = 3
 _STATUS_EXIT = {
     RunStatus.CONVERGED: EXIT_OK,
     RunStatus.MAX_ITERATIONS: EXIT_MAX_ITERATIONS,
-    RunStatus.SUBSOLVER_FAILURE: EXIT_FAILURE,
+    RunStatus.STALLED: EXIT_FAILURE,
+    RunStatus.CERTIFICATION_FAILURE: EXIT_FAILURE,
 }
 
 
@@ -142,12 +143,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     spec = _load_problem_or_usage(args.problem)
     x0 = _load_point_or_usage(args.point, spec.n)
     config = _driver_config(args, x0)
-
-    try:
-        result = run(spec, config)
-    except (CertificationError, SubsolverFailure) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    result = run(spec, config)
 
     rows = []
     for rec in result.records:
@@ -253,12 +249,8 @@ def cmd_convex_rate(args: argparse.Namespace) -> int:
             f"problem '{func.name}' is not registered as strongly convex; "
             f"the rate experiment requires that flag")
 
-    try:
-        points = convex_rate(func, epsilons, p=args.p, x0=x0,
-                             max_iter=args.max_iter)
-    except (CertificationError, SubsolverFailure) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    points = convex_rate(func, epsilons, p=args.p, x0=x0,
+                         max_iter=args.max_iter)
 
     base, ext = os.path.splitext(args.output)
     rows = []
@@ -276,7 +268,12 @@ def cmd_convex_rate(args: argparse.Namespace) -> int:
                    [[str(i), _fmt(g)] for i, g in enumerate(gaps)])
     for row in rows:
         print(f"epsilon={row[0]} successful={row[1]} total={row[2]}")
-    return EXIT_OK
+    failed = [pt for pt in points
+              if pt.result.status is RunStatus.CERTIFICATION_FAILURE]
+    for pt in failed:
+        print(f"error: the run at epsilon={pt.epsilon:g} ended "
+              f"{pt.result.status.value}", file=sys.stderr)
+    return EXIT_FAILURE if failed else EXIT_OK
 
 
 def cmd_check_derivs(args: argparse.Namespace) -> int:

@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor_poly import (DerivativeBundle, Exponents, Polynomial,
-                          SymmetricTensor)
+from .tensor_poly import DerivativeBundle, Exponents, SymmetricTensor
 
 DEGREE_CAP = 8
 MAX_DERIVATIVE_ORDER = 8
@@ -119,13 +118,26 @@ class ProblemFunction:
 
 
 class _PolynomialFunction(ProblemFunction):
-    def __init__(self, name: str, poly: Polynomial):
+    """sum_alpha c_alpha x^alpha over a checked ProblemSpec's terms; exact
+    zero coefficients are dropped."""
+
+    def __init__(self, name: str, n: int, terms: Dict[Exponents, float]):
         self.name = name
-        self.n = poly.dim
-        self.poly = poly
+        self.n = n
+        self.terms = {a: c for a, c in terms.items() if abs(c) > 0.0}
 
     def value(self, x: Sequence[float]) -> float:
-        return self.poly(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"point has shape {x.shape}, polynomial dim is {self.n}")
+        total = 0.0
+        for alpha, coeff in self.terms.items():
+            term = coeff
+            for xi, e in zip(x, alpha):
+                if e:
+                    term *= xi ** e
+            total += term
+        return total
 
     def _tensor(self, x: np.ndarray, order: int) -> SymmetricTensor:
         entries: Dict[Tuple[int, ...], float] = {}
@@ -134,7 +146,7 @@ class _PolynomialFunction(ProblemFunction):
             for idx in key:
                 m[idx] += 1
             total = 0.0
-            for expo, coeff in self.poly.terms.items():
+            for expo, coeff in self.terms.items():
                 if any(e < mi for e, mi in zip(expo, m)):
                     continue
                 factor = coeff
@@ -345,7 +357,7 @@ BUILTIN_REGISTRY = {
 
 def build_function(spec: ProblemSpec) -> ProblemFunction:
     if spec.kind == KIND_POLYNOMIAL:
-        return _PolynomialFunction(spec.name, Polynomial(spec.n, dict(spec.terms)))
+        return _PolynomialFunction(spec.name, spec.n, spec.terms)
     return BUILTIN_REGISTRY[spec.builtin](spec)
 
 

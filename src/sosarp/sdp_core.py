@@ -30,6 +30,7 @@ _JITTER_MAX = 1e-10  # a matrix that needs a larger relative shift is not numeri
 _STEP_FRACTION = 0.98  # share of the step to the cone boundary: keeps X and Z interior
 _DIVERGENCE = 1e12  # an objective or trace(X) beyond this marks (dual) infeasibility
 _MIN_STEP = 1e-10  # both step lengths below this: the iteration cannot progress
+_MAX_ITER = 200  # certification SDPs average ~23 iterations; this only caps a stall
 
 
 class SdpStatus(Enum):
@@ -164,14 +165,6 @@ class SdpSolution:
     iterations: int
     trace: List[IterateLog] = field(default_factory=list)
 
-    @property
-    def primal_objective(self) -> float:
-        return self.trace[-1].primal_objective if self.trace else math.nan
-
-    @property
-    def dual_objective(self) -> float:
-        return self.trace[-1].dual_objective if self.trace else math.nan
-
 
 def _chol(mat: np.ndarray) -> np.ndarray:
     """Cholesky factor with escalating diagonal jitter up to _JITTER_MAX (scaled)."""
@@ -199,10 +192,11 @@ def _max_step(chols: Blocks, dS: Blocks) -> float:
     return alpha
 
 
-def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """Infeasible-start predictor-corrector interior-point solve.
 
-    On OPTIMAL: normalized duality gap and feasibility residuals <= tol.
+    On OPTIMAL: normalized duality gap and feasibility residuals <= tol,
+    reached within _MAX_ITER iterations.
     MAX_ITERATIONS and NUMERICAL_FAILURE are reported as statuses, never as
     silent wrong answers; suspected (dual-)infeasibility is flagged when the
     dual (primal) objective diverges beyond 1e12.
@@ -246,7 +240,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
     iteration = 0
     best = None  # (merit, X, y, Z, gap, p_res, d_res) of the cleanest iterate
 
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         r_p = b - apply_A(X)
         Aty = apply_At(y)
         R_d = [c - z - at for c, z, at in zip(C, Z, Aty)]
@@ -272,7 +266,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> Sd
         if sum(float(np.trace(x)) for x in X) > _DIVERGENCE:
             status = SdpStatus.DUAL_INFEASIBLE
             break
-        if iteration == max_iter:
+        if iteration == _MAX_ITER:
             status = SdpStatus.MAX_ITERATIONS
             break
 

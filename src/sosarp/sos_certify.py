@@ -30,12 +30,18 @@ from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
 
 BasisElement = Tuple[int, Exponents]
 
-# Residuals at or below this mark an SDP iterate as feasible.
-_CLEAN_RESIDUAL = 1e-8
-# Widest stalled-gap bracket, relative to max(1, sigma), still accepted.
-_STALLED_WIDTH = 1e-5
-# Coefficient match, relative to 1 + max |coefficient| of h_hat.
-_COEFF_MATCH = 1e-7
+_CLEAN_RESIDUAL = 1e-8  # residuals at or below this mark an SDP iterate as feasible
+_STALLED_WIDTH = 1e-5  # widest stalled-gap bracket accepted, relative to max(1, sigma)
+_COEFF_MATCH = 1e-7  # coefficient match, relative to 1 + max |coefficient| of h_hat
+_MIN_SIGMA_TOL = 1e-10  # SDP tolerance of the minimal-weight solve (sigma_bar)
+_MEMBERSHIP_TOL = 1e-9  # SDP tolerance of the membership solve (t vs a threshold)
+_BRACKET_DOUBLINGS = 80  # doublings of the bisection's bracket from sigma = 1: up to 2^80
+_BISECTION_WIDTH = 1e-6  # bisection stops at hi - lo <= this * (1 + hi)
+_MARGIN_SLACK = 1e-10  # rounding by which an SosModel's lambda_min(H_bar) may miss delta
+_VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hessian
+_VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
+_HESSIAN_SLACK = 1e-8  # sampled Hessian eigenvalue >= -this * (1 + spectral radius) passes
+_GRAM_SLACK = 1e-9  # lambda_min(Q) >= -this * (1 + max |Q|) passes
 
 
 class ConvexityCase(Enum):
@@ -98,9 +104,10 @@ class SosModel:
             if tensor.dim != self.n:
                 raise ValueError("higher tensor dimension mismatch")
         lam, _ = min_eigenvalue(self.H_bar)
-        if lam < self.delta - 1e-10:
+        if lam < self.delta - _MARGIN_SLACK:
             raise ValueError(
-                f"lambda_min(H_bar) = {lam:.3e} violates the >= delta - 1e-10 contract")
+                f"lambda_min(H_bar) = {lam:.3e} violates the >= delta - "
+                f"{_MARGIN_SLACK:g} contract")
 
     def value(self, s: Sequence[float]) -> float:
         s = np.asarray(s, dtype=float)
@@ -293,6 +300,19 @@ def _usable(solution: SdpSolution) -> bool:
             or (_clean(solution) and solution.gap <= _CLEAN_RESIDUAL))
 
 
+def _stalled_width(solution: SdpSolution, value: float) -> float:
+    """Width of the bracket a stalled gap leaves around the scalar block's value."""
+    return solution.gap * (2.0 + 2.0 * value)
+
+
+def _certificate(structure: _GramStructure, solution: SdpSolution, scale: float,
+                 target: np.ndarray) -> GramCertificate:
+    """The solve's Gram block, scaled back, with its residual against target."""
+    Q = solution.X[0] * scale
+    residual = _coefficient_residual(structure.basis, Q, structure.rows, target)
+    return GramCertificate(basis=list(structure.basis), Q=Q, residual=residual)
+
+
 def _solve_gram(structure: _GramStructure, column: np.ndarray, rhs: np.ndarray,
                 tol: float) -> SdpSolution:
     """min c s.t. <A_k, Q> - column[k] * c = rhs[k], Q PSD, c >= 0.
@@ -307,33 +327,31 @@ def _solve_gram(structure: _GramStructure, column: np.ndarray, rhs: np.ndarray,
     return solve_sdp(problem, tol=tol)
 
 
-def min_sigma_sos(model: SosModel, tol: float = 1e-10) -> Tuple[float, GramCertificate]:
+def min_sigma_sos(model: SosModel) -> Tuple[float, GramCertificate]:
     """Minimal sigma >= 0 making the model's Hessian form a sum of squares.
 
     The model's own sigma field is ignored; sigma is the 1x1 second block of
-    the SDP variable and enters each coefficient-matching row linearly.  On
-    solver breakdown, falls back to bisection driven by is_sos_convex.
+    the SDP variable and enters each coefficient-matching row linearly; the
+    SDP is solved to _MIN_SIGMA_TOL.  On solver breakdown, falls back to
+    bisection driven by is_sos_convex.
     """
     structure = _gram_structure(model.n, model.p_prime)
     base = _coefficients(model, structure, 0.0)
     # rescale the matching rows to O(1); sigma and Q scale back linearly
     scale = max(1.0, float(np.max(np.abs(base))))
-    solution = _solve_gram(structure, structure.reg, base / scale, tol)
+    solution = _solve_gram(structure, structure.reg, base / scale, _MIN_SIGMA_TOL)
 
     sigma_hat = max(0.0, float(solution.X[1][0, 0]))
     # The complementarity gap can stall on badly conditioned instances while
     # both residuals stay clean; the optimum then lies between the dual and
     # primal objectives.  Taking the primal side over-estimates sigma_bar,
     # which is safe because feasibility is monotone in sigma.
-    width = solution.gap * (2.0 + 2.0 * sigma_hat)
+    width = _stalled_width(solution, sigma_hat)
     if _usable(solution) or (_clean(solution)
                              and width <= _STALLED_WIDTH * max(1.0, sigma_hat)):
         sigma_bar = sigma_hat * scale
-        Q = solution.X[0] * scale
-        residual = _coefficient_residual(structure.basis, Q, structure.rows,
-                                         base + sigma_bar * structure.reg)
-        return sigma_bar, GramCertificate(basis=list(structure.basis), Q=Q,
-                                          residual=residual)
+        return sigma_bar, _certificate(structure, solution, scale,
+                                       base + sigma_bar * structure.reg)
 
     return _bisect_sigma(model)
 
@@ -345,7 +363,7 @@ def _bisect_sigma(model: SosModel) -> Tuple[float, GramCertificate]:
         return 0.0, cert
     hi = 1.0
     hi_cert: Optional[GramCertificate] = None
-    for _ in range(80):
+    for _ in range(_BRACKET_DOUBLINGS):
         feasible, cert = is_sos_convex(replace(model, sigma=hi))
         if feasible:
             hi_cert = cert
@@ -356,7 +374,7 @@ def _bisect_sigma(model: SosModel) -> Tuple[float, GramCertificate]:
             f"no feasible sigma found up to {hi:.3e}; model delta={model.delta}, "
             f"p={model.p}, n={model.n}")
     lo = 0.0
-    while hi - lo > 1e-6 * (1.0 + hi):
+    while hi - lo > _BISECTION_WIDTH * (1.0 + hi):
         mid = 0.5 * (lo + hi)
         feasible, cert = is_sos_convex(replace(model, sigma=mid))
         if feasible:
@@ -366,20 +384,21 @@ def _bisect_sigma(model: SosModel) -> Tuple[float, GramCertificate]:
     return hi, hi_cert
 
 
-def is_sos_convex(model: SosModel,
-                  tol: float = 1e-9) -> Tuple[bool, Optional[GramCertificate]]:
+def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
     """Membership check at the model's fixed sigma.
 
     Solved as the always-feasible phase-I program min t s.t. the Gram matrix
     G matches h_hat after a t-shift of the identity (G PSD, t >= 0); the form
-    is a sum of squares iff the optimal t is zero up to tolerance.  Solver
-    breakdown raises SosIndeterminate rather than returning false.
+    is a sum of squares iff the optimal t is zero up to tolerance.  The SDP
+    is solved to _MEMBERSHIP_TOL.  Solver breakdown raises SosIndeterminate
+    rather than returning false.
     """
     structure = _gram_structure(model.n, model.p_prime)
     target = _coefficients(model, structure, model.sigma)
     target_norm = float(np.max(np.abs(target)))
     scale = max(1.0, target_norm)
-    solution = _solve_gram(structure, structure.shift, target / scale, tol)
+    solution = _solve_gram(structure, structure.shift, target / scale,
+                           _MEMBERSHIP_TOL)
     usable = _usable(solution)
     if not usable and not _clean(solution):
         raise SosIndeterminate(
@@ -394,46 +413,43 @@ def is_sos_convex(model: SosModel,
             return False, None
         # stalled gap: t_star only upper-bounds the optimum; refuse unless
         # the dual side t_star - width also clears the threshold
-        width = solution.gap * (2.0 + 2.0 * t_hat) * scale
+        width = _stalled_width(solution, t_hat) * scale
         if t_star - width > threshold:
             return False, None
         raise SosIndeterminate(
             f"stalled too close to the membership threshold "
             f"(t={t_star:.3e}, width={width:.3e}, threshold={threshold:.3e})")
-    Q = solution.X[0] * scale
-    residual = _coefficient_residual(structure.basis, Q, structure.rows, target)
-    return True, GramCertificate(basis=list(structure.basis), Q=Q,
-                                 residual=residual)
+    return True, _certificate(structure, solution, scale, target)
 
 
-def verify_certificate(cert: GramCertificate, model: SosModel,
-                       samples: int = 100, seed: int = 0) -> CertificateReport:
+def verify_certificate(cert: GramCertificate, model: SosModel) -> CertificateReport:
     """Independent soundness report for a certificate.
 
     Reconstructs z'Qz against the model's Hessian form coefficient by
     coefficient, reports lambda_min(Q), and spot-checks positive
-    semidefiniteness of the model Hessian at sampled steps.
+    semidefiniteness of the model Hessian at _VERIFY_SAMPLES steps drawn
+    from a generator seeded with _VERIFY_SEED, so the report is reproducible.
     """
     structure = _gram_structure(model.n, model.p_prime)
     target = _coefficients(model, structure, model.sigma)
     mismatch = _coefficient_residual(cert.basis, cert.Q, structure.rows, target)
     gram_min = float(np.min(np.linalg.eigvalsh(cert.Q))) if cert.Q.size else 0.0
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_VERIFY_SEED)
     violations = 0
-    for _ in range(samples):
+    for _ in range(_VERIFY_SAMPLES):
         s = rng.standard_normal(model.n) * (10.0 ** rng.uniform(-2, 1))
         hess = model.hessian(s)
         eigenvalues = np.linalg.eigvalsh(hess)
         spectral = float(np.max(np.abs(eigenvalues)))
-        if float(eigenvalues[0]) < -1e-8 * (1.0 + spectral):
+        if float(eigenvalues[0]) < -_HESSIAN_SLACK * (1.0 + spectral):
             violations += 1
 
     q_scale = float(np.max(np.abs(cert.Q))) if cert.Q.size else 0.0
     ok = (mismatch <= _COEFF_MATCH * (1.0 + float(np.max(np.abs(target))))
-          and gram_min >= -1e-9 * (1.0 + q_scale)
+          and gram_min >= -_GRAM_SLACK * (1.0 + q_scale)
           and violations == 0)
     return CertificateReport(max_coeff_mismatch=mismatch,
                              gram_min_eigenvalue=gram_min,
                              hessian_violations=violations,
-                             samples=samples, ok=ok)
+                             samples=_VERIFY_SAMPLES, ok=ok)

@@ -15,6 +15,15 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .sos_certify import SosModel
 
+_RIDGE_START = 1e-12  # first ridge on a failed factor, relative to max |H|
+_RIDGE_GROWTH = 100.0  # ridge multiplier per failed retry
+_RIDGE_MAX = 1e-4  # a Hessian that needs a larger relative ridge is a breakdown
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+_MAX_HALVINGS = 60  # step halvings before the line search gives up
+_POLISH_STEPS = 4  # Newton steps taken after the termination test first holds
+_MAX_ITER = 100  # Newton iterations; the bundled runs average about 5 per solve
+_GRAD_FLOOR = 1e-12  # stationarity target, relative to 1 + |f0|, that always ends the solve
+
 
 class SubsolverFailure(RuntimeError):
     """Line search or factorization broke down before the tolerance was met."""
@@ -39,26 +48,25 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
             factor = cho_factor(shifted, lower=True)
             return cho_solve(factor, -grad)
         except np.linalg.LinAlgError:
-            ridge = 1e-12 * scale if ridge == 0.0 else ridge * 100.0
-            if ridge > 1e-4 * scale:
+            ridge = _RIDGE_START * scale if ridge == 0.0 else ridge * _RIDGE_GROWTH
+            if ridge > _RIDGE_MAX * scale:
                 raise SubsolverFailure("model Hessian factorization failed") from None
 
 
-def minimize_model(model: SosModel, theta: float = 0.5,
-                   abs_tol: float | None = None,
-                   max_iter: int = 100) -> SubsolveResult:
-    """Minimize the model to ||grad m(s)|| <= max(theta*||s||^(p'-1), abs_tol).
+def minimize_model(model: SosModel, theta: float = 0.5) -> SubsolveResult:
+    """Minimize the model to ||grad m(s)|| <= max(theta*||s||^(p'-1), floor),
+    floor = _GRAD_FLOOR * (1 + |f0|), within _MAX_ITER Newton iterations.
 
-    Armijo backtracking (constant 1e-4, halving, 60 halvings max) keeps every
-    accepted step a strict descent step.  Once the termination inequality
-    first holds, up to four polishing Newton steps sharpen the stationarity
-    residual — near the minimizer they contract quadratically — and the last
-    iterate still meeting the inequality is returned.
+    Armijo backtracking (constant _ARMIJO, halving, at most _MAX_HALVINGS
+    halvings) keeps every accepted step a strict descent step.  Once the
+    termination inequality first holds, up to _POLISH_STEPS polishing Newton
+    steps sharpen the stationarity residual — near the minimizer they
+    contract quadratically — and the last iterate still meeting the
+    inequality is returned.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if abs_tol is None:
-        abs_tol = 1e-12 * (1.0 + abs(model.f0))
+    floor = _GRAD_FLOOR * (1.0 + abs(model.f0))
     if model.sigma <= 0.0:
         raise ValueError("sigma must be positive for a coercive model")
 
@@ -67,15 +75,15 @@ def minimize_model(model: SosModel, theta: float = 0.5,
     value = model.value(s)
     grad = model.gradient(s)
     iterations = 0
-    polish_remaining = 4
+    polish_remaining = _POLISH_STEPS
     best = None  # last iterate meeting the termination inequality
 
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         grad_norm = float(np.linalg.norm(grad))
-        threshold = max(theta * float(np.linalg.norm(s)) ** power, abs_tol)
+        threshold = max(theta * float(np.linalg.norm(s)) ** power, floor)
         if grad_norm <= threshold:
             best = (s.copy(), value, grad_norm, iterations)
-            if polish_remaining == 0 or grad_norm <= abs_tol:
+            if polish_remaining == 0 or grad_norm <= floor:
                 break
             polish_remaining -= 1
         elif best is not None:
@@ -93,16 +101,17 @@ def minimize_model(model: SosModel, theta: float = 0.5,
         while True:
             trial = s + step * direction
             trial_value = model.value(trial)
-            if trial_value <= value + 1e-4 * step * slope:
+            if trial_value <= value + _ARMIJO * step * slope:
                 break
             step *= 0.5
             halvings += 1
-            if halvings >= 60:
+            if halvings >= _MAX_HALVINGS:
                 if best is not None:
                     s_b, v_b, g_b, _ = best
                     return SubsolveResult(s=s_b, model_value=v_b, grad_norm=g_b,
                                           iterations=iterations, converged=True)
-                raise SubsolverFailure("line search failed after 60 halvings")
+                raise SubsolverFailure(
+                    f"line search failed after {_MAX_HALVINGS} halvings")
         s = trial
         value = trial_value
         grad = model.gradient(s)
@@ -113,7 +122,7 @@ def minimize_model(model: SosModel, theta: float = 0.5,
                               grad_norm=float(np.linalg.norm(grad)),
                               iterations=iterations, converged=False)
     grad_norm = float(np.linalg.norm(grad))
-    threshold = max(theta * float(np.linalg.norm(s)) ** power, abs_tol)
+    threshold = max(theta * float(np.linalg.norm(s)) ** power, floor)
     if grad_norm <= threshold and value <= best[1]:
         return SubsolveResult(s=s.copy(), model_value=value, grad_norm=grad_norm,
                               iterations=iterations, converged=True)

@@ -1,4 +1,4 @@
-"""Symmetric derivative tensors, Taylor values and polynomial evaluation.
+"""Symmetric derivative tensors, Taylor values and monomial enumeration.
 
 An order-j symmetric tensor is one dense read-only ``(n,) * j`` array with
 every permutation of each given index filled in at construction, so
@@ -146,44 +146,6 @@ def min_eigenvalue(H: np.ndarray) -> Tuple[float, np.ndarray]:
         raise ValueError("matrix is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(H)
     return float(eigenvalues[0]), eigenvectors[:, 0].copy()
-
-
-@dataclass(eq=True)
-class Polynomial:
-    """Multivariate polynomial as a map exponent-vector -> coefficient.
-
-    Repeated exponent vectors are summed; exact zeros are not stored.
-    """
-
-    dim: int
-    terms: Dict[Exponents, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError("polynomial dimension must be >= 0")
-        cleaned: Dict[Exponents, float] = {}
-        for alpha, coeff in self.terms.items():
-            alpha = tuple(int(e) for e in alpha)
-            if len(alpha) != self.dim:
-                raise ValueError(f"exponent vector {alpha} has wrong length for dim {self.dim}")
-            if any(e < 0 for e in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
-            coeff = cleaned.get(alpha, 0.0) + float(coeff)
-            cleaned[alpha] = coeff
-        self.terms = {a: c for a, c in cleaned.items() if abs(c) > 0.0}
-
-    def __call__(self, point: Sequence[float]) -> float:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise ValueError(f"point has shape {point.shape}, polynomial dim is {self.dim}")
-        total = 0.0
-        for alpha, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, alpha):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
 
 
 def monomials_up_to(dim: int, degree: int) -> List[Exponents]:

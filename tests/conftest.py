@@ -1,4 +1,5 @@
-"""Shared fixtures: planted SDP instances and random certified models."""
+"""Shared fixtures: planted SDP instances, random certified models and a
+driver whose second certification fails."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
+from sosarp import arp_driver
 from sosarp.problems_io import bundled_problem_paths, load_problem
 from sosarp.sdp_core import SdpProblem
-from sosarp.sos_certify import ConvexityCase, SosModel
+from sosarp.sos_certify import (ConvexityCase, SosIndeterminate, SosModel,
+                                min_sigma_sos)
 from sosarp.tensor_poly import SymmetricTensor, min_eigenvalue
 
 
@@ -90,3 +93,19 @@ def random_certified_model(rng: np.random.Generator, n: int, p: int,
 def bundled() -> dict:
     return {name: load_problem(path)
             for name, path in bundled_problem_paths().items()}
+
+
+@pytest.fixture()
+def second_certification_fails(monkeypatch) -> List[SosModel]:
+    """The driver's second min_sigma_sos call raises SosIndeterminate; the
+    returned list collects every model the driver asked to certify."""
+    calls: List[SosModel] = []
+
+    def certify(model):
+        calls.append(model)
+        if len(calls) == 2:
+            raise SosIndeterminate("forced failure of the second certification")
+        return min_sigma_sos(model)
+
+    monkeypatch.setattr(arp_driver, "min_sigma_sos", certify)
+    return calls

@@ -10,6 +10,7 @@ from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import build_function, derivatives
 from sosarp.sos_certify import min_sigma_sos
+from sosarp.subproblem import SubsolveResult
 from sosarp.tensor_poly import min_eigenvalue, taylor_value
 
 
@@ -146,6 +147,33 @@ class TestRuns:
                                                rel=1e-14)
         assert np.allclose(second.x_before, first.x_before)
 
+    def test_certification_failure_keeps_records(self, bundled, request):
+        config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
+        reference = run(bundled["rosenbrock2"], config)
+        calls = request.getfixturevalue("second_certification_fails")
+        result = run(bundled["rosenbrock2"], config)
+        assert len(calls) == 2
+        assert result.status is RunStatus.CERTIFICATION_FAILURE
+        # every record up to the first accepted step, then the failing point
+        first_success = next(r.k for r in reference.records if r.success)
+        assert len(result.records) == first_success + 1
+        for rec, ref in zip(result.records, reference.records):
+            assert _fields(rec) == _fields(ref)
+        assert np.array_equal(result.x, reference.records[first_success + 1].x_before)
+
+    def test_stall_after_consecutive_rejections(self, bundled, monkeypatch):
+        def zero_step(model, theta):
+            return SubsolveResult(s=np.zeros(model.n), model_value=model.f0,
+                                  grad_norm=float(np.linalg.norm(model.g)),
+                                  iterations=0, converged=True)
+
+        monkeypatch.setattr(arp_driver, "minimize_model", zero_step)
+        result = run(bundled["rosenbrock2"], ArpConfig(p=3, x0=[-1.2, 1.0]))
+        assert result.status is RunStatus.STALLED
+        assert len(result.records) == arp_driver.MAX_CONSECUTIVE_FAILURES
+        assert all(rec.flags == ("StationaryStep",) and not rec.success
+                   for rec in result.records)
+
     def test_objective_monotone_over_successes(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
         result = run(bundled["rosenbrock2"], config)
@@ -158,6 +186,15 @@ class TestRuns:
                 last = rec.f_after
         report = assert_theory(result.records, config)
         assert report.ok, report.failures
+
+
+def _fields(rec):
+    """A record as comparable values; repr keeps NaN equal to NaN."""
+    return (rec.k, rec.case_tag, repr(rec.lambda_min), repr(rec.sigma_bar),
+            repr(rec.sigma_r), repr(rec.sigma), repr(rec.step_norm),
+            repr(rec.rho), repr(rec.f_before), repr(rec.f_after),
+            repr(rec.taylor_decrease), repr(rec.grad_norm), rec.success,
+            rec.flags, rec.x_before.tobytes())
 
 
 class TestOracles:

@@ -62,6 +62,29 @@ class TestMinimize:
         assert code == 2
         assert "status=MaxIterations" in capsys.readouterr().out
 
+    def test_certification_failure_keeps_rows(self, tmp_path, capsys,
+                                              request):
+        rosen = bundled_problem_paths()["rosenbrock2"]
+        point = tmp_path / "x.txt"
+        point.write_text("-1.2, 1.0")
+        args = ["minimize", "--problem", rosen, "--point", str(point)]
+        full = str(tmp_path / "full.csv")
+        assert main(args + ["--output", full]) == 0
+        request.getfixturevalue("second_certification_fails")
+        cut = str(tmp_path / "cut.csv")
+        code = main(args + ["--output", cut])
+        assert code == 3
+        header, rows, _ = read_csv(cut)
+        assert header == MINIMIZE_HEADER
+        _, full_rows, _ = read_csv(full)
+        # the rows up to and including the first accepted step
+        first_success = next(i for i, row in enumerate(full_rows)
+                             if row[10] == "1")
+        assert rows == full_rows[:first_success + 1]
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith(f"status=CertificationFailure "
+                               f"iters={first_success + 1} ")
+
     @pytest.mark.parametrize("extra", [
         ["--eps", "2"],
         ["--a", "0.5", "--delta", "0.1"],
@@ -180,6 +203,19 @@ class TestConvexRate:
             t_header, t_rows, _ = read_csv(traj)
             assert t_header == ["successful_iteration", "f_gap"]
             assert len(t_rows) == int(row[1])
+
+    def test_certification_failure_exit_code(self, tmp_path, capsys,
+                                             second_certification_fails):
+        quartic = bundled_problem_paths()["quartic_sc2"]
+        point = tmp_path / "x.txt"
+        point.write_text("1.0 -1.0")
+        out = str(tmp_path / "rate.csv")
+        code = main(["convex-rate", "--problem", quartic, "--point",
+                     str(point), "--eps-list", "1e-1,1e-2", "--output", out])
+        assert code == 3
+        assert "CertificationFailure" in capsys.readouterr().err
+        _, rows, _ = read_csv(out)
+        assert len(rows) == 2
 
     def test_refuses_nonconvex_problem(self, tmp_path, capsys):
         cq = bundled_problem_paths()["cubic_quartic"]

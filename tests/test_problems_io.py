@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sosarp.problems_io import (BUILTIN_REGISTRY, ProblemFormatError,
                                 ProblemSpec, UnknownBuiltinError,
@@ -75,6 +77,30 @@ class TestExplicitPolynomial:
         assert bundle.gradient()[0] == pytest.approx(3 * 0.49)
         assert bundle.hessian()[0, 0] == pytest.approx(6 * 0.7)
         assert bundle.tensors[2].get((0, 0, 0)) == pytest.approx(6.0)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_value_is_the_sum_of_terms(self, data):
+        # magnitudes are 0 or at least 1e-3, so no product reaches the
+        # subnormal range, where reassociating a product alone moves it
+        # by more than any relative tolerance
+        def magnitude(bound):
+            return st.one_of(st.just(0.0), st.floats(-bound, bound).filter(
+                lambda v: abs(v) >= 1e-3))
+
+        n = data.draw(st.integers(1, 3))
+        exponent = st.tuples(*[st.integers(0, 4)] * n).filter(
+            lambda e: sum(e) <= 4)
+        terms = data.draw(st.dictionaries(exponent, magnitude(10.0),
+                                          max_size=6))
+        x = np.array(data.draw(st.lists(magnitude(2.0), min_size=n,
+                                        max_size=n)))
+        spec = ProblemSpec(name="p", n=n, kind="ExplicitPolynomial",
+                           degree=4, terms=terms)
+        value = build_function(spec).value(x)
+        parts = [c * np.prod(x ** np.array(e)) for e, c in terms.items()]
+        assert abs(value - sum(parts)) <= 1e-12 * sum(abs(t) for t in parts)
+        assert derivatives(spec, x, 1).value == value
 
     def test_round_trip_preserves_fields(self, tmp_path, bundled):
         import dataclasses

@@ -1,0 +1,125 @@
+"""One SHA-256 over every benchmark output of a sosarp checkout.
+
+Usage: python3 tools/fingerprint.py CHECKOUT
+
+Imports sosarp from CHECKOUT/src and the benchmark's input generators from
+CHECKOUT/bench/workloads.py, then hashes, at seeds 0 and 3:
+
+- every certify_grid model's sigma_bar, certificate Q and residual, and the
+  verify_certificate report at that sigma_bar;
+- every row of both scans;
+- every bundled run's status, final x and records (k, sigma_bar, sigma,
+  rho, step_norm, f_after, flags).
+
+Floats enter as their exact repr and arrays as their raw bytes, so two
+checkouts print the same digest only if every output is bit-identical.
+Run it on two checkouts (for instance a `git clone` of the parent commit
+and the working tree) and compare the printed lines.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+SEEDS = (0, 3)
+# BLAS runs single-threaded, as in bench/run_bench.py, so the summation
+# order inside every product is fixed
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _load(checkout: Path):
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    import workloads
+    if not Path(workloads.sos_certify.__file__).resolve().is_relative_to(
+            (checkout / "src").resolve()):
+        raise SystemExit(f"sosarp was not imported from {checkout / 'src'}")
+    return workloads
+
+
+class _Digest:
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def add(self, *items) -> None:
+        for item in items:
+            if hasattr(item, "tobytes"):
+                self._hash.update(repr(item.shape).encode())
+                self._hash.update(item.tobytes())
+            else:
+                self._hash.update(repr(item).encode())
+            self._hash.update(b"\0")
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _call(digest: _Digest, fn, *args):
+    """fn(*args); an exception is hashed as the output instead."""
+    try:
+        return fn(*args)
+    except Exception as err:  # a failing operation is an output too
+        digest.add("error", type(err).__name__, str(err))
+        return None
+
+
+def _certify_grid(digest: _Digest, workloads, seed: int) -> None:
+    sos_certify = workloads.sos_certify
+    for label, model in workloads.CertifyGrid(seed).models:
+        digest.add("grid", label)
+        out = _call(digest, sos_certify.min_sigma_sos, model)
+        if out is None:
+            continue
+        sigma_bar, cert = out
+        report = sos_certify.verify_certificate(cert, replace(model, sigma=sigma_bar))
+        digest.add(sigma_bar, cert.Q, cert.residual, report.max_coeff_mismatch,
+                   report.gram_min_eigenvalue, report.hessian_violations,
+                   report.samples, report.ok)
+
+
+def _scans(digest: _Digest, workloads, seed: int) -> None:
+    for label, config in workloads.Scans(seed).configs.items():
+        digest.add("scan", label)
+        result = _call(digest, getattr(workloads.experiments, label), config)
+        if result is None:
+            continue
+        digest.add(result.slope, result.failure_count)
+        for row in result.rows:
+            digest.add(row.row, row.x, row.seed, row.sigma_bar, row.status,
+                       row.slope)
+
+
+def _bundled_runs(digest: _Digest, workloads, seed: int) -> None:
+    for name, func, config in workloads.BundledRuns(seed).problems:
+        digest.add("run", name)
+        result = _call(digest, workloads.arp_driver.run, func, config)
+        if result is None:
+            continue
+        digest.add(result.status.value, result.x)
+        for rec in result.records:
+            digest.add(rec.k, rec.sigma_bar, rec.sigma, rec.rho, rec.step_norm,
+                       rec.f_after, rec.flags)
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    workloads = _load(Path(argv[1]).resolve())
+    digest = _Digest()
+    for seed in SEEDS:
+        digest.add("seed", seed)
+        _certify_grid(digest, workloads, seed)
+        _scans(digest, workloads, seed)
+        _bundled_runs(digest, workloads, seed)
+    print(f"{digest.hexdigest()}  seeds={','.join(map(str, SEEDS))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
