@@ -128,6 +128,7 @@ class RunResult:
     successful_count: int
     unsuccessful_count: int
     sigma_max_observed: float
+    message: str = ""  # why certification failed; empty for every other status
 
 
 def classify_case(lambda_min: float, delta: float) -> ConvexityCase:
@@ -187,6 +188,7 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
     records: List[IterationRecord] = []
     consecutive_failures = 0
     status = RunStatus.MAX_ITERATIONS
+    message = ""
 
     # per-point cache: derivatives, classification, and sigma_bar are all
     # independent of sigma, so they survive unsuccessful iterations
@@ -205,8 +207,9 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
             base_model = build_model(bundle, case, delta, sigma=0.0)
             try:
                 sigma_bar, _ = min_sigma_sos(base_model)
-            except CertificationError:
+            except CertificationError as err:
                 status = RunStatus.CERTIFICATION_FAILURE
+                message = str(err)
                 break
             cache = (bundle, lam, case, base_model, sigma_bar)
         else:
@@ -284,7 +287,7 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
     return RunResult(status=status, x=x, grad_norm=grad_norm, records=records,
                      successful_count=successes,
                      unsuccessful_count=len(records) - successes,
-                     sigma_max_observed=sigma_max)
+                     sigma_max_observed=sigma_max, message=message)
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,6 +162,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
                                    else np.zeros(spec.n)))
     print(f"status={result.status.value} iters={len(result.records)} "
           f"f={_fmt(final_f)} grad_norm={_fmt(result.grad_norm)}")
+    if result.message:
+        print(f"error: {result.message}", file=sys.stderr)
     return _STATUS_EXIT[result.status]
 
 
@@ -272,7 +274,7 @@ def cmd_convex_rate(args: argparse.Namespace) -> int:
               if pt.result.status is RunStatus.CERTIFICATION_FAILURE]
     for pt in failed:
         print(f"error: the run at epsilon={pt.epsilon:g} ended "
-              f"{pt.result.status.value}", file=sys.stderr)
+              f"{pt.result.status.value}: {pt.result.message}", file=sys.stderr)
     return EXIT_FAILURE if failed else EXIT_OK
 
 

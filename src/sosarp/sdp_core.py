@@ -7,6 +7,13 @@ complement are array products.  The solver is a Mehrotra-style
 predictor-corrector on the HKM search direction (linearize dX Z + X dZ = R_c,
 solve, symmetrize dX), with dense factorizations throughout.  Desk-scale
 targets: block sizes <= ~60, <= ~500 constraints.
+
+At that scale the fixed cost of a library call outweighs its arithmetic, so
+the triangular solves call LAPACK's dtrtrs directly, with the argument
+mapping of scipy.linalg.solve_triangular, and 1x1 blocks (the scalar sigma
+and t blocks of the certification SDPs) are solved in closed form.  Both
+perform the IEEE operations of the general path, so every result is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from enum import Enum
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 Blocks = List[np.ndarray]
 
@@ -73,7 +80,11 @@ def _rows(stacks: Blocks) -> np.ndarray:
 
 
 def _symmetrized(stack: np.ndarray, what: str) -> np.ndarray:
-    """Stack of (S + S')/2; raises ValueError naming what.format(k) if S_k is not symmetric."""
+    """Stack of (S + S')/2; raises ValueError naming what.format(k) if S_k is
+    not finite or not symmetric."""
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(what.format(bad[0]) + " is not finite")
     scale = np.max(np.abs(stack), axis=(1, 2), initial=1.0)
     skew = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(skew > _SYMMETRY_TOL * scale)
@@ -87,7 +98,8 @@ class SdpProblem:
     """minimize <C, X> s.t. <A_k, X> = b_k, X PSD block-diagonal.
 
     objective[j] is block j of C, a (d_j, d_j) matrix; constraints[j] is the
-    (m, d_j, d_j) stack of block j of A_1..A_m, and b has length m.  Linearly
+    (m, d_j, d_j) stack of block j of A_1..A_m, and b has length m.  Data
+    that is not finite or not symmetric raises ValueError.  Linearly
     dependent constraint rows (rank tolerance 1e-10) are dropped with a
     warning during construction.
     """
@@ -105,6 +117,9 @@ class SdpProblem:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 1:
             raise ValueError(f"b has shape {b.shape}, expected a vector")
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            raise ValueError(f"entry {bad[0]} of b is not finite")
         m = len(b)
         objective: Blocks = []
         constraints: Blocks = []
@@ -180,13 +195,66 @@ def _chol(mat: np.ndarray) -> np.ndarray:
                 raise
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _entry(block: np.ndarray) -> float:
+    """The entry of a 1x1 block, checked finite as _solve_triangular checks."""
+    _check_finite(block)
+    return float(block[0, 0])
+
+
+def _solve_triangular(L: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """scipy.linalg.solve_triangular(L, rhs, lower=lower), bit for bit, without
+    its per-call wrapper: the same finiteness check, dtrtrs call and errors."""
+    _check_finite(L)
+    _check_finite(rhs)
+    if rhs.size == 0:
+        return np.empty_like(rhs)
+    # dtrtrs reads column-major storage; a row-major L is passed as its
+    # transpose, which is the other triangle, and solved transposed
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, rhs, lower=lower)
+    else:
+        x, info = dtrtrs(L.T, rhs, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """(L L')^-1 = L^-T L^-1 from the lower Cholesky factor L."""
+    if L.shape[0] == 1:
+        # dtrtrs divides the identity by l once; the product of two floats
+        # overflows to inf as the matrix product does, but without its warning
+        inv = 1.0 / _entry(L)
+        return np.array([[inv * inv]])
+    L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    return L_inv.T @ L_inv
+
+
 def _max_step(chols: Blocks, dS: Blocks) -> float:
     """Largest alpha with S + alpha*dS still positive definite, S = L L' per block."""
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
-        half = solve_triangular(L, d_blk, lower=True)
-        G = solve_triangular(L, half.T, lower=True)
-        lam = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
+        if L.shape[0] == 1:
+            # the general path's operations on scalars (l > 0, a Cholesky
+            # diagonal): two divisions for the two solves, the second checking
+            # its right-hand side, then (G + G')/2, whose only eigenvalue is itself
+            l = _entry(L)
+            half = _entry(d_blk) / l
+            _check_finite(half)
+            g = half / l
+            lam = (g + g) / 2.0
+        else:
+            half = _solve_triangular(L, d_blk, lower=True)
+            G = _solve_triangular(L, half.T, lower=True)
+            lam = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
     return alpha
@@ -207,7 +275,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     A = problem.constraints
     b = problem.b
     Avec = _rows(A)
-    offsets = np.cumsum([d * d for d in sizes])[:-1]
+    ends = np.cumsum([d * d for d in sizes]).tolist()
+    spans = [(end - d * d, end, d) for end, d in zip(ends, sizes)]
 
     def apply_A(mat: Blocks) -> np.ndarray:
         return Avec @ _vec(mat)
@@ -216,7 +285,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         # einsum adds y_k A_k in order of k; a BLAS product would sum in
         # another order and move every iterate by rounding
         flat = np.einsum("k,kn->n", y, Avec)
-        return [part.reshape(d, d) for part, d in zip(np.split(flat, offsets), sizes)]
+        return [flat[start:end].reshape(d, d) for start, end, d in spans]
 
     gram = Avec @ Avec.T
     gram_chol = _chol((gram + gram.T) / 2.0)
@@ -273,10 +342,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         try:
             X_chols = [_chol(x) for x in X]
             Z_chols = [_chol(z) for z in Z]
-            Z_inv = []
-            for L, d in zip(Z_chols, sizes):
-                L_inv = solve_triangular(L, np.eye(d), lower=True)
-                Z_inv.append(L_inv.T @ L_inv)
+            Z_inv = [_inverse(L) for L in Z_chols]
 
             # Schur complement M[i, j] = sum_blocks <A_i, X A_j Zinv>
             M = Avec @ _rows([x @ a @ zi for x, a, zi in zip(X, A, Z_inv)]).T
@@ -285,8 +351,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
                 def backsolve(v: np.ndarray) -> np.ndarray:
-                    half = solve_triangular(M_chol, v, lower=True)
-                    return solve_triangular(M_chol.T, half, lower=False)
+                    half = _solve_triangular(M_chol, v, lower=True)
+                    return _solve_triangular(M_chol.T, half, lower=False)
                 sol = backsolve(rhs)
                 # two rounds of iterative refinement against the unjittered M;
                 # the Schur complement gets very ill-conditioned near the
@@ -304,8 +370,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 corrected = dX
                 for _ in range(2):
                     defect = r_p - apply_A(corrected)
-                    half = solve_triangular(gram_chol, defect, lower=True)
-                    lam = solve_triangular(gram_chol.T, half, lower=False)
+                    half = _solve_triangular(gram_chol, defect, lower=True)
+                    lam = _solve_triangular(gram_chol.T, half, lower=False)
                     corr = apply_At(lam)
                     corrected = [dx + c for dx, c in zip(corrected, corr)]
                 after = r_p - apply_A(corrected)

@@ -160,6 +160,13 @@ class TestRuns:
         for rec, ref in zip(result.records, reference.records):
             assert _fields(rec) == _fields(ref)
         assert np.array_equal(result.x, reference.records[first_success + 1].x_before)
+        assert result.message == "forced failure of the second certification"
+
+    def test_converged_run_has_no_message(self, bundled):
+        config = ArpConfig(p=3, epsilon=1e-5, x0=[1.5, -2.0])
+        result = run(bundled["quad2"], config)
+        assert result.status is RunStatus.CONVERGED
+        assert result.message == ""
 
     def test_stall_after_consecutive_rejections(self, bundled, monkeypatch):
         def zero_step(model, theta):

@@ -3,13 +3,16 @@
 import csv
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sosarp import sos_certify
 from sosarp.cli import main
 from sosarp.problems_io import bundled_problem_paths
+from sosarp.sdp_core import SdpStatus, solve_sdp
 
 MINIMIZE_HEADER = ["iter", "case", "lambda_min", "sigma_bar", "sigma_r",
                    "sigma", "step_norm", "rho", "f", "grad_norm", "success"]
@@ -84,6 +87,22 @@ class TestMinimize:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line.startswith(f"status=CertificationFailure "
                                f"iters={first_success + 1} ")
+
+    def test_certification_failure_names_sdp_status(self, quad2_path,
+                                                    start_point, capsys,
+                                                    monkeypatch):
+        # every certification SDP reports a breakdown with unusable residuals
+        def broken(problem, tol):
+            return replace(solve_sdp(problem, tol),
+                           status=SdpStatus.NUMERICAL_FAILURE, primal_residual=1.0)
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", broken)
+        code = main(["minimize", "--problem", quad2_path, "--point",
+                     start_point])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "status=CertificationFailure iters=0 " in captured.out
+        assert "phase-I SDP ended with NumericalFailure" in captured.err
 
     @pytest.mark.parametrize("extra", [
         ["--eps", "2"],

@@ -134,3 +134,15 @@ class TestProblemChecks:
     def test_malformed_input_raises(self, objective, constraints, b, message):
         with pytest.raises(ValueError, match=message):
             SdpProblem(objective=objective, constraints=constraints, b=b)
+
+    @pytest.mark.parametrize("objective, constraints, b, message", [
+        (_C, [_A, _T], [1.0, np.nan, 1.0], "entry 1 of b is not finite"),
+        ([np.eye(2), np.full((1, 1), np.inf)], [_A, _T], [1.0, 0.0, 1.0],
+         "objective block 1 is not finite"),
+        (_C, [np.stack([_A[0], _A[1], np.full((2, 2), np.nan)]), _T],
+         [1.0, 0.0, 1.0], "constraint 2 in block 0 is not finite"),
+    ], ids=["nan-in-b", "inf-in-objective", "nan-in-constraint"])
+    def test_non_finite_data_raises(self, objective, constraints, b, message):
+        # rejected at construction, before any arithmetic can warn
+        with pytest.raises(ValueError, match=message):
+            SdpProblem(objective=objective, constraints=constraints, b=b)

@@ -1,0 +1,117 @@
+"""The solver's small dense kernels against the scipy calls they replace.
+
+The kernels promise the same bits, so every comparison is exact equality.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_triangular
+
+from sosarp.sdp_core import _inverse, _max_step, _solve_triangular
+
+
+def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
+    """A well-conditioned triangular factor whose other triangle holds junk,
+    so that solving from the wrong triangle changes the result."""
+    tri = np.tril(rng.normal(size=(size, size)), -1) + np.diag(rng.uniform(1, 3, size))
+    junk = np.triu(rng.normal(size=(size, size)), 1)
+    L = tri + junk if lower else tri.T + junk.T
+    return np.asarray(L, order=order)
+
+
+def _reference_inverse(L):
+    L_inv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    return L_inv.T @ L_inv
+
+
+def _reference_max_step(chols, dS):
+    alpha = np.inf
+    for L, d_blk in zip(chols, dS):
+        half = solve_triangular(L, d_blk, lower=True)
+        G = solve_triangular(L, half.T, lower=True)
+        lam = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
+        if lam < 0.0:
+            alpha = min(alpha, -1.0 / lam)
+    return alpha
+
+
+class TestSolveTriangular:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("rhs_shape", [(), (4,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("size", [1, 6, 30])
+    def test_equals_scipy(self, order, lower, rhs_shape, size):
+        rng = np.random.default_rng(size)
+        L = _factor(rng, size, lower, order)
+        rhs = rng.normal(size=(size,) + rhs_shape)
+        expected = solve_triangular(L, rhs, lower=lower)
+        assert np.array_equal(_solve_triangular(L, rhs, lower=lower), expected)
+
+    def test_transposed_view_equals_scipy(self):
+        # the back-solve with L' passes a transposed view of a C-ordered factor
+        rng = np.random.default_rng(1)
+        L = _factor(rng, 8, True, "C")
+        rhs = rng.normal(size=8)
+        expected = solve_triangular(L.T, rhs, lower=False)
+        assert np.array_equal(_solve_triangular(L.T, rhs, lower=False), expected)
+
+    def test_empty_system(self):
+        out = _solve_triangular(np.zeros((0, 0)), np.zeros(0), lower=True)
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_diagonal_is_singular(self, order):
+        L = np.asarray(np.tril(np.ones((3, 3))), order=order)
+        L[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            _solve_triangular(L, np.ones(3), lower=True)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["factor", "rhs"])
+    def test_non_finite_input_raises(self, bad, where):
+        L = np.tril(np.ones((3, 3))) + np.eye(3)
+        rhs = np.ones(3)
+        (L if where == "factor" else rhs)[-1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_triangular(L, rhs, lower=True)
+
+
+class TestScalarBlocks:
+    def test_closed_forms_equal_general_path(self):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            L = np.array([[10.0 ** rng.uniform(-8, 8)]])
+            d_blk = np.array([[rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 8)]])
+            assert _max_step([L], [d_blk]) == _reference_max_step([L], [d_blk])
+            assert _inverse(L) == _reference_inverse(L)
+
+    def test_mixed_blocks_equal_general_path(self):
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(6, 6))
+        chols = [np.linalg.cholesky(G @ G.T + np.eye(6)), np.array([[0.7]])]
+        dS = [-(G + G.T), np.array([[-2.5]])]
+        assert _max_step(chols, dS) == _reference_max_step(chols, dS)
+        assert np.array_equal(_inverse(chols[0]), _reference_inverse(chols[0]))
+
+    @pytest.mark.parametrize("d, l", [(1e300, 1e-10), (-1e300, 1e-10),
+                                      (1e200, 1e-60), (-1e200, 1e-60),
+                                      (1.0, 1e-200)])
+    def test_overflow_matches_general_path(self, d, l):
+        # d / l beyond the float range fails the second solve's finiteness
+        # check; a finite d / l whose next division overflows gives +-inf
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as err:
+                return str(err)
+
+        L, d_blk = np.array([[l]]), np.array([[d]])
+        assert (outcome(_max_step, [L], [d_blk])
+                == outcome(_reference_max_step, [L], [d_blk]))
+        with np.errstate(over="ignore"):  # numpy's product warns, a float's does not
+            assert _inverse(L) == _reference_inverse(L)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_scalar_raises(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _max_step([np.array([[1.0]])], [np.array([[bad]])])

@@ -15,6 +15,10 @@ Floats enter as their exact repr and arrays as their raw bytes, so two
 checkouts print the same digest only if every output is bit-identical.
 Run it on two checkouts (for instance a `git clone` of the parent commit
 and the working tree) and compare the printed lines.
+
+Rounding inside BLAS depends on the library and its thread count, so the
+line also names numpy's and scipy's BLAS builds and the pinned thread
+setting; two digests compare only when those agree.
 """
 
 from __future__ import annotations
@@ -106,6 +110,15 @@ def _bundled_runs(digest: _Digest, workloads, seed: int) -> None:
                        rec.f_after, rec.flags)
 
 
+def _blas(module) -> str:
+    """Name and version of the BLAS a numpy or scipy module was built with."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode argument
+        return f"{module.__name__}:unknown"
+    return f"{module.__name__}:{blas.get('name')}-{blas.get('version')}"
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -117,7 +130,11 @@ def main(argv) -> int:
         _certify_grid(digest, workloads, seed)
         _scans(digest, workloads, seed)
         _bundled_runs(digest, workloads, seed)
-    print(f"{digest.hexdigest()}  seeds={','.join(map(str, SEEDS))}")
+    import numpy  # already loaded by _load, after the thread setting was pinned
+    import scipy
+    threads = " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS)
+    print(f"{digest.hexdigest()}  seeds={','.join(map(str, SEEDS))}  "
+          f"blas={_blas(numpy)},{_blas(scipy)}  {threads}")
     return 0
 
 
