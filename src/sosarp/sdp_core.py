@@ -10,10 +10,16 @@ targets: block sizes <= ~60, <= ~500 constraints.
 
 At that scale the fixed cost of a library call outweighs its arithmetic, so
 the triangular solves call LAPACK's dtrtrs directly, with the argument
-mapping of scipy.linalg.solve_triangular, and 1x1 blocks (the scalar sigma
-and t blocks of the certification SDPs) are solved in closed form.  Both
-perform the IEEE operations of the general path, so every result is
-bit-identical to it.
+mapping of scipy.linalg.solve_triangular, the step-length eigenvalues call
+LAPACK's dsyevd directly, as np.linalg.eigvalsh does, and 1x1 blocks (the
+scalar sigma and t blocks of the certification SDPs) are factored, inverted
+and stepped in closed form.  Each performs the IEEE operations of the
+general path, so every result is bit-identical to it.
+
+Every iterate is finite: the data is checked on construction, and each new
+(X, y, Z) is checked once per iteration.  So the kernels check no input; a
+step that overflows or yields NaN ends the solve with NUMERICAL_FAILURE and
+the cleanest finite iterate, never with an exception.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from enum import Enum
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dsyevd, dtrtrs
 
 Blocks = List[np.ndarray]
 
@@ -139,22 +145,17 @@ class SdpProblem:
             objective.append(_symmetrized(c[None], f"objective block {j}")[0])
             constraints.append(_symmetrized(a, f"constraint {{}} in block {j}"))
 
-        # greedy Gram-Schmidt over the rows in order; <vec A, vec B> = <A, B>
+        # |R[k, k]| of a QR of the rows in order is row k's distance from the
+        # span of the rows before it; <vec A, vec B> = <A, B>
         rows = _rows(constraints)
-        basis = np.empty_like(rows)
-        kept: List[int] = []
-        for k, row in enumerate(rows):
-            Q = basis[:len(kept)]
-            residual = row - Q.T @ (Q @ row)
-            residual -= Q.T @ (Q @ residual)
-            norm = float(np.linalg.norm(residual))
-            if norm > _RANK_TOL * max(1.0, float(np.linalg.norm(row))):
-                basis[len(kept)] = residual / norm
-                kept.append(k)
-            else:
-                warnings.warn(f"dropping linearly dependent SDP constraint row {k}",
-                              RuntimeWarning, stacklevel=2)
-        if len(kept) < m:
+        distance = np.zeros(m)
+        diag = np.abs(np.diagonal(np.linalg.qr(rows.T, mode="r")))
+        distance[:len(diag)] = diag
+        kept = distance > _RANK_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+        for k in np.flatnonzero(~kept):
+            warnings.warn(f"dropping linearly dependent SDP constraint row {k}",
+                          RuntimeWarning, stacklevel=2)
+        if not kept.all():
             constraints = [a[kept] for a in constraints]
             b = b[kept]
         self.objective, self.constraints, self.b = objective, constraints, b
@@ -181,36 +182,40 @@ class SdpSolution:
     trace: List[IterateLog] = field(default_factory=list)
 
 
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(mat), bit for bit.  A 1x1 block [[v]] factors as
+    [[sqrt(v)]], which is what dpotrf computes, and fails unless v > 0: as
+    dpotrf does for v <= 0, and also for NaN, which dpotrf passes through."""
+    if mat.shape[0] == 1:
+        v = float(mat[0, 0])
+        if not v > 0.0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return np.array([[math.sqrt(v)]])
+    return np.linalg.cholesky(mat)
+
+
 def _chol(mat: np.ndarray) -> np.ndarray:
     """Cholesky factor with escalating diagonal jitter up to _JITTER_MAX (scaled)."""
-    scale = float(np.max(np.abs(mat), initial=1.0))
     jitter = 0.0
     while True:
         try:
             shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
-            return np.linalg.cholesky(shifted)
+            return _cholesky(shifted)
         except np.linalg.LinAlgError:
-            jitter = _JITTER_START * scale if jitter == 0.0 else jitter * _JITTER_GROWTH
-            if jitter > _JITTER_MAX * scale:
+            if jitter == 0.0:
+                scale = float(np.max(np.abs(mat), initial=1.0))
+                jitter = _JITTER_START * scale
+            else:
+                jitter *= _JITTER_GROWTH
+            # a NaN or infinite scale gives a shift that helps no factor, and
+            # NaN compares false with the cap: stop instead of retrying forever
+            if not math.isfinite(jitter) or jitter > _JITTER_MAX * scale:
                 raise
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _entry(block: np.ndarray) -> float:
-    """The entry of a 1x1 block, checked finite as _solve_triangular checks."""
-    _check_finite(block)
-    return float(block[0, 0])
-
-
 def _solve_triangular(L: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
-    """scipy.linalg.solve_triangular(L, rhs, lower=lower), bit for bit, without
-    its per-call wrapper: the same finiteness check, dtrtrs call and errors."""
-    _check_finite(L)
-    _check_finite(rhs)
+    """scipy.linalg.solve_triangular(L, rhs, lower=lower, check_finite=False),
+    bit for bit, without its per-call wrapper: the same dtrtrs call and errors."""
     if rhs.size == 0:
         return np.empty_like(rhs)
     # dtrtrs reads column-major storage; a row-major L is passed as its
@@ -227,12 +232,21 @@ def _solve_triangular(L: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray
     return x
 
 
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(S), bit for bit: the same dsyevd call (lower
+    triangle, no vectors), ascending, without numpy's per-call wrapper."""
+    eigenvalues, _, info = dsyevd(S, compute_v=0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return eigenvalues
+
+
 def _inverse(L: np.ndarray) -> np.ndarray:
     """(L L')^-1 = L^-T L^-1 from the lower Cholesky factor L."""
     if L.shape[0] == 1:
         # dtrtrs divides the identity by l once; the product of two floats
         # overflows to inf as the matrix product does, but without its warning
-        inv = 1.0 / _entry(L)
+        inv = 1.0 / float(L[0, 0])
         return np.array([[inv * inv]])
     L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
     return L_inv.T @ L_inv
@@ -244,22 +258,23 @@ def _max_step(chols: Blocks, dS: Blocks) -> float:
     for L, d_blk in zip(chols, dS):
         if L.shape[0] == 1:
             # the general path's operations on scalars (l > 0, a Cholesky
-            # diagonal): two divisions for the two solves, the second checking
-            # its right-hand side, then (G + G')/2, whose only eigenvalue is itself
-            l = _entry(L)
-            half = _entry(d_blk) / l
-            _check_finite(half)
-            g = half / l
+            # diagonal): two divisions for the two solves, then (G + G')/2,
+            # whose only eigenvalue is itself
+            l = float(L[0, 0])
+            g = float(d_blk[0, 0]) / l / l
             lam = (g + g) / 2.0
         else:
             half = _solve_triangular(L, d_blk, lower=True)
             G = _solve_triangular(L, half.T, lower=True)
-            lam = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
+            lam = float(_eigvalsh((G + G.T) / 2.0)[0])
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
     return alpha
 
 
+# a step that overflows makes numpy warn before the iterate check turns it
+# into NUMERICAL_FAILURE; under warnings-as-errors the warning would escape
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """Infeasible-start predictor-corrector interior-point solve.
 
@@ -267,7 +282,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     reached within _MAX_ITER iterations.
     MAX_ITERATIONS and NUMERICAL_FAILURE are reported as statuses, never as
     silent wrong answers; suspected (dual-)infeasibility is flagged when the
-    dual (primal) objective diverges beyond 1e12.
+    dual (primal) objective diverges beyond 1e12.  Every returned iterate is
+    finite: a factorization that fails, or a step that gives a non-finite X,
+    y or Z, ends the solve with NUMERICAL_FAILURE and the cleanest iterate
+    so far, not with an exception.
     """
     sizes = problem.block_sizes
     n_tot = problem.n_total
@@ -416,9 +434,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        X = [x + alpha_p * dx for x, dx in zip(X, dX)]
-        y = y + alpha_d * dy
-        Z = [z + alpha_d * dz for z, dz in zip(Z, dZ)]
+        X_next = [x + alpha_p * dx for x, dx in zip(X, dX)]
+        y_next = y + alpha_d * dy
+        Z_next = [z + alpha_d * dz for z, dz in zip(Z, dZ)]
+        # the one finiteness check of the iteration: the kernels trust that
+        # the iterate they factor is finite
+        if not all(np.isfinite(v).all() for v in (*X_next, y_next, *Z_next)):
+            status = SdpStatus.NUMERICAL_FAILURE
+            break
+        X, y, Z = X_next, y_next, Z_next
 
     if (status in (SdpStatus.MAX_ITERATIONS, SdpStatus.NUMERICAL_FAILURE)
             and best is not None and best[0] < max(gap, p_res, d_res)):

@@ -1,5 +1,6 @@
-"""Shared fixtures: planted SDP instances, random certified models and a
-driver whose second certification fails."""
+"""Shared fixtures: planted SDP instances, random certified models, a
+driver whose second certification fails and an SDP solve whose steps turn
+non-finite."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from sosarp import arp_driver
+from sosarp import arp_driver, sdp_core
 from sosarp.problems_io import bundled_problem_paths, load_problem
 from sosarp.sdp_core import SdpProblem
 from sosarp.sos_certify import (ConvexityCase, SosIndeterminate, SosModel,
@@ -109,3 +110,25 @@ def second_certification_fails(monkeypatch) -> List[SosModel]:
 
     monkeypatch.setattr(arp_driver, "min_sigma_sos", certify)
     return calls
+
+
+@pytest.fixture()
+def poisoned_vector_solves(monkeypatch) -> dict:
+    """While the returned dict's "value" is not None, every triangular solve
+    of a vector right-hand side (the Schur and constraint-Gram systems) after
+    the first "after" of them returns that value in its last entry, so the
+    search direction, and with it the next iterate, is not finite.  "calls"
+    counts the vector solves made while "value" is set."""
+    poison = {"value": None, "after": 0, "calls": 0}
+    solve = sdp_core._solve_triangular
+
+    def poisoned(L, rhs, lower):
+        x = solve(L, rhs, lower)
+        if poison["value"] is not None and x.ndim == 1:
+            poison["calls"] += 1
+            if poison["calls"] > poison["after"]:
+                x[-1] = poison["value"]
+        return x
+
+    monkeypatch.setattr(sdp_core, "_solve_triangular", poisoned)
+    return poison

@@ -162,6 +162,31 @@ class TestRuns:
         assert np.array_equal(result.x, reference.records[first_success + 1].x_before)
         assert result.message == "forced failure of the second certification"
 
+    def test_non_finite_sdp_ends_run_with_records(self, bundled, monkeypatch,
+                                                   poisoned_vector_solves):
+        # from the second certification on, every SDP step turns NaN: the
+        # solves end NumericalFailure, min_sigma_sos falls back to bisection,
+        # whose membership SDP is indeterminate, and the run keeps its records
+        config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
+        reference = run(bundled["rosenbrock2"], config)
+        calls = []
+
+        def certify(model):
+            calls.append(model)
+            if len(calls) == 2:
+                poisoned_vector_solves["value"] = np.nan
+            return min_sigma_sos(model)
+
+        monkeypatch.setattr(arp_driver, "min_sigma_sos", certify)
+        result = run(bundled["rosenbrock2"], config)
+        assert len(calls) == 2 and poisoned_vector_solves["calls"] > 0
+        assert result.status is RunStatus.CERTIFICATION_FAILURE
+        assert "NumericalFailure" in result.message
+        first_success = next(r.k for r in reference.records if r.success)
+        assert len(result.records) == first_success + 1
+        for rec, ref in zip(result.records, reference.records):
+            assert _fields(rec) == _fields(ref)
+
     def test_converged_run_has_no_message(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-5, x0=[1.5, -2.0])
         result = run(bundled["quad2"], config)

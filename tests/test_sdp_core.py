@@ -146,3 +146,37 @@ class TestProblemChecks:
         # rejected at construction, before any arithmetic can warn
         with pytest.raises(ValueError, match=message):
             SdpProblem(objective=objective, constraints=constraints, b=b)
+
+
+class TestNonFiniteIterate:
+    """A step that yields inf or NaN ends the solve with NumericalFailure and
+    the cleanest finite iterate, never with an exception or another status."""
+
+    @staticmethod
+    def _problem(kind: str) -> SdpProblem:
+        if kind == "scalar_blocks":
+            # no kernel sees the bad direction: only the iterate check stops it
+            return SdpProblem(objective=[np.array([[1.0]]), np.array([[2.0]])],
+                              constraints=[np.ones((1, 1, 1)), np.ones((1, 1, 1))],
+                              b=[1.0])
+        problem, _ = planted_sdp(np.random.default_rng(4), max_block=8, max_m=20)
+        return problem
+
+    @pytest.mark.parametrize("after", [0, 40], ids=["first_step", "later_step"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["scalar_blocks", "planted"])
+    def test_non_finite_step_ends_numerical_failure(self, kind, bad, after,
+                                                    poisoned_vector_solves):
+        problem = self._problem(kind)
+        clean = solve_sdp(problem)
+        poisoned_vector_solves.update(value=bad, after=after)
+        sol = solve_sdp(problem)
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert sol.iterations < clean.iterations
+        assert (sol.iterations > 0) == (after > 0)
+        assert all(np.isfinite(x).all() for x in (*sol.X, sol.y, *sol.Z))
+        # the returned iterate is the cleanest one before the failing step,
+        # which the clean solve passed through too
+        merits = [max(t.gap, t.primal_residual, t.dual_residual) for t in sol.trace]
+        assert max(sol.gap, sol.primal_residual, sol.dual_residual) == min(merits)
+        assert [t.gap for t in sol.trace] == [t.gap for t in clean.trace[:len(sol.trace)]]

@@ -1,13 +1,17 @@
-"""The solver's small dense kernels against the scipy calls they replace.
+"""The solver's small dense kernels against the numpy and scipy calls they
+replace.
 
 The kernels promise the same bits, so every comparison is exact equality.
+They check no input for inf or NaN (the solver checks each iterate once),
+so the reference is the unchecked general path.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from sosarp.sdp_core import _inverse, _max_step, _solve_triangular
+from sosarp.sdp_core import (_chol, _cholesky, _eigvalsh, _inverse, _max_step,
+                             _solve_triangular)
 
 
 def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
@@ -20,15 +24,15 @@ def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
 
 
 def _reference_inverse(L):
-    L_inv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    L_inv = solve_triangular(L, np.eye(L.shape[0]), lower=True, check_finite=False)
     return L_inv.T @ L_inv
 
 
 def _reference_max_step(chols, dS):
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
-        half = solve_triangular(L, d_blk, lower=True)
-        G = solve_triangular(L, half.T, lower=True)
+        half = solve_triangular(L, d_blk, lower=True, check_finite=False)
+        G = solve_triangular(L, half.T, lower=True, check_finite=False)
         lam = float(np.min(np.linalg.eigvalsh((G + G.T) / 2.0)))
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
@@ -66,14 +70,70 @@ class TestSolveTriangular:
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
             _solve_triangular(L, np.ones(3), lower=True)
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("where", ["factor", "rhs"])
-    def test_non_finite_input_raises(self, bad, where):
-        L = np.tril(np.ones((3, 3))) + np.eye(3)
-        rhs = np.ones(3)
-        (L if where == "factor" else rhs)[-1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _solve_triangular(L, rhs, lower=True)
+
+class TestEigvalsh:
+    @pytest.mark.parametrize("size", range(2, 31))
+    def test_equals_numpy(self, size):
+        # symmetric indefinite and positive definite matrices, as the step
+        # length sees them
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            G = rng.normal(size=(size, size))
+            for S in ((G + G.T) / 2.0, G @ G.T + 1e-3 * np.eye(size)):
+                assert np.array_equal(_eigvalsh(S), np.linalg.eigvalsh(S))
+
+
+def _reference_chol(mat):
+    """_chol's jitter loop around np.linalg.cholesky."""
+    scale = float(np.max(np.abs(mat), initial=1.0))
+    jitter = 0.0
+    while True:
+        try:
+            shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
+            return np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
+            if jitter > 1e-10 * scale:
+                raise
+
+
+class TestScalarCholesky:
+    def test_positive_values_equal_numpy(self):
+        rng = np.random.default_rng(5)
+        for v in 10.0 ** rng.uniform(-300, 300, 2000):
+            mat = np.array([[v]])
+            assert np.array_equal(_cholesky(mat), np.linalg.cholesky(mat))
+            assert np.array_equal(_chol(mat), np.linalg.cholesky(mat))
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1e-20, -1e-15, -5e-13, -5e-11])
+    def test_jitter_retry_equals_numpy(self, v):
+        # each value fails unshifted and factors after one, two or three shifts
+        mat = np.array([[v]])
+        assert np.array_equal(_chol(mat), _reference_chol(mat))
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1.0, -1e-300])
+    def test_not_positive_fails_as_numpy(self, v):
+        mat = np.array([[v]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mat)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(mat)
+
+    def test_nan_fails(self):
+        # numpy's factor of [[nan]] is [[nan]]; the closed form fails instead
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("v", [-1.0, np.nan])
+    def test_jitter_gives_up(self, v):
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol(np.array([[v]]))
+
+    def test_non_finite_matrix_stops_jitter(self):
+        # an infinite scale makes the first shift infinite: fail at once
+        mat = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, np.inf]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol(mat)
 
 
 class TestScalarBlocks:
@@ -97,21 +157,9 @@ class TestScalarBlocks:
                                       (1e200, 1e-60), (-1e200, 1e-60),
                                       (1.0, 1e-200)])
     def test_overflow_matches_general_path(self, d, l):
-        # d / l beyond the float range fails the second solve's finiteness
-        # check; a finite d / l whose next division overflows gives +-inf
-        def outcome(fn, *args):
-            try:
-                return fn(*args)
-            except ValueError as err:
-                return str(err)
-
+        # d / l or d / l / l beyond the float range gives +-inf, as the two
+        # unchecked solves do, and +inf (no bound) or -inf (step 0) follows
         L, d_blk = np.array([[l]]), np.array([[d]])
-        assert (outcome(_max_step, [L], [d_blk])
-                == outcome(_reference_max_step, [L], [d_blk]))
+        assert _max_step([L], [d_blk]) == _reference_max_step([L], [d_blk])
         with np.errstate(over="ignore"):  # numpy's product warns, a float's does not
             assert _inverse(L) == _reference_inverse(L)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_scalar_raises(self, bad):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _max_step([np.array([[1.0]])], [np.array([[bad]])])

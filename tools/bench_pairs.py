@@ -7,8 +7,10 @@ Each pair runs CHECKOUT/bench/run_bench.py once per workload on both
 checkouts, each run in a fresh process with the checkout as its working
 directory and at the run length run_bench.py fixes; even pairs run PARENT
 first and odd pairs CHANGE first, so a drift in the host's load falls on
-both sides alike.  After the pairs, one
-traced run per side and workload records the per-layer metrics.
+both sides alike.  After the pairs, three traced runs per side and
+workload, alternating in the same way, record the per-layer metrics; each
+is reported as the median of the three, so no timed per-layer figure rests
+on one sample.
 
 FILE receives, per workload and end-to-end metric, each side's runs with
 their median and quartiles, the number of pairs the change won (ties count
@@ -17,9 +19,11 @@ median is worse than the parent's by more than the bound in the CHANGE
 checkout's BENCHMARK.json, and whether a gain is claimable: at least nine
 tenths of the pairs won and the medians further apart than the parent's
 quartiles.  It also holds the failed/attempted operation counts, the
-traced metrics and the machine record (nproc, BLAS builds, BLAS thread
-setting) that run_bench.py reports.  Every run's output is checked by the
-benchmark itself; a run that fails or reports wrong output stops the tool.
+traced medians and the machine record (nproc, BLAS build, BLAS thread
+setting) that run_bench.py reports, with scipy's BLAS build added: the
+solver's direct LAPACK calls run in scipy's BLAS, numpy's in numpy's.
+Every run's output is checked by the benchmark itself; a run that fails
+or reports wrong output stops the tool.
 """
 
 from __future__ import annotations
@@ -31,8 +35,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import scipy
+
+from fingerprint import blas_build
+
 WORKLOADS = ("bundled_runs", "certify_grid", "scans")
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # per side and workload; the per-layer metrics are their medians
 
 
 def parse_args(argv):
@@ -116,17 +125,25 @@ def main(argv=None) -> int:
                 wall = result["metrics"]["wall_s"]["value"]
                 print(f"pair {pair} {workload:12s} {side:6s} wall_s {wall:.3f}",
                       flush=True)
-    traced = {side: {} for side in SIDES}
-    for workload in workloads:
-        for side in SIDES:
-            result, _ = bench(checkouts[side], workload, args.seed, 1)
-            traced[side][workload] = {name: metric["value"] for name, metric
-                                      in result["metrics"].items()}
+    traced_runs = {side: {w: [] for w in workloads} for side in SIDES}
+    for run in range(TRACED_RUNS):
+        order = SIDES if run % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                result, _ = bench(checkouts[side], workload, args.seed, 1)
+                traced_runs[side][workload].append(result["metrics"])
+    traced = {side: {w: {name: statistics.median(m[name]["value"] for m in runs)
+                         for name in runs[0]}
+                     for w, runs in per_workload.items()}
+              for side, per_workload in traced_runs.items()}
+    for record in machine.values():
+        record["scipy_blas"] = blas_build(scipy)
 
     report = {"revisions": {side: revision(path) for side, path in checkouts.items()},
               "pairs": args.pairs, "seed": args.seed,
               "first": "parent on even pairs, change on odd pairs",
-              "machine": machine["change"], "workloads": {}, "traced": traced}
+              "machine": machine["change"], "workloads": {},
+              "traced_runs": TRACED_RUNS, "traced": traced}
     if machine["parent"] != machine["change"]:
         report["parent_machine"] = machine["parent"]
     for workload in workloads:

@@ -110,13 +110,19 @@ def _bundled_runs(digest: _Digest, workloads, seed: int) -> None:
                        rec.f_after, rec.flags)
 
 
-def _blas(module) -> str:
-    """Name and version of the BLAS a numpy or scipy module was built with."""
+def blas_build(module) -> dict:
+    """Name and version of the BLAS a numpy or scipy module was built with,
+    in the form of bench/run_bench.py's machine record."""
     try:
         blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.25 has no mode argument
-        return f"{module.__name__}:unknown"
-    return f"{module.__name__}:{blas.get('name')}-{blas.get('version')}"
+        return {"name": "unknown", "version": "unknown"}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _blas(module) -> str:
+    blas = blas_build(module)
+    return f"{module.__name__}:{blas['name']}-{blas['version']}"
 
 
 def main(argv) -> int:
