@@ -11,14 +11,16 @@ format), the regularizer's coefficients at sigma = 1 and the t-shift column.
 Both the minimal regularization weight (sigma linear in the rows, minimized
 directly) and the fixed-sigma membership check (always-feasible phase-I
 formulation) solve the same small block-diagonal SDP over that structure,
-differing only in the column of the 1x1 block.
+differing only in the column of the 1x1 block.  A certification is one
+minimal-weight SDP, whose primal iterate is the certificate whenever its
+residuals are clean.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,12 +33,9 @@ from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
 BasisElement = Tuple[int, Exponents]
 
 _CLEAN_RESIDUAL = 1e-8  # residuals at or below this mark an SDP iterate as feasible
-_STALLED_WIDTH = 1e-5  # widest stalled-gap bracket accepted, relative to max(1, sigma)
 _COEFF_MATCH = 1e-7  # coefficient match, relative to 1 + max |coefficient| of h_hat
 _MIN_SIGMA_TOL = 1e-10  # SDP tolerance of the minimal-weight solve (sigma_bar)
 _MEMBERSHIP_TOL = 1e-9  # SDP tolerance of the membership solve (t vs a threshold)
-_BRACKET_DOUBLINGS = 80  # doublings of the bisection's bracket from sigma = 1: up to 2^80
-_BISECTION_WIDTH = 1e-6  # bisection stops at hi - lo <= this * (1 + hi)
 _MARGIN_SLACK = 1e-10  # rounding by which an SosModel's lambda_min(H_bar) may miss delta
 _VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hessian
 _VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
@@ -294,17 +293,6 @@ def _clean(solution: SdpSolution) -> bool:
             and solution.dual_residual <= _CLEAN_RESIDUAL)
 
 
-def _usable(solution: SdpSolution) -> bool:
-    """Solver output is decision-grade even when the target tol was missed."""
-    return (solution.status is SdpStatus.OPTIMAL
-            or (_clean(solution) and solution.gap <= _CLEAN_RESIDUAL))
-
-
-def _stalled_width(solution: SdpSolution, value: float) -> float:
-    """Width of the bracket a stalled gap leaves around the scalar block's value."""
-    return solution.gap * (2.0 + 2.0 * value)
-
-
 def _certificate(structure: _GramStructure, solution: SdpSolution, scale: float,
                  target: np.ndarray) -> GramCertificate:
     """The solve's Gram block, scaled back, with its residual against target."""
@@ -332,56 +320,26 @@ def min_sigma_sos(model: SosModel) -> Tuple[float, GramCertificate]:
 
     The model's own sigma field is ignored; sigma is the 1x1 second block of
     the SDP variable and enters each coefficient-matching row linearly; the
-    SDP is solved to _MIN_SIGMA_TOL.  On solver breakdown, falls back to
-    bisection driven by is_sos_convex.
+    SDP is solved to _MIN_SIGMA_TOL.  A solve whose residuals are clean
+    returns its primal iterate as the certificate, whatever its gap: a
+    stalled gap only over-estimates sigma_bar, which is safe because
+    feasibility is monotone in sigma.  Unclean residuals raise
+    CertificationError naming the SDP status, gap and residuals.
     """
     structure = _gram_structure(model.n, model.p_prime)
     base = _coefficients(model, structure, 0.0)
     # rescale the matching rows to O(1); sigma and Q scale back linearly
     scale = max(1.0, float(np.max(np.abs(base))))
     solution = _solve_gram(structure, structure.reg, base / scale, _MIN_SIGMA_TOL)
-
-    sigma_hat = max(0.0, float(solution.X[1][0, 0]))
-    # The complementarity gap can stall on badly conditioned instances while
-    # both residuals stay clean; the optimum then lies between the dual and
-    # primal objectives.  Taking the primal side over-estimates sigma_bar,
-    # which is safe because feasibility is monotone in sigma.
-    width = _stalled_width(solution, sigma_hat)
-    if _usable(solution) or (_clean(solution)
-                             and width <= _STALLED_WIDTH * max(1.0, sigma_hat)):
-        sigma_bar = sigma_hat * scale
-        return sigma_bar, _certificate(structure, solution, scale,
-                                       base + sigma_bar * structure.reg)
-
-    return _bisect_sigma(model)
-
-
-def _bisect_sigma(model: SosModel) -> Tuple[float, GramCertificate]:
-    """Doubling bracket + bisection on sigma, membership via is_sos_convex."""
-    feasible, cert = is_sos_convex(replace(model, sigma=0.0))
-    if feasible:
-        return 0.0, cert
-    hi = 1.0
-    hi_cert: Optional[GramCertificate] = None
-    for _ in range(_BRACKET_DOUBLINGS):
-        feasible, cert = is_sos_convex(replace(model, sigma=hi))
-        if feasible:
-            hi_cert = cert
-            break
-        hi *= 2.0
-    if hi_cert is None:
+    if not _clean(solution):
         raise CertificationError(
-            f"no feasible sigma found up to {hi:.3e}; model delta={model.delta}, "
-            f"p={model.p}, n={model.n}")
-    lo = 0.0
-    while hi - lo > _BISECTION_WIDTH * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        feasible, cert = is_sos_convex(replace(model, sigma=mid))
-        if feasible:
-            hi, hi_cert = mid, cert
-        else:
-            lo = mid
-    return hi, hi_cert
+            f"min-sigma SDP ended with {solution.status.value} "
+            f"(gap {solution.gap:.3e}, primal residual "
+            f"{solution.primal_residual:.3e}, dual residual "
+            f"{solution.dual_residual:.3e})")
+    sigma_bar = max(0.0, float(solution.X[1][0, 0])) * scale
+    return sigma_bar, _certificate(structure, solution, scale,
+                                   base + sigma_bar * structure.reg)
 
 
 def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
@@ -399,8 +357,11 @@ def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
     scale = max(1.0, target_norm)
     solution = _solve_gram(structure, structure.shift, target / scale,
                            _MEMBERSHIP_TOL)
-    usable = _usable(solution)
-    if not usable and not _clean(solution):
+    clean = _clean(solution)
+    # decision-grade even when the target tol was missed
+    usable = (solution.status is SdpStatus.OPTIMAL
+              or (clean and solution.gap <= _CLEAN_RESIDUAL))
+    if not usable and not clean:
         raise SosIndeterminate(
             f"phase-I SDP ended with {solution.status.value} "
             f"(gap {solution.gap:.3e})")
@@ -411,9 +372,10 @@ def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
     if t_star > threshold:
         if usable:
             return False, None
-        # stalled gap: t_star only upper-bounds the optimum; refuse unless
-        # the dual side t_star - width also clears the threshold
-        width = _stalled_width(solution, t_hat) * scale
+        # stalled gap: t_star only upper-bounds the optimum, which lies
+        # within the bracket width the gap leaves; refuse unless the dual
+        # side t_star - width also clears the threshold
+        width = solution.gap * (2.0 + 2.0 * t_hat) * scale
         if t_star - width > threshold:
             return False, None
         raise SosIndeterminate(

@@ -16,6 +16,17 @@ from sosarp.sos_certify import (ConvexityCase, SosIndeterminate, SosModel,
                                 min_sigma_sos)
 from sosarp.tensor_poly import SymmetricTensor, min_eigenvalue
 
+# start point (and delta where the default does not fit) of one driver run
+# per bundled problem, shared by the acceptance gates and the driver tests
+SUITE_SETTINGS = {
+    "quad2": dict(x0=[1.5, -2.0]),
+    "cubic2": dict(x0=[0.3, -0.4]),
+    "quartic_sc2": dict(x0=[1.5, -2.0]),
+    "cubic_quartic": dict(delta=0.5, x0=[0.05, -0.1]),
+    "rosenbrock2": dict(x0=[-1.2, 1.0]),
+    "sumexp2": dict(x0=[1.0, -0.5]),
+}
+
 
 def planted_sdp(rng: np.random.Generator, max_block: int = 20,
                 max_m: int = 100) -> Tuple[SdpProblem, float]:

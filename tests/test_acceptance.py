@@ -19,23 +19,14 @@ from sosarp.problems_io import derivatives
 from sosarp.sdp_core import SdpStatus, solve_sdp
 from sosarp.sos_certify import SosModel, is_sos_convex, min_sigma_sos
 from sosarp.tensor_poly import SymmetricTensor, min_eigenvalue
-from conftest import planted_sdp, random_certified_model
-
-# one driver run per bundled problem, shared by criteria 4-8 and 10
-SUITE_SETTINGS = {
-    "quad2": dict(x0=[1.5, -2.0]),
-    "cubic2": dict(x0=[0.3, -0.4]),
-    "quartic_sc2": dict(x0=[1.5, -2.0]),
-    "cubic_quartic": dict(delta=0.5, x0=[0.05, -0.1]),
-    "rosenbrock2": dict(x0=[-1.2, 1.0]),
-    "sumexp2": dict(x0=[1.0, -0.5]),
-}
+from conftest import SUITE_SETTINGS, planted_sdp, random_certified_model
 
 # bundled explicit polynomials whose degree does not exceed the model order,
 # so the order-3 Taylor expansion reproduces f exactly
 EXACT_TAYLOR_PROBLEMS = ("quad2", "cubic2")
 
 
+# one driver run per bundled problem, shared by criteria 4-8 and 10
 @pytest.fixture(scope="module")
 def suite_runs(bundled):
     runs = {}

@@ -1,6 +1,7 @@
 """Outer loop: case classification, ratio test, weight updates, theory checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from sosarp import arp_driver
 from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import build_function, derivatives
-from sosarp.sos_certify import min_sigma_sos
+from sosarp.sos_certify import (_coefficients, _gram_structure, min_sigma_sos,
+                                verify_certificate)
 from sosarp.subproblem import SubsolveResult
 from sosarp.tensor_poly import min_eigenvalue, taylor_value
+from conftest import SUITE_SETTINGS
 
 
 class TestConfig:
@@ -165,8 +168,8 @@ class TestRuns:
     def test_non_finite_sdp_ends_run_with_records(self, bundled, monkeypatch,
                                                    poisoned_vector_solves):
         # from the second certification on, every SDP step turns NaN: the
-        # solves end NumericalFailure, min_sigma_sos falls back to bisection,
-        # whose membership SDP is indeterminate, and the run keeps its records
+        # min-sigma solve ends NumericalFailure with unclean residuals,
+        # min_sigma_sos raises, and the run keeps its records
         config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
         reference = run(bundled["rosenbrock2"], config)
         calls = []
@@ -186,6 +189,30 @@ class TestRuns:
         assert len(result.records) == first_success + 1
         for rec, ref in zip(result.records, reference.records):
             assert _fields(rec) == _fields(ref)
+
+    def test_bundled_certificates_match_to_rounding(self, bundled,
+                                                    monkeypatch):
+        # every certificate the driver gets on the bundled runs reproduces
+        # h_hat to rounding, far inside verify_certificate's 1e-7 threshold
+        certified = []
+
+        def certify(model):
+            sigma_bar, cert = min_sigma_sos(model)
+            certified.append((model, sigma_bar, cert))
+            return sigma_bar, cert
+
+        monkeypatch.setattr(arp_driver, "min_sigma_sos", certify)
+        for name, overrides in SUITE_SETTINGS.items():
+            result = run(bundled[name], ArpConfig(p=3, epsilon=1e-5, **overrides))
+            assert result.status is RunStatus.CONVERGED, name
+        assert certified
+        for model, sigma_bar, cert in certified:
+            report = verify_certificate(cert, replace(model, sigma=sigma_bar))
+            assert report.ok
+            target = _coefficients(model, _gram_structure(model.n, model.p_prime),
+                                   sigma_bar)
+            assert report.max_coeff_mismatch <= 1e-9 * (
+                1.0 + float(np.max(np.abs(target))))
 
     def test_converged_run_has_no_message(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-5, x0=[1.5, -2.0])

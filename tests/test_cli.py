@@ -102,7 +102,7 @@ class TestMinimize:
         assert code == 3
         captured = capsys.readouterr()
         assert "status=CertificationFailure iters=0 " in captured.out
-        assert "phase-I SDP ended with NumericalFailure" in captured.err
+        assert "min-sigma SDP ended with NumericalFailure" in captured.err
 
     @pytest.mark.parametrize("extra", [
         ["--eps", "2"],

@@ -1,12 +1,15 @@
 """Gram-matrix certification of model convexity and the minimal weight."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosarp import sos_certify
+from sosarp.sdp_core import SdpStatus, solve_sdp
 from sosarp.sos_certify import (CertificationError, ConvexityCase, SosModel,
                                 _coefficient_residual, _coefficients,
                                 _gram_structure, gram_basis,
@@ -96,6 +99,60 @@ class TestUnivariateOracle:
         sigma_bar, cert = min_sigma_sos(model)
         assert sigma_bar == pytest.approx(0.0, abs=1e-9)
         assert cert.residual <= 1e-10
+
+
+class TestOneSolve:
+    """min_sigma_sos decides from its one SDP and never asks is_sos_convex."""
+
+    @pytest.fixture()
+    def membership_calls(self, monkeypatch):
+        calls = []
+
+        def refuse(model):
+            calls.append(model)
+            raise AssertionError("min_sigma_sos called is_sos_convex")
+
+        monkeypatch.setattr(sos_certify, "is_sos_convex", refuse)
+        return calls
+
+    @staticmethod
+    def solve_ending(monkeypatch, **fields):
+        """Every certification SDP reports its solve with fields replaced."""
+        def solve(problem, tol):
+            return replace(solve_sdp(problem, tol), **fields)
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", solve)
+
+    @pytest.mark.parametrize("model", [
+        univariate_model(1.0, 6.0),
+        random_certified_model(np.random.default_rng(6), 2, 3),
+        random_certified_model(np.random.default_rng(7), 2, 4),
+    ], ids=["univariate", "n2-p3", "n2-p4"])
+    def test_clean_stalled_solve_is_the_certificate(self, model, monkeypatch,
+                                                    membership_calls):
+        sigma_ref, cert_ref = min_sigma_sos(model)
+        self.solve_ending(monkeypatch, status=SdpStatus.NUMERICAL_FAILURE,
+                          gap=1e-3)
+        sigma_bar, cert = min_sigma_sos(model)
+        assert sigma_bar == sigma_ref
+        assert np.array_equal(cert.Q, cert_ref.Q)
+        assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
+        assert membership_calls == []
+
+    @pytest.mark.parametrize("fields", [
+        dict(status=SdpStatus.NUMERICAL_FAILURE, primal_residual=1e-3),
+        dict(status=SdpStatus.MAX_ITERATIONS, dual_residual=1e-3),
+        dict(status=SdpStatus.INFEASIBLE),
+    ])
+    def test_unclean_solve_raises(self, fields, monkeypatch, membership_calls):
+        self.solve_ending(monkeypatch, **fields)
+        with pytest.raises(CertificationError) as err:
+            min_sigma_sos(univariate_model(1.0, 6.0))
+        message = str(err.value)
+        assert f"min-sigma SDP ended with {fields['status'].value}" in message
+        for part in ("gap", "primal residual", "dual residual"):
+            assert part in message
+        assert membership_calls == []
 
 
 class TestCoefficients:

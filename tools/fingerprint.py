@@ -13,11 +13,14 @@ CHECKOUT/bench/workloads.py, then hashes, at seeds 0 and 3:
 
 Floats enter as their exact repr and arrays as their raw bytes, so two
 checkouts print the same digest only if every output is bit-identical.
-Run it on two checkouts (for instance a `git clone` of the parent commit
-and the working tree) and compare the printed lines.
+The first line is the digest of everything; one line per workload follows,
+its digest over that workload's outputs at both seeds, so a difference
+shows which workload moved.  Run it on two checkouts (for instance a
+`git clone` of the parent commit and the working tree) and compare the
+printed lines.
 
 Rounding inside BLAS depends on the library and its thread count, so the
-line also names numpy's and scipy's BLAS builds and the pinned thread
+first line also names numpy's and scipy's BLAS builds and the pinned thread
 setting; two digests compare only when those agree.
 """
 
@@ -28,6 +31,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 SEEDS = (0, 3)
 # BLAS runs single-threaded, as in bench/run_bench.py, so the summation
@@ -47,17 +51,25 @@ def _load(checkout: Path):
 
 
 class _Digest:
-    def __init__(self) -> None:
+    """SHA-256 of the items added; each one also goes into total's hash."""
+
+    def __init__(self, total: Optional["_Digest"] = None) -> None:
         self._hash = hashlib.sha256()
+        self._total = total
+
+    def _update(self, data: bytes) -> None:
+        self._hash.update(data)
+        if self._total is not None:
+            self._total._update(data)
 
     def add(self, *items) -> None:
         for item in items:
             if hasattr(item, "tobytes"):
-                self._hash.update(repr(item.shape).encode())
-                self._hash.update(item.tobytes())
+                self._update(repr(item.shape).encode())
+                self._update(item.tobytes())
             else:
-                self._hash.update(repr(item).encode())
-            self._hash.update(b"\0")
+                self._update(repr(item).encode())
+            self._update(b"\0")
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
@@ -110,6 +122,11 @@ def _bundled_runs(digest: _Digest, workloads, seed: int) -> None:
                        rec.f_after, rec.flags)
 
 
+# in the order they enter the total digest at each seed
+WORKLOADS = {"certify_grid": _certify_grid, "scans": _scans,
+             "bundled_runs": _bundled_runs}
+
+
 def blas_build(module) -> dict:
     """Name and version of the BLAS a numpy or scipy module was built with,
     in the form of bench/run_bench.py's machine record."""
@@ -131,16 +148,18 @@ def main(argv) -> int:
         return 1
     workloads = _load(Path(argv[1]).resolve())
     digest = _Digest()
+    parts = {name: _Digest(digest) for name in WORKLOADS}
     for seed in SEEDS:
         digest.add("seed", seed)
-        _certify_grid(digest, workloads, seed)
-        _scans(digest, workloads, seed)
-        _bundled_runs(digest, workloads, seed)
+        for name, hash_outputs in WORKLOADS.items():
+            hash_outputs(parts[name], workloads, seed)
     import numpy  # already loaded by _load, after the thread setting was pinned
     import scipy
     threads = " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS)
     print(f"{digest.hexdigest()}  seeds={','.join(map(str, SEEDS))}  "
           f"blas={_blas(numpy)},{_blas(scipy)}  {threads}")
+    for name, part in parts.items():
+        print(f"{part.hexdigest()}  {name}")
     return 0
 
 
