@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sosarp import sos_certify
@@ -160,6 +160,8 @@ class TestCoefficients:
            sigma=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
            s=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
            y=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @example(n=2, p=3, sigma=0.0, seed=0, s=[0.0, 3.0, 0.0],
+             y=[0.0, 1.3083871701027266e-160, 0.0])
     @settings(max_examples=60, deadline=None)
     def test_rows_reproduce_model_hessian_form(self, n, p, sigma, seed, s, y):
         # the closed-form coefficients and the regularizer column, summed
@@ -169,6 +171,10 @@ class TestCoefficients:
         structure = _gram_structure(n, model.p_prime)
         coeff = _coefficients(model, structure, 0.0)
         s, y = np.array(s[:n]), np.array(y[:n])
+        # both sides are quadratic in y, so scaling y up by a power of two
+        # is exact and keeps y[i] * y[ip] out of the subnormal range, where
+        # rounding is absolute and no relative bound can hold
+        y = np.ldexp(y, -min(0, int(np.frexp(np.abs(y).max())[1])))
         terms = [(c + sigma * r) * y[i] * y[ip] * math.prod(s ** np.array(alpha))
                  for (i, ip, alpha), c, r in zip(structure.rows, coeff,
                                                  structure.reg)]
