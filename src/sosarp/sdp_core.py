@@ -19,7 +19,9 @@ general path, so every result is bit-identical to it.
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
 step that overflows or yields NaN ends the solve with NUMERICAL_FAILURE and
-the cleanest finite iterate, never with an exception.
+the cleanest finite iterate, never with an exception.  The one check inside
+a kernel is the step length's: its triangular solves can overflow on a
+finite iterate, and LAPACK's eigenvalues of the result are no bound.
 """
 
 from __future__ import annotations
@@ -253,7 +255,15 @@ def _inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _max_step(chols: Blocks, dS: Blocks) -> float:
-    """Largest alpha with S + alpha*dS still positive definite, S = L L' per block."""
+    """Largest alpha with S + alpha*dS still positive definite, S = L L' per block.
+
+    Raises LinAlgError if a matrix block's L^-1 dS L^-T is not finite, as
+    when the triangular solves overflow on a tiny Cholesky diagonal: LAPACK
+    returns eigenvalues without error for such a matrix (finite ones for
+    diag(1, 1, 1, NaN), NaN ones for an infinite entry), and either would
+    make the step length garbage.  A 1x1 block's overflow is no error: its
+    one eigenvalue is then +-inf, an exact bound of infinity or zero.
+    """
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
         if L.shape[0] == 1:
@@ -266,6 +276,8 @@ def _max_step(chols: Blocks, dS: Blocks) -> float:
         else:
             half = _solve_triangular(L, d_blk, lower=True)
             G = _solve_triangular(L, half.T, lower=True)
+            if not np.isfinite(G).all():
+                raise np.linalg.LinAlgError("step-length matrix is not finite")
             lam = float(_eigvalsh((G + G.T) / 2.0)[0])
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)

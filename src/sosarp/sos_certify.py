@@ -14,6 +14,13 @@ formulation) solve the same small block-diagonal SDP over that structure,
 differing only in the column of the 1x1 block.  A certification is one
 minimal-weight SDP, whose primal iterate is the certificate whenever its
 residuals are clean.
+
+That SDP is balanced before it is solved: it is posed in u, s = r u, with
+r = 2^k chosen from the model so that sigma r^(p'-2) is about max |H_bar|.
+Each row, sigma and the Gram matrix scale by a power of r, which is a power
+of two and so exact in floating point, and the Gram matrix by a positive
+diagonal congruence, which keeps it PSD.  The certificate is mapped back and
+checked in the original basis, so r can cost iterations but never soundness.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ class SosModel:
     sigma: float
     case_tag: ConvexityCase
     p_prime: int = field(init=False)
+    lambda_min: float = field(init=False)  # lambda_min(H_bar)
 
     def __post_init__(self) -> None:
         if self.p < 2:
@@ -103,6 +111,7 @@ class SosModel:
             if tensor.dim != self.n:
                 raise ValueError("higher tensor dimension mismatch")
         lam, _ = min_eigenvalue(self.H_bar)
+        object.__setattr__(self, "lambda_min", lam)
         if lam < self.delta - _MARGIN_SLACK:
             raise ValueError(
                 f"lambda_min(H_bar) = {lam:.3e} violates the >= delta - "
@@ -183,7 +192,9 @@ class _GramStructure:
     reg[k] its coefficient in the regularizer's form at sigma = 1 and
     shift[k] its coefficient in the phase-I shift sum_u z_u^2.
     pair_matrices is one (len(rows), size, size) stack, the layout of an
-    SdpProblem constraint block.
+    SdpProblem constraint block.  row_degrees[k] = |alpha| and
+    basis_degrees[u] = |beta| of basis[u] = (i, beta) are the powers of r
+    by which the substitution s = r u scales a row and a basis element.
     """
 
     basis: Tuple[BasisElement, ...]
@@ -191,6 +202,8 @@ class _GramStructure:
     pair_matrices: np.ndarray
     reg: np.ndarray
     shift: np.ndarray
+    row_degrees: np.ndarray
+    basis_degrees: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,12 +242,15 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
         # z_u^2 contributes only to diagonal rows with even exponents
         shift.append(1.0 if i == ip and all(e % 2 == 0 for e in alpha)
                      else 0.0)
-    pair_matrices.setflags(write=False)
     columns = np.array([reg, shift])
-    columns.setflags(write=False)
+    row_degrees = np.array([sum(alpha) for _, _, alpha in rows])
+    basis_degrees = np.array([sum(beta) for _, beta in basis])
+    for array in (pair_matrices, columns, row_degrees, basis_degrees):
+        array.setflags(write=False)
     return _GramStructure(basis=tuple(basis), rows=tuple(rows),
                           pair_matrices=pair_matrices,
-                          reg=columns[0], shift=columns[1])
+                          reg=columns[0], shift=columns[1],
+                          row_degrees=row_degrees, basis_degrees=basis_degrees)
 
 
 def _coefficients(model: SosModel, structure: _GramStructure,
@@ -246,8 +262,8 @@ def _coefficients(model: SosModel, structure: _GramStructure,
     T_{|alpha|+2}[i, i', alpha] / prod(alpha!), doubled when i != i'.
     """
     closed = np.zeros(len(structure.rows))
-    for k, (i, ip, alpha) in enumerate(structure.rows):
-        degree = sum(alpha)
+    for k, ((i, ip, alpha), degree) in enumerate(
+            zip(structure.rows, structure.row_degrees.tolist())):
         if degree == 0:
             value = float(model.H_bar[i, ip])
         elif degree + 2 <= model.p:
@@ -285,6 +301,50 @@ def _coefficient_residual(basis: Sequence[BasisElement], Q: np.ndarray,
     return max(mismatch, default=0.0)
 
 
+def _balancing_exponent(model: SosModel) -> int:
+    """k of the power of two r = 2^k by which min_sigma_sos substitutes s = r u.
+
+    An a-priori AM-GM estimate of sigma_bar: with q = p'-2, each tensor term
+    of the Hessian is bounded by a_j ||s||^k, k = j-2, a_j = ||T_j||_F / k!,
+    and gets an equal share lambda = lambda_min(H_bar) / (p-2) of the margin;
+    lambda - a_j t^k + sigma t^q >= 0 for all t >= 0 first holds at
+    sigma_j = (k / (q-k)) lambda t_j^-q, t_j = (q lambda / (a_j (q-k)))^(1/k).
+    r then balances the weight's scale, sigma r^q, against max |H_bar|:
+    r = 2^round(log2((max |H_bar| / sigma_est)^(1/q))), sigma_est the largest
+    sigma_j.  Worked in log2, so no extreme tensor overflows; r = 1 when no
+    tensor term needs a weight.
+    """
+    if not model.higher or not model.lambda_min > 0.0:
+        return 0
+    q = model.p_prime - 2
+    lam = model.lambda_min / (model.p - 2)
+    log_sigma = -math.inf  # log2(sigma_est)
+    for j, tensor in enumerate(model.higher, start=3):
+        k = j - 2
+        a = float(np.linalg.norm(tensor.array)) / math.factorial(k)
+        if a == 0.0:
+            continue
+        log_t = math.log2(q * lam / (a * (q - k))) / k
+        log_sigma = max(log_sigma, math.log2(k / (q - k) * lam) - q * log_t)
+    if log_sigma == -math.inf:
+        return 0
+    h_max = float(np.max(np.abs(model.H_bar)))
+    return round((math.log2(h_max) - log_sigma) / q)
+
+
+def _scale_rows(structure: _GramStructure, values: np.ndarray,
+                k: int) -> np.ndarray:
+    """Row coefficients under s = 2^k u: row (i, i', alpha) times 2^(k |alpha|)."""
+    return np.ldexp(values, k * structure.row_degrees)
+
+
+def _scale_gram(structure: _GramStructure, Q: np.ndarray, k: int) -> np.ndarray:
+    """D Q D with D = diag(2^(k |beta|)): a Gram matrix over the s basis
+    as one over the u basis, s = 2^k u; k < 0 maps back."""
+    degrees = k * structure.basis_degrees
+    return np.ldexp(Q, degrees[:, None] + degrees[None, :])
+
+
 def _clean(solution: SdpSolution) -> bool:
     """Both residuals are small, though the gap may have stalled."""
     return (solution.status in (SdpStatus.OPTIMAL, SdpStatus.MAX_ITERATIONS,
@@ -293,10 +353,9 @@ def _clean(solution: SdpSolution) -> bool:
             and solution.dual_residual <= _CLEAN_RESIDUAL)
 
 
-def _certificate(structure: _GramStructure, solution: SdpSolution, scale: float,
+def _certificate(structure: _GramStructure, Q: np.ndarray,
                  target: np.ndarray) -> GramCertificate:
-    """The solve's Gram block, scaled back, with its residual against target."""
-    Q = solution.X[0] * scale
+    """Q over the s basis, with its residual against target."""
     residual = _coefficient_residual(structure.basis, Q, structure.rows, target)
     return GramCertificate(basis=list(structure.basis), Q=Q, residual=residual)
 
@@ -320,26 +379,43 @@ def min_sigma_sos(model: SosModel) -> Tuple[float, GramCertificate]:
 
     The model's own sigma field is ignored; sigma is the 1x1 second block of
     the SDP variable and enters each coefficient-matching row linearly; the
-    SDP is solved to _MIN_SIGMA_TOL.  A solve whose residuals are clean
-    returns its primal iterate as the certificate, whatever its gap: a
-    stalled gap only over-estimates sigma_bar, which is safe because
-    feasibility is monotone in sigma.  Unclean residuals raise
-    CertificationError naming the SDP status, gap and residuals.
+    SDP is solved to _MIN_SIGMA_TOL.
+
+    The SDP is solved in u, s = r u, with r = 2^k from _balancing_exponent:
+    row (i, i', alpha) scales by r^|alpha|, sigma by r^(p'-2) (the
+    regularizer is homogeneous of that degree in s) and the Gram matrix by
+    the congruence Q_u = D Q D, D = diag(r^|beta|).  Unscaled, sigma_bar can
+    be ~1e9 while the low-degree entries of Q are O(1), and the interior
+    point method stalls; balanced, both are of the size of H_bar.  Scaling
+    a float by a power of two only moves its exponent, so the rows, sigma_bar
+    and Q = D^-1 Q_u D^-1 carry no rounding of the substitution, and a
+    congruence by a positive diagonal keeps Q PSD.  The certificate is then
+    built and checked in the original basis against base + sigma_bar * reg,
+    so r can cost iterations but never soundness.
+
+    A solve whose residuals are clean returns its primal iterate as the
+    certificate, whatever its gap: a stalled gap only over-estimates
+    sigma_bar, which is safe because feasibility is monotone in sigma.
+    Unclean residuals raise CertificationError naming the SDP status, gap
+    and residuals.
     """
     structure = _gram_structure(model.n, model.p_prime)
     base = _coefficients(model, structure, 0.0)
+    k = _balancing_exponent(model)
+    rows = _scale_rows(structure, base, k)
     # rescale the matching rows to O(1); sigma and Q scale back linearly
-    scale = max(1.0, float(np.max(np.abs(base))))
-    solution = _solve_gram(structure, structure.reg, base / scale, _MIN_SIGMA_TOL)
+    scale = max(1.0, float(np.max(np.abs(rows))))
+    solution = _solve_gram(structure, structure.reg, rows / scale, _MIN_SIGMA_TOL)
     if not _clean(solution):
         raise CertificationError(
             f"min-sigma SDP ended with {solution.status.value} "
             f"(gap {solution.gap:.3e}, primal residual "
             f"{solution.primal_residual:.3e}, dual residual "
             f"{solution.dual_residual:.3e})")
-    sigma_bar = max(0.0, float(solution.X[1][0, 0])) * scale
-    return sigma_bar, _certificate(structure, solution, scale,
-                                   base + sigma_bar * structure.reg)
+    sigma_u = max(0.0, float(solution.X[1][0, 0])) * scale
+    sigma_bar = math.ldexp(sigma_u, -k * (model.p_prime - 2))
+    Q = _scale_gram(structure, solution.X[0] * scale, -k)
+    return sigma_bar, _certificate(structure, Q, base + sigma_bar * structure.reg)
 
 
 def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
@@ -381,7 +457,7 @@ def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
         raise SosIndeterminate(
             f"stalled too close to the membership threshold "
             f"(t={t_star:.3e}, width={width:.3e}, threshold={threshold:.3e})")
-    return True, _certificate(structure, solution, scale, target)
+    return True, _certificate(structure, solution.X[0] * scale, target)
 
 
 def verify_certificate(cert: GramCertificate, model: SosModel) -> CertificateReport:

@@ -247,6 +247,38 @@ class TestRuns:
         assert report.ok, report.failures
 
 
+class TestOrderFour:
+    """The north star names p in {3, 4}; these gates run the driver at p = 4."""
+
+    @pytest.mark.parametrize("name", SUITE_SETTINGS)
+    def test_suite_converges(self, bundled, name):
+        config = ArpConfig(p=4, epsilon=1e-5, **SUITE_SETTINGS[name])
+        result = run(bundled[name], config)
+        assert result.status is RunStatus.CONVERGED, result.message
+        report = assert_theory(result.records, config)
+        assert report.ok, report.failures
+
+    def test_rosenbrock_second_certification(self, bundled):
+        # the second point of the p = 4 rosenbrock2 run from the suite start
+        # [-1.2, 1.0]: lambda_min(H_bar) = delta ~ 3e-3 against tensors of
+        # order 1e2-1e3 needs sigma_bar ~ 5.4e11, and the unbalanced SDP
+        # ended NumericalFailure with a 6.6e-7 primal residual there
+        config = ArpConfig(p=4, epsilon=1e-5)
+        x = np.array([-0.8680024871290185, 0.8074178893043644])
+        bundle = derivatives(bundled["rosenbrock2"], x, config.p)
+        lam, _ = min_eigenvalue(bundle.hessian())
+        case = classify_case(lam, config.effective_delta)
+        model = build_model(bundle, case, config.effective_delta, 0.0)
+        sigma_bar, cert = min_sigma_sos(model)
+        assert sigma_bar == pytest.approx(5.4364e11, rel=1e-4)
+        report = verify_certificate(cert, replace(model, sigma=sigma_bar))
+        assert report.ok
+        target = _coefficients(model, _gram_structure(model.n, model.p_prime),
+                               sigma_bar)
+        assert report.max_coeff_mismatch <= 1e-9 * (
+            1.0 + float(np.max(np.abs(target))))
+
+
 def _fields(rec):
     """A record as comparable values; repr keeps NaN equal to NaN."""
     return (rec.k, rec.case_tag, repr(rec.lambda_min), repr(rec.sigma_bar),

@@ -163,3 +163,18 @@ class TestScalarBlocks:
         assert _max_step([L], [d_blk]) == _reference_max_step([L], [d_blk])
         with np.errstate(over="ignore"):  # numpy's product warns, a float's does not
             assert _inverse(L) == _reference_inverse(L)
+
+
+class TestStepLength:
+    def test_overflowing_solve_raises(self):
+        # dS = -I and L L' = diag(1, 1, 1, 1e-320): every alpha > 1e-320
+        # leaves the cone, but L^-1 dS L^-T holds -inf, LAPACK's eigenvalues
+        # of it are NaN and the unguarded path allows the full step
+        L = np.diag([1.0, 1.0, 1.0, 1e-160])
+        dS = -np.eye(4)
+        assert _reference_max_step([L], [dS]) == np.inf
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            _max_step([L], [dS])
+        # the same block next to a scalar one: any non-finite block raises
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            _max_step([np.array([[0.5]]), L], [np.array([[-1.0]]), dS])

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from sosarp import sos_certify
 from sosarp.sdp_core import SdpStatus, solve_sdp
 from sosarp.sos_certify import (CertificationError, ConvexityCase, SosModel,
-                                _coefficient_residual, _coefficients,
-                                _gram_structure, gram_basis,
-                                is_sos_convex, min_sigma_sos,
-                                verify_certificate)
+                                _balancing_exponent, _coefficient_residual,
+                                _coefficients, _gram_structure, _scale_gram,
+                                _scale_rows, gram_basis, is_sos_convex,
+                                min_sigma_sos, verify_certificate)
 from sosarp.tensor_poly import SymmetricTensor
-from conftest import random_certified_model
+from conftest import random_certified_model, random_tensor
 
 
 def univariate_model(h: float, t: float, sigma: float = 0.0) -> SosModel:
@@ -198,6 +198,71 @@ class TestCoefficients:
         assert residual <= 1e-12 * (1.0 + float(np.max(np.abs(Q))))
         with pytest.raises(ValueError, match="read-only"):
             structure.pair_matrices[0, 0, 0] = 1.0
+
+
+class TestBalancing:
+    """min_sigma_sos solves in u, s = 2^k u; the substitution is exact."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p_prime", [4, 6])
+    def test_substitution_is_exact(self, n, p_prime):
+        rng = np.random.default_rng(10 * n + p_prime)
+        model = random_certified_model(rng, n, {4: 3, 6: 4}[p_prime])
+        structure = _gram_structure(n, p_prime)
+        q = p_prime - 2
+        sigma = float(rng.uniform(0.1, 10.0))
+        base = _coefficients(model, structure, 0.0)
+        target = _coefficients(model, structure, sigma)
+        size = len(structure.basis)
+        raw = rng.standard_normal((size, size))
+        Q = (raw + raw.T) / 2.0
+        matched = np.einsum("kij,ij->k", structure.pair_matrices, Q)
+        for k in range(-8, 9):
+            # the rows and sigma in u, mapped back, give h_hat's rows in s
+            sigma_u = math.ldexp(sigma, k * q)
+            rows_u = _scale_rows(structure, base, k) + sigma_u * structure.reg
+            assert np.array_equal(_scale_rows(structure, rows_u, -k), target)
+            assert math.ldexp(sigma_u, -k * q) == sigma
+            # D Q D matches row (i, i', alpha) times 2^(k |alpha|), and
+            # D^-1 (D Q D) D^-1 is Q again
+            Q_u = _scale_gram(structure, Q, k)
+            assert np.array_equal(_scale_gram(structure, Q_u, -k), Q)
+            matched_u = np.einsum("kij,ij->k", structure.pair_matrices, Q_u)
+            assert np.array_equal(_scale_rows(structure, matched_u, -k), matched)
+
+    def test_no_tensor_weight_means_no_scaling(self):
+        quadratic = SosModel(n=2, p=3, f0=0.0, g=np.zeros(2),
+                             H_bar=2.0 * np.eye(2),
+                             higher=[SymmetricTensor(3, 2, {})], delta=1.0,
+                             sigma=0.0, case_tag=ConvexityCase.STRONGLY_CONVEX)
+        assert _balancing_exponent(quadratic) == 0
+
+    def test_exponent_balances_weight_against_hessian(self):
+        # univariate p = 3: q = p' - 2 = 2, k = 1, lambda = h and a = |t|, so
+        # t_1 = 2h / |t| and sigma_est = h t_1^-2 = t^2 / (4h); at h = 1,
+        # t = 6 that is 9, and r = 2^round(log2((1 / 9)^(1/2))) = 2^-2
+        assert _balancing_exponent(univariate_model(1.0, 6.0)) == -2
+        # a 4^2 = 16 times larger weight moves r by 1/4
+        assert _balancing_exponent(univariate_model(1.0, 24.0)) == -4
+
+    @given(n=st.integers(1, 3), p=st.sampled_from([3, 4]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           log_delta=st.floats(-3.0, 0.0),
+           log_magnitudes=st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                   max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_badly_scaled_models_certify(self, n, p, seed, log_delta,
+                                         log_magnitudes):
+        # tensor magnitudes 1e-3..1e3 against a margin delta of 1e-3..1:
+        # sigma_bar spans many orders of magnitude, and without the
+        # balancing about one model in ten ended with unclean residuals
+        rng = np.random.default_rng(seed)
+        model = random_certified_model(rng, n, p, delta=10.0 ** log_delta)
+        model = replace(model, higher=[
+            random_tensor(rng, order, n, 10.0 ** log_mag)
+            for order, log_mag in zip(range(3, p + 1), log_magnitudes)])
+        sigma_bar, cert = min_sigma_sos(model)
+        assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
 
 
 class TestMembership:
