@@ -12,7 +12,7 @@ At that scale the fixed cost of a library call outweighs its arithmetic, so
 the triangular solves call LAPACK's dtrtrs directly, with the argument
 mapping of scipy.linalg.solve_triangular, the step-length eigenvalues call
 LAPACK's dsyevd directly, as np.linalg.eigvalsh does, and 1x1 blocks (the
-scalar sigma and t blocks of the certification SDPs) are factored, inverted
+scalar sigma block of the certification SDP) are factored, inverted
 and stepped in closed form.  Each performs the IEEE operations of the
 general path, so every result is bit-identical to it.
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from sosarp import sos_certify
 from sosarp.sdp_core import SdpStatus, solve_sdp
-from sosarp.sos_certify import (CertificationError, ConvexityCase, SosModel,
+from sosarp.sos_certify import (CertificationError, ConvexityCase,
+                                SosIndeterminate, SosModel,
                                 _balancing_exponent, _coefficient_residual,
                                 _coefficients, _gram_structure, _scale_gram,
                                 _scale_rows, gram_basis, is_sos_convex,
@@ -146,8 +147,10 @@ class TestOneSolve:
     ])
     def test_unclean_solve_raises(self, fields, monkeypatch, membership_calls):
         self.solve_ending(monkeypatch, **fields)
-        with pytest.raises(CertificationError) as err:
+        with pytest.raises(SosIndeterminate) as err:
             min_sigma_sos(univariate_model(1.0, 6.0))
+        # still a CertificationError, which run and the scans catch
+        assert isinstance(err.value, CertificationError)
         message = str(err.value)
         assert f"min-sigma SDP ended with {fields['status'].value}" in message
         for part in ("gap", "primal residual", "dual residual"):
@@ -198,6 +201,65 @@ class TestCoefficients:
         assert residual <= 1e-12 * (1.0 + float(np.max(np.abs(Q))))
         with pytest.raises(ValueError, match="read-only"):
             structure.pair_matrices[0, 0, 0] = 1.0
+
+
+def _poly_mul(a, b):
+    """Product of two polynomials held as {exponents: integer coefficient}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _regularizer_rows(n, p_prime, rows):
+    """Row coefficients of ||s||^(p'-2) ||y||^2 + (p'-2) ||s||^(p'-4) (s.y)^2,
+    expanded in integers over the variables (s, y), independently of R."""
+    def unit(*positions):
+        exps = [0] * (2 * n)
+        for pos in positions:
+            exps[pos] += 1
+        return tuple(exps)
+
+    one = {unit(): 1}
+    s_sq = {unit(j, j): 1 for j in range(n)}
+    y_sq = {unit(n + j, n + j): 1 for j in range(n)}
+    s_dot_y = {unit(j, n + j): 1 for j in range(n)}
+    power = one
+    for _ in range((p_prime - 4) // 2):
+        power = _poly_mul(power, s_sq)
+    form = _poly_mul(_poly_mul(power, s_sq), y_sq)
+    for key, c in _poly_mul(power, _poly_mul(s_dot_y, s_dot_y)).items():
+        form[key] = form.get(key, 0) + (p_prime - 2) * c
+    return np.array([float(form.get(tuple(alpha) + unit(n + i, n + ip)[n:], 0))
+                     for i, ip, alpha in rows])
+
+
+class TestRegularizerGram:
+    """R, the regularizer's Gram matrix at sigma = 1, is exact and PSD."""
+
+    # (4, 8) is left out: its pair stack alone is 2100 x 140 x 140 doubles,
+    # about 330 MB
+    @pytest.mark.parametrize("n, p_prime", [
+        (n, p_prime) for n in (1, 2, 3, 4) for p_prime in (4, 6, 8)
+        if (n, p_prime) != (4, 8)])
+    def test_gram_matrix_reproduces_regularizer(self, n, p_prime):
+        structure = _gram_structure(n, p_prime)
+        R = structure.R
+        # integer sums are exact, so A(R) and the form's own expansion
+        # agree bit for bit, and z'Rz re-expanded from the basis matches too
+        assert np.array_equal(
+            np.einsum("kab,ab->k", structure.pair_matrices, R), structure.reg)
+        assert np.array_equal(structure.reg,
+                              _regularizer_rows(n, p_prime, structure.rows))
+        assert _coefficient_residual(structure.basis, R, structure.rows,
+                                     structure.reg) == 0.0
+        # a sum of PSD integer terms, so its eigenvalues miss 0 only by
+        # LAPACK's rounding
+        assert np.linalg.eigvalsh(R)[0] >= -1e-13 * float(np.max(R))
+        with pytest.raises(ValueError, match="read-only"):
+            R[0, 0] = 1.0
 
 
 class TestBalancing:
@@ -270,7 +332,7 @@ class TestMembership:
         self._check_bracketing(p=3)
 
     def test_bracketing_around_minimal_weight_p4(self):
-        # p' = 6: the t-shift column reaches degree-4 monomials in s
+        # p' = 6: the regularizer's Gram matrix reaches degree-4 monomials in s
         self._check_bracketing(p=4)
 
     @staticmethod
@@ -299,6 +361,69 @@ class TestMembership:
             ok, _ = is_sos_convex(
                 replace(model, sigma=max(sigma_bar, 1e-8) * factor))
             assert ok is True
+
+
+    @given(n=st.integers(1, 3), p=st.sampled_from([3, 4]),
+           seed=st.integers(0, 2 ** 32 - 1), factor=st.floats(1.0, 10.0))
+    @example(n=2, p=3, seed=0, factor=1.0)
+    @settings(max_examples=10, deadline=None)
+    def test_answers_follow_the_minimal_weight(self, n, p, seed, factor):
+        # at or above sigma_bar the answer is True with a certificate that
+        # passes the independent check; clearly below, it is False
+        model = random_certified_model(np.random.default_rng(seed), n, p)
+        sigma_bar, _ = min_sigma_sos(model)
+        above = replace(model, sigma=sigma_bar * factor)
+        ok, cert = is_sos_convex(above)
+        assert ok is True
+        assert verify_certificate(cert, above).ok
+        if sigma_bar > 1e-9:
+            assert is_sos_convex(replace(model, sigma=sigma_bar * 0.99)) == (
+                False, None)
+
+    @pytest.mark.parametrize("n, p", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+    def test_zero_tensors_are_convex_at_zero_weight(self, n, p):
+        # sigma_bar comes back about 1e-11 and its dual bound just below 0;
+        # Q_bar - sigma_bar R is still PSD to rounding
+        model = random_certified_model(np.random.default_rng(n + p), n, p)
+        model = replace(model, higher=[SymmetricTensor(order, n, {})
+                                       for order in range(3, p + 1)])
+        ok, cert = is_sos_convex(model)
+        assert ok is True
+        assert verify_certificate(cert, model).ok
+
+    def test_just_below_a_large_minimal_weight_is_refuted(self):
+        # sigma_bar ~ 310.6 with the dual bound within 6e-9 relative, so
+        # 0.999 sigma_bar is certainly too small; a threshold relative to
+        # 1 + max |target| is loose at this weight and accepted it
+        model = random_certified_model(np.random.default_rng(4), 2, 4,
+                                       magnitude=5.0)
+        sigma_bar, _ = min_sigma_sos(model)
+        assert 300.0 < sigma_bar < 320.0
+        assert is_sos_convex(replace(model, sigma=0.999 * sigma_bar)) == (
+            False, None)
+
+    @pytest.mark.parametrize("fields", [
+        dict(status=SdpStatus.NUMERICAL_FAILURE, primal_residual=1e-3),
+        dict(status=SdpStatus.INFEASIBLE),
+    ])
+    def test_unclean_solve_is_undecided(self, fields, monkeypatch):
+        TestOneSolve.solve_ending(monkeypatch, **fields)
+        with pytest.raises(SosIndeterminate, match="min-sigma SDP ended with"):
+            is_sos_convex(univariate_model(1.0, 6.0, sigma=6.0))
+
+    def test_between_dual_bound_and_minimal_weight_is_undecided(self,
+                                                               monkeypatch):
+        # halving the dual iterate halves the bound: sigma_lo ~ 1.5 for
+        # sigma_bar = 3, so 0.75 sigma_bar is neither certified nor refuted
+        def solve(problem, tol):
+            solution = solve_sdp(problem, tol)
+            return replace(solution, y=solution.y / 2.0)
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", solve)
+        with pytest.raises(SosIndeterminate) as err:
+            is_sos_convex(univariate_model(1.0, 6.0, sigma=0.75 * 3.0))
+        for name in ("sigma=", "sigma_lo=", "sigma_bar="):
+            assert name in str(err.value)
 
 
 class TestCertificates:
