@@ -1,12 +1,10 @@
 """Dense primal-dual interior-point solver for small block-diagonal SDPs.
 
 Standard primal form: minimize <C, X> subject to <A_k, X> = b_k, X PSD, with
-X constrained to a fixed block-diagonal structure.  Each block's constraint
-matrices are one stacked (m, d, d) array, so A, its adjoint and the Schur
-complement are array products.  The solver is a Mehrotra-style
-predictor-corrector on the HKM search direction (linearize dX Z + X dZ = R_c,
-solve, symmetrize dX), with dense factorizations throughout.  Desk-scale
-targets: block sizes <= ~60, <= ~500 constraints.
+X constrained to a fixed block-diagonal structure.  The solver is a
+Mehrotra-style predictor-corrector on the HKM search direction (linearize
+dX Z + X dZ = R_c, solve, symmetrize dX), with dense factorizations
+throughout.  Desk-scale targets: block sizes <= ~60, <= ~500 constraints.
 
 At that scale the fixed cost of a library call outweighs its arithmetic, so
 the triangular solves call LAPACK's dtrtrs directly, with the argument
@@ -15,6 +13,31 @@ LAPACK's dsyevd directly, as np.linalg.eigvalsh does, and 1x1 blocks (the
 scalar sigma block of the certification SDP) are factored, inverted
 and stepped in closed form.  Each performs the IEEE operations of the
 general path, so every result is bit-identical to it.
+
+An SdpProblem checks its data once, on construction, and keeps what every
+solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
+one after another (N = sum d_j^2), of which each block's (m, d, d) stack of
+constraint matrices is a view; the Cholesky factor of the constraint Gram
+matrix Avec Avec'; and the nonzero entries of Avec.  with_rhs poses the same
+constraints with another b and checks only b, so a family of problems that
+differ in b, like the certification SDPs of one Gram structure, pays for
+that once.
+
+A(X) is the product Avec vec(X), and the Schur complement M[i, j] =
+<A_i, X A_j Z^-1> is Avec times the rows vec(X A_j Z^-1).  The other two
+products that touch the constraint matrices are scatters of their nonzero
+entries with np.bincount: the stacks X A_k add each product X[r, i] A_k[i, c]
+into cell (r, c), and A*(y) adds each y_k A_k[c] into cell c in order of k.
+For the certification SDP both are exact: each pair matrix is a 0/1 partial
+permutation, with no two nonzeros in a row or column, so each cell of X A_k
+receives at most one product, the one term a matrix product sums with exact
+zeros; the pair matrices' supports are disjoint, so each cell of their block
+in A*(y) receives one term too, and the sigma column receives its terms in
+order of k, as einsum over the dense rows adds them.  So those results are
+bit for bit the dense products'; for dense data they agree up to rounding.
+The scatter keeps d products per nonzero entry, which for the pair matrices
+is d^3 per block, but for dense constraint matrices m d^3, d times the
+memory of the stacks themselves.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
@@ -26,6 +49,7 @@ finite iterate, and LAPACK's eigenvalues of the result are no bound.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -101,6 +125,67 @@ def _symmetrized(stack: np.ndarray, what: str) -> np.ndarray:
     return (stack + stack.transpose(0, 2, 1)) / 2.0
 
 
+def _rhs_vector(b) -> np.ndarray:
+    """b as a float vector; ValueError unless it is a finite vector."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"b has shape {b.shape}, expected a vector")
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"entry {bad[0]} of b is not finite")
+    return b
+
+
+class _Scatter(NamedTuple):
+    """The nonzero entries of the (m, N) row matrix, Avec[rows[e], cells[e]]
+    = values[e], in order of the row, then of the cell; and the products
+    that make up X_j A_k: vec(X)[sources[t]] * factors[t] is X_j[r, i]
+    A_k[i, c], and bins[t] its cell (k, r, c) of block j's (m, d, d) stack,
+    the stacks of all blocks lying one after another in one flat array."""
+
+    rows: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    sources: np.ndarray
+    factors: np.ndarray
+    bins: np.ndarray
+
+
+def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
+    m = avec.shape[0]
+    rows, cells = np.nonzero(avec)
+    values = avec[rows, cells]
+    sources, factors, bins = [], [], []
+    start = 0
+    for d in sizes:
+        mine = (cells >= start) & (cells < start + d * d)
+        i, c = np.divmod(cells[mine] - start, d)
+        r = np.arange(d)[:, None]
+        sources.append((start + d * r + i).ravel())
+        factors.append(np.broadcast_to(values[mine], (d, i.size)).ravel())
+        bins.append((m * start + rows[mine] * (d * d) + d * r + c).ravel())
+        start += d * d
+    scatter = _Scatter(rows, cells, values, np.concatenate(sources),
+                       np.concatenate(factors), np.concatenate(bins))
+    for array in scatter:
+        array.setflags(write=False)
+    return scatter
+
+
+def _times_stacks(x_vec: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
+    """Every block's stack X_j A_k, k = 1..m, in one flat array of length
+    size: each product X_j[r, i] A_k[i, c] added into its cell."""
+    return np.bincount(scatter.bins, x_vec[scatter.sources] * scatter.factors,
+                       minlength=size)
+
+
+def _adjoint(y: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
+    """sum_k y_k Avec[k] of length size, each cell's terms added in order
+    of k."""
+    return np.bincount(scatter.cells, y[scatter.rows] * scatter.values,
+                       minlength=size)
+
+
 @dataclass
 class SdpProblem:
     """minimize <C, X> s.t. <A_k, X> = b_k, X PSD block-diagonal.
@@ -109,12 +194,19 @@ class SdpProblem:
     (m, d_j, d_j) stack of block j of A_1..A_m, and b has length m.  Data
     that is not finite or not symmetric raises ValueError.  Linearly
     dependent constraint rows (rank tolerance 1e-10) are dropped with a
-    warning during construction.
+    warning during construction.  Construction also factors the constraint
+    Gram matrix, which raises LinAlgError if it is not numerically positive
+    definite.  The stored blocks are read-only and shared by with_rhs.
     """
 
     objective: Blocks
     constraints: Blocks
     b: np.ndarray
+    _kept: np.ndarray = field(init=False, repr=False, compare=False)
+    _avec: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _a_scale: float = field(init=False, repr=False, compare=False)
+    _scatter: _Scatter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.objective) == 0:
@@ -122,12 +214,7 @@ class SdpProblem:
         if len(self.constraints) != len(self.objective):
             raise ValueError(f"constraints have {len(self.constraints)} blocks, "
                              f"objective has {len(self.objective)}")
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError(f"b has shape {b.shape}, expected a vector")
-        bad = np.flatnonzero(~np.isfinite(b))
-        if bad.size:
-            raise ValueError(f"entry {bad[0]} of b is not finite")
+        b = _rhs_vector(self.b)
         m = len(b)
         objective: Blocks = []
         constraints: Blocks = []
@@ -158,9 +245,41 @@ class SdpProblem:
             warnings.warn(f"dropping linearly dependent SDP constraint row {k}",
                           RuntimeWarning, stacklevel=2)
         if not kept.all():
-            constraints = [a[kept] for a in constraints]
+            rows = rows[kept]
             b = b[kept]
+        m = len(b)
+
+        # what every solve of these constraints shares, read-only; each
+        # block's stack is a view of its columns of the row matrix
+        for array in (*objective, kept, rows):
+            array.setflags(write=False)
+        sizes = [c.shape[0] for c in objective]
+        ends = np.cumsum([d * d for d in sizes]).tolist()
+        constraints = [rows[:, end - d * d:end].reshape(m, d, d)
+                       for end, d in zip(ends, sizes)]
+        gram = rows @ rows.T
+        gram_chol = _chol((gram + gram.T) / 2.0)
+        gram_chol.setflags(write=False)
+        self._gram_chol = gram_chol
+        self._a_scale = math.sqrt(float(np.max(
+            sum(np.sum(a * a, axis=(1, 2)) for a in constraints), initial=0.0)))
+        self._scatter = _scatter(rows, sizes)
+        self._kept, self._avec = kept, rows
         self.objective, self.constraints, self.b = objective, constraints, b
+
+    def with_rhs(self, b) -> SdpProblem:
+        """This problem with right-hand side b, sharing the checked
+        constraints and everything built from them.  b has one entry per
+        constraint row given at construction, and loses the rows dropped
+        then.  Only b is checked: ValueError unless it is a finite vector
+        of that length."""
+        b = _rhs_vector(b)
+        if len(b) != len(self._kept):
+            raise ValueError(f"b has length {len(b)}, expected one entry per "
+                             f"constraint row ({len(self._kept)})")
+        problem = copy.copy(self)
+        problem.b = b if self._kept.all() else b[self._kept]
+        return problem
 
     @property
     def block_sizes(self) -> List[int]:
@@ -302,9 +421,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     sizes = problem.block_sizes
     n_tot = problem.n_total
     C = problem.objective
-    A = problem.constraints
     b = problem.b
-    Avec = _rows(A)
+    m = len(b)
+    Avec = problem._avec
+    gram_chol = problem._gram_chol
+    scatter = problem._scatter
+    a_scale = problem._a_scale
     ends = np.cumsum([d * d for d in sizes]).tolist()
     spans = [(end - d * d, end, d) for end, d in zip(ends, sizes)]
 
@@ -312,24 +434,24 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         return Avec @ _vec(mat)
 
     def apply_At(y: np.ndarray) -> Blocks:
-        # einsum adds y_k A_k in order of k; a BLAS product would sum in
-        # another order and move every iterate by rounding
-        flat = np.einsum("k,kn->n", y, Avec)
+        flat = _adjoint(y, scatter, Avec.shape[1])
         return [flat[start:end].reshape(d, d) for start, end, d in spans]
 
-    gram = Avec @ Avec.T
-    gram_chol = _chol((gram + gram.T) / 2.0)
+    # row k of XAZ holds X_j A_k Zinv_j of every block j, written in place
+    # through one (m, d, d) view per block
+    XAZ = np.empty_like(Avec)
+    XAZ_blocks = [XAZ[:, start:end].reshape(m, d, d) for start, end, d in spans]
 
     b_scale = float(np.max(np.abs(b), initial=1.0))
-    a_scale = math.sqrt(float(np.max(sum(np.sum(a * a, axis=(1, 2)) for a in A),
-                                     initial=0.0)))
+    b_norm = float(np.linalg.norm(b))
     c_scale = block_norm(C)
     xi = max(10.0, math.sqrt(n_tot), n_tot * b_scale / max(1.0, a_scale))
     eta = max(10.0, math.sqrt(n_tot), c_scale, a_scale)
 
-    X = [xi * np.eye(d) for d in sizes]
-    Z = [eta * np.eye(d) for d in sizes]
-    y = np.zeros(len(b))
+    eyes = [np.eye(d) for d in sizes]
+    X = [xi * eye for eye in eyes]
+    Z = [eta * eye for eye in eyes]
+    y = np.zeros(m)
 
     trace: List[IterateLog] = []
     status = SdpStatus.MAX_ITERATIONS
@@ -348,7 +470,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         obj_p = block_inner(C, X)
         obj_d = float(b @ y)
         gap = xz / (1.0 + abs(obj_p) + abs(obj_d))
-        p_res = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b)))
+        p_res = float(np.linalg.norm(r_p)) / (1.0 + b_norm)
         d_res = block_norm(R_d) / (1.0 + c_scale)
         trace.append(IterateLog(iteration, obj_p, obj_d, gap, p_res, d_res, mu))
         merit = max(gap, p_res, d_res)
@@ -375,7 +497,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             Z_inv = [_inverse(L) for L in Z_chols]
 
             # Schur complement M[i, j] = sum_blocks <A_i, X A_j Zinv>
-            M = Avec @ _rows([x @ a @ zi for x, a, zi in zip(X, A, Z_inv)]).T
+            XA = _times_stacks(_vec(X), scatter, XAZ.size)
+            for (start, end, d), zi, out in zip(spans, Z_inv, XAZ_blocks):
+                np.matmul(XA[m * start:m * end].reshape(m, d, d), zi, out=out)
+            M = Avec @ XAZ.T
             M = (M + M.T) / 2.0
             M_chol = _chol(M)
 
@@ -397,15 +522,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 # constant, well-conditioned constraint Gram matrix stops the
                 # primal residual from regrowing late in the run.
                 before = r_p - apply_A(dX)
-                corrected = dX
+                corrected, defect = dX, before
                 for _ in range(2):
-                    defect = r_p - apply_A(corrected)
                     half = _solve_triangular(gram_chol, defect, lower=True)
                     lam = _solve_triangular(gram_chol.T, half, lower=False)
                     corr = apply_At(lam)
                     corrected = [dx + c for dx, c in zip(corrected, corr)]
-                after = r_p - apply_A(corrected)
-                if float(np.linalg.norm(after)) <= float(np.linalg.norm(before)):
+                    defect = r_p - apply_A(corrected)
+                if float(np.linalg.norm(defect)) <= float(np.linalg.norm(before)):
                     return corrected
                 return dX
 
@@ -431,8 +555,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # corrector with Mehrotra second-order term
-            Rc = [center * mu * np.eye(d) - (x @ z) - (dxa @ dza)
-                  for d, x, z, dxa, dza in zip(sizes, X, Z, dX_aff, dZ_aff)]
+            Rc = [center * mu * eye - (x @ z) - (dxa @ dza)
+                  for eye, x, z, dxa, dza in zip(eyes, X, Z, dX_aff, dZ_aff)]
             dX, dy, dZ = direction(Rc)
             alpha_p = min(1.0, _STEP_FRACTION * _max_step(X_chols, dX))
             alpha_d = min(1.0, _STEP_FRACTION * _max_step(Z_chols, dZ))

@@ -187,7 +187,10 @@ class _GramStructure:
     coefficients; integer sums are exact, so z'Rz is the regularizer's form
     bit for bit.  row_degrees[k] = |alpha| and basis_degrees[u] = |beta| of
     basis[u] = (i, beta) are the powers of r by which the substitution
-    s = r u scales a row and a basis element.
+    s = r u scales a row and a basis element.  problem is the min-sigma
+    SDP over these rows, min sigma s.t. <pair_matrices[k], Q> - reg[k] sigma
+    = b_k, with b = 0; each model poses it with problem.with_rhs, so its
+    checks and factorizations are made once per (n, p').
     """
 
     basis: Tuple[BasisElement, ...]
@@ -197,6 +200,7 @@ class _GramStructure:
     reg: np.ndarray
     row_degrees: np.ndarray
     basis_degrees: np.ndarray
+    problem: SdpProblem
 
 
 def _multinomial(exponents: Exponents) -> int:
@@ -249,9 +253,15 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
     basis_degrees = np.array([sum(beta) for _, beta in basis])
     for array in (pair_matrices, R, reg, row_degrees, basis_degrees):
         array.setflags(write=False)
+    problem = SdpProblem(objective=[np.zeros((size, size)), np.ones((1, 1))],
+                         constraints=[pair_matrices, -reg[:, None, None]],
+                         b=np.zeros(len(rows)))
+    # the problem's read-only stack is this one, symmetric to the bit: keep
+    # one copy
     return _GramStructure(basis=tuple(basis), rows=tuple(rows),
-                          pair_matrices=pair_matrices, R=R, reg=reg,
-                          row_degrees=row_degrees, basis_degrees=basis_degrees)
+                          pair_matrices=problem.constraints[0], R=R, reg=reg,
+                          row_degrees=row_degrees, basis_degrees=basis_degrees,
+                          problem=problem)
 
 
 def _coefficients(model: SosModel, structure: _GramStructure,
@@ -369,11 +379,7 @@ def _min_sigma_solve(model: SosModel) -> Tuple[
     rows = _scale_rows(structure, base, k)
     # rescale the matching rows to O(1); sigma and Q scale back linearly
     scale = max(1.0, float(np.max(np.abs(rows))))
-    size = len(structure.basis)
-    problem = SdpProblem(objective=[np.zeros((size, size)), np.ones((1, 1))],
-                         constraints=[structure.pair_matrices,
-                                      -structure.reg[:, None, None]],
-                         b=rows / scale)
+    problem = structure.problem.with_rhs(rows / scale)
     solution = solve_sdp(problem, tol=_MIN_SIGMA_TOL)
     # both residuals small, though the gap may have stalled
     if not (solution.status in (SdpStatus.OPTIMAL, SdpStatus.MAX_ITERATIONS,

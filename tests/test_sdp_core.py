@@ -1,5 +1,7 @@
 """Interior-point SDP solver: analytic instances, planted optima, statuses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,15 @@ class TestAnalytic:
         sol = solve_sdp(problem)
         assert sol.status is SdpStatus.OPTIMAL
         assert primal_objective(problem, sol.X) == pytest.approx(2.0, abs=1e-6)
+        # with_rhs takes a b for both rows given and drops the same one,
+        # without checking the constraints, or warning, again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wider = problem.with_rhs([3.0, 5.0])
+        assert np.array_equal(wider.b, [3.0])
+        sol = solve_sdp(wider)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert primal_objective(wider, sol.X) == pytest.approx(3.0, abs=1e-6)
 
 
 class TestStatuses:
@@ -146,6 +157,43 @@ class TestProblemChecks:
         # rejected at construction, before any arithmetic can warn
         with pytest.raises(ValueError, match=message):
             SdpProblem(objective=objective, constraints=constraints, b=b)
+
+
+class TestWithRhs:
+    @pytest.mark.parametrize("b, message", [
+        ([1.0, np.inf, 1.0], "entry 1 of b is not finite"),
+        ([1.0, 0.0, np.nan], "entry 2 of b is not finite"),
+        ([1.0, 0.0], "b has length 2, expected one entry per constraint row"),
+        ([1.0, 0.0, 1.0, 2.0], "b has length 4"),
+        ([[1.0, 0.0, 1.0]], "expected a vector"),
+    ], ids=["inf", "nan", "short", "long", "matrix"])
+    def test_bad_rhs_raises(self, b, message):
+        problem = SdpProblem(objective=_C, constraints=[_A, _T], b=[1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            problem.with_rhs(b)
+
+    def test_shared_data_is_read_only(self):
+        problem, _ = planted_sdp(np.random.default_rng(5), max_block=6, max_m=12)
+        other = problem.with_rhs(2.0 * problem.b)
+        assert other._avec is problem._avec
+        shared = [*problem.objective, *problem.constraints, problem._avec,
+                  problem._gram_chol, *problem._scatter]
+        for array in shared:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
+    def test_solves_share_no_state(self):
+        # each solve gets its own work arrays: a solve of a sibling problem
+        # in between leaves a repeated solve bit-identical
+        problem, _ = planted_sdp(np.random.default_rng(8), max_block=8, max_m=20)
+        first = solve_sdp(problem)
+        sibling = solve_sdp(problem.with_rhs(1.5 * problem.b))
+        again = solve_sdp(problem)
+        assert sibling.status is SdpStatus.OPTIMAL
+        assert again.iterations == first.iterations
+        for a, b in zip((*first.X, first.y, *first.Z), (*again.X, again.y, *again.Z)):
+            assert np.array_equal(a, b)
 
 
 class TestNonFiniteIterate:

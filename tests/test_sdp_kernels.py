@@ -3,15 +3,19 @@ replace.
 
 The kernels promise the same bits, so every comparison is exact equality.
 They check no input for inf or NaN (the solver checks each iterate once),
-so the reference is the unchecked general path.
+so the reference is the unchecked general path.  The constraint scatters
+promise the dense products' bits only for the certification SDP's 0/1
+pair matrices; on dense data they agree up to rounding.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from sosarp.sdp_core import (_chol, _cholesky, _eigvalsh, _inverse, _max_step,
-                             _solve_triangular)
+from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _cholesky, _eigvalsh,
+                             _inverse, _max_step, _solve_triangular,
+                             _times_stacks, _vec)
+from sosarp.sos_certify import _gram_structure
 
 
 def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
@@ -178,3 +182,61 @@ class TestStepLength:
         # the same block next to a scalar one: any non-finite block raises
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             _max_step([np.array([[0.5]]), L], [np.array([[-1.0]]), dS])
+
+
+# (n, p') of every certification SDP the benchmark solves
+BENCH_STRUCTURES = [(1, 4), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6)]
+
+
+def _scattered_stacks(problem, X):
+    """Each block's (m, d, d) stack X_j A_k, cut from the flat scatter."""
+    m, width = problem._avec.shape
+    flat = _times_stacks(_vec(X), problem._scatter, m * width)
+    stacks, start = [], 0
+    for d in problem.block_sizes:
+        stacks.append(flat[m * start:m * (start + d * d)].reshape(m, d, d))
+        start += d * d
+    return stacks
+
+
+def _wide_range(rng, shape):
+    """Finite entries of both signs across ten orders of magnitude."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+
+
+class TestConstraintScatter:
+    @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
+    def test_certification_products_equal_dense(self, n, p_prime):
+        problem = _gram_structure(n, p_prime).problem
+        rng = np.random.default_rng(10 * n + p_prime)
+        for _ in range(5):
+            X = [_wide_range(rng, (d, d)) for d in problem.block_sizes]
+            for got, x, a in zip(_scattered_stacks(problem, X), X,
+                                 problem.constraints):
+                assert np.array_equal(got, x @ a)
+            y = _wide_range(rng, len(problem.b))
+            # the sigma column sums one term per row: the order of k matters
+            expected = np.einsum("k,kn->n", y, problem._avec)
+            assert np.array_equal(_adjoint(y, problem._scatter, len(expected)),
+                                  expected)
+
+    def test_dense_products_agree_to_rounding(self):
+        rng = np.random.default_rng(2)
+        sizes, m = [7, 1, 4], 12
+        objective = [np.eye(d) for d in sizes]
+        constraints = []
+        for d in sizes:
+            raw = rng.standard_normal((m, d, d))
+            constraints.append(raw + raw.transpose(0, 2, 1))
+        problem = SdpProblem(objective=objective, constraints=constraints,
+                             b=np.zeros(m))
+        X = [rng.standard_normal((d, d)) for d in sizes]
+        for got, x, a in zip(_scattered_stacks(problem, X), X, problem.constraints):
+            expected = x @ a
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+        y = rng.standard_normal(m)
+        expected = np.einsum("k,kn->n", y, problem._avec)
+        np.testing.assert_allclose(_adjoint(y, problem._scatter, len(expected)),
+                                   expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))

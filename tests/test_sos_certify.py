@@ -140,6 +140,21 @@ class TestOneSolve:
         assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
         assert membership_calls == []
 
+    def test_structure_checked_once(self, monkeypatch):
+        # the rank QR runs when the structure's SDP is built, not per model
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        _gram_structure.cache_clear()
+        min_sigma_sos(univariate_model(1.0, 6.0))
+        min_sigma_sos(univariate_model(2.0, 3.0))
+        assert len(qr_calls) == 1
+
     @pytest.mark.parametrize("fields", [
         dict(status=SdpStatus.NUMERICAL_FAILURE, primal_residual=1e-3),
         dict(status=SdpStatus.MAX_ITERATIONS, dual_residual=1e-3),
