@@ -144,11 +144,12 @@ def classify_case(lambda_min: float, delta: float) -> ConvexityCase:
 
 
 def build_model(bundle, case_tag: ConvexityCase, delta: float,
-                sigma: float) -> SosModel:
+                sigma: float, lambda_min: Optional[float] = None) -> SosModel:
     """Case-shifted model: H_bar is H, H - lambda_min*I + delta*I, or
-    H + delta*I so that lambda_min(H_bar) >= delta in every case."""
+    H + delta*I so that lambda_min(H_bar) >= delta in every case.  A caller
+    that already holds lambda_min(H) passes it to save the eigensolve."""
     H = bundle.hessian()
-    lam, _ = min_eigenvalue(H)
+    lam = min_eigenvalue(H)[0] if lambda_min is None else lambda_min
     expected = classify_case(lam, delta)
     if expected is not case_tag:
         raise ValueError(
@@ -204,7 +205,7 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
                 break
             lam, _ = min_eigenvalue(bundle.hessian())
             case = classify_case(lam, delta)
-            base_model = build_model(bundle, case, delta, sigma=0.0)
+            base_model = build_model(bundle, case, delta, sigma=0.0, lambda_min=lam)
             try:
                 sigma_bar, _ = min_sigma_sos(base_model)
             except CertificationError as err:

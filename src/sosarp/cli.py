@@ -226,7 +226,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     bundle = func.derivatives(point, args.p)
     lam, _ = min_eigenvalue(bundle.hessian())
     case = classify_case(lam, args.delta)
-    model = build_model(bundle, case, args.delta, 0.0)
+    model = build_model(bundle, case, args.delta, 0.0, lambda_min=lam)
     try:
         sigma_bar, cert = min_sigma_sos(model)
     except CertificationError as err:

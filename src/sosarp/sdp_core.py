@@ -4,15 +4,14 @@ Standard primal form: minimize <C, X> subject to <A_k, X> = b_k, X PSD, with
 X constrained to a fixed block-diagonal structure.  The solver is a
 Mehrotra-style predictor-corrector on the HKM search direction (linearize
 dX Z + X dZ = R_c, solve, symmetrize dX), with dense factorizations
-throughout.  Desk-scale targets: block sizes <= ~60, <= ~500 constraints.
+throughout.  It is sized for small blocks with sparse constraint data, such
+as the certification SDP's 0/1 pair matrices (see the scatters below).
 
 At that scale the fixed cost of a library call outweighs its arithmetic, so
 the triangular solves call LAPACK's dtrtrs directly, with the argument
-mapping of scipy.linalg.solve_triangular, the step-length eigenvalues call
-LAPACK's dsyevd directly, as np.linalg.eigvalsh does, and 1x1 blocks (the
-scalar sigma block of the certification SDP) are factored, inverted
-and stepped in closed form.  Each performs the IEEE operations of the
-general path, so every result is bit-identical to it.
+mapping of scipy.linalg.solve_triangular, and the step-length eigenvalues
+call LAPACK's dsyevd directly, as np.linalg.eigvalsh does; both give the
+library call's bits.
 
 An SdpProblem checks its data once, on construction, and keeps what every
 solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
@@ -23,21 +22,29 @@ constraints with another b and checks only b, so a family of problems that
 differ in b, like the certification SDPs of one Gram structure, pays for
 that once.
 
-A(X) is the product Avec vec(X), and the Schur complement M[i, j] =
-<A_i, X A_j Z^-1> is Avec times the rows vec(X A_j Z^-1).  The other two
-products that touch the constraint matrices are scatters of their nonzero
-entries with np.bincount: the stacks X A_k add each product X[r, i] A_k[i, c]
-into cell (r, c), and A*(y) adds each y_k A_k[c] into cell c in order of k.
-For the certification SDP both are exact: each pair matrix is a 0/1 partial
-permutation, with no two nonzeros in a row or column, so each cell of X A_k
-receives at most one product, the one term a matrix product sums with exact
-zeros; the pair matrices' supports are disjoint, so each cell of their block
-in A*(y) receives one term too, and the sigma column receives its terms in
-order of k, as einsum over the dense rows adds them.  So those results are
-bit for bit the dense products'; for dense data they agree up to rounding.
-The scatter keeps d products per nonzero entry, which for the pair matrices
-is d^3 per block, but for dense constraint matrices m d^3, d times the
-memory of the stacks themselves.
+A solve holds X, Z, R_d and every search direction as one flat vector of
+length N in the column order of Avec, so A(X) is Avec @ x, and the
+residuals, the steps and the finiteness check are one operation each over
+all blocks.  Each PSD block is a (d, d) view into the vector; the 1x1 blocks,
+wherever they sit (the sigma block of the certification SDP), form one
+scalar part, which elementwise operations factor, invert and step in closed
+form, with the IEEE operations of the general path on each 1x1 block.  No
+iterate is written in place, so the cleanest one is kept by reference.
+
+The Schur complement M[i, j] = <A_i, X A_j Z^-1> is Avec times the rows
+vec(X A_j Z^-1).  The other two products that touch the constraint matrices
+are scatters of their nonzero entries with np.bincount: the stacks X A_k add
+each product X[r, i] A_k[i, c] into cell (r, c), and A*(y) adds each
+y_k A_k[c] into cell c in order of k.  For the certification SDP both are
+exact: each pair matrix is a 0/1 partial permutation, with no two nonzeros
+in a row or column, so each cell of X A_k receives at most one product, the
+one term a matrix product sums with exact zeros; the pair matrices' supports
+are disjoint, so each cell of their block in A*(y) receives one term too,
+and the sigma column receives its terms in order of k, as einsum over the
+dense rows adds them.  So those results are bit for bit the dense products';
+for dense data they agree up to rounding.  The scatter keeps d products per
+nonzero entry: d^3 per block for the pair matrices, but m d^3 for dense
+data, about 2.6 GB for dense blocks of 60 with 500 constraints.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
@@ -91,14 +98,6 @@ class IterateLog(NamedTuple):
     alpha_p: float = math.nan
     alpha_d: float = math.nan
     centering: float = math.nan
-
-
-def block_inner(A: Blocks, B: Blocks) -> float:
-    return float(sum(np.sum(a * b) for a, b in zip(A, B)))
-
-
-def block_norm(A: Blocks) -> float:
-    return math.sqrt(sum(float(np.sum(a * a)) for a in A))
 
 
 def _vec(blocks: Blocks) -> np.ndarray:
@@ -303,25 +302,13 @@ class SdpSolution:
     trace: List[IterateLog] = field(default_factory=list)
 
 
-def _cholesky(mat: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky(mat), bit for bit.  A 1x1 block [[v]] factors as
-    [[sqrt(v)]], which is what dpotrf computes, and fails unless v > 0: as
-    dpotrf does for v <= 0, and also for NaN, which dpotrf passes through."""
-    if mat.shape[0] == 1:
-        v = float(mat[0, 0])
-        if not v > 0.0:
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return np.array([[math.sqrt(v)]])
-    return np.linalg.cholesky(mat)
-
-
 def _chol(mat: np.ndarray) -> np.ndarray:
     """Cholesky factor with escalating diagonal jitter up to _JITTER_MAX (scaled)."""
     jitter = 0.0
     while True:
         try:
             shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
-            return _cholesky(shifted)
+            return np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 scale = float(np.max(np.abs(mat), initial=1.0))
@@ -364,11 +351,6 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
 
 def _inverse(L: np.ndarray) -> np.ndarray:
     """(L L')^-1 = L^-T L^-1 from the lower Cholesky factor L."""
-    if L.shape[0] == 1:
-        # dtrtrs divides the identity by l once; the product of two floats
-        # overflows to inf as the matrix product does, but without its warning
-        inv = 1.0 / float(L[0, 0])
-        return np.array([[inv * inv]])
     L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
     return L_inv.T @ L_inv
 
@@ -376,31 +358,48 @@ def _inverse(L: np.ndarray) -> np.ndarray:
 def _max_step(chols: Blocks, dS: Blocks) -> float:
     """Largest alpha with S + alpha*dS still positive definite, S = L L' per block.
 
-    Raises LinAlgError if a matrix block's L^-1 dS L^-T is not finite, as
-    when the triangular solves overflow on a tiny Cholesky diagonal: LAPACK
-    returns eigenvalues without error for such a matrix (finite ones for
+    Raises LinAlgError if a block's L^-1 dS L^-T is not finite, as when the
+    triangular solves overflow on a tiny Cholesky diagonal: LAPACK returns
+    eigenvalues without error for such a matrix (finite ones for
     diag(1, 1, 1, NaN), NaN ones for an infinite entry), and either would
-    make the step length garbage.  A 1x1 block's overflow is no error: its
-    one eigenvalue is then +-inf, an exact bound of infinity or zero.
+    make the step length garbage.
     """
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
-        if L.shape[0] == 1:
-            # the general path's operations on scalars (l > 0, a Cholesky
-            # diagonal): two divisions for the two solves, then (G + G')/2,
-            # whose only eigenvalue is itself
-            l = float(L[0, 0])
-            g = float(d_blk[0, 0]) / l / l
-            lam = (g + g) / 2.0
-        else:
-            half = _solve_triangular(L, d_blk, lower=True)
-            G = _solve_triangular(L, half.T, lower=True)
-            if not np.isfinite(G).all():
-                raise np.linalg.LinAlgError("step-length matrix is not finite")
-            lam = float(_eigvalsh((G + G.T) / 2.0)[0])
+        half = _solve_triangular(L, d_blk, lower=True)
+        G = _solve_triangular(L, half.T, lower=True)
+        if not np.isfinite(G).all():
+            raise np.linalg.LinAlgError("step-length matrix is not finite")
+        lam = float(_eigvalsh((G + G.T) / 2.0)[0])
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
     return alpha
+
+
+# The scalar part: all 1x1 blocks [[s_i]] as one vector s, worked with the
+# IEEE operations that the general path performs on each [[s_i]]
+def _scalar_chol(s: np.ndarray) -> np.ndarray:
+    """_chol of each [[s_i]]: sqrt(s_i), which is what dpotrf computes, and
+    LinAlgError unless every s_i > 0."""
+    if not np.minimum.reduce(s, initial=np.inf) > 0.0:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(s)
+
+
+def _scalar_inverse(l: np.ndarray) -> np.ndarray:
+    """_inverse of each [[l_i]]: dtrtrs's one division, squared."""
+    inv = 1.0 / l
+    return inv * inv
+
+
+def _scalar_max_step(l: np.ndarray, ds: np.ndarray) -> float:
+    """_max_step of the [[l_i]] and [[ds_i]]: two divisions for the two
+    solves, then (G + G')/2, its only eigenvalue; each operation after the
+    divisions is monotone, so the smallest quotient gives the bound.  An
+    overflow is no error: the eigenvalue is then an exact +-inf."""
+    g = float(np.fmin.reduce(ds / l / l, initial=0.0))
+    lam = (g + g) / 2.0
+    return -1.0 / lam if lam < 0.0 else math.inf
 
 
 # a step that overflows makes numpy warn before the iterate check turns it
@@ -420,37 +419,56 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """
     sizes = problem.block_sizes
     n_tot = problem.n_total
-    C = problem.objective
     b = problem.b
     m = len(b)
     Avec = problem._avec
     gram_chol = problem._gram_chol
     scatter = problem._scatter
     a_scale = problem._a_scale
+    n_flat = Avec.shape[1]
     ends = np.cumsum([d * d for d in sizes]).tolist()
     spans = [(end - d * d, end, d) for end, d in zip(ends, sizes)]
+    psd = [span for span in spans if span[2] > 1]
+    # the scalar part's positions in a flat vector, and of its stacks in XA
+    sc = np.array([start for start, _, d in spans if d == 1], dtype=np.intp)
+    sc_stacks = m * sc + np.arange(m)[:, None]
+    # v[transposed] holds every block of v transposed; a scalar is its own
+    transposed = np.concatenate([start + np.arange(d * d).reshape(d, d).T.ravel()
+                                 for start, _, d in spans])
 
-    def apply_A(mat: Blocks) -> np.ndarray:
-        return Avec @ _vec(mat)
+    def blocks(v: np.ndarray, of: list = psd) -> Blocks:
+        return [v[start:end].reshape(d, d) for start, end, d in of]
 
-    def apply_At(y: np.ndarray) -> Blocks:
-        flat = _adjoint(y, scatter, Avec.shape[1])
-        return [flat[start:end].reshape(d, d) for start, end, d in spans]
+    def inner(v: np.ndarray, w: np.ndarray) -> float:
+        # one sum per block, added in block order; a scalar's sum is its
+        # entry, as the running total is never -0.0
+        prod = v * w
+        return float(sum(np.add.reduce(prod[start:end]) if d > 1 else prod[start]
+                         for start, end, d in spans))
+
+    def times(v: np.ndarray, w: np.ndarray, v_blocks: Blocks,
+              w_blocks: Blocks) -> np.ndarray:
+        # a 1x1 matmul gives 0 + v w, so -0.0 comes back as +0.0; the PSD
+        # blocks of the elementwise product are overwritten
+        out = v * w + 0.0
+        for vb, wb, ob in zip(v_blocks, w_blocks, blocks(out)):
+            np.matmul(vb, wb, out=ob)
+        return out
 
     # row k of XAZ holds X_j A_k Zinv_j of every block j, written in place
-    # through one (m, d, d) view per block
     XAZ = np.empty_like(Avec)
-    XAZ_blocks = [XAZ[:, start:end].reshape(m, d, d) for start, end, d in spans]
+    XAZ_blocks = [XAZ[:, start:end].reshape(m, d, d) for start, end, d in psd]
 
+    C = _vec(problem.objective)
+    eye = _vec([np.eye(d) for d in sizes])
     b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))
-    c_scale = block_norm(C)
+    c_scale = math.sqrt(inner(C, C))
     xi = max(10.0, math.sqrt(n_tot), n_tot * b_scale / max(1.0, a_scale))
     eta = max(10.0, math.sqrt(n_tot), c_scale, a_scale)
 
-    eyes = [np.eye(d) for d in sizes]
-    X = [xi * eye for eye in eyes]
-    Z = [eta * eye for eye in eyes]
+    X = xi * eye
+    Z = eta * eye
     y = np.zeros(m)
 
     trace: List[IterateLog] = []
@@ -462,21 +480,19 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     best = None  # (merit, X, y, Z, gap, p_res, d_res) of the cleanest iterate
 
     for iteration in range(_MAX_ITER + 1):
-        r_p = b - apply_A(X)
-        Aty = apply_At(y)
-        R_d = [c - z - at for c, z, at in zip(C, Z, Aty)]
-        xz = block_inner(X, Z)
+        r_p = b - Avec @ X
+        R_d = C - Z - _adjoint(y, scatter, n_flat)
+        xz = inner(X, Z)
         mu = xz / n_tot
-        obj_p = block_inner(C, X)
+        obj_p = inner(C, X)
         obj_d = float(b @ y)
         gap = xz / (1.0 + abs(obj_p) + abs(obj_d))
-        p_res = float(np.linalg.norm(r_p)) / (1.0 + b_norm)
-        d_res = block_norm(R_d) / (1.0 + c_scale)
+        p_res = math.sqrt(r_p @ r_p) / (1.0 + b_norm)
+        d_res = math.sqrt(inner(R_d, R_d)) / (1.0 + c_scale)
         trace.append(IterateLog(iteration, obj_p, obj_d, gap, p_res, d_res, mu))
         merit = max(gap, p_res, d_res)
         if best is None or merit < best[0]:
-            best = (merit, [x.copy() for x in X], y.copy(),
-                    [z.copy() for z in Z], gap, p_res, d_res)
+            best = (merit, X, y, Z, gap, p_res, d_res)
 
         if gap <= tol and p_res <= tol and d_res <= tol:
             status = SdpStatus.OPTIMAL
@@ -484,7 +500,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         if abs(obj_d) > _DIVERGENCE:
             status = SdpStatus.INFEASIBLE
             break
-        if sum(float(np.trace(x)) for x in X) > _DIVERGENCE:
+        if sum(float(np.trace(x)) for x in blocks(X, spans)) > _DIVERGENCE:
             status = SdpStatus.DUAL_INFEASIBLE
             break
         if iteration == _MAX_ITER:
@@ -492,14 +508,22 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             break
 
         try:
-            X_chols = [_chol(x) for x in X]
-            Z_chols = [_chol(z) for z in Z]
-            Z_inv = [_inverse(L) for L in Z_chols]
+            X_blocks = blocks(X)
+            X_chols = [_chol(x) for x in X_blocks]
+            Z_chols = [_chol(z) for z in blocks(Z)]
+            lx = _scalar_chol(X[sc])
+            lz = _scalar_chol(Z[sc])
+            Z_inv = np.empty(n_flat)
+            Z_inv[sc] = _scalar_inverse(lz)
+            Zinv_blocks = blocks(Z_inv)
+            for L, out in zip(Z_chols, Zinv_blocks):
+                out[...] = _inverse(L)
 
             # Schur complement M[i, j] = sum_blocks <A_i, X A_j Zinv>
-            XA = _times_stacks(_vec(X), scatter, XAZ.size)
-            for (start, end, d), zi, out in zip(spans, Z_inv, XAZ_blocks):
+            XA = _times_stacks(X, scatter, XAZ.size)
+            for (start, end, d), zi, out in zip(psd, Zinv_blocks, XAZ_blocks):
                 np.matmul(XA[m * start:m * end].reshape(m, d, d), zi, out=out)
+            XAZ[:, sc] = XA[sc_stacks] * Z_inv[sc] + 0.0
             M = Avec @ XAZ.T
             M = (M + M.T) / 2.0
             M_chol = _chol(M)
@@ -516,50 +540,53 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                     sol = sol + backsolve(rhs - M @ sol)
                 return sol
 
-            def project_primal(dX: Blocks) -> Blocks:
+            def project_primal(dX: np.ndarray) -> np.ndarray:
                 # The direction inherits the Schur system's ill-conditioning
                 # near the optimum; re-imposing A(dX) = r_p through the
                 # constant, well-conditioned constraint Gram matrix stops the
                 # primal residual from regrowing late in the run.
-                before = r_p - apply_A(dX)
+                before = r_p - Avec @ dX
                 corrected, defect = dX, before
                 for _ in range(2):
                     half = _solve_triangular(gram_chol, defect, lower=True)
                     lam = _solve_triangular(gram_chol.T, half, lower=False)
-                    corr = apply_At(lam)
-                    corrected = [dx + c for dx, c in zip(corrected, corr)]
-                    defect = r_p - apply_A(corrected)
-                if float(np.linalg.norm(defect)) <= float(np.linalg.norm(before)):
+                    corrected = corrected + _adjoint(lam, scatter, n_flat)
+                    defect = r_p - Avec @ corrected
+                if math.sqrt(defect @ defect) <= math.sqrt(before @ before):
                     return corrected
                 return dX
 
-            def direction(Rc: Blocks) -> Tuple[Blocks, np.ndarray, Blocks]:
-                T1 = [rc @ zi for rc, zi in zip(Rc, Z_inv)]
-                T2 = [x @ rd @ zi for x, rd, zi in zip(X, R_d, Z_inv)]
-                rhs = r_p - apply_A(T1) + apply_A(T2)
-                dy = solve_schur(rhs)
-                dAty = apply_At(dy)
-                dZ = [rd - da for rd, da in zip(R_d, dAty)]
-                dX = [t1 - x @ dz @ zi for t1, x, dz, zi in zip(T1, X, dZ, Z_inv)]
-                dX = [(dx + dx.T) / 2.0 for dx in dX]
-                return project_primal(dX), dy, dZ
+            def sandwich(V: np.ndarray) -> np.ndarray:
+                XV = times(X, V, X_blocks, blocks(V))
+                return times(XV, Z_inv, blocks(XV), Zinv_blocks)
+
+            # A(X R_d Zinv), the same in both directions
+            A_XRZ = Avec @ sandwich(R_d)
+
+            def direction(Rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                T1 = times(Rc, Z_inv, blocks(Rc), Zinv_blocks)
+                dy = solve_schur(r_p - Avec @ T1 + A_XRZ)
+                dZ = R_d - _adjoint(dy, scatter, n_flat)
+                dX = T1 - sandwich(dZ)
+                return project_primal((dX + dX[transposed]) / 2.0), dy, dZ
+
+            def step(chols: Blocks, l: np.ndarray, dS: np.ndarray) -> float:
+                alpha = min(_max_step(chols, blocks(dS)), _scalar_max_step(l, dS[sc]))
+                return min(1.0, _STEP_FRACTION * alpha)
 
             # predictor (affine scaling): Rc = -XZ
-            Rc_aff = [-(x @ z) for x, z in zip(X, Z)]
-            dX_aff, dy_aff, dZ_aff = direction(Rc_aff)
-            ap_aff = min(1.0, _STEP_FRACTION * _max_step(X_chols, dX_aff))
-            ad_aff = min(1.0, _STEP_FRACTION * _max_step(Z_chols, dZ_aff))
-            X_aff = [x + ap_aff * dx for x, dx in zip(X, dX_aff)]
-            Z_aff = [z + ad_aff * dz for z, dz in zip(Z, dZ_aff)]
-            mu_aff = block_inner(X_aff, Z_aff) / n_tot
+            XZ = times(X, Z, X_blocks, blocks(Z))
+            dX_aff, dy_aff, dZ_aff = direction(-XZ)
+            ap_aff = step(X_chols, lx, dX_aff)
+            ad_aff = step(Z_chols, lz, dZ_aff)
+            mu_aff = inner(X + ap_aff * dX_aff, Z + ad_aff * dZ_aff) / n_tot
             center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # corrector with Mehrotra second-order term
-            Rc = [center * mu * eye - (x @ z) - (dxa @ dza)
-                  for eye, x, z, dxa, dza in zip(eyes, X, Z, dX_aff, dZ_aff)]
-            dX, dy, dZ = direction(Rc)
-            alpha_p = min(1.0, _STEP_FRACTION * _max_step(X_chols, dX))
-            alpha_d = min(1.0, _STEP_FRACTION * _max_step(Z_chols, dZ))
+            dXZ_aff = times(dX_aff, dZ_aff, blocks(dX_aff), blocks(dZ_aff))
+            dX, dy, dZ = direction(center * mu * eye - XZ - dXZ_aff)
+            alpha_p = step(X_chols, lx, dX)
+            alpha_d = step(Z_chols, lz, dZ)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
@@ -570,12 +597,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        X_next = [x + alpha_p * dx for x, dx in zip(X, dX)]
+        X_next = X + alpha_p * dX
         y_next = y + alpha_d * dy
-        Z_next = [z + alpha_d * dz for z, dz in zip(Z, dZ)]
+        Z_next = Z + alpha_d * dZ
         # the one finiteness check of the iteration: the kernels trust that
         # the iterate they factor is finite
-        if not all(np.isfinite(v).all() for v in (*X_next, y_next, *Z_next)):
+        if not all(np.isfinite(v).all() for v in (X_next, y_next, Z_next)):
             status = SdpStatus.NUMERICAL_FAILURE
             break
         X, y, Z = X_next, y_next, Z_next
@@ -584,6 +611,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             and best is not None and best[0] < max(gap, p_res, d_res)):
         # a late bad step can poison the final iterate; report the cleanest one
         _, X, y, Z, gap, p_res, d_res = best
-    return SdpSolution(X=X, y=y, Z=Z, status=status, gap=gap,
-                       primal_residual=p_res, dual_residual=d_res,
+    return SdpSolution(X=blocks(X, spans), y=y, Z=blocks(Z, spans), status=status,
+                       gap=gap, primal_residual=p_res, dual_residual=d_res,
                        iterations=iteration, trace=trace)

@@ -4,7 +4,7 @@ non-finite."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -29,7 +29,8 @@ SUITE_SETTINGS = {
 
 
 def planted_sdp(rng: np.random.Generator, max_block: int = 20,
-                max_m: int = 100) -> Tuple[SdpProblem, float]:
+                max_m: int = 100, scalars: Sequence[int] = (),
+                nblocks: Optional[int] = None) -> Tuple[SdpProblem, float]:
     """Planted-optimum SDP with unique primal and dual solutions.
 
     X* and Z* are built on complementary eigenspaces of a shared random
@@ -37,10 +38,18 @@ def planted_sdp(rng: np.random.Generator, max_block: int = 20,
     complementarity).  Ranks are kept small enough that
     sum r(r+1)/2 < m (the optimal primal face is a point) and m small
     enough that the dual solution is unique too; both margins are 2.
+
+    nblocks PSD blocks (one or two at random if None) of size at least 3
+    come first; then a 1x1 block is inserted at each entry of scalars, a
+    position among the PSD blocks (0 before the first, nblocks after the
+    last), planted at random with x* > 0 = z* or z* > 0 = x*.
     """
-    nblocks = int(rng.integers(1, 3))
+    nblocks = int(rng.integers(1, 3)) if nblocks is None else nblocks
     sizes = [int(rng.integers(3, max_block + 1)) for _ in range(nblocks)]
     ranks = [int(rng.integers(1, min(4, d - 1) + 1)) for d in sizes]
+    for position in sorted(scalars, reverse=True):
+        sizes.insert(position, 1)
+        ranks.insert(position, int(rng.integers(0, 2)))
     lo = sum(r * (r + 1) // 2 for r in ranks) + 2
     hi = sum(d * (d + 1) // 2 - (d - r) * (d - r + 1) // 2
              for d, r in zip(sizes, ranks)) - 2

@@ -233,6 +233,24 @@ class TestRuns:
         assert all(rec.flags == ("StationaryStep",) and not rec.success
                    for rec in result.records)
 
+    def test_one_eigensolve_of_the_hessian_per_point(self, bundled, monkeypatch):
+        # lambda_min(H) is computed once per new point and handed to
+        # build_model, not computed again there
+        calls = []
+
+        def spy(H):
+            calls.append(H)
+            return min_eigenvalue(H)
+
+        monkeypatch.setattr(arp_driver, "min_eigenvalue", spy)
+        config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
+        result = run(bundled["rosenbrock2"], config)
+        assert result.status is RunStatus.CONVERGED
+        records = result.records
+        new_points = sum(1 for k, rec in enumerate(records)
+                         if k == 0 or records[k - 1].success)
+        assert len(calls) == new_points
+
     def test_objective_monotone_over_successes(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
         result = run(bundled["rosenbrock2"], config)

@@ -107,6 +107,50 @@ class TestPlanted:
         assert [z.shape[0] for z in sol.Z] == list(problem.block_sizes)
 
 
+class TestScalarPart:
+    """1x1 blocks at any position form the solver's scalar part."""
+
+    @pytest.mark.parametrize("scalars", [(0,), (1,), (2,), (0, 1, 2), (0, 0, 2, 2)],
+                             ids=["before", "between", "after", "everywhere",
+                                  "pairs-at-ends"])
+    def test_planted_scalars_recovered(self, scalars):
+        rng = np.random.default_rng(len(scalars) + 10 * scalars[0])
+        for _ in range(3):
+            problem, obj_star = planted_sdp(rng, max_block=8, max_m=30,
+                                            scalars=scalars, nblocks=2)
+            sizes = problem.block_sizes
+            assert [i for i, d in enumerate(sizes) if d == 1] == [
+                position + k for k, position in enumerate(sorted(scalars))]
+            sol = solve_sdp(problem, tol=1e-9)
+            assert sol.status is SdpStatus.OPTIMAL
+            assert sol.primal_residual <= 1e-8
+            assert sol.dual_residual <= 1e-8
+            err = abs(primal_objective(problem, sol.X) - obj_star)
+            assert err <= 1e-7 * (1.0 + abs(obj_star))
+            assert [x.shape for x in sol.X] == [(d, d) for d in sizes]
+            assert [z.shape for z in sol.Z] == [(d, d) for d in sizes]
+
+    def test_returned_blocks_share_no_memory(self):
+        problem, _ = planted_sdp(np.random.default_rng(9), max_block=6,
+                                 max_m=20, scalars=(0, 2), nblocks=2)
+        first = solve_sdp(problem)
+        kept = [a.copy() for a in (*first.X, first.y, *first.Z)]
+        returned = [*first.X, first.y, *first.Z]
+        for i, a in enumerate(returned):
+            for b in returned[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # the scalar block that comes first: no later solve sees the write
+        assert first.X[0].shape == (1, 1)
+        first.X[0][...] = 7.0
+        again = solve_sdp(problem)
+        for a, b in zip((*again.X, again.y, *again.Z), kept):
+            assert np.array_equal(a, b)
+        for a, b in zip(returned[1:], kept[1:]):
+            assert np.array_equal(a, b)
+        for a in (*again.X, again.y, *again.Z):
+            assert not any(np.shares_memory(a, b) for b in returned)
+
+
 def _skewed(mat: np.ndarray) -> np.ndarray:
     mat = mat.copy()
     mat[0, 1] += 1e-3

@@ -1,5 +1,6 @@
 """The solver's small dense kernels against the numpy and scipy calls they
-replace.
+replace, and the scalar part's closed forms against the general path on
+1x1 blocks.
 
 The kernels promise the same bits, so every comparison is exact equality.
 They check no input for inf or NaN (the solver checks each iterate once),
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _cholesky, _eigvalsh,
-                             _inverse, _max_step, _solve_triangular,
-                             _times_stacks, _vec)
+from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _eigvalsh, _inverse,
+                             _max_step, _scalar_chol, _scalar_inverse,
+                             _scalar_max_step, _solve_triangular, _times_stacks,
+                             _vec)
 from sosarp.sos_certify import _gram_structure
 
 
@@ -102,11 +104,16 @@ def _reference_chol(mat):
 
 
 class TestScalarCholesky:
+    """The scalar part's factor is np.linalg.cholesky's on each 1x1 block;
+    _chol's jitter loop now runs numpy's factor on every block it gets."""
+
     def test_positive_values_equal_numpy(self):
         rng = np.random.default_rng(5)
-        for v in 10.0 ** rng.uniform(-300, 300, 2000):
+        values = 10.0 ** rng.uniform(-300, 300, 2000)
+        factors = _scalar_chol(values)
+        for v, l in zip(values, factors):
             mat = np.array([[v]])
-            assert np.array_equal(_cholesky(mat), np.linalg.cholesky(mat))
+            assert np.array_equal([[l]], np.linalg.cholesky(mat))
             assert np.array_equal(_chol(mat), np.linalg.cholesky(mat))
 
     @pytest.mark.parametrize("v", [0.0, -0.0, -1e-20, -1e-15, -5e-13, -5e-11])
@@ -117,21 +124,23 @@ class TestScalarCholesky:
 
     @pytest.mark.parametrize("v", [0.0, -0.0, -1.0, -1e-300])
     def test_not_positive_fails_as_numpy(self, v):
-        mat = np.array([[v]])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(mat)
+            np.linalg.cholesky(np.array([[v]]))
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky(mat)
+            _scalar_chol(np.array([2.0, v, 3.0]))
 
     def test_nan_fails(self):
-        # numpy's factor of [[nan]] is [[nan]]; the closed form fails instead
+        # numpy's factor of [[nan]] is [[nan]]; the scalar part fails instead
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky(np.array([[np.nan]]))
+            _scalar_chol(np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("v", [-1.0, np.nan])
     def test_jitter_gives_up(self, v):
+        # no shift up to the cap makes diag(-1, -1) positive definite, and a
+        # NaN entry makes the shift NaN, which helps no factor: both fail
+        # instead of retrying forever
         with pytest.raises(np.linalg.LinAlgError):
-            _chol(np.array([[v]]))
+            _chol(np.array([[-1.0, 0.0], [0.0, v]]))
 
     def test_non_finite_matrix_stops_jitter(self):
         # an infinite scale makes the first shift infinite: fail at once
@@ -140,33 +149,48 @@ class TestScalarCholesky:
             _chol(mat)
 
 
+def _scalar_reference(l: float, d: float):
+    """The general path's step bound and inverse on the 1x1 blocks [[l]], [[d]]."""
+    L = np.array([[l]])
+    return _reference_max_step([L], [np.array([[d]])]), _reference_inverse(L)[0, 0]
+
+
 class TestScalarBlocks:
     def test_closed_forms_equal_general_path(self):
         rng = np.random.default_rng(7)
-        for _ in range(2000):
-            L = np.array([[10.0 ** rng.uniform(-8, 8)]])
-            d_blk = np.array([[rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 8)]])
-            assert _max_step([L], [d_blk]) == _reference_max_step([L], [d_blk])
-            assert _inverse(L) == _reference_inverse(L)
+        ls = 10.0 ** rng.uniform(-8, 8, 2000)
+        ds = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-8, 8, 2000)
+        inverses = _scalar_inverse(ls)
+        for l, d, inv in zip(ls, ds, inverses):
+            step, expected_inv = _scalar_reference(l, d)
+            assert _scalar_max_step(np.array([l]), np.array([d])) == step
+            assert np.array_equal(inv, expected_inv)
+        # the bound of many scalars at once is the smallest of their bounds
+        steps = [_scalar_reference(l, d)[0] for l, d in zip(ls, ds)]
+        assert _scalar_max_step(ls, ds) == min(steps)
+        assert _scalar_max_step(np.zeros(0), np.zeros(0)) == np.inf
 
     def test_mixed_blocks_equal_general_path(self):
         rng = np.random.default_rng(3)
         G = rng.normal(size=(6, 6))
         chols = [np.linalg.cholesky(G @ G.T + np.eye(6)), np.array([[0.7]])]
         dS = [-(G + G.T), np.array([[-2.5]])]
-        assert _max_step(chols, dS) == _reference_max_step(chols, dS)
+        combined = min(_max_step(chols[:1], dS[:1]),
+                       _scalar_max_step(np.array([0.7]), np.array([-2.5])))
+        assert combined == _reference_max_step(chols, dS)
         assert np.array_equal(_inverse(chols[0]), _reference_inverse(chols[0]))
 
     @pytest.mark.parametrize("d, l", [(1e300, 1e-10), (-1e300, 1e-10),
                                       (1e200, 1e-60), (-1e200, 1e-60),
-                                      (1.0, 1e-200)])
+                                      (1.0, 1e-200), (-1e300, 1e-4)])
     def test_overflow_matches_general_path(self, d, l):
         # d / l or d / l / l beyond the float range gives +-inf, as the two
-        # unchecked solves do, and +inf (no bound) or -inf (step 0) follows
-        L, d_blk = np.array([[l]]), np.array([[d]])
-        assert _max_step([L], [d_blk]) == _reference_max_step([L], [d_blk])
-        with np.errstate(over="ignore"):  # numpy's product warns, a float's does not
-            assert _inverse(L) == _reference_inverse(L)
+        # unchecked solves do, and +inf (no bound) or -inf (step 0) follows;
+        # a finite d / l / l = -1e308 overflows in (G + G')/2 to step 0
+        with np.errstate(over="ignore"):  # the scalar part's numpy ops warn
+            step, expected_inv = _scalar_reference(l, d)
+            assert _scalar_max_step(np.array([l]), np.array([d])) == step
+            assert np.array_equal(_scalar_inverse(np.array([l])), [expected_inv])
 
 
 class TestStepLength:
@@ -179,9 +203,9 @@ class TestStepLength:
         assert _reference_max_step([L], [dS]) == np.inf
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             _max_step([L], [dS])
-        # the same block next to a scalar one: any non-finite block raises
+        # the same block after a well-behaved one: any non-finite block raises
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            _max_step([np.array([[0.5]]), L], [np.array([[-1.0]]), dS])
+            _max_step([np.eye(2), L], [-np.eye(2), dS])
 
 
 # (n, p') of every certification SDP the benchmark solves

@@ -1,0 +1,89 @@
+"""tools/bench_pairs.compare, on which every speed claim rests, on synthetic
+runs: wins, the claim rule and the bound."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from bench_pairs import compare  # noqa: E402
+
+LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
+HIGHER = {"unit": "count", "better": "higher", "bound": 0.1}
+# ten runs 1.00, 1.01, ..., 1.09: median 1.045, quartiles 1.0225 and 1.0675
+PARENT = [1.0 + 0.01 * i for i in range(10)]
+
+
+class TestWins:
+    @pytest.mark.parametrize("spec", [LOWER, HIGHER], ids=["lower", "higher"])
+    def test_ties_count_for_neither_side(self, spec):
+        row = compare(spec, PARENT, list(PARENT))
+        assert row["wins"] == 0
+        assert row["ratio"] == 1.0
+        assert not row["claimable"]
+        assert not row["worse_than_bound"]
+
+    def test_only_strict_gains_are_wins(self):
+        # five ties, then five pairs where the change is lower
+        change = PARENT[:5] + [p - 0.5 for p in PARENT[5:]]
+        assert compare(LOWER, PARENT, change)["wins"] == 5
+        # lower is worse for a higher-is-better metric: no wins at all
+        assert compare(HIGHER, PARENT, change)["wins"] == 0
+
+
+class TestClaimable:
+    def test_all_pairs_won_by_more_than_the_spread(self):
+        row = compare(LOWER, PARENT, [p - 0.2 for p in PARENT])
+        assert row["wins"] == 10
+        assert row["claimable"]
+        assert row["ratio"] == pytest.approx(0.845 / 1.045)
+
+    @pytest.mark.parametrize("lost, claimable", [(0, True), (1, True), (2, False)])
+    def test_needs_nine_of_ten_wins(self, lost, claimable):
+        # the first pairs are lost by a little, the rest won by a lot, so
+        # the medians stay far apart whatever the count
+        change = [p + 0.001 for p in PARENT[:lost]] + [p - 0.5 for p in PARENT[lost:]]
+        row = compare(LOWER, PARENT, change)
+        assert row["wins"] == 10 - lost
+        assert abs(row["change"]["median"] - row["parent"]["median"]) > 0.045
+        assert row["claimable"] is claimable
+
+    @pytest.mark.parametrize("gain, claimable", [(0.04, False), (0.05, True)])
+    def test_needs_a_gap_wider_than_the_parent_quartiles(self, gain, claimable):
+        # every pair is won; the parent's interquartile range is 0.045
+        row = compare(LOWER, PARENT, [p - gain for p in PARENT])
+        assert row["wins"] == 10
+        assert row["parent"]["q3"] - row["parent"]["q1"] == pytest.approx(0.045)
+        assert row["claimable"] is claimable
+
+    @pytest.mark.parametrize("spec, sign, claimable", [
+        (LOWER, -1.0, True), (LOWER, 1.0, False),
+        (HIGHER, 1.0, True), (HIGHER, -1.0, False)],
+        ids=["lower-falls", "lower-rises", "higher-rises", "higher-falls"])
+    def test_needs_the_better_direction(self, spec, sign, claimable):
+        # a shift of 0.2 in every pair is wider than the spread either way;
+        # only the direction that the metric calls better is a gain (with
+        # nine tenths of the pairs won, the medians cannot move the other
+        # way by more than the parent's quartiles, so the wins and the
+        # direction fail together)
+        row = compare(spec, PARENT, [p + sign * 0.2 for p in PARENT])
+        assert row["claimable"] is claimable
+        assert row["wins"] == (10 if claimable else 0)
+
+
+class TestBound:
+    @pytest.mark.parametrize("factor, worse", [(0.85, True), (0.95, False),
+                                               (1.2, False)])
+    def test_higher_is_better_metric(self, factor, worse):
+        # bound 0.1: a median 15% lower is worse than the bound, 5% lower
+        # is within it, and higher is no loss at all
+        parent = [100.0 + i for i in range(10)]
+        row = compare(HIGHER, parent, [factor * p for p in parent])
+        assert row["worse_than_bound"] is worse
+
+    @pytest.mark.parametrize("factor, worse", [(1.3, True), (1.2, False),
+                                               (0.5, False)])
+    def test_lower_is_better_metric(self, factor, worse):
+        row = compare(LOWER, PARENT, [factor * p for p in PARENT])
+        assert row["worse_than_bound"] is worse
