@@ -147,7 +147,8 @@ def build_model(bundle, case_tag: ConvexityCase, delta: float,
                 sigma: float, lambda_min: Optional[float] = None) -> SosModel:
     """Case-shifted model: H_bar is H, H - lambda_min*I + delta*I, or
     H + delta*I so that lambda_min(H_bar) >= delta in every case.  A caller
-    that already holds lambda_min(H) passes it to save the eigensolve."""
+    that already holds lambda_min(H) passes it to save the eigensolve; the
+    model gets lambda_min(H_bar) from the shift, without one."""
     H = bundle.hessian()
     lam = min_eigenvalue(H)[0] if lambda_min is None else lambda_min
     expected = classify_case(lam, delta)
@@ -156,15 +157,16 @@ def build_model(bundle, case_tag: ConvexityCase, delta: float,
             f"case {case_tag.value} inconsistent with lambda_min={lam:.6e}, "
             f"delta={delta:.6e} (expected {expected.value})")
     n = bundle.n
+    # the shift moves every eigenvalue alike, so lambda_min(H_bar) follows
     if case_tag is ConvexityCase.STRONGLY_CONVEX:
-        H_bar = H
+        H_bar, lam_bar = H, lam
     elif case_tag is ConvexityCase.NONCONVEX:
-        H_bar = H + (delta - lam) * np.eye(n)
+        H_bar, lam_bar = H + (delta - lam) * np.eye(n), delta
     else:
-        H_bar = H + delta * np.eye(n)
+        H_bar, lam_bar = H + delta * np.eye(n), lam + delta
     return SosModel(n=n, p=bundle.p, f0=bundle.value, g=bundle.gradient(),
                     H_bar=H_bar, higher=list(bundle.tensors[2:]), delta=delta,
-                    sigma=sigma, case_tag=case_tag)
+                    sigma=sigma, case_tag=case_tag, lambda_min=lam_bar)
 
 
 def ratio_test(f_k: float, f_trial: float, taylor_at_step: float) -> float:

@@ -5,7 +5,8 @@ X constrained to a fixed block-diagonal structure.  The solver is a
 Mehrotra-style predictor-corrector on the HKM search direction (linearize
 dX Z + X dZ = R_c, solve, symmetrize dX), with dense factorizations
 throughout.  It is sized for small blocks with sparse constraint data, such
-as the certification SDP's 0/1 pair matrices (see the scatters below).
+as the certification SDP's 0/1 pair matrices (see the Schur complement
+below).
 
 At that scale the fixed cost of a library call outweighs its arithmetic, so
 the triangular solves call LAPACK's dtrtrs directly, with the argument
@@ -17,10 +18,10 @@ An SdpProblem checks its data once, on construction, and keeps what every
 solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
 one after another (N = sum d_j^2), of which each block's (m, d, d) stack of
 constraint matrices is a view; the Cholesky factor of the constraint Gram
-matrix Avec Avec'; and the nonzero entries of Avec.  with_rhs poses the same
-constraints with another b and checks only b, so a family of problems that
-differ in b, like the certification SDPs of one Gram structure, pays for
-that once.
+matrix Avec Avec'; and the scatters below, built from the nonzero entries
+of Avec.  with_rhs poses the same constraints with another b and checks
+only b, so a family of problems that differ in b, like the certification
+SDPs of one Gram structure, pays for that once.
 
 A solve holds X, Z, R_d and every search direction as one flat vector of
 length N in the column order of Avec, so A(X) is Avec @ x, and the
@@ -31,20 +32,31 @@ scalar part, which elementwise operations factor, invert and step in closed
 form, with the IEEE operations of the general path on each 1x1 block.  No
 iterate is written in place, so the cleanest one is kept by reference.
 
-The Schur complement M[i, j] = <A_i, X A_j Z^-1> is Avec times the rows
-vec(X A_j Z^-1).  The other two products that touch the constraint matrices
-are scatters of their nonzero entries with np.bincount: the stacks X A_k add
-each product X[r, i] A_k[i, c] into cell (r, c), and A*(y) adds each
-y_k A_k[c] into cell c in order of k.  For the certification SDP both are
-exact: each pair matrix is a 0/1 partial permutation, with no two nonzeros
-in a row or column, so each cell of X A_k receives at most one product, the
-one term a matrix product sums with exact zeros; the pair matrices' supports
-are disjoint, so each cell of their block in A*(y) receives one term too,
-and the sigma column receives its terms in order of k, as einsum over the
-dense rows adds them.  So those results are bit for bit the dense products';
-for dense data they agree up to rounding.  The scatter keeps d products per
-nonzero entry: d^3 per block for the pair matrices, but m d^3 for dense
-data, about 2.6 GB for dense blocks of 60 with 500 constraints.
+The Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1> of the HKM
+direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) is
+formed as B B', which numpy computes as one dsyrk, so M is symmetric to the
+bit: with X = Lx Lx' and Z = Lz Lz' per block, row k of B holds
+Lx' A_k Lz^-T of every PSD block, flattened, and a_k lx / lz of every 1x1
+block.  Lx' A_k is nonzero only on the w columns where A_k is, so it is
+built on those alone, as Fujisawa, Kojima & Nakata exploit sparse data
+(Math. Program. 1997): a scatter of the nonzero entries of A_k with
+np.bincount adds each product Lx[i, r] A_k[i, c] into cell (r, position of
+c) of the block's (m, d, w) stack, which meets the same w rows of Lz^-T in
+one batched matmul.  w is 4 of 20 for the certification SDP at
+(n, p') = (4, 4) and 12 of 30 at (3, 6); dense data has w = d.  A*(y) is a
+scatter too: it adds each y_k A_k[c] into cell c in order of k.  For the
+certification SDP both scatters are exact: each pair matrix is a 0/1
+partial permutation, with no two nonzeros in a row or column, so each cell
+of Lx' A_k receives at most one product, the one term a matrix product sums
+with exact zeros; the pair matrices' supports are disjoint, so each cell of
+their block in A*(y) receives one term too, and the sigma column receives
+its terms in order of k, as einsum over the dense rows adds them.  So those
+results are bit for bit the dense products'; for dense data they agree up
+to rounding.  The scatter keeps i + 1 products per nonzero entry in row i,
+those of Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair
+matrices, whose supports cover each cell once, but m d^2 (d + 1) / 2 for
+dense data, about 1.3 GB for dense blocks of 60 with 500 constraints.  A
+solve adds m d w stack cells per block and the (m, N) B.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
@@ -61,7 +73,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd, dtrtrs
@@ -137,14 +149,24 @@ def _rhs_vector(b) -> np.ndarray:
 
 class _Scatter(NamedTuple):
     """The nonzero entries of the (m, N) row matrix, Avec[rows[e], cells[e]]
-    = values[e], in order of the row, then of the cell; and the products
-    that make up X_j A_k: vec(X)[sources[t]] * factors[t] is X_j[r, i]
-    A_k[i, c], and bins[t] its cell (k, r, c) of block j's (m, d, d) stack,
-    the stacks of all blocks lying one after another in one flat array."""
+    = values[e], in order of the row, then of the cell; the blocks' places
+    in a flat vector, as the (start, end, d) of each PSD block and the
+    positions of the 1x1 blocks; and, per PSD block j, what makes up
+    Lx_j' A_k on the nonzero columns of A_k for a lower triangular Lx_j:
+    columns[j], whose row k holds those columns of block j of A_k in order,
+    padded with column 0 to a common width w_j, and the products
+    vec(Lx)[sources[t]] * factors[t] = Lx_j[i, r] A_k[i, c], bins[t] being
+    its cell (k, r, position of c) of block j's (m, d, w_j) stack, the
+    stacks of all PSD blocks lying one after another in one flat array.
+    The products with i < r, exact zeros, are left out, and none falls on
+    a padded column."""
 
     rows: np.ndarray
     cells: np.ndarray
     values: np.ndarray
+    psd: Tuple[Tuple[int, int, int], ...]
+    scalars: np.ndarray
+    columns: Tuple[np.ndarray, ...]
     sources: np.ndarray
     factors: np.ndarray
     bins: np.ndarray
@@ -154,28 +176,37 @@ def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
     m = avec.shape[0]
     rows, cells = np.nonzero(avec)
     values = avec[rows, cells]
-    sources, factors, bins = [], [], []
-    start = 0
-    for d in sizes:
-        mine = (cells >= start) & (cells < start + d * d)
+    ends = np.cumsum([d * d for d in sizes]).tolist()
+    psd = tuple((end - d * d, end, d) for end, d in zip(ends, sizes) if d > 1)
+    scalars = np.array([end - 1 for end, d in zip(ends, sizes) if d == 1],
+                       dtype=np.intp)
+    columns = []
+    sources, factors, bins = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    stacked = 0
+    for start, end, d in psd:
+        mine = (cells >= start) & (cells < end)
+        k = rows[mine]
         i, c = np.divmod(cells[mine] - start, d)
+        used = np.zeros((m, d), dtype=bool)
+        used[k, c] = True
+        width = int(np.max(np.sum(used, axis=1), initial=0))
+        position = np.cumsum(used, axis=1) - 1
+        cols = np.zeros((m, width), dtype=np.intp)
+        k_used, c_used = np.nonzero(used)
+        cols[k_used, position[k_used, c_used]] = c_used
+        columns.append(cols)
         r = np.arange(d)[:, None]
-        sources.append((start + d * r + i).ravel())
-        factors.append(np.broadcast_to(values[mine], (d, i.size)).ravel())
-        bins.append((m * start + rows[mine] * (d * d) + d * r + c).ravel())
-        start += d * d
-    scatter = _Scatter(rows, cells, values, np.concatenate(sources),
-                       np.concatenate(factors), np.concatenate(bins))
-    for array in scatter:
+        lower = r <= i
+        sources.append((start + d * i + r)[lower])
+        factors.append(np.broadcast_to(values[mine], lower.shape)[lower])
+        bins.append((stacked + (d * k + r) * width + position[k, c])[lower])
+        stacked += m * d * width
+    scatter = _Scatter(rows, cells, values, psd, scalars, tuple(columns),
+                       np.concatenate(sources), np.concatenate(factors),
+                       np.concatenate(bins))
+    for array in (rows, cells, values, scalars, *columns, *scatter[6:]):
         array.setflags(write=False)
     return scatter
-
-
-def _times_stacks(x_vec: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
-    """Every block's stack X_j A_k, k = 1..m, in one flat array of length
-    size: each product X_j[r, i] A_k[i, c] added into its cell."""
-    return np.bincount(scatter.bins, x_vec[scatter.sources] * scatter.factors,
-                       minlength=size)
 
 
 def _adjoint(y: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
@@ -183,6 +214,33 @@ def _adjoint(y: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
     of k."""
     return np.bincount(scatter.cells, y[scatter.rows] * scatter.values,
                        minlength=size)
+
+
+def _schur_factor(scatter: _Scatter, avec: np.ndarray, Lx: np.ndarray,
+                  Lz_inv: np.ndarray, lx: np.ndarray, lz: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """out, shaped as avec, filled with B and returned, where B B' is the
+    Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1>.
+
+    At each PSD block's place in a flat vector, Lx holds the lower Cholesky
+    factor of X's block and Lz_inv the inverse of Z's; lx and lz hold the
+    factors sqrt(x) and sqrt(z) of the 1x1 blocks.  Row k of B holds
+    Lx' A_k Lz^-T of each PSD block, whose Frobenius products are the terms
+    of M, and a_k lx / lz of each 1x1 block."""
+    m = len(avec)
+    sc = scatter.scalars
+    out[:, sc] = avec[:, sc] * lx / lz
+    shapes = [(m, d, cols.shape[1]) for (_, _, d), cols in zip(scatter.psd, scatter.columns)]
+    LxA = np.bincount(scatter.bins, Lx[scatter.sources] * scatter.factors,
+                      minlength=sum(math.prod(shape) for shape in shapes))
+    stacked = 0
+    for (start, end, d), shape, cols in zip(scatter.psd, shapes, scatter.columns):
+        size = math.prod(shape)
+        np.matmul(LxA[stacked:stacked + size].reshape(shape),
+                  Lz_inv[start:end].reshape(d, d).T[cols],
+                  out=out[:, start:end].reshape(m, d, d))
+        stacked += size
+    return out
 
 
 @dataclass
@@ -349,10 +407,10 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-def _inverse(L: np.ndarray) -> np.ndarray:
-    """(L L')^-1 = L^-T L^-1 from the lower Cholesky factor L."""
+def _inverse(L: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """L^-1 and (L L')^-1 = L^-T L^-1 from the lower Cholesky factor L."""
     L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    return L_inv.T @ L_inv
+    return L_inv, L_inv.T @ L_inv
 
 
 def _max_step(chols: Blocks, dS: Blocks) -> float:
@@ -428,15 +486,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     n_flat = Avec.shape[1]
     ends = np.cumsum([d * d for d in sizes]).tolist()
     spans = [(end - d * d, end, d) for end, d in zip(ends, sizes)]
-    psd = [span for span in spans if span[2] > 1]
-    # the scalar part's positions in a flat vector, and of its stacks in XA
-    sc = np.array([start for start, _, d in spans if d == 1], dtype=np.intp)
-    sc_stacks = m * sc + np.arange(m)[:, None]
+    psd = scatter.psd
+    sc = scatter.scalars  # the scalar part's positions in a flat vector
     # v[transposed] holds every block of v transposed; a scalar is its own
     transposed = np.concatenate([start + np.arange(d * d).reshape(d, d).T.ravel()
                                  for start, _, d in spans])
 
-    def blocks(v: np.ndarray, of: list = psd) -> Blocks:
+    def blocks(v: np.ndarray, of: Sequence = psd) -> Blocks:
         return [v[start:end].reshape(d, d) for start, end, d in of]
 
     def inner(v: np.ndarray, w: np.ndarray) -> float:
@@ -455,9 +511,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             np.matmul(vb, wb, out=ob)
         return out
 
-    # row k of XAZ holds X_j A_k Zinv_j of every block j, written in place
-    XAZ = np.empty_like(Avec)
-    XAZ_blocks = [XAZ[:, start:end].reshape(m, d, d) for start, end, d in psd]
+    B = np.empty_like(Avec)  # M = B B', see _schur_factor
 
     C = _vec(problem.objective)
     eye = _vec([np.eye(d) for d in sizes])
@@ -513,19 +567,19 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             Z_chols = [_chol(z) for z in blocks(Z)]
             lx = _scalar_chol(X[sc])
             lz = _scalar_chol(Z[sc])
+            Lx = np.empty(n_flat)
+            for L, out in zip(X_chols, blocks(Lx)):
+                out[...] = L
+            Lz_inv = np.empty(n_flat)
             Z_inv = np.empty(n_flat)
             Z_inv[sc] = _scalar_inverse(lz)
             Zinv_blocks = blocks(Z_inv)
-            for L, out in zip(Z_chols, Zinv_blocks):
-                out[...] = _inverse(L)
+            for L, l_out, z_out in zip(Z_chols, blocks(Lz_inv), Zinv_blocks):
+                l_out[...], z_out[...] = _inverse(L)
 
-            # Schur complement M[i, j] = sum_blocks <A_i, X A_j Zinv>
-            XA = _times_stacks(X, scatter, XAZ.size)
-            for (start, end, d), zi, out in zip(psd, Zinv_blocks, XAZ_blocks):
-                np.matmul(XA[m * start:m * end].reshape(m, d, d), zi, out=out)
-            XAZ[:, sc] = XA[sc_stacks] * Z_inv[sc] + 0.0
-            M = Avec @ XAZ.T
-            M = (M + M.T) / 2.0
+            # numpy computes B B' as one dsyrk, so M is symmetric to the bit
+            _schur_factor(scatter, Avec, Lx, Lz_inv, lx, lz, B)
+            M = B @ B.T
             M_chol = _chol(M)
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:

@@ -86,7 +86,9 @@ class SosModel:
     sigma: float
     case_tag: ConvexityCase
     p_prime: int = field(init=False)
-    lambda_min: float = field(init=False)  # lambda_min(H_bar)
+    # lambda_min(H_bar), computed when omitted; dataclasses.replace carries
+    # it over, so a replace that changes H_bar must pass it (or None) too
+    lambda_min: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.p < 2:
@@ -110,7 +112,9 @@ class SosModel:
                 raise ValueError(f"higher[{k}] has order {tensor.order}, expected {k + 3}")
             if tensor.dim != self.n:
                 raise ValueError("higher tensor dimension mismatch")
-        lam, _ = min_eigenvalue(self.H_bar)
+        lam = self.lambda_min
+        if lam is None:
+            lam, _ = min_eigenvalue(self.H_bar)
         object.__setattr__(self, "lambda_min", lam)
         if lam < self.delta - _MARGIN_SLACK:
             raise ValueError(

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sosarp import arp_driver
+from sosarp import arp_driver, sos_certify
 from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import build_function, derivatives
@@ -63,6 +63,18 @@ class TestClassification:
         model = build_model(bundle, case, delta, 0.0)
         shifted_lam, _ = min_eigenvalue(model.H_bar)
         assert shifted_lam == pytest.approx(delta, abs=1e-10)
+
+    @pytest.mark.parametrize("x, delta, case", [
+        ([0.05, -0.1], 0.5, ConvexityCase.NONCONVEX),
+        ([0.5, 0.5], 0.9, ConvexityCase.NEARLY_STRONGLY_CONVEX),
+        ([1.0, 1.0], 0.5, ConvexityCase.STRONGLY_CONVEX)])
+    def test_model_lambda_min_from_the_shift(self, bundled, x, delta, case):
+        bundle = derivatives(bundled["cubic_quartic"], x, 3)
+        lam, _ = min_eigenvalue(bundle.hessian())
+        assert classify_case(lam, delta) is case
+        model = build_model(bundle, case, delta, 0.0)
+        assert model.lambda_min == pytest.approx(min_eigenvalue(model.H_bar)[0],
+                                                 rel=1e-12, abs=1e-12)
 
     def test_inconsistent_case_rejected(self, bundled):
         bundle = derivatives(bundled["quad2"], [1.0, 1.0], 3)
@@ -250,6 +262,33 @@ class TestRuns:
         new_points = sum(1 for k, rec in enumerate(records)
                          if k == 0 or records[k - 1].success)
         assert len(calls) == new_points
+
+    def test_no_eigensolve_of_the_shifted_hessian(self, bundled, monkeypatch):
+        # every model carries lambda_min(H_bar) from build_model's shift,
+        # and replace(model, sigma=...) keeps it: SosModel makes no
+        # eigensolve, and the records are those of models that make one
+        config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])
+        calls = []
+
+        def spy(H):
+            calls.append(H)
+            return min_eigenvalue(H)
+
+        monkeypatch.setattr(sos_certify, "min_eigenvalue", spy)
+        result = run(bundled["rosenbrock2"], config)
+        assert result.status is RunStatus.CONVERGED
+        assert calls == []
+        monkeypatch.setattr(arp_driver, "build_model", lambda *args, **kwargs: replace(
+            build_model(*args, **kwargs), lambda_min=None))
+        recomputed = run(bundled["rosenbrock2"], config)
+        new_points = 1 + sum(rec.success for rec in recomputed.records[:-1])
+        assert len(calls) == new_points
+        assert len(recomputed.records) == len(result.records)
+        for rec, ref in zip(result.records, recomputed.records):
+            assert (rec.success, rec.case_tag) == (ref.success, ref.case_tag)
+            for name in ("sigma_bar", "sigma", "rho", "step_norm", "f_after"):
+                assert getattr(rec, name) == pytest.approx(getattr(ref, name),
+                                                           rel=1e-9, abs=1e-300)
 
     def test_objective_monotone_over_successes(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-5, x0=[-1.2, 1.0])

@@ -220,8 +220,12 @@ class TestWithRhs:
         problem, _ = planted_sdp(np.random.default_rng(5), max_block=6, max_m=12)
         other = problem.with_rhs(2.0 * problem.b)
         assert other._avec is problem._avec
+        scatter = problem._scatter
+        assert other._scatter is scatter
         shared = [*problem.objective, *problem.constraints, problem._avec,
-                  problem._gram_chol, *problem._scatter]
+                  problem._gram_chol, scatter.rows, scatter.cells, scatter.values,
+                  scatter.scalars, *scatter.columns, scatter.sources,
+                  scatter.factors, scatter.bins]
         for array in shared:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

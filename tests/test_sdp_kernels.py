@@ -6,7 +6,8 @@ The kernels promise the same bits, so every comparison is exact equality.
 They check no input for inf or NaN (the solver checks each iterate once),
 so the reference is the unchecked general path.  The constraint scatters
 promise the dense products' bits only for the certification SDP's 0/1
-pair matrices; on dense data they agree up to rounding.
+pair matrices; on dense data they agree up to rounding, as does the Schur
+complement B B' with its dense definition.
 """
 
 import numpy as np
@@ -15,9 +16,9 @@ from scipy.linalg import solve_triangular
 
 from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _eigvalsh, _inverse,
                              _max_step, _scalar_chol, _scalar_inverse,
-                             _scalar_max_step, _solve_triangular, _times_stacks,
-                             _vec)
+                             _scalar_max_step, _schur_factor, _solve_triangular)
 from sosarp.sos_certify import _gram_structure
+from conftest import planted_sdp
 
 
 def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
@@ -178,7 +179,9 @@ class TestScalarBlocks:
         combined = min(_max_step(chols[:1], dS[:1]),
                        _scalar_max_step(np.array([0.7]), np.array([-2.5])))
         assert combined == _reference_max_step(chols, dS)
-        assert np.array_equal(_inverse(chols[0]), _reference_inverse(chols[0]))
+        L_inv, inverse = _inverse(chols[0])
+        assert np.array_equal(inverse, _reference_inverse(chols[0]))
+        assert np.array_equal(L_inv, solve_triangular(chols[0], np.eye(6), lower=True))
 
     @pytest.mark.parametrize("d, l", [(1e300, 1e-10), (-1e300, 1e-10),
                                       (1e200, 1e-60), (-1e200, 1e-60),
@@ -212,15 +215,42 @@ class TestStepLength:
 BENCH_STRUCTURES = [(1, 4), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6)]
 
 
-def _scattered_stacks(problem, X):
-    """Each block's (m, d, d) stack X_j A_k, cut from the flat scatter."""
+def _scattered_stacks(problem, Lx):
+    """Each PSD block's (m, d, w) stack of Lx_j' A_k on the nonzero columns
+    of A_k, cut from the flat scatter of the lower triangular Lx."""
+    scatter = problem._scatter
     m, width = problem._avec.shape
-    flat = _times_stacks(_vec(X), problem._scatter, m * width)
-    stacks, start = [], 0
-    for d in problem.block_sizes:
-        stacks.append(flat[m * start:m * (start + d * d)].reshape(m, d, d))
-        start += d * d
+    flat_lx = np.zeros(width)
+    for (start, end, _), L in zip(scatter.psd, Lx):
+        flat_lx[start:end] = L.ravel()
+    shapes = [(m, d, cols.shape[1]) for (_, _, d), cols in zip(scatter.psd, scatter.columns)]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.bincount(scatter.bins, flat_lx[scatter.sources] * scatter.factors,
+                       minlength=sum(sizes))
+    ends = np.cumsum(sizes)
+    return [flat[end - size:end].reshape(shape)
+            for end, size, shape in zip(ends, sizes, shapes)]
+
+
+def _expected_stacks(problem, Lx):
+    """The dense Lx_j' A_k on the same columns, zero where a row's columns
+    are padded; and a check that the columns are each A_k's nonzero ones."""
+    stacks = []
+    for (_, _, d), cols, L, a in zip(problem._scatter.psd, problem._scatter.columns,
+                                     Lx, [c for c in problem.constraints
+                                          if c.shape[1] > 1]):
+        counts = np.count_nonzero(np.any(a != 0.0, axis=1), axis=1)
+        assert cols.shape[1] == np.max(counts, initial=0)
+        for k, count in enumerate(counts):
+            assert np.array_equal(cols[k, :count], np.flatnonzero(np.any(a[k] != 0.0, axis=0)))
+        padded = np.arange(cols.shape[1]) >= counts[:, None]
+        dense = np.take_along_axis(L.T @ a, cols[:, None, :], axis=2)
+        stacks.append(np.where(padded[:, None, :], 0.0, dense))
     return stacks
+
+
+def _lower(rng, d):
+    return np.tril(_wide_range(rng, (d, d)))
 
 
 def _wide_range(rng, shape):
@@ -234,10 +264,10 @@ class TestConstraintScatter:
         problem = _gram_structure(n, p_prime).problem
         rng = np.random.default_rng(10 * n + p_prime)
         for _ in range(5):
-            X = [_wide_range(rng, (d, d)) for d in problem.block_sizes]
-            for got, x, a in zip(_scattered_stacks(problem, X), X,
-                                 problem.constraints):
-                assert np.array_equal(got, x @ a)
+            Lx = [_lower(rng, d) for _, _, d in problem._scatter.psd]
+            for got, expected in zip(_scattered_stacks(problem, Lx),
+                                     _expected_stacks(problem, Lx)):
+                assert np.array_equal(got, expected)
             y = _wide_range(rng, len(problem.b))
             # the sigma column sums one term per row: the order of k matters
             expected = np.einsum("k,kn->n", y, problem._avec)
@@ -254,9 +284,11 @@ class TestConstraintScatter:
             constraints.append(raw + raw.transpose(0, 2, 1))
         problem = SdpProblem(objective=objective, constraints=constraints,
                              b=np.zeros(m))
-        X = [rng.standard_normal((d, d)) for d in sizes]
-        for got, x, a in zip(_scattered_stacks(problem, X), X, problem.constraints):
-            expected = x @ a
+        # dense blocks: every row uses every column
+        assert [cols.shape for cols in problem._scatter.columns] == [(m, 7), (m, 4)]
+        Lx = [np.tril(rng.standard_normal((d, d))) for d in (7, 4)]
+        for got, expected in zip(_scattered_stacks(problem, Lx),
+                                 _expected_stacks(problem, Lx)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
         y = rng.standard_normal(m)
@@ -264,3 +296,89 @@ class TestConstraintScatter:
         np.testing.assert_allclose(_adjoint(y, problem._scatter, len(expected)),
                                    expected, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(expected)))
+
+
+def _schur(problem, X, Z):
+    """B B' from _schur_factor at X and Z, given as lists of PD blocks."""
+    scatter = problem._scatter
+    width = problem._avec.shape[1]
+    Lx, Lz_inv = np.zeros(width), np.zeros(width)
+    for (start, end, _), x, z in zip(scatter.psd, [x for x in X if len(x) > 1],
+                                     [z for z in Z if len(z) > 1]):
+        Lx[start:end] = np.linalg.cholesky(x).ravel()
+        Lz_inv[start:end] = np.linalg.inv(np.linalg.cholesky(z)).ravel()
+    lx = np.sqrt([x[0, 0] for x in X if len(x) == 1])
+    lz = np.sqrt([z[0, 0] for z in Z if len(z) == 1])
+    B = _schur_factor(scatter, problem._avec, Lx, Lz_inv, lx, lz,
+                      np.full_like(problem._avec, np.nan))
+    return B @ B.T
+
+
+def _dense_schur(problem, X, Z):
+    """M[i, j] = sum over blocks of <A_i, X A_j Z^-1>, from the definition."""
+    return sum(np.einsum("iab,jab->ij", a, x @ a @ np.linalg.inv(z))
+               for a, x, z in zip(problem.constraints, X, Z))
+
+
+def _pd_blocks(rng, sizes):
+    blocks = []
+    for d in sizes:
+        g = rng.standard_normal((d, d))
+        blocks.append(g @ g.T + d * np.eye(d))
+    return blocks
+
+
+class TestSchurFactor:
+    """M = B B' against its definition, on the certification structures and
+    on dense planted problems with 1x1 blocks anywhere."""
+
+    @staticmethod
+    def _check(problem, rng):
+        sizes = problem.block_sizes
+        for _ in range(3):
+            X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
+            M = _schur(problem, X, Z)
+            expected = _dense_schur(problem, X, Z)
+            assert np.array_equal(M, M.T)
+            np.testing.assert_allclose(M, expected, rtol=1e-12,
+                                       atol=1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
+    def test_certification_structures(self, n, p_prime):
+        self._check(_gram_structure(n, p_prime).problem,
+                    np.random.default_rng(n + p_prime))
+
+    @pytest.mark.parametrize("scalars", [(0,), (1,), (2,), (0, 1, 2)],
+                             ids=["before", "between", "after", "everywhere"])
+    def test_planted_dense_problems(self, scalars):
+        rng = np.random.default_rng(sum(scalars) + 7)
+        for _ in range(3):
+            problem, _ = planted_sdp(rng, max_block=8, max_m=30, scalars=scalars,
+                                     nblocks=2)
+            self._check(problem, rng)
+
+    def test_built_from_kept_rows_and_read_only(self):
+        # rows 1 and 3 repeat rows 0 and 2 and are dropped; the rows after
+        # them move up, and every new array has one row per kept constraint
+        rng = np.random.default_rng(11)
+        planted, _ = planted_sdp(rng, max_block=6, max_m=12, scalars=(1,), nblocks=2)
+        m = len(planted.b)
+        order = [0, 0, 1, 1] + list(range(2, m))
+        with pytest.warns(RuntimeWarning, match="dependent"):
+            problem = SdpProblem(objective=planted.objective,
+                                 constraints=[a[order] for a in planted.constraints],
+                                 b=planted.b[order])
+        assert len(problem.b) == m
+        for got, expected in zip(problem.constraints, planted.constraints):
+            assert np.array_equal(got, expected)
+        scatter = problem._scatter
+        assert [cols.shape[0] for cols in scatter.columns] == [m, m]
+        Lx = [_lower(rng, d) for _, _, d in scatter.psd]
+        for got, expected in zip(_scattered_stacks(problem, Lx),
+                                 _expected_stacks(problem, Lx)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+        self._check(problem, rng)
+        for array in (scatter.scalars, *scatter.columns, scatter.sources,
+                      scatter.factors, scatter.bins):
+            assert not array.flags.writeable

@@ -36,6 +36,24 @@ class TestModelValidation:
                      delta=0.5, sigma=0.0,
                      case_tag=ConvexityCase.STRONGLY_CONVEX)
 
+    def test_lambda_min_computed_only_when_omitted(self, monkeypatch):
+        H = np.array([[2.0, 1.0], [1.0, 2.0]])
+        fields = dict(n=2, p=3, f0=0.0, g=np.zeros(2), H_bar=H,
+                      higher=[SymmetricTensor(3, 2, {})], delta=0.5, sigma=0.0,
+                      case_tag=ConvexityCase.STRONGLY_CONVEX)
+        model = SosModel(**fields)
+        assert model.lambda_min == pytest.approx(1.0, rel=1e-14)
+        calls = []
+        monkeypatch.setattr(sos_certify, "min_eigenvalue",
+                            lambda M: calls.append(M) or (0.0, None))
+        # replace carries the value over; a given value is taken as it is
+        assert replace(model, sigma=3.0).lambda_min == model.lambda_min
+        assert SosModel(**fields, lambda_min=0.75).lambda_min == 0.75
+        assert calls == []
+        # the contract check stays
+        with pytest.raises(ValueError, match="contract"):
+            SosModel(**fields, lambda_min=0.25)
+
     def test_regularization_power_parity(self):
         assert univariate_model(1.0, 1.0).p_prime == 4
         even = SosModel(n=1, p=4, f0=0.0, g=np.zeros(1),

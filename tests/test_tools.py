@@ -1,5 +1,6 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
-runs: wins, the claim rule and the bound."""
+runs: wins, the claim rule, the bound, and the separated and unresolved
+verdicts."""
 
 import sys
 from pathlib import Path
@@ -87,3 +88,47 @@ class TestBound:
     def test_lower_is_better_metric(self, factor, worse):
         row = compare(LOWER, PARENT, [factor * p for p in PARENT])
         assert row["worse_than_bound"] is worse
+
+
+# ten runs 1.0, 1.1, ..., 1.9: quartiles 1.225 and 1.675, 0.31 of the median
+WIDE = [1.0 + 0.1 * i for i in range(10)]
+
+
+class TestSeparated:
+    @pytest.mark.parametrize("spec, sign", [(LOWER, -1.0), (HIGHER, 1.0)],
+                             ids=["lower", "higher"])
+    def test_every_change_run_better_than_every_parent_run(self, spec, sign):
+        # a shift of 0.1 moves each run past the parent's best one
+        assert compare(spec, PARENT, [p + sign * 0.1 for p in PARENT])["separated"]
+        assert not compare(spec, PARENT, [p - sign * 0.1 for p in PARENT])["separated"]
+
+    def test_one_overlap_or_tie_is_not_separated(self):
+        change = [p - 0.1 for p in PARENT]
+        change[-1] = PARENT[0]  # a tie with the parent's best run
+        row = compare(LOWER, PARENT, change)
+        assert not row["separated"]
+        change[-1] = PARENT[0] - 1e-9
+        assert compare(LOWER, PARENT, change)["separated"]
+
+
+class TestUnresolved:
+    def test_spread_wider_than_the_bound(self):
+        # the parent's quartiles lie 0.31 of its median apart, the bound is
+        # 0.25: an unchanged metric cannot be told from a regression
+        row = compare(LOWER, WIDE, list(WIDE))
+        assert not row["worse_than_bound"]
+        assert row["unresolved"]
+        assert compare(HIGHER, WIDE, list(WIDE))["unresolved"]
+
+    def test_separated_sides_are_resolved(self):
+        row = compare(LOWER, WIDE, [0.5 + 0.01 * i for i in range(10)])
+        assert row["separated"]
+        assert not row["unresolved"]
+
+    def test_spread_within_the_bound(self):
+        # PARENT's quartiles lie 0.043 of its median apart
+        assert not compare(LOWER, PARENT, list(PARENT))["unresolved"]
+        # the spread counts relative to the median: 0.0045 apart at a
+        # median of 0.0145 is 0.31 of it
+        small = [0.01 + 0.001 * i for i in range(10)]
+        assert compare(LOWER, small, list(small))["unresolved"]

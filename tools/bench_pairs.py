@@ -18,7 +18,11 @@ for neither side), the median ratio change/parent, whether the change's
 median is worse than the parent's by more than the bound in the CHANGE
 checkout's BENCHMARK.json, and whether a gain is claimable: at least nine
 tenths of the pairs won and the medians further apart than the parent's
-quartiles.  It also holds the failed/attempted operation counts, the
+quartiles.  Two more verdicts qualify a comparison: separated, every change
+run better than every parent run; and unresolved, the parent's quartiles
+further apart, relative to its median, than the bound, so that a change
+within the bound cannot be told from none, unless the sides are separated.
+It also holds the failed/attempted operation counts, the
 traced medians and the machine record (nproc, BLAS build, BLAS thread
 setting) that run_bench.py reports, with scipy's BLAS build added: the
 solver's direct LAPACK calls run in scipy's BLAS, numpy's in numpy's.
@@ -101,11 +105,14 @@ def compare(spec: dict, parent, change) -> dict:
     p_med, c_med = sides["parent"]["median"], sides["change"]["median"]
     worse = (c_med - p_med if lower else p_med - c_med) / p_med
     spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+    separated = (max(change) < min(parent) if lower else min(change) > max(parent))
     return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             **sides, "wins": wins, "ratio": c_med / p_med,
             "worse_than_bound": worse > spec["bound"],
             "claimable": (wins >= 0.9 * len(parent)
-                          and abs(c_med - p_med) > spread and worse < 0)}
+                          and abs(c_med - p_med) > spread and worse < 0),
+            "separated": separated,
+            "unresolved": spread / p_med > spec["bound"] and not separated}
 
 
 def main(argv=None) -> int:
@@ -164,6 +171,8 @@ def main(argv=None) -> int:
                   f" change {row['change']['median']:10.4g} ratio {row['ratio']:.3f}"
                   f" wins {row['wins']}/{args.pairs}"
                   f"{'  CLAIMABLE' if row['claimable'] else ''}"
+                  f"{'  SEPARATED' if row['separated'] else ''}"
+                  f"{'  UNRESOLVED' if row['unresolved'] else ''}"
                   f"{'  WORSE THAN BOUND' if row['worse_than_bound'] else ''}")
     return 0
 
