@@ -41,8 +41,8 @@ block.  Lx' A_k is nonzero only on the w columns where A_k is, so it is
 built on those alone, as Fujisawa, Kojima & Nakata exploit sparse data
 (Math. Program. 1997): a scatter of the nonzero entries of A_k with
 np.bincount adds each product Lx[i, r] A_k[i, c] into cell (r, position of
-c) of the block's (m, d, w) stack, which meets the same w rows of Lz^-T in
-one batched matmul.  w is 4 of 20 for the certification SDP at
+c) of the block's (m, d, w) stack, which meets the same w rows of Lz^-T,
+gathered by precomputed indices, in one batched matmul.  w is 4 of 20 for the certification SDP at
 (n, p') = (4, 4) and 12 of 30 at (3, 6); dense data has w = d.  A*(y) is a
 scatter too: it adds each y_k A_k[c] into cell c in order of k.  For the
 certification SDP both scatters are exact: each pair matrix is a 0/1
@@ -55,8 +55,9 @@ results are bit for bit the dense products'; for dense data they agree up
 to rounding.  The scatter keeps i + 1 products per nonzero entry in row i,
 those of Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair
 matrices, whose supports cover each cell once, but m d^2 (d + 1) / 2 for
-dense data, about 1.3 GB for dense blocks of 60 with 500 constraints.  A
-solve adds m d w stack cells per block and the (m, N) B.
+dense data, about 1.3 GB for dense blocks of 60 with 500 constraints.  The
+gather indices take m w d more per block, and a solve adds m d w stack
+cells per block and the (m, N) B.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
@@ -151,25 +152,27 @@ class _Scatter(NamedTuple):
     """The nonzero entries of the (m, N) row matrix, Avec[rows[e], cells[e]]
     = values[e], in order of the row, then of the cell; the blocks' places
     in a flat vector, as the (start, end, d) of each PSD block and the
-    positions of the 1x1 blocks; and, per PSD block j, what makes up
-    Lx_j' A_k on the nonzero columns of A_k for a lower triangular Lx_j:
-    columns[j], whose row k holds those columns of block j of A_k in order,
-    padded with column 0 to a common width w_j, and the products
-    vec(Lx)[sources[t]] * factors[t] = Lx_j[i, r] A_k[i, c], bins[t] being
-    its cell (k, r, position of c) of block j's (m, d, w_j) stack, the
-    stacks of all PSD blocks lying one after another in one flat array.
-    The products with i < r, exact zeros, are left out, and none falls on
-    a padded column."""
+    positions of the 1x1 blocks, with the 1x1 blocks' columns of Avec; and,
+    per PSD block j, what makes up Lx_j' A_k Lz_j^-T on the nonzero columns
+    of A_k for lower triangular Lx_j and Lz_j^-1: with c_p the p-th of those
+    columns in order, padded with column 0 to a common width w_j, the
+    products vec(Lx)[sources[t]] * factors[t] = Lx_j[i, r] A_k[i, c_p],
+    bins[t] being its cell (k, r, p) of block j's (m, d, w_j) stack, the
+    stacks of all PSD blocks lying one after another in one flat array; and
+    gathers[j], the (m, w_j, d) places in a flat vector of the rows c_p of
+    Lz_j^-T.  The products with i < r, exact zeros, are left out, and none
+    falls on a padded column."""
 
     rows: np.ndarray
     cells: np.ndarray
     values: np.ndarray
     psd: Tuple[Tuple[int, int, int], ...]
     scalars: np.ndarray
-    columns: Tuple[np.ndarray, ...]
+    scalar_columns: np.ndarray
     sources: np.ndarray
     factors: np.ndarray
     bins: np.ndarray
+    gathers: Tuple[np.ndarray, ...]
 
 
 def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
@@ -180,8 +183,8 @@ def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
     psd = tuple((end - d * d, end, d) for end, d in zip(ends, sizes) if d > 1)
     scalars = np.array([end - 1 for end, d in zip(ends, sizes) if d == 1],
                        dtype=np.intp)
-    columns = []
     sources, factors, bins = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
+    gathers = []
     stacked = 0
     for start, end, d in psd:
         mine = (cells >= start) & (cells < end)
@@ -194,17 +197,17 @@ def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
         cols = np.zeros((m, width), dtype=np.intp)
         k_used, c_used = np.nonzero(used)
         cols[k_used, position[k_used, c_used]] = c_used
-        columns.append(cols)
         r = np.arange(d)[:, None]
         lower = r <= i
         sources.append((start + d * i + r)[lower])
         factors.append(np.broadcast_to(values[mine], lower.shape)[lower])
         bins.append((stacked + (d * k + r) * width + position[k, c])[lower])
+        gathers.append(start + d * np.arange(d) + cols[:, :, None])
         stacked += m * d * width
-    scatter = _Scatter(rows, cells, values, psd, scalars, tuple(columns),
-                       np.concatenate(sources), np.concatenate(factors),
-                       np.concatenate(bins))
-    for array in (rows, cells, values, scalars, *columns, *scatter[6:]):
+    scatter = _Scatter(rows, cells, values, psd, scalars,
+                       np.ascontiguousarray(avec[:, scalars]), np.concatenate(sources),
+                       np.concatenate(factors), np.concatenate(bins), tuple(gathers))
+    for array in (*scatter[:3], *scatter[4:9], *gathers):
         array.setflags(write=False)
     return scatter
 
@@ -216,10 +219,9 @@ def _adjoint(y: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
                        minlength=size)
 
 
-def _schur_factor(scatter: _Scatter, avec: np.ndarray, Lx: np.ndarray,
-                  Lz_inv: np.ndarray, lx: np.ndarray, lz: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """out, shaped as avec, filled with B and returned, where B B' is the
+def _schur_factor(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
+                  lx: np.ndarray, lz: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, an (m, N) array, filled with B and returned, where B B' is the
     Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1>.
 
     At each PSD block's place in a flat vector, Lx holds the lower Cholesky
@@ -227,19 +229,15 @@ def _schur_factor(scatter: _Scatter, avec: np.ndarray, Lx: np.ndarray,
     factors sqrt(x) and sqrt(z) of the 1x1 blocks.  Row k of B holds
     Lx' A_k Lz^-T of each PSD block, whose Frobenius products are the terms
     of M, and a_k lx / lz of each 1x1 block."""
-    m = len(avec)
-    sc = scatter.scalars
-    out[:, sc] = avec[:, sc] * lx / lz
-    shapes = [(m, d, cols.shape[1]) for (_, _, d), cols in zip(scatter.psd, scatter.columns)]
+    out[:, scatter.scalars] = scatter.scalar_columns * lx / lz
     LxA = np.bincount(scatter.bins, Lx[scatter.sources] * scatter.factors,
-                      minlength=sum(math.prod(shape) for shape in shapes))
+                      minlength=sum(gather.size for gather in scatter.gathers))
     stacked = 0
-    for (start, end, d), shape, cols in zip(scatter.psd, shapes, scatter.columns):
-        size = math.prod(shape)
-        np.matmul(LxA[stacked:stacked + size].reshape(shape),
-                  Lz_inv[start:end].reshape(d, d).T[cols],
+    for (start, end, d), gather in zip(scatter.psd, scatter.gathers):
+        m, w, _ = gather.shape
+        np.matmul(LxA[stacked:stacked + m * d * w].reshape(m, d, w), Lz_inv[gather],
                   out=out[:, start:end].reshape(m, d, d))
-        stacked += size
+        stacked += m * d * w
     return out
 
 
@@ -578,7 +576,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 l_out[...], z_out[...] = _inverse(L)
 
             # numpy computes B B' as one dsyrk, so M is symmetric to the bit
-            _schur_factor(scatter, Avec, Lx, Lz_inv, lx, lz, B)
+            _schur_factor(scatter, Lx, Lz_inv, lx, lz, B)
             M = B @ B.T
             M_chol = _chol(M)
 

@@ -224,8 +224,8 @@ class TestWithRhs:
         assert other._scatter is scatter
         shared = [*problem.objective, *problem.constraints, problem._avec,
                   problem._gram_chol, scatter.rows, scatter.cells, scatter.values,
-                  scatter.scalars, *scatter.columns, scatter.sources,
-                  scatter.factors, scatter.bins]
+                  scatter.scalars, scatter.scalar_columns, scatter.sources,
+                  scatter.factors, scatter.bins, *scatter.gathers]
         for array in shared:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -223,7 +223,8 @@ def _scattered_stacks(problem, Lx):
     flat_lx = np.zeros(width)
     for (start, end, _), L in zip(scatter.psd, Lx):
         flat_lx[start:end] = L.ravel()
-    shapes = [(m, d, cols.shape[1]) for (_, _, d), cols in zip(scatter.psd, scatter.columns)]
+    shapes = [(m, d, gather.shape[1]) for (_, _, d), gather in zip(scatter.psd,
+                                                                 scatter.gathers)]
     sizes = [int(np.prod(shape)) for shape in shapes]
     flat = np.bincount(scatter.bins, flat_lx[scatter.sources] * scatter.factors,
                        minlength=sum(sizes))
@@ -234,11 +235,15 @@ def _scattered_stacks(problem, Lx):
 
 def _expected_stacks(problem, Lx):
     """The dense Lx_j' A_k on the same columns, zero where a row's columns
-    are padded; and a check that the columns are each A_k's nonzero ones."""
+    are padded; and a check that the columns are each A_k's nonzero ones,
+    and that the gathers pick their rows of Lz^-T."""
     stacks = []
-    for (_, _, d), cols, L, a in zip(problem._scatter.psd, problem._scatter.columns,
-                                     Lx, [c for c in problem.constraints
-                                          if c.shape[1] > 1]):
+    for (start, _, d), gather, L, a in zip(problem._scatter.psd,
+                                           problem._scatter.gathers, Lx,
+                                           [c for c in problem.constraints
+                                            if c.shape[1] > 1]):
+        cols = gather[:, :, 0] - start
+        assert np.array_equal(gather, start + d * np.arange(d) + cols[:, :, None])
         counts = np.count_nonzero(np.any(a != 0.0, axis=1), axis=1)
         assert cols.shape[1] == np.max(counts, initial=0)
         for k, count in enumerate(counts):
@@ -285,7 +290,8 @@ class TestConstraintScatter:
         problem = SdpProblem(objective=objective, constraints=constraints,
                              b=np.zeros(m))
         # dense blocks: every row uses every column
-        assert [cols.shape for cols in problem._scatter.columns] == [(m, 7), (m, 4)]
+        assert [gather.shape for gather in problem._scatter.gathers] == [(m, 7, 7),
+                                                                        (m, 4, 4)]
         Lx = [np.tril(rng.standard_normal((d, d))) for d in (7, 4)]
         for got, expected in zip(_scattered_stacks(problem, Lx),
                                  _expected_stacks(problem, Lx)):
@@ -309,8 +315,7 @@ def _schur(problem, X, Z):
         Lz_inv[start:end] = np.linalg.inv(np.linalg.cholesky(z)).ravel()
     lx = np.sqrt([x[0, 0] for x in X if len(x) == 1])
     lz = np.sqrt([z[0, 0] for z in Z if len(z) == 1])
-    B = _schur_factor(scatter, problem._avec, Lx, Lz_inv, lx, lz,
-                      np.full_like(problem._avec, np.nan))
+    B = _schur_factor(scatter, Lx, Lz_inv, lx, lz, np.full_like(problem._avec, np.nan))
     return B @ B.T
 
 
@@ -372,13 +377,14 @@ class TestSchurFactor:
         for got, expected in zip(problem.constraints, planted.constraints):
             assert np.array_equal(got, expected)
         scatter = problem._scatter
-        assert [cols.shape[0] for cols in scatter.columns] == [m, m]
+        assert [gather.shape[0] for gather in scatter.gathers] == [m, m]
+        assert scatter.scalar_columns.shape == (m, 1)
         Lx = [_lower(rng, d) for _, _, d in scatter.psd]
         for got, expected in zip(_scattered_stacks(problem, Lx),
                                  _expected_stacks(problem, Lx)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
         self._check(problem, rng)
-        for array in (scatter.scalars, *scatter.columns, scatter.sources,
-                      scatter.factors, scatter.bins):
+        for array in (scatter.scalars, scatter.scalar_columns, scatter.sources,
+                      scatter.factors, scatter.bins, *scatter.gathers):
             assert not array.flags.writeable
