@@ -1,0 +1,49 @@
+"""The LAPACK routines sosarp calls, from scipy's compiled wrappers alone.
+
+The solver and the subsolver call four LAPACK routines directly: dtrtrs and
+dsyevd in sdp_core, dpotrf and dpotrs in subproblem.  All four live in one
+f2py extension, scipy.linalg._flapack, which scipy.linalg.lapack re-exports.
+Importing that through the scipy.linalg package would run the package's
+__init__, which pulls in scipy's array-API layer and with it numpy.f2py,
+numpy.testing and numpy.ma: about 0.17 s and 23 MB per process, for four
+routines.  So this module finds scipy's linalg directory without importing
+scipy and loads the extension file itself.
+
+It registers the module in sys.modules under its own name, so a later
+`import scipy.linalg` reuses it, and scipy's dtrtrs and sosarp's are then
+the same object: the same wrapper on the same LAPACK gives the same bits.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
+_NAME = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy.linalg._flapack, loaded from its file unless already imported."""
+    module = sys.modules.get(_NAME)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("sosarp needs scipy, for its compiled LAPACK wrappers")
+    linalg = os.path.join(os.path.dirname(scipy.origin), "linalg")
+    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_NAME)
+    if spec is None:
+        raise ImportError(f"scipy is installed without its {_NAME} extension")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_NAME] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_module = _flapack()
+dpotrf = _module.dpotrf
+dpotrs = _module.dpotrs
+dsyevd = _module.dsyevd
+dtrtrs = _module.dtrtrs

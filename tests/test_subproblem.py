@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from sosarp.sos_certify import ConvexityCase, SosModel
-from sosarp.subproblem import minimize_model
+from sosarp.subproblem import SubsolverFailure, _newton_direction, minimize_model
 from sosarp.tensor_poly import SymmetricTensor
 from conftest import random_certified_model
 
@@ -44,6 +45,44 @@ class TestClosedFormCases:
         r = result.s[0]
         assert result.s[1] == pytest.approx(0.0, abs=1e-9)
         assert lam * r + sigma * r ** 3 == pytest.approx(c, abs=1e-7)
+
+
+class TestNewtonDirection:
+    """The direction is cho_factor(H, lower=True) and cho_solve's, bit for
+    bit, with their rejection of non-finite input."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_equals_cho_solve(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            root = rng.standard_normal((n, n))
+            hessian = root @ root.T + 1e-3 * np.eye(n)
+            grad = rng.standard_normal(n)
+            expected = cho_solve(cho_factor(hessian, lower=True), -grad)
+            assert np.array_equal(_newton_direction(hessian, grad), expected)
+
+    def test_ridge_on_a_singular_hessian(self):
+        hessian = np.array([[1.0, 1.0], [1.0, 1.0]])
+        grad = np.array([1.0, -1.0])
+        shifted = hessian + 1e-12 * np.eye(2)
+        expected = cho_solve(cho_factor(shifted, lower=True), -grad)
+        assert np.array_equal(_newton_direction(hessian, grad), expected)
+
+    def test_indefinite_hessian_fails(self):
+        with pytest.raises(SubsolverFailure):
+            _newton_direction(np.diag([1.0, -1.0]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["hessian", "grad"])
+    def test_non_finite_input_rejected(self, bad, where):
+        hessian = np.eye(2)
+        grad = np.ones(2)
+        if where == "hessian":
+            hessian[0, 0] = bad
+        else:
+            grad[1] = bad
+        with pytest.raises(ValueError):
+            _newton_direction(hessian, grad)
 
 
 class TestContract:
