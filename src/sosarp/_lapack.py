@@ -1,16 +1,17 @@
 """The LAPACK routines sosarp calls, from scipy's compiled wrappers alone.
 
-The solver and the subsolver call four LAPACK routines directly: dtrtrs and
-dsyevd in sdp_core, dpotrf and dpotrs in subproblem.  All four live in one
-f2py extension, scipy.linalg._flapack, which scipy.linalg.lapack re-exports.
-Importing that through the scipy.linalg package would run the package's
-__init__, which pulls in scipy's array-API layer and with it numpy.f2py,
-numpy.testing and numpy.ma: about 0.17 s and 23 MB per process, for four
-routines.  So this module finds scipy's linalg directory without importing
-scipy and loads the extension file itself.
+The solver and the subsolver call LAPACK directly: dpotrf, dpotrs, dtrtri,
+dsygst and dsyevd in sdp_core, dpotrf and dpotrs in subproblem.  All of
+them live in one f2py extension, scipy.linalg._flapack, which
+scipy.linalg.lapack re-exports.  Importing that through the scipy.linalg
+package would run the package's __init__, which pulls in scipy's array-API
+layer and with it numpy.f2py, numpy.testing and numpy.ma: about 0.17 s and
+23 MB per process, for a handful of routines.  So this module finds scipy's
+linalg directory without importing scipy and loads the extension file
+itself.
 
 It registers the module in sys.modules under its own name, so a later
-`import scipy.linalg` reuses it, and scipy's dtrtrs and sosarp's are then
+`import scipy.linalg` reuses it, and scipy's dpotrf and sosarp's are then
 the same object: the same wrapper on the same LAPACK gives the same bits.
 """
 
@@ -46,4 +47,5 @@ _module = _flapack()
 dpotrf = _module.dpotrf
 dpotrs = _module.dpotrs
 dsyevd = _module.dsyevd
-dtrtrs = _module.dtrtrs
+dsygst = _module.dsygst
+dtrtri = _module.dtrtri

@@ -9,19 +9,29 @@ as the certification SDP's 0/1 pair matrices (see the Schur complement
 below).
 
 At that scale the fixed cost of a library call outweighs its arithmetic, so
-the triangular solves call LAPACK's dtrtrs directly, with the argument
-mapping of scipy.linalg.solve_triangular, and the step-length eigenvalues
-call LAPACK's dsyevd directly, as np.linalg.eigvalsh does; both give the
-library call's bits.  Both routines come from sosarp._lapack, which loads
-scipy's compiled wrappers without the scipy.linalg package (about 0.17 s
-and 23 MB per process); they are the objects scipy.linalg.lapack exports.
+each step of an iteration is one LAPACK call, taken from sosarp._lapack,
+which loads scipy's compiled wrappers without the scipy.linalg package
+(about 0.17 s and 23 MB per process): dpotrf factors each block of X and Z
+and the Schur complement M; dtrtri inverts each factor of Z; dpotrs makes
+both triangular solves of a Schur or constraint-Gram system in one call;
+and each step length is the smallest eigenvalue, from dsyevd, of
+L^-1 dS L^-T, which dsygst forms in one call from the lower triangles of dS
+and of the factor L of S, as SDPT3 takes the step length from the
+Cholesky-reduced matrix (Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
+Every operand reaches LAPACK in column order, so f2py copies none to
+transpose it: the factors come from dpotrf in that order, and a symmetric
+matrix held in row order is passed as its transpose, the same matrix.  At
+the [6, 1] structure of the bundled runs an iteration makes 20 calls: 3
+dpotrf, 1 dtrtri, 8 dpotrs, 4 dsygst and 4 dsyevd.
 
 An SdpProblem checks its data once, on construction, and keeps what every
 solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
 one after another (N = sum d_j^2), of which each block's (m, d, d) stack of
 constraint matrices is a view; the Cholesky factor of the constraint Gram
-matrix Avec Avec'; and the scatters below, built from the nonzero entries
-of Avec.  with_rhs poses the same constraints with another b and checks
+matrix Avec Avec'; the scatters below, built from the nonzero entries of
+Avec; and the constants of a solve: the blocks' places in a flat vector,
+the index that transposes every block, and C and the identity as flat
+vectors.  with_rhs poses the same constraints with another b and checks
 only b, so a family of problems that differ in b, like the certification
 SDPs of one Gram structure, pays for that once.
 
@@ -59,13 +69,16 @@ those of Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair
 matrices, whose supports cover each cell once, but m d^2 (d + 1) / 2 for
 dense data, about 1.3 GB for dense blocks of 60 with 500 constraints.  The
 gather indices take m w d more per block, and a solve adds m d w stack
-cells per block and the (m, N) B.
+cells per block and the (m, N) B.  Each Schur solve takes one round of
+iterative refinement, whose residual is formed as B (B' dy) rather than
+M dy: near the optimum dy is large along M's smallest eigenvectors, where
+B' dy stays small, so the factored form rounds far less.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
 step that overflows or yields NaN ends the solve with NUMERICAL_FAILURE and
 the cleanest finite iterate, never with an exception.  The one check inside
-a kernel is the step length's: its triangular solves can overflow on a
+a kernel is the step length's: dsygst's L^-1 dS L^-T can overflow on a
 finite iterate, and LAPACK's eigenvalues of the result are no bound.
 """
 
@@ -80,7 +93,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ._lapack import dsyevd, dtrtrs
+from ._lapack import dpotrf, dpotrs, dsyevd, dsygst, dtrtri
 
 Blocks = List[np.ndarray]
 
@@ -265,6 +278,11 @@ class SdpProblem:
     _gram_chol: np.ndarray = field(init=False, repr=False, compare=False)
     _a_scale: float = field(init=False, repr=False, compare=False)
     _scatter: _Scatter = field(init=False, repr=False, compare=False)
+    _spans: Tuple[Tuple[int, int, int], ...] = field(init=False, repr=False,
+                                                     compare=False)
+    _transposed: np.ndarray = field(init=False, repr=False, compare=False)
+    _eye: np.ndarray = field(init=False, repr=False, compare=False)
+    _c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.objective) == 0:
@@ -313,12 +331,19 @@ class SdpProblem:
             array.setflags(write=False)
         sizes = [c.shape[0] for c in objective]
         ends = np.cumsum([d * d for d in sizes]).tolist()
-        constraints = [rows[:, end - d * d:end].reshape(m, d, d)
-                       for end, d in zip(ends, sizes)]
+        spans = tuple((end - d * d, end, d) for end, d in zip(ends, sizes))
+        constraints = [rows[:, start:end].reshape(m, d, d) for start, end, d in spans]
         gram = rows @ rows.T
         gram_chol = _chol((gram + gram.T) / 2.0)
-        gram_chol.setflags(write=False)
+        # v[transposed] holds every block of v transposed; a scalar is its own
+        transposed = np.concatenate([start + np.arange(d * d).reshape(d, d).T.ravel()
+                                     for start, _, d in spans])
+        eye = _vec([np.eye(d) for d in sizes])
+        c = _vec(objective)
+        for array in (gram_chol, transposed, eye, c):
+            array.setflags(write=False)
         self._gram_chol = gram_chol
+        self._spans, self._transposed, self._eye, self._c = spans, transposed, eye, c
         self._a_scale = math.sqrt(float(np.max(
             sum(np.sum(a * a, axis=(1, 2)) for a in constraints), initial=0.0)))
         self._scatter = _scatter(rows, sizes)
@@ -362,49 +387,45 @@ class SdpSolution:
 
 
 def _chol(mat: np.ndarray) -> np.ndarray:
-    """Cholesky factor with escalating diagonal jitter up to _JITTER_MAX (scaled)."""
+    """Lower Cholesky factor of the symmetric mat, from dpotrf: F-ordered,
+    with a zero upper triangle, so the other calls take it without a copy.
+    A failing factor is retried with escalating diagonal jitter up to
+    _JITTER_MAX (scaled), then raises LinAlgError."""
     jitter = 0.0
     while True:
-        try:
-            shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
-            return np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            if jitter == 0.0:
-                scale = float(np.max(np.abs(mat), initial=1.0))
-                jitter = _JITTER_START * scale
-            else:
-                jitter *= _JITTER_GROWTH
-            # a NaN or infinite scale gives a shift that helps no factor, and
-            # NaN compares false with the cap: stop instead of retrying forever
-            if not math.isfinite(jitter) or jitter > _JITTER_MAX * scale:
-                raise
+        shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
+        # mat is symmetric, so its transpose, an F-ordered view, is the
+        # same matrix, and f2py makes no transposing copy of it
+        L, info = dpotrf(shifted.T, lower=1)
+        if info == 0:
+            return L
+        if jitter == 0.0:
+            scale = float(np.max(np.abs(mat), initial=1.0))
+            jitter = _JITTER_START * scale
+        else:
+            jitter *= _JITTER_GROWTH
+        # a NaN or infinite scale gives a shift that helps no factor, and
+        # NaN compares false with the cap: stop instead of retrying forever
+        if not math.isfinite(jitter) or jitter > _JITTER_MAX * scale:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
-def _solve_triangular(L: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
-    """scipy.linalg.solve_triangular(L, rhs, lower=lower, check_finite=False),
-    bit for bit, without its per-call wrapper: the same dtrtrs call and errors.
-    dtrtrs is scipy's own f2py wrapper, from _lapack, so no scipy.linalg
-    import is paid for it."""
+def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L L')^-1 rhs for a factor from _chol: one dpotrs call, which makes
+    both triangular solves.  A problem without constraints has an empty
+    Schur system, which f2py's shape check refuses: its solution is empty."""
     if rhs.size == 0:
         return np.empty_like(rhs)
-    # dtrtrs reads column-major storage; a row-major L is passed as its
-    # transpose, which is the other triangle, and solved transposed
-    if L.flags.f_contiguous:
-        x, info = dtrtrs(L, rhs, lower=lower)
-    else:
-        x, info = dtrtrs(L.T, rhs, lower=not lower, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    x, info = dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
     return x
 
 
 def _eigvalsh(S: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(S), bit for bit: the same dsyevd call (lower
-    triangle, no vectors), ascending, without numpy's per-call wrapper.
-    dsyevd is scipy's f2py wrapper, from _lapack, as dtrtrs is."""
+    """Eigenvalues of the symmetric S from its lower triangle, ascending:
+    the dsyevd call np.linalg.eigvalsh makes, without numpy's per-call
+    wrapper."""
     eigenvalues, _, info = dsyevd(S, compute_v=0, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -412,27 +433,36 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
 
 
 def _inverse(L: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """L^-1 and (L L')^-1 = L^-T L^-1 from the lower Cholesky factor L."""
-    L_inv = _solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    """L^-1, from dtrtri, and (L L')^-1 = L^-T L^-1 from a factor of _chol;
+    L^-1 keeps L's zero upper triangle."""
+    L_inv, info = dtrtri(L, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtri")
     return L_inv, L_inv.T @ L_inv
 
 
 def _max_step(chols: Blocks, dS: Blocks) -> float:
-    """Largest alpha with S + alpha*dS still positive definite, S = L L' per block.
+    """Largest alpha with S + alpha*dS still positive definite, S = L L' per
+    block and each dS block symmetric.
 
-    Raises LinAlgError if a block's L^-1 dS L^-T is not finite, as when the
-    triangular solves overflow on a tiny Cholesky diagonal: LAPACK returns
-    eigenvalues without error for such a matrix (finite ones for
-    diag(1, 1, 1, NaN), NaN ones for an infinite entry), and either would
-    make the step length garbage.
+    alpha is bounded by the smallest eigenvalue of L^-1 dS L^-T, which
+    dsygst forms in one call on the lower triangle.  Raises LinAlgError if
+    that matrix is not finite, as when it overflows on a tiny Cholesky
+    diagonal: LAPACK returns eigenvalues without error for such a matrix
+    (finite ones for diag(1, 1, 1, NaN), NaN ones for an infinite entry),
+    and either would make the step length garbage.
     """
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
-        half = _solve_triangular(L, d_blk, lower=True)
-        G = _solve_triangular(L, half.T, lower=True)
+        # the transpose of the symmetric block is an F-ordered view of it
+        G, info = dsygst(d_blk.T, L, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal sygst")
         if not np.isfinite(G).all():
             raise np.linalg.LinAlgError("step-length matrix is not finite")
-        lam = float(_eigvalsh((G + G.T) / 2.0)[0])
+        lam = float(_eigvalsh(G)[0])
         if lam < 0.0:
             alpha = min(alpha, -1.0 / lam)
     return alpha
@@ -449,18 +479,17 @@ def _scalar_chol(s: np.ndarray) -> np.ndarray:
 
 
 def _scalar_inverse(l: np.ndarray) -> np.ndarray:
-    """_inverse of each [[l_i]]: dtrtrs's one division, squared."""
+    """_inverse of each [[l_i]]: dtrtri's one division, squared."""
     inv = 1.0 / l
     return inv * inv
 
 
 def _scalar_max_step(l: np.ndarray, ds: np.ndarray) -> float:
-    """_max_step of the [[l_i]] and [[ds_i]]: two divisions for the two
-    solves, then (G + G')/2, its only eigenvalue; each operation after the
-    divisions is monotone, so the smallest quotient gives the bound.  An
-    overflow is no error: the eigenvalue is then an exact +-inf."""
-    g = float(np.fmin.reduce(ds / l / l, initial=0.0))
-    lam = (g + g) / 2.0
+    """_max_step of the [[l_i]] and [[ds_i]]: dsygst's one operation on a
+    1x1 block, ds / l^2, is its only eigenvalue; the operation is monotone
+    in ds, so the smallest quotient gives the bound.  An overflow is no
+    error: the eigenvalue is then an exact +-inf."""
+    lam = float(np.fmin.reduce(ds / (l * l), initial=0.0))
     return -1.0 / lam if lam < 0.0 else math.inf
 
 
@@ -479,7 +508,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     y or Z, ends the solve with NUMERICAL_FAILURE and the cleanest iterate
     so far, not with an exception.
     """
-    sizes = problem.block_sizes
     n_tot = problem.n_total
     b = problem.b
     m = len(b)
@@ -488,13 +516,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     scatter = problem._scatter
     a_scale = problem._a_scale
     n_flat = Avec.shape[1]
-    ends = np.cumsum([d * d for d in sizes]).tolist()
-    spans = [(end - d * d, end, d) for end, d in zip(ends, sizes)]
+    spans = problem._spans
+    transposed = problem._transposed
+    eye = problem._eye
+    C = problem._c
     psd = scatter.psd
     sc = scatter.scalars  # the scalar part's positions in a flat vector
-    # v[transposed] holds every block of v transposed; a scalar is its own
-    transposed = np.concatenate([start + np.arange(d * d).reshape(d, d).T.ravel()
-                                 for start, _, d in spans])
 
     def blocks(v: np.ndarray, of: Sequence = psd) -> Blocks:
         return [v[start:end].reshape(d, d) for start, end, d in of]
@@ -507,18 +534,18 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                          for start, end, d in spans))
 
     def times(v: np.ndarray, w: np.ndarray, v_blocks: Blocks,
-              w_blocks: Blocks) -> np.ndarray:
+              w_blocks: Blocks) -> Tuple[np.ndarray, Blocks]:
         # a 1x1 matmul gives 0 + v w, so -0.0 comes back as +0.0; the PSD
-        # blocks of the elementwise product are overwritten
+        # blocks of the elementwise product are overwritten; the product's
+        # block views are returned with it
         out = v * w + 0.0
-        for vb, wb, ob in zip(v_blocks, w_blocks, blocks(out)):
+        out_blocks = blocks(out)
+        for vb, wb, ob in zip(v_blocks, w_blocks, out_blocks):
             np.matmul(vb, wb, out=ob)
-        return out
+        return out, out_blocks
 
     B = np.empty_like(Avec)  # M = B B', see _schur_factor
 
-    C = _vec(problem.objective)
-    eye = _vec([np.eye(d) for d in sizes])
     b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))
     c_scale = math.sqrt(inner(C, C))
@@ -558,7 +585,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         if abs(obj_d) > _DIVERGENCE:
             status = SdpStatus.INFEASIBLE
             break
-        if sum(float(np.trace(x)) for x in blocks(X, spans)) > _DIVERGENCE:
+        if float(eye @ X) > _DIVERGENCE:  # trace(X), all blocks
             status = SdpStatus.DUAL_INFEASIBLE
             break
         if iteration == _MAX_ITER:
@@ -566,9 +593,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             break
 
         try:
-            X_blocks = blocks(X)
+            X_blocks, Z_blocks = blocks(X), blocks(Z)
             X_chols = [_chol(x) for x in X_blocks]
-            Z_chols = [_chol(z) for z in blocks(Z)]
+            Z_chols = [_chol(z) for z in Z_blocks]
             lx = _scalar_chol(X[sc])
             lz = _scalar_chol(Z[sc])
             Lx = np.empty(n_flat)
@@ -587,16 +614,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             M_chol = _chol(M)
 
             def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                def backsolve(v: np.ndarray) -> np.ndarray:
-                    half = _solve_triangular(M_chol, v, lower=True)
-                    return _solve_triangular(M_chol.T, half, lower=False)
-                sol = backsolve(rhs)
-                # two rounds of iterative refinement against the unjittered M;
-                # the Schur complement gets very ill-conditioned near the
-                # optimum and the raw solve error regrows the primal residual
-                for _ in range(2):
-                    sol = sol + backsolve(rhs - M @ sol)
-                return sol
+                sol = _cho_solve(M_chol, rhs)
+                # one round of iterative refinement against the unjittered
+                # M = B B'; the Schur complement gets very ill-conditioned
+                # near the optimum and the raw solve error regrows the
+                # primal residual.  The residual is taken as B (B' sol): the
+                # rounding of M @ sol grows with |M| |sol|, which is large
+                # exactly when sol is large along M's small eigenvectors,
+                # while B' sol stays small there
+                return sol + _cho_solve(M_chol, rhs - B @ (B.T @ sol))
 
             def project_primal(dX: np.ndarray) -> np.ndarray:
                 # The direction inherits the Schur system's ill-conditioning
@@ -606,8 +632,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 before = r_p - Avec @ dX
                 corrected, defect = dX, before
                 for _ in range(2):
-                    half = _solve_triangular(gram_chol, defect, lower=True)
-                    lam = _solve_triangular(gram_chol.T, half, lower=False)
+                    lam = _cho_solve(gram_chol, defect)
                     corrected = corrected + _adjoint(lam, scatter, n_flat)
                     defect = r_p - Avec @ corrected
                 if math.sqrt(defect @ defect) <= math.sqrt(before @ before):
@@ -615,36 +640,41 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 return dX
 
             def sandwich(V: np.ndarray) -> np.ndarray:
-                XV = times(X, V, X_blocks, blocks(V))
-                return times(XV, Z_inv, blocks(XV), Zinv_blocks)
+                XV, XV_blocks = times(X, V, X_blocks, blocks(V))
+                return times(XV, Z_inv, XV_blocks, Zinv_blocks)[0]
 
             # A(X R_d Zinv), the same in both directions
             A_XRZ = Avec @ sandwich(R_d)
 
-            def direction(Rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-                T1 = times(Rc, Z_inv, blocks(Rc), Zinv_blocks)
+            def direction(Rc: np.ndarray, Rc_blocks: Blocks) -> Tuple[
+                    np.ndarray, np.ndarray, np.ndarray]:
+                T1 = times(Rc, Z_inv, Rc_blocks, Zinv_blocks)[0]
                 dy = solve_schur(r_p - Avec @ T1 + A_XRZ)
                 dZ = R_d - _adjoint(dy, scatter, n_flat)
                 dX = T1 - sandwich(dZ)
                 return project_primal((dX + dX[transposed]) / 2.0), dy, dZ
 
-            def step(chols: Blocks, l: np.ndarray, dS: np.ndarray) -> float:
-                alpha = min(_max_step(chols, blocks(dS)), _scalar_max_step(l, dS[sc]))
+            def step(chols: Blocks, l: np.ndarray, dS: np.ndarray,
+                     dS_blocks: Blocks) -> float:
+                alpha = min(_max_step(chols, dS_blocks), _scalar_max_step(l, dS[sc]))
                 return min(1.0, _STEP_FRACTION * alpha)
 
             # predictor (affine scaling): Rc = -XZ
-            XZ = times(X, Z, X_blocks, blocks(Z))
-            dX_aff, dy_aff, dZ_aff = direction(-XZ)
-            ap_aff = step(X_chols, lx, dX_aff)
-            ad_aff = step(Z_chols, lz, dZ_aff)
+            XZ = times(X, Z, X_blocks, Z_blocks)[0]
+            Rc = -XZ
+            dX_aff, dy_aff, dZ_aff = direction(Rc, blocks(Rc))
+            dX_aff_blocks, dZ_aff_blocks = blocks(dX_aff), blocks(dZ_aff)
+            ap_aff = step(X_chols, lx, dX_aff, dX_aff_blocks)
+            ad_aff = step(Z_chols, lz, dZ_aff, dZ_aff_blocks)
             mu_aff = inner(X + ap_aff * dX_aff, Z + ad_aff * dZ_aff) / n_tot
             center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # corrector with Mehrotra second-order term
-            dXZ_aff = times(dX_aff, dZ_aff, blocks(dX_aff), blocks(dZ_aff))
-            dX, dy, dZ = direction(center * mu * eye - XZ - dXZ_aff)
-            alpha_p = step(X_chols, lx, dX)
-            alpha_d = step(Z_chols, lz, dZ)
+            dXZ_aff = times(dX_aff, dZ_aff, dX_aff_blocks, dZ_aff_blocks)[0]
+            Rc = center * mu * eye - XZ - dXZ_aff
+            dX, dy, dZ = direction(Rc, blocks(Rc))
+            alpha_p = step(X_chols, lx, dX, blocks(dX))
+            alpha_d = step(Z_chols, lz, dZ, blocks(dZ))
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break

@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,6 +179,38 @@ def gram_basis(n: int, p_prime: int) -> List[BasisElement]:
     return [(i, beta) for i in range(n) for beta in monomials_up_to(n, half)]
 
 
+class _BasisPairs(NamedTuple):
+    """z'Qz re-expanded from a basis: the pairs (u[t], w[t]), u <= w, in
+    row-major order, each adding weights[t] * Q[u, w] (1 on the diagonal,
+    2 off it) to the coefficient of its product monomial, whose index is
+    bins[t]: the row of that monomial, or a bin past the rows for a
+    monomial outside every row.  size is the number of bins."""
+
+    u: np.ndarray
+    w: np.ndarray
+    weights: np.ndarray
+    bins: np.ndarray
+    size: int
+
+
+def _basis_pairs(basis: Sequence[BasisElement],
+                 rows: Sequence[Tuple[int, int, Exponents]]) -> _BasisPairs:
+    """The pairs of basis whose products make up z'Qz, read from the basis
+    elements themselves, independently of the pair matrices the SDP was
+    built from."""
+    row_index = {row: k for k, row in enumerate(rows)}
+    u, w = np.triu_indices(len(basis))
+    bins = np.empty(len(u), dtype=np.intp)
+    for t, (a, c) in enumerate(zip(u.tolist(), w.tolist())):
+        (ia, beta_a), (ic, beta_c) = basis[a], basis[c]
+        key = (min(ia, ic), max(ia, ic), tuple(x + y for x, y in zip(beta_a, beta_c)))
+        bins[t] = row_index.setdefault(key, len(row_index))
+    pairs = _BasisPairs(u, w, np.where(u == w, 1.0, 2.0), bins, len(row_index))
+    for array in pairs[:4]:
+        array.setflags(write=False)
+    return pairs
+
+
 @dataclass(frozen=True, eq=False)
 class _GramStructure:
     """Coefficient matching of h_hat against z'Qz for one (n, p').
@@ -191,7 +223,8 @@ class _GramStructure:
     coefficients; integer sums are exact, so z'Rz is the regularizer's form
     bit for bit.  row_degrees[k] = |alpha| and basis_degrees[u] = |beta| of
     basis[u] = (i, beta) are the powers of r by which the substitution
-    s = r u scales a row and a basis element.  problem is the min-sigma
+    s = r u scales a row and a basis element.  pairs re-expands z'Qz from
+    the basis for the certificate check.  problem is the min-sigma
     SDP over these rows, min sigma s.t. <pair_matrices[k], Q> - reg[k] sigma
     = b_k, with b = 0; each model poses it with problem.with_rhs, so its
     checks and factorizations are made once per (n, p').
@@ -204,6 +237,7 @@ class _GramStructure:
     reg: np.ndarray
     row_degrees: np.ndarray
     basis_degrees: np.ndarray
+    pairs: _BasisPairs
     problem: SdpProblem
 
 
@@ -265,7 +299,7 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
     return _GramStructure(basis=tuple(basis), rows=tuple(rows),
                           pair_matrices=problem.constraints[0], R=R, reg=reg,
                           row_degrees=row_degrees, basis_degrees=basis_degrees,
-                          problem=problem)
+                          pairs=_basis_pairs(basis, rows), problem=problem)
 
 
 def _coefficients(model: SosModel, structure: _GramStructure,
@@ -292,28 +326,20 @@ def _coefficients(model: SosModel, structure: _GramStructure,
     return closed + sigma * structure.reg
 
 
-def _coefficient_residual(basis: Sequence[BasisElement], Q: np.ndarray,
-                          rows: Sequence[Tuple[int, int, Exponents]],
+def _coefficient_residual(pairs: _BasisPairs, Q: np.ndarray,
                           target: np.ndarray) -> float:
-    """Largest coefficient mismatch of z'Qz against target, row by row.
+    """Largest coefficient mismatch of z'Qz against target, row by row, and
+    of every monomial outside the rows against 0.
 
     z'Qz is re-expanded from the basis pairs, independently of the pair
-    matrices the SDP was built from.
+    matrices the SDP was built from; np.bincount adds each coefficient's
+    terms in pair order, from 0.0.
     """
-    recon: Dict[Tuple[int, int, Exponents], float] = {}
-    size = len(basis)
-    for u in range(size):
-        iu, bu = basis[u]
-        for w in range(u, size):
-            iw, bw = basis[w]
-            key = (min(iu, iw), max(iu, iw),
-                   tuple(a + b for a, b in zip(bu, bw)))
-            weight = 1.0 if u == w else 2.0
-            recon[key] = recon.get(key, 0.0) + weight * float(Q[u, w])
-    mismatch = [abs(recon.pop(row, 0.0) - t)
-                for row, t in zip(rows, target.tolist())]
-    mismatch.extend(abs(c) for c in recon.values())  # monomials outside every row
-    return max(mismatch, default=0.0)
+    recon = np.bincount(pairs.bins, pairs.weights * Q[pairs.u, pairs.w],
+                        minlength=pairs.size)
+    rows = len(target)
+    return float(max(np.max(np.abs(recon[:rows] - target), initial=0.0),
+                     np.max(np.abs(recon[rows:]), initial=0.0)))
 
 
 def _balancing_exponent(model: SosModel) -> int:
@@ -363,7 +389,7 @@ def _scale_gram(structure: _GramStructure, Q: np.ndarray, k: int) -> np.ndarray:
 def _certificate(structure: _GramStructure, Q: np.ndarray,
                  target: np.ndarray) -> GramCertificate:
     """Q over the s basis, with its residual against target."""
-    residual = _coefficient_residual(structure.basis, Q, structure.rows, target)
+    residual = _coefficient_residual(structure.pairs, Q, target)
     return GramCertificate(basis=list(structure.basis), Q=Q, residual=residual)
 
 
@@ -471,7 +497,10 @@ def verify_certificate(cert: GramCertificate, model: SosModel) -> CertificateRep
     """
     structure = _gram_structure(model.n, model.p_prime)
     target = _coefficients(model, structure, model.sigma)
-    mismatch = _coefficient_residual(cert.basis, cert.Q, structure.rows, target)
+    # a certificate over another basis is re-expanded over its own pairs
+    pairs = (structure.pairs if tuple(cert.basis) == structure.basis
+             else _basis_pairs(cert.basis, structure.rows))
+    mismatch = _coefficient_residual(pairs, cert.Q, target)
     gram_min, gram_ok = _gram_min(cert.Q)
 
     rng = np.random.default_rng(_VERIFY_SEED)

@@ -134,21 +134,21 @@ def second_certification_fails(monkeypatch) -> List[SosModel]:
 
 @pytest.fixture()
 def poisoned_vector_solves(monkeypatch) -> dict:
-    """While the returned dict's "value" is not None, every triangular solve
-    of a vector right-hand side (the Schur and constraint-Gram systems) after
-    the first "after" of them returns that value in its last entry, so the
-    search direction, and with it the next iterate, is not finite.  "calls"
-    counts the vector solves made while "value" is set."""
+    """While the returned dict's "value" is not None, every Cholesky solve
+    (the Schur and constraint-Gram systems, each solve one _cho_solve call)
+    after the first "after" of them returns that value in its last entry, so
+    the search direction, and with it the next iterate, is not finite.
+    "calls" counts the solves made while "value" is set."""
     poison = {"value": None, "after": 0, "calls": 0}
-    solve = sdp_core._solve_triangular
+    solve = sdp_core._cho_solve
 
-    def poisoned(L, rhs, lower):
-        x = solve(L, rhs, lower)
-        if poison["value"] is not None and x.ndim == 1:
+    def poisoned(L, rhs):
+        x = solve(L, rhs)
+        if poison["value"] is not None:
             poison["calls"] += 1
             if poison["calls"] > poison["after"]:
                 x[-1] = poison["value"]
         return x
 
-    monkeypatch.setattr(sdp_core, "_solve_triangular", poisoned)
+    monkeypatch.setattr(sdp_core, "_cho_solve", poisoned)
     return poison

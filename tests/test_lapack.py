@@ -22,9 +22,11 @@ from sosarp import sdp_core, subproblem
 import scipy.linalg.lapack as lapack
 """
 SAME_OBJECTS = """
-for name, used in [("dtrtrs", sdp_core.dtrtrs), ("dsyevd", sdp_core.dsyevd),
-                   ("dpotrf", subproblem.dpotrf), ("dpotrs", subproblem.dpotrs)]:
-    assert used is getattr(lapack, name), name
+used = [(name, getattr(sdp_core, name))
+        for name in ("dpotrf", "dpotrs", "dsyevd", "dsygst", "dtrtri")]
+used += [(name, getattr(subproblem, name)) for name in ("dpotrf", "dpotrs")]
+for name, routine in used:
+    assert routine is getattr(lapack, name), name
 """
 
 

@@ -1,41 +1,43 @@
-"""The solver's small dense kernels against the numpy and scipy calls they
+"""The solver's small dense kernels against the scipy and numpy calls they
 replace, and the scalar part's closed forms against the general path on
 1x1 blocks.
 
-The kernels promise the same bits, so every comparison is exact equality.
-They check no input for inf or NaN (the solver checks each iterate once),
-so the reference is the unchecked general path.  The constraint scatters
-promise the dense products' bits only for the certification SDP's 0/1
-pair matrices; on dense data they agree up to rounding, as does the Schur
-complement B B' with its dense definition.
+The LAPACK kernels compute what scipy.linalg computes by another route, so
+they are compared within 1e-12 relative; the eigenvalues and the scalar
+part promise the same bits, so those comparisons are exact equality.  The
+kernels check no input for inf or NaN (the solver checks each iterate
+once).  The constraint scatters promise the dense products' bits only for
+the certification SDP's 0/1 pair matrices; on dense data they agree up to
+rounding, as does the Schur complement B B' with its dense definition.
 """
+
+import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
-from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _eigvalsh, _inverse,
-                             _max_step, _scalar_chol, _scalar_inverse,
-                             _scalar_max_step, _schur_factor, _solve_triangular)
+from sosarp._lapack import dsygst
+from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _cho_solve, _eigvalsh,
+                             _inverse, _max_step, _scalar_chol, _scalar_inverse,
+                             _scalar_max_step, _schur_factor)
 from sosarp.sos_certify import _gram_structure
 from conftest import planted_sdp
 
-
-def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
-    """A well-conditioned triangular factor whose other triangle holds junk,
-    so that solving from the wrong triangle changes the result."""
-    tri = np.tril(rng.normal(size=(size, size)), -1) + np.diag(rng.uniform(1, 3, size))
-    junk = np.triu(rng.normal(size=(size, size)), 1)
-    L = tri + junk if lower else tri.T + junk.T
-    return np.asarray(L, order=order)
+KERNEL_SIZES = [1, 6, 12, 20, 30]
 
 
-def _reference_inverse(L):
-    L_inv = solve_triangular(L, np.eye(L.shape[0]), lower=True, check_finite=False)
-    return L_inv.T @ L_inv
+def _spd(rng, size: int) -> np.ndarray:
+    """A well-conditioned symmetric positive definite matrix, symmetric to
+    the bit as the solver's iterates are."""
+    G = rng.normal(size=(size, size))
+    S = G @ G.T + size * np.eye(size)
+    return (S + S.T) / 2.0
 
 
 def _reference_max_step(chols, dS):
+    """The step bound from two triangular solves and (G + G')/2, with no
+    finiteness check."""
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
         half = solve_triangular(L, d_blk, lower=True, check_finite=False)
@@ -46,28 +48,50 @@ def _reference_max_step(chols, dS):
     return alpha
 
 
+def _relative(got, expected) -> float:
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+def _factor(rng, size: int, lower: bool, order: str) -> np.ndarray:
+    """A well-conditioned triangular factor whose other triangle holds junk,
+    so that reading the wrong triangle changes the result."""
+    tri = np.tril(rng.normal(size=(size, size)), -1) + np.diag(rng.uniform(1, 3, size))
+    junk = np.triu(rng.normal(size=(size, size)), 1)
+    L = tri + junk if lower else tri.T + junk.T
+    return np.asarray(L, order=order)
+
+
 class TestSolveTriangular:
+    """The solver's triangular solves, each now made inside one LAPACK call:
+    the pair of solves with L and L' in _cho_solve (dpotrs), L^-1 in
+    _inverse (dtrtri), against scipy's solve_triangular."""
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("rhs_shape", [(), (4,)], ids=["vector", "matrix"])
     @pytest.mark.parametrize("size", [1, 6, 30])
     def test_equals_scipy(self, order, lower, rhs_shape, size):
+        # an upper factor U reaches dpotrs as U.T, the lower factor L = U'
+        # seen through a transposed view; junk in the other triangle is
+        # never read
         rng = np.random.default_rng(size)
-        L = _factor(rng, size, lower, order)
+        factor = _factor(rng, size, lower, order)
+        L = factor if lower else factor.T
         rhs = rng.normal(size=(size,) + rhs_shape)
-        expected = solve_triangular(L, rhs, lower=lower)
-        assert np.array_equal(_solve_triangular(L, rhs, lower=lower), expected)
+        half = solve_triangular(L, rhs, lower=True)
+        expected = solve_triangular(np.tril(L).T, half, lower=False)
+        assert _relative(_cho_solve(L, rhs), expected) <= 1e-12
 
     def test_transposed_view_equals_scipy(self):
-        # the back-solve with L' passes a transposed view of a C-ordered factor
+        # _chol hands dpotrf the transposed view of a C-ordered symmetric
+        # matrix, which is F-ordered, so f2py needs no transposing copy
         rng = np.random.default_rng(1)
-        L = _factor(rng, 8, True, "C")
-        rhs = rng.normal(size=8)
-        expected = solve_triangular(L.T, rhs, lower=False)
-        assert np.array_equal(_solve_triangular(L.T, rhs, lower=False), expected)
+        S = _spd(rng, 8)
+        assert S.flags.c_contiguous and S.T.flags.f_contiguous
+        assert _relative(_chol(S), cholesky(S, lower=True)) <= 1e-12
 
     def test_empty_system(self):
-        out = _solve_triangular(np.zeros((0, 0)), np.zeros(0), lower=True)
+        out = _cho_solve(np.zeros((0, 0)), np.zeros(0))
         assert out.shape == (0,)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -75,7 +99,59 @@ class TestSolveTriangular:
         L = np.asarray(np.tril(np.ones((3, 3))), order=order)
         L[1, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
-            _solve_triangular(L, np.ones(3), lower=True)
+            _inverse(L)
+
+
+class TestCholeskyKernels:
+    """_chol, _cho_solve, _inverse and _max_step against scipy.linalg."""
+
+    @pytest.mark.parametrize("size", KERNEL_SIZES)
+    def test_factor_and_solve(self, size):
+        rng = np.random.default_rng(size)
+        S = _spd(rng, size)
+        L = _chol(S)
+        # F-ordered with a zero upper triangle, as dtrtri, dpotrs and the
+        # Schur gathers read it
+        assert L.flags.f_contiguous
+        assert not np.triu(L, 1).any()
+        assert _relative(L, cholesky(S, lower=True)) <= 1e-12
+        rhs = rng.normal(size=size)
+        assert _relative(_cho_solve(L, rhs), np.linalg.solve(S, rhs)) <= 1e-12
+
+    @pytest.mark.parametrize("size", KERNEL_SIZES)
+    def test_inverse(self, size):
+        rng = np.random.default_rng(size + 1)
+        L = _chol(_spd(rng, size))
+        L_inv, S_inv = _inverse(L)
+        expected = solve_triangular(L, np.eye(size), lower=True)
+        assert not np.triu(L_inv, 1).any()
+        assert _relative(L_inv, expected) <= 1e-12
+        assert _relative(S_inv, expected.T @ expected) <= 1e-12
+
+    @pytest.mark.parametrize("size", KERNEL_SIZES)
+    def test_max_step(self, size):
+        rng = np.random.default_rng(size + 2)
+        for _ in range(5):
+            L = _chol(_spd(rng, size))
+            G = rng.normal(size=(size, size))
+            sym = (G + G.T) / 2.0
+            # smallest eigenvalue -1 (indefinite from size 2), and negative
+            # definite: each sets a finite bound
+            for dS in (sym - (np.linalg.eigvalsh(sym)[0] + 1.0) * np.eye(size),
+                       -(G @ G.T) - np.eye(size)):
+                got = _max_step([L], [dS])
+                expected = _reference_max_step([L], [dS])
+                assert math.isfinite(expected)
+                assert abs(got - expected) <= 1e-12 * expected
+
+    def test_max_step_takes_the_smallest_block_bound(self):
+        rng = np.random.default_rng(3)
+        chols = [_chol(_spd(rng, d)) for d in (6, 12)]
+        dS = [-_spd(rng, 6), -_spd(rng, 12)]
+        expected = min(_reference_max_step([L], [d]) for L, d in zip(chols, dS))
+        assert abs(_max_step(chols, dS) - expected) <= 1e-12 * expected
+        # a positive semidefinite direction sets no bound
+        assert _max_step(chols[:1], [_spd(rng, 6)]) == np.inf
 
 
 class TestEigvalsh:
@@ -105,8 +181,9 @@ def _reference_chol(mat):
 
 
 class TestScalarCholesky:
-    """The scalar part's factor is np.linalg.cholesky's on each 1x1 block;
-    _chol's jitter loop now runs numpy's factor on every block it gets."""
+    """The scalar part's factor is sqrt, which is what dpotrf and
+    np.linalg.cholesky compute on each 1x1 block, and _chol's jitter loop
+    retries as numpy's factor would."""
 
     def test_positive_values_equal_numpy(self):
         rng = np.random.default_rng(5)
@@ -151,9 +228,13 @@ class TestScalarCholesky:
 
 
 def _scalar_reference(l: float, d: float):
-    """The general path's step bound and inverse on the 1x1 blocks [[l]], [[d]]."""
-    L = np.array([[l]])
-    return _reference_max_step([L], [np.array([[d]])]), _reference_inverse(L)[0, 0]
+    """The general path's step bound and inverse on the 1x1 blocks [[l]],
+    [[d]]: dsygst and its eigenvalue, without _max_step's finiteness check,
+    and _inverse."""
+    G, _ = dsygst(np.array([[d]]), np.array([[l]]), lower=1)
+    lam = float(_eigvalsh(G)[0])
+    step = -1.0 / lam if lam < 0.0 else np.inf
+    return step, _inverse(np.array([[l]]))[1][0, 0]
 
 
 class TestScalarBlocks:
@@ -165,6 +246,8 @@ class TestScalarBlocks:
         for l, d, inv in zip(ls, ds, inverses):
             step, expected_inv = _scalar_reference(l, d)
             assert _scalar_max_step(np.array([l]), np.array([d])) == step
+            # no overflow in this range, so the checked path agrees too
+            assert _max_step([np.array([[l]])], [np.array([[d]])]) == step
             assert np.array_equal(inv, expected_inv)
         # the bound of many scalars at once is the smallest of their bounds
         steps = [_scalar_reference(l, d)[0] for l, d in zip(ls, ds)]
@@ -174,23 +257,20 @@ class TestScalarBlocks:
     def test_mixed_blocks_equal_general_path(self):
         rng = np.random.default_rng(3)
         G = rng.normal(size=(6, 6))
-        chols = [np.linalg.cholesky(G @ G.T + np.eye(6)), np.array([[0.7]])]
+        chols = [_chol(G @ G.T + np.eye(6)), np.array([[0.7]])]
         dS = [-(G + G.T), np.array([[-2.5]])]
         combined = min(_max_step(chols[:1], dS[:1]),
                        _scalar_max_step(np.array([0.7]), np.array([-2.5])))
-        assert combined == _reference_max_step(chols, dS)
-        L_inv, inverse = _inverse(chols[0])
-        assert np.array_equal(inverse, _reference_inverse(chols[0]))
-        assert np.array_equal(L_inv, solve_triangular(chols[0], np.eye(6), lower=True))
+        assert combined == _max_step(chols, dS)
 
     @pytest.mark.parametrize("d, l", [(1e300, 1e-10), (-1e300, 1e-10),
                                       (1e200, 1e-60), (-1e200, 1e-60),
                                       (1.0, 1e-200), (-1e300, 1e-4)])
     def test_overflow_matches_general_path(self, d, l):
-        # d / l or d / l / l beyond the float range gives +-inf, as the two
-        # unchecked solves do, and +inf (no bound) or -inf (step 0) follows;
-        # a finite d / l / l = -1e308 overflows in (G + G')/2 to step 0
-        with np.errstate(over="ignore"):  # the scalar part's numpy ops warn
+        # d / l^2 beyond the float range, or l^2 underflowing to 0, gives
+        # +-inf in both paths, and +inf (no bound) or -inf (step 0)
+        # follows; a finite d / l^2 = -1e308 bounds the step at 1e-308
+        with np.errstate(over="ignore", divide="ignore"):  # numpy's ops warn
             step, expected_inv = _scalar_reference(l, d)
             assert _scalar_max_step(np.array([l]), np.array([d])) == step
             assert np.array_equal(_scalar_inverse(np.array([l])), [expected_inv])
@@ -200,7 +280,7 @@ class TestStepLength:
     def test_overflowing_solve_raises(self):
         # dS = -I and L L' = diag(1, 1, 1, 1e-320): every alpha > 1e-320
         # leaves the cone, but L^-1 dS L^-T holds -inf, LAPACK's eigenvalues
-        # of it are NaN and the unguarded path allows the full step
+        # of it are NaN and an unguarded path allows the full step
         L = np.diag([1.0, 1.0, 1.0, 1e-160])
         dS = -np.eye(4)
         assert _reference_max_step([L], [dS]) == np.inf

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sosarp import sos_certify
 from sosarp.sdp_core import SdpStatus, solve_sdp
 from sosarp.sos_certify import (CertificationError, ConvexityCase,
-                                SosIndeterminate, SosModel,
+                                GramCertificate, SosIndeterminate, SosModel,
                                 _balancing_exponent, _coefficient_residual,
                                 _coefficients, _gram_structure, _scale_gram,
                                 _scale_rows, gram_basis, is_sos_convex,
@@ -229,8 +229,7 @@ class TestCoefficients:
         raw = np.random.default_rng(seed).standard_normal((size, size)) * scale
         Q = (raw + raw.T) / 2.0
         target = np.einsum("kij,ij->k", structure.pair_matrices, Q)
-        residual = _coefficient_residual(structure.basis, Q, structure.rows,
-                                         target)
+        residual = _coefficient_residual(structure.pairs, Q, target)
         assert residual <= 1e-12 * (1.0 + float(np.max(np.abs(Q))))
         with pytest.raises(ValueError, match="read-only"):
             structure.pair_matrices[0, 0, 0] = 1.0
@@ -286,8 +285,7 @@ class TestRegularizerGram:
             np.einsum("kab,ab->k", structure.pair_matrices, R), structure.reg)
         assert np.array_equal(structure.reg,
                               _regularizer_rows(n, p_prime, structure.rows))
-        assert _coefficient_residual(structure.basis, R, structure.rows,
-                                     structure.reg) == 0.0
+        assert _coefficient_residual(structure.pairs, R, structure.reg) == 0.0
         # a sum of PSD integer terms, so its eigenvalues miss 0 only by
         # LAPACK's rounding
         assert np.linalg.eigvalsh(R)[0] >= -1e-13 * float(np.max(R))
@@ -457,6 +455,73 @@ class TestMembership:
             is_sos_convex(univariate_model(1.0, 6.0, sigma=0.75 * 3.0))
         for name in ("sigma=", "sigma_lo=", "sigma_bar="):
             assert name in str(err.value)
+
+
+def _loop_residual(basis, Q, rows, target):
+    """The coefficient residual re-expanded pair by pair in a Python loop:
+    the reference for the gather in _coefficient_residual."""
+    recon = {}
+    size = len(basis)
+    for u in range(size):
+        iu, bu = basis[u]
+        for w in range(u, size):
+            iw, bw = basis[w]
+            key = (min(iu, iw), max(iu, iw), tuple(a + b for a, b in zip(bu, bw)))
+            weight = 1.0 if u == w else 2.0
+            recon[key] = recon.get(key, 0.0) + weight * float(Q[u, w])
+    mismatch = [abs(recon.pop(row, 0.0) - t) for row, t in zip(rows, target.tolist())]
+    mismatch.extend(abs(c) for c in recon.values())  # monomials outside every row
+    return max(mismatch, default=0.0)
+
+
+# (n, p') of every certification SDP the benchmark solves
+BENCH_STRUCTURES = [(1, 4), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6)]
+
+
+class TestCoefficientResidual:
+    """The gather over the basis pairs against the pair-by-pair loop: the
+    same terms added in the same order, so the same bits."""
+
+    @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
+    def test_equals_loop(self, n, p_prime):
+        structure = _gram_structure(n, p_prime)
+        rng = np.random.default_rng(10 * n + p_prime)
+        size, rows = len(structure.basis), len(structure.rows)
+        for _ in range(5):
+            raw = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-5, 5, (size, size))
+            Q = (raw + raw.T) / 2.0
+            for target in (rng.standard_normal(rows),
+                           np.einsum("kij,ij->k", structure.pair_matrices, Q)):
+                assert (_coefficient_residual(structure.pairs, Q, target)
+                        == _loop_residual(structure.basis, Q, structure.rows, target))
+
+    def test_monomials_outside_the_rows_count(self):
+        # with the last row left out, its monomial is matched against 0
+        structure = _gram_structure(2, 4)
+        rows = structure.rows[:-1]
+        pairs = sos_certify._basis_pairs(structure.basis, rows)
+        assert pairs.size == len(structure.rows)
+        Q = np.random.default_rng(1).standard_normal((6, 6))
+        Q = Q + Q.T
+        target = np.einsum("kij,ij->k", structure.pair_matrices, Q)[:-1]
+        residual = _coefficient_residual(pairs, Q, target)
+        assert residual == _loop_residual(structure.basis, Q, rows, target)
+        assert residual > 0.0
+
+    def test_certificate_over_a_permuted_basis(self):
+        # verify_certificate re-expands a certificate over its own basis
+        model = random_certified_model(np.random.default_rng(6), 2, 3)
+        sigma_bar, cert = min_sigma_sos(model)
+        order = np.random.default_rng(7).permutation(len(cert.basis))
+        permuted = GramCertificate(basis=[cert.basis[k] for k in order],
+                                   Q=cert.Q[np.ix_(order, order)],
+                                   residual=cert.residual)
+        at_sigma = replace(model, sigma=sigma_bar)
+        report = verify_certificate(cert, at_sigma)
+        again = verify_certificate(permuted, at_sigma)
+        assert report.ok and again.ok
+        assert again.max_coeff_mismatch == pytest.approx(report.max_coeff_mismatch,
+                                                         abs=1e-12)
 
 
 class TestCertificates:

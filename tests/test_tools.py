@@ -1,14 +1,18 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
 runs: wins, the claim rule, the bound, and the separated and unresolved
-verdicts."""
+verdicts; and tools/sdp_counts' tally of solves."""
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_pairs import compare  # noqa: E402
+from sdp_counts import SolveCounter  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {"unit": "count", "better": "higher", "bound": 0.1}
@@ -132,3 +136,19 @@ class TestUnresolved:
         # median of 0.0145 is 0.31 of it
         small = [0.01 + 0.001 * i for i in range(10)]
         assert compare(LOWER, small, list(small))["unresolved"]
+
+
+class TestSolveCounter:
+    def test_two_solves(self):
+        # trace(X) = 1 is solvable; trace(X) = -1 has no PSD solution
+        feasible = SdpProblem(objective=[np.eye(3)], constraints=[np.eye(3)[None]],
+                              b=[1.0])
+        infeasible = feasible.with_rhs([-1.0])
+        counter = SolveCounter(solve_sdp)
+        solutions = [counter(feasible), counter(infeasible, tol=1e-8)]
+        assert [s.status for s in solutions] == [SdpStatus.OPTIMAL,
+                                                 SdpStatus.INFEASIBLE]
+        assert counter.counts == {"sdps": 2,
+                                  "ipm_iters": sum(s.iterations for s in solutions),
+                                  "Optimal": 1, "Infeasible": 1}
+        assert counter.counts["ipm_iters"] > 2

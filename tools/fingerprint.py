@@ -39,7 +39,7 @@ SEEDS = (0, 3)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _load(checkout: Path):
+def load_checkout(checkout: Path):
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
@@ -146,14 +146,14 @@ def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 1
-    workloads = _load(Path(argv[1]).resolve())
+    workloads = load_checkout(Path(argv[1]).resolve())
     digest = _Digest()
     parts = {name: _Digest(digest) for name in WORKLOADS}
     for seed in SEEDS:
         digest.add("seed", seed)
         for name, hash_outputs in WORKLOADS.items():
             hash_outputs(parts[name], workloads, seed)
-    import numpy  # already loaded by _load, after the thread setting was pinned
+    import numpy  # already loaded by load_checkout, after the thread setting was pinned
     import scipy
     threads = " ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS)
     print(f"{digest.hexdigest()}  seeds={','.join(map(str, SEEDS))}  "
