@@ -13,36 +13,39 @@ each step of an iteration is one LAPACK call, taken from sosarp._lapack,
 which loads scipy's compiled wrappers without the scipy.linalg package
 (about 0.17 s and 23 MB per process): dpotrf factors each block of X and Z
 and the Schur complement M; dtrtri inverts each factor of Z; dpotrs makes
-both triangular solves of a Schur or constraint-Gram system in one call;
-and each step length is the smallest eigenvalue, from dsyevd, of
-L^-1 dS L^-T, which dsygst forms in one call from the lower triangles of dS
-and of the factor L of S, as SDPT3 takes the step length from the
-Cholesky-reduced matrix (Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
+both triangular solves of a Schur system in one call; and each step length
+is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T, which dsygst
+forms in one call from the lower triangles of dS and of the factor L of S,
+as SDPT3 takes the step length from the Cholesky-reduced matrix (Toh, Todd
+& Tutuncu, Optim. Methods Softw. 1999).
 Every operand reaches LAPACK in column order, so f2py copies none to
 transpose it: the factors come from dpotrf in that order, and a symmetric
 matrix held in row order is passed as its transpose, the same matrix.  At
-the [6, 1] structure of the bundled runs an iteration makes 20 calls: 3
-dpotrf, 1 dtrtri, 8 dpotrs, 4 dsygst and 4 dsyevd.
+the [6, 1] structure of the bundled runs an iteration makes 16 calls: 3
+dpotrf, 1 dtrtri, 4 dpotrs, 4 dsygst and 4 dsyevd.
 
 An SdpProblem checks its data once, on construction, and keeps what every
 solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
 one after another (N = sum d_j^2), of which each block's (m, d, d) stack of
-constraint matrices is a view; the Cholesky factor of the constraint Gram
-matrix Avec Avec'; the scatters below, built from the nonzero entries of
-Avec; and the constants of a solve: the blocks' places in a flat vector,
-the index that transposes every block, and C and the identity as flat
-vectors.  with_rhs poses the same constraints with another b and checks
-only b, so a family of problems that differ in b, like the certification
-SDPs of one Gram structure, pays for that once.
+constraint matrices is a view; the inverse L^-T L^-1 of the constraint
+Gram matrix G = Avec Avec', from dtrtri on its Cholesky factor L, so that
+each solve with G is one matrix-vector product (cond(G) is at most about
+2e3 on the certification structures); the scatters below, built from the
+nonzero entries of Avec; and the constants of a solve: the blocks' places
+in a flat vector, the index that transposes every block, and C and the
+identity as flat vectors.  with_rhs poses the same constraints with
+another b and checks only b, so a family of problems that differ in b, like
+the certification SDPs of one Gram structure, pays for that once.
 
 A solve holds X, Z, R_d and every search direction as one flat vector of
-length N in the column order of Avec, so A(X) is Avec @ x, and the
-residuals, the steps and the finiteness check are one operation each over
-all blocks.  Each PSD block is a (d, d) view into the vector; the 1x1 blocks,
-wherever they sit (the sigma block of the certification SDP), form one
-scalar part, which elementwise operations factor, invert and step in closed
-form, with the IEEE operations of the general path on each 1x1 block.  No
-iterate is written in place, so the cleanest one is kept by reference.
+length N in the column order of Avec, so A(X) and A*(y) are scatters over
+the nonzero entries of Avec (below), and the residuals, the steps and the
+finiteness check are one operation each over all blocks.  Each PSD block
+is a (d, d) view into the vector; the 1x1 blocks, wherever they sit (the
+sigma block of the certification SDP), form one scalar part, which
+elementwise operations factor, invert and step in closed form, with the
+IEEE operations of the general path on each 1x1 block.  No iterate is
+written in place, so the cleanest one is kept by reference.
 
 The Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1> of the HKM
 direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) is
@@ -54,25 +57,30 @@ built on those alone, as Fujisawa, Kojima & Nakata exploit sparse data
 (Math. Program. 1997): a scatter of the nonzero entries of A_k with
 np.bincount adds each product Lx[i, r] A_k[i, c] into cell (r, position of
 c) of the block's (m, d, w) stack, which meets the same w rows of Lz^-T,
-gathered by precomputed indices, in one batched matmul.  w is 4 of 20 for the certification SDP at
-(n, p') = (4, 4) and 12 of 30 at (3, 6); dense data has w = d.  A*(y) is a
-scatter too: it adds each y_k A_k[c] into cell c in order of k.  For the
-certification SDP both scatters are exact: each pair matrix is a 0/1
-partial permutation, with no two nonzeros in a row or column, so each cell
-of Lx' A_k receives at most one product, the one term a matrix product sums
+gathered by precomputed indices, in one batched matmul.  w is 4 of 20 for
+the certification SDP at (n, p') = (4, 4) and 12 of 30 at (3, 6); dense
+data has w = d.  A(v) and A*(y) are scatters too: A(v) adds each
+A_k[c] v[c] into entry k in order of c, and A*(y) each y_k A_k[c] into
+cell c in order of k, so at (3, 6) each reads the 927 nonzero entries of
+the (210, 901) Avec instead of all of it.  For the certification SDP the
+scatters of B and of A*(y) are exact: each pair matrix is a 0/1 partial
+permutation, with no two nonzeros in a row or column, so each cell of
+Lx' A_k receives at most one product, the one term a matrix product sums
 with exact zeros; the pair matrices' supports are disjoint, so each cell of
 their block in A*(y) receives one term too, and the sigma column receives
 its terms in order of k, as einsum over the dense rows adds them.  So those
 results are bit for bit the dense products'; for dense data they agree up
-to rounding.  The scatter keeps i + 1 products per nonzero entry in row i,
-those of Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair
-matrices, whose supports cover each cell once, but m d^2 (d + 1) / 2 for
-dense data, about 1.3 GB for dense blocks of 60 with 500 constraints.  The
-gather indices take m w d more per block, and a solve adds m d w stack
-cells per block and the (m, N) B.  Each Schur solve takes one round of
-iterative refinement, whose residual is formed as B (B' dy) rather than
-M dy: near the optimum dy is large along M's smallest eigenvectors, where
-B' dy stays small, so the factored form rounds far less.
+to rounding, as A(v) does with Avec @ v on all data, since BLAS adds a
+row's terms in its own order.  The scatter of B keeps i + 1 products per
+nonzero entry in row i, those of Lx's lower triangle: d^2 (d + 1) / 2 per
+block for the pair matrices, whose supports cover each cell once, but
+m d^2 (d + 1) / 2 for dense data, about 1.3 GB for dense blocks of 60 with
+500 constraints.  The gather indices take m w d more per block, and a
+solve adds m d w stack cells per block and the (m, N) B.  Each Schur solve
+takes one round of iterative refinement, whose residual is formed as
+B (B' dy) rather than M dy: near the optimum dy is large along M's smallest
+eigenvectors, where B' dy stays small, so the factored form rounds far
+less.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
@@ -228,6 +236,13 @@ def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
     return scatter
 
 
+def _apply(v: np.ndarray, scatter: _Scatter, m: int) -> np.ndarray:
+    """A(v) = Avec @ v of length m, each row's terms added in order of the
+    cell."""
+    return np.bincount(scatter.rows, v[scatter.cells] * scatter.values,
+                       minlength=m)
+
+
 def _adjoint(y: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
     """sum_k y_k Avec[k] of length size, each cell's terms added in order
     of k."""
@@ -265,9 +280,11 @@ class SdpProblem:
     (m, d_j, d_j) stack of block j of A_1..A_m, and b has length m.  Data
     that is not finite or not symmetric raises ValueError.  Linearly
     dependent constraint rows (rank tolerance 1e-10) are dropped with a
-    warning during construction.  Construction also factors the constraint
-    Gram matrix, which raises LinAlgError if it is not numerically positive
-    definite.  The stored blocks are read-only and shared by with_rhs.
+    warning during construction.  Construction also inverts the constraint
+    Gram matrix through its Cholesky factor, which raises LinAlgError if it
+    is not numerically positive definite; without constraints the inverse is
+    empty.  The stored blocks and the inverse are read-only and shared by
+    with_rhs.
     """
 
     objective: Blocks
@@ -275,7 +292,7 @@ class SdpProblem:
     b: np.ndarray
     _kept: np.ndarray = field(init=False, repr=False, compare=False)
     _avec: np.ndarray = field(init=False, repr=False, compare=False)
-    _gram_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _a_scale: float = field(init=False, repr=False, compare=False)
     _scatter: _Scatter = field(init=False, repr=False, compare=False)
     _spans: Tuple[Tuple[int, int, int], ...] = field(init=False, repr=False,
@@ -334,15 +351,17 @@ class SdpProblem:
         spans = tuple((end - d * d, end, d) for end, d in zip(ends, sizes))
         constraints = [rows[:, start:end].reshape(m, d, d) for start, end, d in spans]
         gram = rows @ rows.T
-        gram_chol = _chol((gram + gram.T) / 2.0)
+        # dtrtri refuses the empty factor of a problem without constraints
+        gram_inv = (_inverse(_chol((gram + gram.T) / 2.0))[1] if m
+                    else np.zeros((0, 0)))
         # v[transposed] holds every block of v transposed; a scalar is its own
         transposed = np.concatenate([start + np.arange(d * d).reshape(d, d).T.ravel()
                                      for start, _, d in spans])
         eye = _vec([np.eye(d) for d in sizes])
         c = _vec(objective)
-        for array in (gram_chol, transposed, eye, c):
+        for array in (gram_inv, transposed, eye, c):
             array.setflags(write=False)
-        self._gram_chol = gram_chol
+        self._gram_inv = gram_inv
         self._spans, self._transposed, self._eye, self._c = spans, transposed, eye, c
         self._a_scale = math.sqrt(float(np.max(
             sum(np.sum(a * a, axis=(1, 2)) for a in constraints), initial=0.0)))
@@ -511,11 +530,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     n_tot = problem.n_total
     b = problem.b
     m = len(b)
-    Avec = problem._avec
-    gram_chol = problem._gram_chol
+    gram_inv = problem._gram_inv
     scatter = problem._scatter
     a_scale = problem._a_scale
-    n_flat = Avec.shape[1]
+    n_flat = problem._avec.shape[1]
     spans = problem._spans
     transposed = problem._transposed
     eye = problem._eye
@@ -544,7 +562,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             np.matmul(vb, wb, out=ob)
         return out, out_blocks
 
-    B = np.empty_like(Avec)  # M = B B', see _schur_factor
+    B = np.empty_like(problem._avec)  # M = B B', see _schur_factor
 
     b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))
@@ -565,7 +583,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     best = None  # (merit, X, y, Z, gap, p_res, d_res) of the cleanest iterate
 
     for iteration in range(_MAX_ITER + 1):
-        r_p = b - Avec @ X
+        r_p = b - _apply(X, scatter, m)
         R_d = C - Z - _adjoint(y, scatter, n_flat)
         xz = inner(X, Z)
         mu = xz / n_tot
@@ -626,15 +644,15 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
             def project_primal(dX: np.ndarray) -> np.ndarray:
                 # The direction inherits the Schur system's ill-conditioning
-                # near the optimum; re-imposing A(dX) = r_p through the
-                # constant, well-conditioned constraint Gram matrix stops the
-                # primal residual from regrowing late in the run.
-                before = r_p - Avec @ dX
+                # near the optimum; re-imposing A(dX) = r_p through the stored
+                # inverse of the constant, well-conditioned constraint Gram
+                # matrix stops the primal residual from regrowing late in the
+                # run.
+                before = r_p - _apply(dX, scatter, m)
                 corrected, defect = dX, before
                 for _ in range(2):
-                    lam = _cho_solve(gram_chol, defect)
-                    corrected = corrected + _adjoint(lam, scatter, n_flat)
-                    defect = r_p - Avec @ corrected
+                    corrected = corrected + _adjoint(gram_inv @ defect, scatter, n_flat)
+                    defect = r_p - _apply(corrected, scatter, m)
                 if math.sqrt(defect @ defect) <= math.sqrt(before @ before):
                     return corrected
                 return dX
@@ -644,12 +662,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 return times(XV, Z_inv, XV_blocks, Zinv_blocks)[0]
 
             # A(X R_d Zinv), the same in both directions
-            A_XRZ = Avec @ sandwich(R_d)
+            A_XRZ = _apply(sandwich(R_d), scatter, m)
 
             def direction(Rc: np.ndarray, Rc_blocks: Blocks) -> Tuple[
                     np.ndarray, np.ndarray, np.ndarray]:
                 T1 = times(Rc, Z_inv, Rc_blocks, Zinv_blocks)[0]
-                dy = solve_schur(r_p - Avec @ T1 + A_XRZ)
+                dy = solve_schur(r_p - _apply(T1, scatter, m) + A_XRZ)
                 dZ = R_d - _adjoint(dy, scatter, n_flat)
                 dX = T1 - sandwich(dZ)
                 return project_primal((dX + dX[transposed]) / 2.0), dy, dZ

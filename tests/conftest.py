@@ -134,11 +134,12 @@ def second_certification_fails(monkeypatch) -> List[SosModel]:
 
 @pytest.fixture()
 def poisoned_vector_solves(monkeypatch) -> dict:
-    """While the returned dict's "value" is not None, every Cholesky solve
-    (the Schur and constraint-Gram systems, each solve one _cho_solve call)
-    after the first "after" of them returns that value in its last entry, so
-    the search direction, and with it the next iterate, is not finite.
-    "calls" counts the solves made while "value" is set."""
+    """While the returned dict's "value" is not None, every Schur solve (the
+    only systems solved through _cho_solve; the constraint-Gram system is a
+    product with its stored inverse) after the first "after" of them returns
+    that value in its last entry, so the search direction, and with it the
+    next iterate, is not finite.  "calls" counts the solves made while
+    "value" is set."""
     poison = {"value": None, "after": 0, "calls": 0}
     solve = sdp_core._cho_solve
 

@@ -64,6 +64,22 @@ class TestStatuses:
                              constraints=[np.eye(3)[None]], b=[-1.0])
         assert solve_sdp(problem).status is SdpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("sign, status", [(1.0, SdpStatus.OPTIMAL),
+                                              (-1.0, SdpStatus.DUAL_INFEASIBLE)],
+                             ids=["bounded", "unbounded"])
+    def test_unconstrained(self, sign, status):
+        # no constraint rows, so an empty constraint Gram matrix with an
+        # empty inverse: min <I, X> ends at X = 0, min <-I, X> is unbounded
+        problem = SdpProblem(objective=[sign * np.eye(3), np.array([[sign]])],
+                             constraints=[np.zeros((0, 3, 3)), np.zeros((0, 1, 1))],
+                             b=[])
+        assert problem._gram_inv.shape == (0, 0)
+        sol = solve_sdp(problem)
+        assert sol.status is status
+        assert sol.y.shape == (0,)
+        if status is SdpStatus.OPTIMAL:
+            assert primal_objective(problem, sol.X) == pytest.approx(0.0, abs=1e-6)
+
     def test_unbounded_primal_reported_dual_infeasible(self):
         # min <-I, X> with only X00 pinned: X11 free to grow
         E00 = np.zeros((2, 2))
@@ -220,10 +236,11 @@ class TestWithRhs:
         problem, _ = planted_sdp(np.random.default_rng(5), max_block=6, max_m=12)
         other = problem.with_rhs(2.0 * problem.b)
         assert other._avec is problem._avec
+        assert other._gram_inv is problem._gram_inv
         scatter = problem._scatter
         assert other._scatter is scatter
         shared = [*problem.objective, *problem.constraints, problem._avec,
-                  problem._gram_chol, scatter.rows, scatter.cells, scatter.values,
+                  problem._gram_inv, scatter.rows, scatter.cells, scatter.values,
                   scatter.scalars, scatter.scalar_columns, scatter.sources,
                   scatter.factors, scatter.bins, *scatter.gathers]
         for array in shared:
@@ -258,9 +275,9 @@ class TestNonFiniteIterate:
         problem, _ = planted_sdp(np.random.default_rng(4), max_block=8, max_m=20)
         return problem
 
-    # ten solves per iteration: each direction makes three Schur solves and
-    # two constraint-Gram solves; 20 poisons the third iteration's first
-    @pytest.mark.parametrize("after", [0, 20], ids=["first_step", "later_step"])
+    # four solves per iteration: each direction makes two Schur solves, the
+    # solve and its refinement; 8 poisons the third iteration's first
+    @pytest.mark.parametrize("after", [0, 8], ids=["first_step", "later_step"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("kind", ["scalar_blocks", "planted"])
     def test_non_finite_step_ends_numerical_failure(self, kind, bad, after,

@@ -9,6 +9,8 @@ kernels check no input for inf or NaN (the solver checks each iterate
 once).  The constraint scatters promise the dense products' bits only for
 the certification SDP's 0/1 pair matrices; on dense data they agree up to
 rounding, as does the Schur complement B B' with its dense definition.
+A(v) through the scatter agrees with the dense product Avec @ v up to
+rounding on all data, since BLAS adds a row's terms in its own order.
 """
 
 import math
@@ -18,9 +20,9 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 
 from sosarp._lapack import dsygst
-from sosarp.sdp_core import (SdpProblem, _adjoint, _chol, _cho_solve, _eigvalsh,
-                             _inverse, _max_step, _scalar_chol, _scalar_inverse,
-                             _scalar_max_step, _schur_factor)
+from sosarp.sdp_core import (SdpProblem, _adjoint, _apply, _chol, _cho_solve,
+                             _eigvalsh, _inverse, _max_step, _scalar_chol,
+                             _scalar_inverse, _scalar_max_step, _schur_factor)
 from sosarp.sos_certify import _gram_structure
 from conftest import planted_sdp
 
@@ -382,6 +384,60 @@ class TestConstraintScatter:
         np.testing.assert_allclose(_adjoint(y, problem._scatter, len(expected)),
                                    expected, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(expected)))
+
+
+def _operator_problems():
+    """(id, problem) for the constraint operator's tests: the pair matrices
+    of every benchmark structure, dense planted data with 1x1 blocks, and
+    dense data whose dependent rows 1 and 3 were dropped."""
+    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem)
+                for n, p_prime in BENCH_STRUCTURES]
+    rng = np.random.default_rng(12)
+    for scalars in [(), (0, 2)]:
+        planted, _ = planted_sdp(rng, max_block=8, max_m=30, scalars=scalars,
+                                 nblocks=2)
+        problems.append((f"dense{len(scalars)}", planted))
+    m = len(planted.b)
+    order = [0, 0, 1, 1] + list(range(2, m))
+    with pytest.warns(RuntimeWarning, match="dependent"):
+        dropped = SdpProblem(objective=planted.objective,
+                             constraints=[a[order] for a in planted.constraints],
+                             b=planted.b[order])
+    assert len(dropped.b) == m
+    problems.append(("dropped", dropped))
+    return problems
+
+
+class TestConstraintOperator:
+    """A(v) through the scatter and the stored inverse of the constraint
+    Gram matrix, against the dense row matrix Avec."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return _operator_problems()
+
+    def test_apply_agrees_with_dense_product(self, problems):
+        rng = np.random.default_rng(13)
+        for name, problem in problems:
+            avec = problem._avec
+            for _ in range(5):
+                v = _wide_range(rng, avec.shape[1])
+                got = _apply(v, problem._scatter, len(problem.b))
+                assert got.shape == (len(problem.b),), name
+                # rounding of either sum is bounded by its length times
+                # eps times the sum of the terms' magnitudes
+                bound = avec.shape[1] * 2.3e-16 * (np.abs(avec) @ np.abs(v))
+                assert np.all(np.abs(got - avec @ v) <= bound), name
+
+    def test_gram_inverse(self, problems):
+        for name, problem in problems:
+            avec = problem._avec
+            inverse = problem._gram_inv
+            assert not inverse.flags.writeable, name
+            assert problem.with_rhs(np.zeros(len(problem._kept)))._gram_inv is inverse
+            # cond(A A') is at most about 2e3 on these structures
+            np.testing.assert_allclose((avec @ avec.T) @ inverse, np.eye(len(problem.b)),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
 
 
 def _schur(problem, X, Z):

@@ -1,7 +1,10 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
 runs: wins, the claim rule, the bound, and the separated and unresolved
-verdicts; and tools/sdp_counts' tally of solves."""
+verdicts; tools/bench_pairs.revision, which names the measured code; and
+tools/sdp_counts' tally of solves."""
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import compare  # noqa: E402
+from bench_pairs import compare, revision  # noqa: E402
 from sdp_counts import SolveCounter  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
@@ -152,3 +155,58 @@ class TestSolveCounter:
                                   "ipm_iters": sum(s.iterations for s in solutions),
                                   "Optimal": 1, "Infeasible": 1}
         assert counter.counts["ipm_iters"] > 2
+
+
+def _git(repo: Path, *args) -> str:
+    done = subprocess.run(["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
+                           "-c", "commit.gpgsign=false", *args],
+                          cwd=repo, check=True, capture_output=True, text=True)
+    return done.stdout.strip()
+
+
+class TestRevision:
+    @pytest.fixture()
+    def checkout(self, tmp_path) -> Path:
+        """A one-commit repository with a src/ file, a file outside src/ and
+        a .gitignore for bytecode."""
+        repo = tmp_path / "repo"
+        (repo / "src" / "pkg").mkdir(parents=True)
+        (repo / "src" / "pkg" / "solver.py").write_text("STEP = 1\n")
+        (repo / "README").write_text("outside src\n")
+        (repo / ".gitignore").write_text("__pycache__/\n")
+        _git(repo, "init", "--quiet")
+        _git(repo, "add", "--all")
+        _git(repo, "commit", "--quiet", "-m", "first")
+        return repo
+
+    def test_clean_checkout_names_head_src(self, checkout):
+        rev = revision(checkout)
+        assert rev["src_tree"] == _git(checkout, "rev-parse", "HEAD:src")
+        assert rev["commit"] == _git(checkout, "rev-parse", "--short", "HEAD")
+
+    def test_dirty_src_file_changes_the_tree(self, checkout):
+        clean = revision(checkout)["src_tree"]
+        solver = checkout / "src" / "pkg" / "solver.py"
+        solver.write_text("STEP = 2\n")
+        dirty = revision(checkout)
+        assert dirty["commit"].endswith("-dirty")
+        assert dirty["src_tree"] != clean
+        solver.write_text("STEP = 1\n")
+        assert revision(checkout)["src_tree"] == clean
+
+    def test_ignored_and_outside_files_leave_the_tree(self, checkout):
+        clean = revision(checkout)["src_tree"]
+        cache = checkout / "src" / "pkg" / "__pycache__"
+        cache.mkdir()
+        (cache / "solver.pyc").write_bytes(b"\0")
+        (checkout / "README").write_text("changed\n")
+        assert revision(checkout)["src_tree"] == clean
+
+    def test_copy_without_git(self, checkout, tmp_path):
+        # a copy made without .git, as git archive makes one, still names
+        # its src/ files
+        copy = tmp_path / "copy"
+        shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(".git"))
+        rev = revision(copy)
+        assert rev["commit"] is None
+        assert rev["src_tree"] == revision(checkout)["src_tree"]

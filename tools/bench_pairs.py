@@ -34,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import scipy
@@ -82,14 +84,22 @@ def bench(checkout: Path, workload: str, seed: int, trace: int):
 
 def revision(checkout: Path) -> dict:
     """The checkout's commit, marked -dirty if its files differ from it, and
-    the git tree hash of its src/, which names the measured code whatever
-    commit holds it; None where git cannot tell."""
-    def git(*args):
+    the git tree hash of the src/ files as they are on disk, which names the
+    measured code whatever commit holds it, if any; None where git cannot
+    tell.  The tree is written to a scratch object store through a scratch
+    index, so the files of an uncommitted change or of a copy without .git
+    are hashed as they are, with the checkout's .gitignore applied, and a
+    clean checkout gets the tree of HEAD:src."""
+    def git(*args, env=None):
         done = subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                              text=True)
+                              text=True, env=env)
         return done.stdout.strip() if done.returncode == 0 else None
-    return {"commit": git("describe", "--always", "--dirty"),
-            "src_tree": git("rev-parse", "HEAD:src")}
+    with tempfile.TemporaryDirectory() as scratch:
+        env = {**os.environ, "GIT_DIR": scratch, "GIT_WORK_TREE": str(checkout)}
+        git("init", "--quiet", env=env)
+        git("add", "--all", "--", "src", env=env)
+        src_tree = git("write-tree", "--prefix=src/", env=env)
+    return {"commit": git("describe", "--always", "--dirty"), "src_tree": src_tree}
 
 
 def summary(values):
