@@ -8,21 +8,33 @@ throughout.  It is sized for small blocks with sparse constraint data, such
 as the certification SDP's 0/1 pair matrices (see the Schur complement
 below).
 
-At that scale the fixed cost of a library call outweighs its arithmetic, so
-each step of an iteration is one LAPACK call, taken from sosarp._lapack,
-which loads scipy's compiled wrappers without the scipy.linalg package
-(about 0.17 s and 23 MB per process): dpotrf factors each block of X and Z
-and the Schur complement M; dtrtri inverts each factor of Z; dpotrs makes
-both triangular solves of a Schur system in one call; and each step length
-is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T, which dsygst
-forms in one call from the lower triangles of dS and of the factor L of S,
-as SDPT3 takes the step length from the Cholesky-reduced matrix (Toh, Todd
-& Tutuncu, Optim. Methods Softw. 1999).
-Every operand reaches LAPACK in column order, so f2py copies none to
-transpose it: the factors come from dpotrf in that order, and a symmetric
-matrix held in row order is passed as its transpose, the same matrix.  At
-the [6, 1] structure of the bundled runs an iteration makes 16 calls: 3
-dpotrf, 1 dtrtri, 4 dpotrs, 4 dsygst and 4 dsyevd.
+At that scale the fixed cost of a call outweighs its arithmetic, so a solve
+holds X, Z, R_d and every search direction as one block-diagonal D x D
+matrix, D = sum d_j, with the 1x1 blocks (the sigma block of the
+certification SDP) like any other, and each step of an iteration is one
+call on that matrix: one dpotrf each factors X and Z, one dtrtri inverts
+the factor of Z, every product is a plain D x D matmul, <V, W> is one dot
+over all D^2 entries, and the symmetrization is (V + V')/2.  Block-
+diagonality holds exactly: every entry off the diagonal blocks of a factor,
+an inverse, a product or a sum of them is a sum of products with exact
+zeros, so it is a zero.  The zeros cost little: at the [6, 1] structure of
+the bundled runs a product is 7 x 7 instead of 6 x 6 and 1 x 1, against the
+dozens of numpy calls that per-block views cost each iteration.  The
+solution's blocks are copies of the diagonal blocks.  No iterate is written
+in place, so the cleanest one is kept by reference.
+
+The LAPACK routines come from sosarp._lapack, which loads scipy's compiled
+wrappers without the scipy.linalg package (about 0.17 s and 23 MB per
+process): besides the factors above, dpotrf factors the Schur complement M,
+dpotrs makes both triangular solves of a Schur system in one call, and each
+step length is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T, which
+dsygst forms in one call from the lower triangles of dS and of the factor L
+of S, as SDPT3 takes the step length from the Cholesky-reduced matrix (Toh,
+Todd & Tutuncu, Optim. Methods Softw. 1999).  Every operand reaches LAPACK
+in column order, so f2py copies none to transpose it: the factors come from
+dpotrf in that order, and a symmetric matrix held in row order is passed as
+its transpose, the same matrix.  An iteration makes 16 calls whatever the
+blocks: 3 dpotrf, 1 dtrtri, 4 dpotrs, 4 dsygst and 4 dsyevd.
 
 An SdpProblem checks its data once, on construction, and keeps what every
 solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
@@ -30,57 +42,48 @@ one after another (N = sum d_j^2), of which each block's (m, d, d) stack of
 constraint matrices is a view; the inverse L^-T L^-1 of the constraint
 Gram matrix G = Avec Avec', from dtrtri on its Cholesky factor L, so that
 each solve with G is one matrix-vector product (cond(G) is at most about
-2e3 on the certification structures); the scatters below, built from the
-nonzero entries of Avec; and the constants of a solve: the blocks' places
-in a flat vector, the index that transposes every block, and C and the
-identity as flat vectors.  with_rhs poses the same constraints with
-another b and checks only b, so a family of problems that differ in b, like
-the certification SDPs of one Gram structure, pays for that once.
-
-A solve holds X, Z, R_d and every search direction as one flat vector of
-length N in the column order of Avec, so A(X) and A*(y) are scatters over
-the nonzero entries of Avec (below), and the residuals, the steps and the
-finiteness check are one operation each over all blocks.  Each PSD block
-is a (d, d) view into the vector; the 1x1 blocks, wherever they sit (the
-sigma block of the certification SDP), form one scalar part, which
-elementwise operations factor, invert and step in closed form, with the
-IEEE operations of the general path on each 1x1 block.  No iterate is
-written in place, so the cleanest one is kept by reference.
+2e3 on the certification structures); the cell map, which sends cell
+(a, b) of block j, column start_j + a d_j + b of Avec, to entry
+(s_j + a) D + s_j + b of a flattened D x D matrix, s_j = d_0 + ... +
+d_(j-1); the scatters below, built from the nonzero entries of Avec; and C
+as a D x D matrix.  with_rhs poses the same constraints with another b and
+checks only b, so a family of problems that differ in b, like the
+certification SDPs of one Gram structure, pays for that once.
 
 The Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1> of the HKM
 direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) is
 formed as B B', which numpy computes as one dsyrk, so M is symmetric to the
-bit: with X = Lx Lx' and Z = Lz Lz' per block, row k of B holds
-Lx' A_k Lz^-T of every PSD block, flattened, and a_k lx / lz of every 1x1
-block.  Lx' A_k is nonzero only on the w columns where A_k is, so it is
-built on those alone, as Fujisawa, Kojima & Nakata exploit sparse data
-(Math. Program. 1997): a scatter of the nonzero entries of A_k with
-np.bincount adds each product Lx[i, r] A_k[i, c] into cell (r, position of
-c) of the block's (m, d, w) stack, which meets the same w rows of Lz^-T,
-gathered by precomputed indices, in one batched matmul.  w is 4 of 20 for
-the certification SDP at (n, p') = (4, 4) and 12 of 30 at (3, 6); dense
-data has w = d.  A(v) and A*(y) are scatters too: A(v) adds each
-A_k[c] v[c] into entry k in order of c, and A*(y) each y_k A_k[c] into
-cell c in order of k, so at (3, 6) each reads the 927 nonzero entries of
-the (210, 901) Avec instead of all of it.  For the certification SDP the
-scatters of B and of A*(y) are exact: each pair matrix is a 0/1 partial
-permutation, with no two nonzeros in a row or column, so each cell of
-Lx' A_k receives at most one product, the one term a matrix product sums
-with exact zeros; the pair matrices' supports are disjoint, so each cell of
-their block in A*(y) receives one term too, and the sigma column receives
-its terms in order of k, as einsum over the dense rows adds them.  So those
-results are bit for bit the dense products'; for dense data they agree up
-to rounding, as A(v) does with Avec @ v on all data, since BLAS adds a
-row's terms in its own order.  The scatter of B keeps i + 1 products per
-nonzero entry in row i, those of Lx's lower triangle: d^2 (d + 1) / 2 per
-block for the pair matrices, whose supports cover each cell once, but
-m d^2 (d + 1) / 2 for dense data, about 1.3 GB for dense blocks of 60 with
-500 constraints.  The gather indices take m w d more per block, and a
-solve adds m d w stack cells per block and the (m, N) B.  Each Schur solve
-takes one round of iterative refinement, whose residual is formed as
-B (B' dy) rather than M dy: near the optimum dy is large along M's smallest
-eigenvectors, where B' dy stays small, so the factored form rounds far
-less.
+bit: with X = Lx Lx' and Z = Lz Lz', row k of B holds Lx_j' A_k Lz_j^-T of
+every block j, flattened in the column order of Avec, so B has N columns,
+not D^2 (901, not 961, at Gram size 30).  Lx' A_k is nonzero only on the w
+columns where A_k is, so it is built on those alone, as Fujisawa, Kojima &
+Nakata exploit sparse data (Math. Program. 1997): a scatter of the nonzero
+entries of A_k with np.bincount adds each product Lx[i, r] A_k[i, c] into
+cell (r, position of c) of the block's (m, d, w) stack, which meets the same
+w rows of Lz^-T, gathered by precomputed indices, in one batched matmul.  w
+is 4 of 20 for the certification SDP at (n, p') = (4, 4) and 12 of 30 at
+(3, 6), and at most 1 for a 1x1 block; dense data has w = d.  A(V) and
+A*(y) are scatters too, over the cell map: A(V) adds each A_k[c] V[c] into
+entry k in order of c, and A*(y) each y_k A_k[c] into cell c in order of k,
+so at (3, 6) each reads the 927 nonzero entries of the (210, 901) Avec
+instead of all of it.  For the certification SDP the scatters of B and of
+A*(y) are exact: each pair matrix is a 0/1 partial permutation, with no two
+nonzeros in a row or column, so each cell of Lx' A_k receives at most one
+product, the one term a matrix product sums with exact zeros; the pair
+matrices' supports are disjoint, so each cell of their block in A*(y)
+receives one term too, and the sigma cell receives its terms in order of k,
+as einsum over the dense rows adds them.  So those results are bit for bit
+the dense products'; for dense data they agree up to rounding, as A(V) does
+with Avec @ v on all data, since BLAS adds a row's terms in its own order.
+The scatter of B keeps i + 1 products per nonzero entry in row i, those of
+Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair matrices, whose
+supports cover each cell once, but m d^2 (d + 1) / 2 for dense data, about
+1.3 GB for dense blocks of 60 with 500 constraints.  The gather indices take
+m w d more per block, and a solve adds m d w stack cells per block and the
+(m, N) B.  Each Schur solve takes one round of iterative refinement, whose
+residual is formed as B (B' dy) rather than M dy: near the optimum dy is
+large along M's smallest eigenvectors, where B' dy stays small, so the
+factored form rounds far less.
 
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
@@ -97,7 +100,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -137,10 +140,6 @@ class IterateLog(NamedTuple):
     centering: float = math.nan
 
 
-def _vec(blocks: Blocks) -> np.ndarray:
-    return np.concatenate([blk.ravel() for blk in blocks])
-
-
 def _rows(stacks: Blocks) -> np.ndarray:
     """Row k holds the k-th matrix of every stack, flattened and concatenated."""
     return np.concatenate([s.reshape(s.shape[0], s.shape[1] * s.shape[2])
@@ -172,48 +171,56 @@ def _rhs_vector(b) -> np.ndarray:
     return b
 
 
+def _cell_map(sizes: List[int]) -> np.ndarray:
+    """For each column of the row matrix, cell (a, b) of block j, its entry
+    (s_j + a) D + s_j + b of a flattened D x D matrix, D = sum(sizes) and
+    s_j the sum of the sizes before block j."""
+    D = sum(sizes)
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    return np.concatenate([((s + np.arange(d))[:, None] * D + s + np.arange(d)).ravel()
+                           for s, d in zip(offsets, sizes)])
+
+
 class _Scatter(NamedTuple):
-    """The nonzero entries of the (m, N) row matrix, Avec[rows[e], cells[e]]
-    = values[e], in order of the row, then of the cell; the blocks' places
-    in a flat vector, as the (start, end, d) of each PSD block and the
-    positions of the 1x1 blocks, with the 1x1 blocks' columns of Avec; and,
-    per PSD block j, what makes up Lx_j' A_k Lz_j^-T on the nonzero columns
-    of A_k for lower triangular Lx_j and Lz_j^-1: with c_p the p-th of those
-    columns in order, padded with column 0 to a common width w_j, the
-    products vec(Lx)[sources[t]] * factors[t] = Lx_j[i, r] A_k[i, c_p],
-    bins[t] being its cell (k, r, p) of block j's (m, d, w_j) stack, the
-    stacks of all PSD blocks lying one after another in one flat array; and
-    gathers[j], the (m, w_j, d) places in a flat vector of the rows c_p of
-    Lz_j^-T.  The products with i < r, exact zeros, are left out, and none
-    falls on a padded column."""
+    """The nonzero entries of the (m, N) row matrix, values[e] in row
+    rows[e] at entry cells[e] of a flattened D x D matrix, in order of the
+    row, then of the column; each block's (start, end, d) of the columns of
+    the row matrix and of B; and, per block j, what makes up
+    Lx_j' A_k Lz_j^-T on the nonzero columns of A_k for lower triangular Lx
+    and Lz^-1: with c_p the p-th of those columns in order, padded with
+    column 0 to a common width w_j, the products
+    Lx'.take(sources[t]) * factors[t] = Lx_j[i, r] A_k[i, c_p], bins[t]
+    being its cell (k, r, p) of block j's (m, d, w_j) stack, the stacks of
+    all blocks lying one after another in one flat array of length stacked;
+    and gathers[j], the (m, w_j, d) places of the rows c_p of Lz_j^-T in
+    the flattened Lz^-T.  The products with i < r, exact zeros, are left
+    out, and none falls on a padded column."""
 
     rows: np.ndarray
     cells: np.ndarray
     values: np.ndarray
-    psd: Tuple[Tuple[int, int, int], ...]
-    scalars: np.ndarray
-    scalar_columns: np.ndarray
+    columns: Tuple[Tuple[int, int, int], ...]
     sources: np.ndarray
     factors: np.ndarray
     bins: np.ndarray
     gathers: Tuple[np.ndarray, ...]
+    stacked: int
 
 
-def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
+def _scatter(avec: np.ndarray, sizes: List[int], cell_map: np.ndarray) -> _Scatter:
     m = avec.shape[0]
-    rows, cells = np.nonzero(avec)
-    values = avec[rows, cells]
+    D = sum(sizes)
+    rows, columns = np.nonzero(avec)
+    values = avec[rows, columns]
     ends = np.cumsum([d * d for d in sizes]).tolist()
-    psd = tuple((end - d * d, end, d) for end, d in zip(ends, sizes) if d > 1)
-    scalars = np.array([end - 1 for end, d in zip(ends, sizes) if d == 1],
-                       dtype=np.intp)
-    sources, factors, bins = [np.zeros(0, np.intp)], [np.zeros(0)], [np.zeros(0, np.intp)]
-    gathers = []
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    spans = tuple((end - d * d, end, d) for end, d in zip(ends, sizes))
+    sources, factors, bins, gathers = [], [], [], []
     stacked = 0
-    for start, end, d in psd:
-        mine = (cells >= start) & (cells < end)
+    for (start, end, d), s in zip(spans, offsets):
+        mine = (columns >= start) & (columns < end)
         k = rows[mine]
-        i, c = np.divmod(cells[mine] - start, d)
+        i, c = np.divmod(columns[mine] - start, d)
         used = np.zeros((m, d), dtype=bool)
         used[k, c] = True
         width = int(np.max(np.sum(used, axis=1), initial=0))
@@ -223,51 +230,52 @@ def _scatter(avec: np.ndarray, sizes: List[int]) -> _Scatter:
         cols[k_used, position[k_used, c_used]] = c_used
         r = np.arange(d)[:, None]
         lower = r <= i
-        sources.append((start + d * i + r)[lower])
+        # Lx[s + i, s + r] is entry (s + r, s + i) of Lx'
+        sources.append(((s + r) * D + s + i)[lower])
         factors.append(np.broadcast_to(values[mine], lower.shape)[lower])
         bins.append((stacked + (d * k + r) * width + position[k, c])[lower])
-        gathers.append(start + d * np.arange(d) + cols[:, :, None])
+        gathers.append((s + cols[:, :, None]) * D + s + np.arange(d))
         stacked += m * d * width
-    scatter = _Scatter(rows, cells, values, psd, scalars,
-                       np.ascontiguousarray(avec[:, scalars]), np.concatenate(sources),
-                       np.concatenate(factors), np.concatenate(bins), tuple(gathers))
-    for array in (*scatter[:3], *scatter[4:9], *gathers):
+    scatter = _Scatter(rows, cell_map[columns], values, spans, np.concatenate(sources),
+                       np.concatenate(factors), np.concatenate(bins), tuple(gathers),
+                       stacked)
+    for array in (*scatter[:3], *scatter[4:7], *gathers):
         array.setflags(write=False)
     return scatter
 
 
-def _apply(v: np.ndarray, scatter: _Scatter, m: int) -> np.ndarray:
-    """A(v) = Avec @ v of length m, each row's terms added in order of the
-    cell."""
-    return np.bincount(scatter.rows, v[scatter.cells] * scatter.values,
+def _apply(V: np.ndarray, scatter: _Scatter, m: int) -> np.ndarray:
+    """A(V) = Avec @ v of length m for the D x D matrix V, each row's terms
+    added in order of the cell."""
+    return np.bincount(scatter.rows, V.take(scatter.cells) * scatter.values,
                        minlength=m)
 
 
-def _adjoint(y: np.ndarray, scatter: _Scatter, size: int) -> np.ndarray:
-    """sum_k y_k Avec[k] of length size, each cell's terms added in order
-    of k."""
+def _adjoint(y: np.ndarray, scatter: _Scatter, D: int) -> np.ndarray:
+    """sum_k y_k A_k as a D x D matrix, each cell's terms added in order of
+    k."""
     return np.bincount(scatter.cells, y[scatter.rows] * scatter.values,
-                       minlength=size)
+                       minlength=D * D).reshape(D, D)
 
 
 def _schur_factor(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
-                  lx: np.ndarray, lz: np.ndarray, out: np.ndarray) -> np.ndarray:
+                  out: np.ndarray) -> np.ndarray:
     """out, an (m, N) array, filled with B and returned, where B B' is the
     Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1>.
 
-    At each PSD block's place in a flat vector, Lx holds the lower Cholesky
-    factor of X's block and Lz_inv the inverse of Z's; lx and lz hold the
-    factors sqrt(x) and sqrt(z) of the 1x1 blocks.  Row k of B holds
-    Lx' A_k Lz^-T of each PSD block, whose Frobenius products are the terms
-    of M, and a_k lx / lz of each 1x1 block."""
-    out[:, scatter.scalars] = scatter.scalar_columns * lx / lz
-    LxA = np.bincount(scatter.bins, Lx[scatter.sources] * scatter.factors,
-                      minlength=sum(gather.size for gather in scatter.gathers))
+    Lx is the lower Cholesky factor of the D x D matrix X and Lz_inv the
+    inverse of Z's.  Row k of B holds Lx_j' A_k Lz_j^-T of each block j,
+    whose Frobenius products are the terms of M.  Lx' and Lz^-T are read
+    flattened in row order, which for dpotrf's and dtrtri's column-ordered
+    results takes no copy."""
+    LxA = np.bincount(scatter.bins, Lx.T.take(scatter.sources) * scatter.factors,
+                      minlength=scatter.stacked)
+    Lz_inv_t = Lz_inv.T
     stacked = 0
-    for (start, end, d), gather in zip(scatter.psd, scatter.gathers):
+    for (start, end, d), gather in zip(scatter.columns, scatter.gathers):
         m, w, _ = gather.shape
-        np.matmul(LxA[stacked:stacked + m * d * w].reshape(m, d, w), Lz_inv[gather],
-                  out=out[:, start:end].reshape(m, d, d))
+        np.matmul(LxA[stacked:stacked + m * d * w].reshape(m, d, w),
+                  Lz_inv_t.take(gather), out=out[:, start:end].reshape(m, d, d))
         stacked += m * d * w
     return out
 
@@ -283,8 +291,8 @@ class SdpProblem:
     warning during construction.  Construction also inverts the constraint
     Gram matrix through its Cholesky factor, which raises LinAlgError if it
     is not numerically positive definite; without constraints the inverse is
-    empty.  The stored blocks and the inverse are read-only and shared by
-    with_rhs.
+    empty.  The stored blocks, the inverse and the cell map are read-only
+    and shared by with_rhs.
     """
 
     objective: Blocks
@@ -294,11 +302,8 @@ class SdpProblem:
     _avec: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _a_scale: float = field(init=False, repr=False, compare=False)
+    _cells: np.ndarray = field(init=False, repr=False, compare=False)
     _scatter: _Scatter = field(init=False, repr=False, compare=False)
-    _spans: Tuple[Tuple[int, int, int], ...] = field(init=False, repr=False,
-                                                     compare=False)
-    _transposed: np.ndarray = field(init=False, repr=False, compare=False)
-    _eye: np.ndarray = field(init=False, repr=False, compare=False)
     _c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -348,24 +353,23 @@ class SdpProblem:
             array.setflags(write=False)
         sizes = [c.shape[0] for c in objective]
         ends = np.cumsum([d * d for d in sizes]).tolist()
-        spans = tuple((end - d * d, end, d) for end, d in zip(ends, sizes))
-        constraints = [rows[:, start:end].reshape(m, d, d) for start, end, d in spans]
+        constraints = [rows[:, end - d * d:end].reshape(m, d, d)
+                       for end, d in zip(ends, sizes)]
         gram = rows @ rows.T
         # dtrtri refuses the empty factor of a problem without constraints
         gram_inv = (_inverse(_chol((gram + gram.T) / 2.0))[1] if m
                     else np.zeros((0, 0)))
-        # v[transposed] holds every block of v transposed; a scalar is its own
-        transposed = np.concatenate([start + np.arange(d * d).reshape(d, d).T.ravel()
-                                     for start, _, d in spans])
-        eye = _vec([np.eye(d) for d in sizes])
-        c = _vec(objective)
-        for array in (gram_inv, transposed, eye, c):
+        cells = _cell_map(sizes)
+        D = sum(sizes)
+        c = np.zeros(D * D)
+        c[cells] = np.concatenate([block.ravel() for block in objective])
+        c = c.reshape(D, D)
+        for array in (gram_inv, cells, c):
             array.setflags(write=False)
-        self._gram_inv = gram_inv
-        self._spans, self._transposed, self._eye, self._c = spans, transposed, eye, c
+        self._gram_inv, self._cells, self._c = gram_inv, cells, c
         self._a_scale = math.sqrt(float(np.max(
             sum(np.sum(a * a, axis=(1, 2)) for a in constraints), initial=0.0)))
-        self._scatter = _scatter(rows, sizes)
+        self._scatter = _scatter(rows, sizes, cells)
         self._kept, self._avec = kept, rows
         self.objective, self.constraints, self.b = objective, constraints, b
 
@@ -409,7 +413,9 @@ def _chol(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the symmetric mat, from dpotrf: F-ordered,
     with a zero upper triangle, so the other calls take it without a copy.
     A failing factor is retried with escalating diagonal jitter up to
-    _JITTER_MAX (scaled), then raises LinAlgError."""
+    _JITTER_MAX, relative to mat's largest entry, then raises LinAlgError.
+    For a block-diagonal iterate that is the largest entry of any block, and
+    the shift moves every block's diagonal."""
     jitter = 0.0
     while True:
         shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
@@ -462,54 +468,36 @@ def _inverse(L: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return L_inv, L_inv.T @ L_inv
 
 
-def _max_step(chols: Blocks, dS: Blocks) -> float:
-    """Largest alpha with S + alpha*dS still positive definite, S = L L' per
-    block and each dS block symmetric.
+def _max_step(L: np.ndarray, dS: np.ndarray) -> float:
+    """Largest alpha with S + alpha*dS still positive definite, for S = L L'
+    and dS symmetric.
 
     alpha is bounded by the smallest eigenvalue of L^-1 dS L^-T, which
-    dsygst forms in one call on the lower triangle.  Raises LinAlgError if
-    that matrix is not finite, as when it overflows on a tiny Cholesky
-    diagonal: LAPACK returns eigenvalues without error for such a matrix
-    (finite ones for diag(1, 1, 1, NaN), NaN ones for an infinite entry),
-    and either would make the step length garbage.
+    dsygst forms in one call on the lower triangle; for block-diagonal S and
+    dS that is the smallest over the blocks.  Raises LinAlgError if that
+    matrix is not finite, as when it overflows on a tiny Cholesky diagonal:
+    LAPACK returns eigenvalues without error for such a matrix (finite ones
+    for diag(1, 1, 1, NaN), NaN ones for an infinite entry), and either
+    would make the step length garbage.
     """
-    alpha = np.inf
-    for L, d_blk in zip(chols, dS):
-        # the transpose of the symmetric block is an F-ordered view of it
-        G, info = dsygst(d_blk.T, L, lower=1)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal sygst")
-        if not np.isfinite(G).all():
-            raise np.linalg.LinAlgError("step-length matrix is not finite")
-        lam = float(_eigvalsh(G)[0])
-        if lam < 0.0:
-            alpha = min(alpha, -1.0 / lam)
-    return alpha
-
-
-# The scalar part: all 1x1 blocks [[s_i]] as one vector s, worked with the
-# IEEE operations that the general path performs on each [[s_i]]
-def _scalar_chol(s: np.ndarray) -> np.ndarray:
-    """_chol of each [[s_i]]: sqrt(s_i), which is what dpotrf computes, and
-    LinAlgError unless every s_i > 0."""
-    if not np.minimum.reduce(s, initial=np.inf) > 0.0:
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return np.sqrt(s)
-
-
-def _scalar_inverse(l: np.ndarray) -> np.ndarray:
-    """_inverse of each [[l_i]]: dtrtri's one division, squared."""
-    inv = 1.0 / l
-    return inv * inv
-
-
-def _scalar_max_step(l: np.ndarray, ds: np.ndarray) -> float:
-    """_max_step of the [[l_i]] and [[ds_i]]: dsygst's one operation on a
-    1x1 block, ds / l^2, is its only eigenvalue; the operation is monotone
-    in ds, so the smallest quotient gives the bound.  An overflow is no
-    error: the eigenvalue is then an exact +-inf."""
-    lam = float(np.fmin.reduce(ds / (l * l), initial=0.0))
+    # the transpose of the symmetric dS is an F-ordered view of it
+    G, info = dsygst(dS.T, L, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal sygst")
+    if not np.isfinite(G).all():
+        raise np.linalg.LinAlgError("step-length matrix is not finite")
+    lam = float(_eigvalsh(G)[0])
     return -1.0 / lam if lam < 0.0 else math.inf
+
+
+def _diagonal_blocks(V: np.ndarray, sizes: List[int]) -> Blocks:
+    """Copies of the diagonal blocks of V with the given sizes."""
+    blocks = []
+    s = 0
+    for d in sizes:
+        blocks.append(V[s:s + d, s:s + d].copy())
+        s += d
+    return blocks
 
 
 # a step that overflows makes numpy warn before the iterate check turns it
@@ -527,48 +515,21 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     y or Z, ends the solve with NUMERICAL_FAILURE and the cleanest iterate
     so far, not with an exception.
     """
-    n_tot = problem.n_total
+    D = problem.n_total
     b = problem.b
     m = len(b)
     gram_inv = problem._gram_inv
     scatter = problem._scatter
     a_scale = problem._a_scale
-    n_flat = problem._avec.shape[1]
-    spans = problem._spans
-    transposed = problem._transposed
-    eye = problem._eye
     C = problem._c
-    psd = scatter.psd
-    sc = scatter.scalars  # the scalar part's positions in a flat vector
-
-    def blocks(v: np.ndarray, of: Sequence = psd) -> Blocks:
-        return [v[start:end].reshape(d, d) for start, end, d in of]
-
-    def inner(v: np.ndarray, w: np.ndarray) -> float:
-        # one sum per block, added in block order; a scalar's sum is its
-        # entry, as the running total is never -0.0
-        prod = v * w
-        return float(sum(np.add.reduce(prod[start:end]) if d > 1 else prod[start]
-                         for start, end, d in spans))
-
-    def times(v: np.ndarray, w: np.ndarray, v_blocks: Blocks,
-              w_blocks: Blocks) -> Tuple[np.ndarray, Blocks]:
-        # a 1x1 matmul gives 0 + v w, so -0.0 comes back as +0.0; the PSD
-        # blocks of the elementwise product are overwritten; the product's
-        # block views are returned with it
-        out = v * w + 0.0
-        out_blocks = blocks(out)
-        for vb, wb, ob in zip(v_blocks, w_blocks, out_blocks):
-            np.matmul(vb, wb, out=ob)
-        return out, out_blocks
-
+    eye = np.eye(D)
     B = np.empty_like(problem._avec)  # M = B B', see _schur_factor
 
     b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))
-    c_scale = math.sqrt(inner(C, C))
-    xi = max(10.0, math.sqrt(n_tot), n_tot * b_scale / max(1.0, a_scale))
-    eta = max(10.0, math.sqrt(n_tot), c_scale, a_scale)
+    c_scale = math.sqrt(np.vdot(C, C))
+    xi = max(10.0, math.sqrt(D), D * b_scale / max(1.0, a_scale))
+    eta = max(10.0, math.sqrt(D), c_scale, a_scale)
 
     X = xi * eye
     Z = eta * eye
@@ -584,14 +545,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
 
     for iteration in range(_MAX_ITER + 1):
         r_p = b - _apply(X, scatter, m)
-        R_d = C - Z - _adjoint(y, scatter, n_flat)
-        xz = inner(X, Z)
-        mu = xz / n_tot
-        obj_p = inner(C, X)
+        R_d = C - Z - _adjoint(y, scatter, D)
+        xz = float(np.vdot(X, Z))
+        mu = xz / D
+        obj_p = float(np.vdot(C, X))
         obj_d = float(b @ y)
         gap = xz / (1.0 + abs(obj_p) + abs(obj_d))
         p_res = math.sqrt(r_p @ r_p) / (1.0 + b_norm)
-        d_res = math.sqrt(inner(R_d, R_d)) / (1.0 + c_scale)
+        d_res = math.sqrt(np.vdot(R_d, R_d)) / (1.0 + c_scale)
         trace.append(IterateLog(iteration, obj_p, obj_d, gap, p_res, d_res, mu))
         merit = max(gap, p_res, d_res)
         if best is None or merit < best[0]:
@@ -603,7 +564,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         if abs(obj_d) > _DIVERGENCE:
             status = SdpStatus.INFEASIBLE
             break
-        if float(eye @ X) > _DIVERGENCE:  # trace(X), all blocks
+        if float(np.trace(X)) > _DIVERGENCE:
             status = SdpStatus.DUAL_INFEASIBLE
             break
         if iteration == _MAX_ITER:
@@ -611,23 +572,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             break
 
         try:
-            X_blocks, Z_blocks = blocks(X), blocks(Z)
-            X_chols = [_chol(x) for x in X_blocks]
-            Z_chols = [_chol(z) for z in Z_blocks]
-            lx = _scalar_chol(X[sc])
-            lz = _scalar_chol(Z[sc])
-            Lx = np.empty(n_flat)
-            for L, out in zip(X_chols, blocks(Lx)):
-                out[...] = L
-            Lz_inv = np.empty(n_flat)
-            Z_inv = np.empty(n_flat)
-            Z_inv[sc] = _scalar_inverse(lz)
-            Zinv_blocks = blocks(Z_inv)
-            for L, l_out, z_out in zip(Z_chols, blocks(Lz_inv), Zinv_blocks):
-                l_out[...], z_out[...] = _inverse(L)
+            Lx = _chol(X)
+            Lz = _chol(Z)
+            Lz_inv, Z_inv = _inverse(Lz)
 
             # numpy computes B B' as one dsyrk, so M is symmetric to the bit
-            _schur_factor(scatter, Lx, Lz_inv, lx, lz, B)
+            _schur_factor(scatter, Lx, Lz_inv, B)
             M = B @ B.T
             M_chol = _chol(M)
 
@@ -651,48 +601,37 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
                 before = r_p - _apply(dX, scatter, m)
                 corrected, defect = dX, before
                 for _ in range(2):
-                    corrected = corrected + _adjoint(gram_inv @ defect, scatter, n_flat)
+                    corrected = corrected + _adjoint(gram_inv @ defect, scatter, D)
                     defect = r_p - _apply(corrected, scatter, m)
                 if math.sqrt(defect @ defect) <= math.sqrt(before @ before):
                     return corrected
                 return dX
 
-            def sandwich(V: np.ndarray) -> np.ndarray:
-                XV, XV_blocks = times(X, V, X_blocks, blocks(V))
-                return times(XV, Z_inv, XV_blocks, Zinv_blocks)[0]
-
             # A(X R_d Zinv), the same in both directions
-            A_XRZ = _apply(sandwich(R_d), scatter, m)
+            A_XRZ = _apply(X @ R_d @ Z_inv, scatter, m)
 
-            def direction(Rc: np.ndarray, Rc_blocks: Blocks) -> Tuple[
-                    np.ndarray, np.ndarray, np.ndarray]:
-                T1 = times(Rc, Z_inv, Rc_blocks, Zinv_blocks)[0]
+            def direction(Rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                T1 = Rc @ Z_inv
                 dy = solve_schur(r_p - _apply(T1, scatter, m) + A_XRZ)
-                dZ = R_d - _adjoint(dy, scatter, n_flat)
-                dX = T1 - sandwich(dZ)
-                return project_primal((dX + dX[transposed]) / 2.0), dy, dZ
+                dZ = R_d - _adjoint(dy, scatter, D)
+                dX = T1 - X @ dZ @ Z_inv
+                return project_primal((dX + dX.T) / 2.0), dy, dZ
 
-            def step(chols: Blocks, l: np.ndarray, dS: np.ndarray,
-                     dS_blocks: Blocks) -> float:
-                alpha = min(_max_step(chols, dS_blocks), _scalar_max_step(l, dS[sc]))
-                return min(1.0, _STEP_FRACTION * alpha)
+            def step(L: np.ndarray, dS: np.ndarray) -> float:
+                return min(1.0, _STEP_FRACTION * _max_step(L, dS))
 
             # predictor (affine scaling): Rc = -XZ
-            XZ = times(X, Z, X_blocks, Z_blocks)[0]
-            Rc = -XZ
-            dX_aff, dy_aff, dZ_aff = direction(Rc, blocks(Rc))
-            dX_aff_blocks, dZ_aff_blocks = blocks(dX_aff), blocks(dZ_aff)
-            ap_aff = step(X_chols, lx, dX_aff, dX_aff_blocks)
-            ad_aff = step(Z_chols, lz, dZ_aff, dZ_aff_blocks)
-            mu_aff = inner(X + ap_aff * dX_aff, Z + ad_aff * dZ_aff) / n_tot
+            XZ = X @ Z
+            dX_aff, dy_aff, dZ_aff = direction(-XZ)
+            ap_aff = step(Lx, dX_aff)
+            ad_aff = step(Lz, dZ_aff)
+            mu_aff = float(np.vdot(X + ap_aff * dX_aff, Z + ad_aff * dZ_aff)) / D
             center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # corrector with Mehrotra second-order term
-            dXZ_aff = times(dX_aff, dZ_aff, dX_aff_blocks, dZ_aff_blocks)[0]
-            Rc = center * mu * eye - XZ - dXZ_aff
-            dX, dy, dZ = direction(Rc, blocks(Rc))
-            alpha_p = step(X_chols, lx, dX, blocks(dX))
-            alpha_d = step(Z_chols, lz, dZ, blocks(dZ))
+            dX, dy, dZ = direction(center * mu * eye - XZ - dX_aff @ dZ_aff)
+            alpha_p = step(Lx, dX)
+            alpha_d = step(Lz, dZ)
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
@@ -717,6 +656,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             and best is not None and best[0] < max(gap, p_res, d_res)):
         # a late bad step can poison the final iterate; report the cleanest one
         _, X, y, Z, gap, p_res, d_res = best
-    return SdpSolution(X=blocks(X, spans), y=y, Z=blocks(Z, spans), status=status,
-                       gap=gap, primal_residual=p_res, dual_residual=d_res,
-                       iterations=iteration, trace=trace)
+    sizes = problem.block_sizes
+    return SdpSolution(X=_diagonal_blocks(X, sizes), y=y, Z=_diagonal_blocks(Z, sizes),
+                       status=status, gap=gap, primal_residual=p_res,
+                       dual_residual=d_res, iterations=iteration, trace=trace)

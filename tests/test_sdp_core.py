@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sosarp import sdp_core
 from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 from conftest import planted_sdp
 
@@ -239,10 +240,11 @@ class TestWithRhs:
         assert other._gram_inv is problem._gram_inv
         scatter = problem._scatter
         assert other._scatter is scatter
+        assert other._cells is problem._cells
         shared = [*problem.objective, *problem.constraints, problem._avec,
-                  problem._gram_inv, scatter.rows, scatter.cells, scatter.values,
-                  scatter.scalars, scatter.scalar_columns, scatter.sources,
-                  scatter.factors, scatter.bins, *scatter.gathers]
+                  problem._gram_inv, problem._cells, problem._c, scatter.rows,
+                  scatter.cells, scatter.values, scatter.sources, scatter.factors,
+                  scatter.bins, *scatter.gathers]
         for array in shared:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -268,7 +270,8 @@ class TestNonFiniteIterate:
     @staticmethod
     def _problem(kind: str) -> SdpProblem:
         if kind == "scalar_blocks":
-            # no kernel sees the bad direction: only the iterate check stops it
+            # two 1x1 blocks, which go through the general kernels: the step
+            # length's finiteness check stops the bad direction
             return SdpProblem(objective=[np.array([[1.0]]), np.array([[2.0]])],
                               constraints=[np.ones((1, 1, 1)), np.ones((1, 1, 1))],
                               b=[1.0])
@@ -295,3 +298,16 @@ class TestNonFiniteIterate:
         merits = [max(t.gap, t.primal_residual, t.dual_residual) for t in sol.trace]
         assert max(sol.gap, sol.primal_residual, sol.dual_residual) == min(merits)
         assert [t.gap for t in sol.trace] == [t.gap for t in clean.trace[:len(sol.trace)]]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_iterate_check_stops_an_unbounded_step(self, bad, poisoned_vector_solves,
+                                                   monkeypatch):
+        # with step lengths that see no bound, the bad direction reaches the
+        # iterate, and the once-per-iteration check ends the solve
+        problem = self._problem("planted")
+        monkeypatch.setattr(sdp_core, "_max_step", lambda L, dS: np.inf)
+        poisoned_vector_solves.update(value=bad, after=0)
+        sol = solve_sdp(problem)
+        assert sol.status is SdpStatus.NUMERICAL_FAILURE
+        assert sol.iterations == 0
+        assert all(np.isfinite(x).all() for x in (*sol.X, sol.y, *sol.Z))

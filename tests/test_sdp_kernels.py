@@ -1,30 +1,30 @@
 """The solver's small dense kernels against the scipy and numpy calls they
-replace, and the scalar part's closed forms against the general path on
-1x1 blocks.
+replace, the block-diagonal D x D layout of its iterates, and the LAPACK
+calls an iteration makes.
 
 The LAPACK kernels compute what scipy.linalg computes by another route, so
-they are compared within 1e-12 relative; the eigenvalues and the scalar
-part promise the same bits, so those comparisons are exact equality.  The
-kernels check no input for inf or NaN (the solver checks each iterate
-once).  The constraint scatters promise the dense products' bits only for
-the certification SDP's 0/1 pair matrices; on dense data they agree up to
-rounding, as does the Schur complement B B' with its dense definition.
-A(v) through the scatter agrees with the dense product Avec @ v up to
-rounding on all data, since BLAS adds a row's terms in its own order.
+they are compared within 1e-12 relative; the eigenvalues and the 1x1
+blocks' closed forms promise the same bits, so those comparisons are exact
+equality.  The kernels check no input for inf or NaN (the solver checks each
+iterate once).  The constraint scatters promise the dense products' bits
+only for the certification SDP's 0/1 pair matrices; on dense data they agree
+up to rounding, as does the Schur complement B B' with its dense
+definition.  A(V) through the scatter agrees with the dense product Avec @ v
+up to rounding on all data, since BLAS adds a row's terms in its own order.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import block_diag, cholesky, solve_triangular
 
-from sosarp._lapack import dsygst
-from sosarp.sdp_core import (SdpProblem, _adjoint, _apply, _chol, _cho_solve,
-                             _eigvalsh, _inverse, _max_step, _scalar_chol,
-                             _scalar_inverse, _scalar_max_step, _schur_factor)
-from sosarp.sos_certify import _gram_structure
-from conftest import planted_sdp
+from sosarp import sdp_core, sos_certify
+from sosarp.sdp_core import (SdpProblem, SdpStatus, _adjoint, _apply, _chol,
+                             _cho_solve, _eigvalsh, _inverse, _max_step,
+                             _schur_factor, solve_sdp)
+from sosarp.sos_certify import _gram_structure, min_sigma_sos
+from conftest import planted_sdp, random_certified_model
 
 KERNEL_SIZES = [1, 6, 12, 20, 30]
 
@@ -38,8 +38,8 @@ def _spd(rng, size: int) -> np.ndarray:
 
 
 def _reference_max_step(chols, dS):
-    """The step bound from two triangular solves and (G + G')/2, with no
-    finiteness check."""
+    """The step bound from two triangular solves and (G + G')/2 on each
+    block, with no finiteness check."""
     alpha = np.inf
     for L, d_blk in zip(chols, dS):
         half = solve_triangular(L, d_blk, lower=True, check_finite=False)
@@ -141,19 +141,22 @@ class TestCholeskyKernels:
             # definite: each sets a finite bound
             for dS in (sym - (np.linalg.eigvalsh(sym)[0] + 1.0) * np.eye(size),
                        -(G @ G.T) - np.eye(size)):
-                got = _max_step([L], [dS])
+                got = _max_step(L, dS)
                 expected = _reference_max_step([L], [dS])
                 assert math.isfinite(expected)
                 assert abs(got - expected) <= 1e-12 * expected
 
     def test_max_step_takes_the_smallest_block_bound(self):
+        # on block-diagonal S and dS the one reduced matrix is block-diagonal
+        # too, and its smallest eigenvalue is the smallest block's
         rng = np.random.default_rng(3)
         chols = [_chol(_spd(rng, d)) for d in (6, 12)]
         dS = [-_spd(rng, 6), -_spd(rng, 12)]
         expected = min(_reference_max_step([L], [d]) for L, d in zip(chols, dS))
-        assert abs(_max_step(chols, dS) - expected) <= 1e-12 * expected
+        got = _max_step(block_diag(*chols), block_diag(*dS))
+        assert abs(got - expected) <= 1e-12 * expected
         # a positive semidefinite direction sets no bound
-        assert _max_step(chols[:1], [_spd(rng, 6)]) == np.inf
+        assert _max_step(chols[0], _spd(rng, 6)) == np.inf
 
 
 class TestEigvalsh:
@@ -183,17 +186,13 @@ def _reference_chol(mat):
 
 
 class TestScalarCholesky:
-    """The scalar part's factor is sqrt, which is what dpotrf and
-    np.linalg.cholesky compute on each 1x1 block, and _chol's jitter loop
-    retries as numpy's factor would."""
+    """_chol on 1x1 blocks computes what np.linalg.cholesky computes, and its
+    jitter loop retries as numpy's factor would."""
 
     def test_positive_values_equal_numpy(self):
         rng = np.random.default_rng(5)
-        values = 10.0 ** rng.uniform(-300, 300, 2000)
-        factors = _scalar_chol(values)
-        for v, l in zip(values, factors):
+        for v in 10.0 ** rng.uniform(-300, 300, 2000):
             mat = np.array([[v]])
-            assert np.array_equal([[l]], np.linalg.cholesky(mat))
             assert np.array_equal(_chol(mat), np.linalg.cholesky(mat))
 
     @pytest.mark.parametrize("v", [0.0, -0.0, -1e-20, -1e-15, -5e-13, -5e-11])
@@ -201,18 +200,6 @@ class TestScalarCholesky:
         # each value fails unshifted and factors after one, two or three shifts
         mat = np.array([[v]])
         assert np.array_equal(_chol(mat), _reference_chol(mat))
-
-    @pytest.mark.parametrize("v", [0.0, -0.0, -1.0, -1e-300])
-    def test_not_positive_fails_as_numpy(self, v):
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(np.array([[v]]))
-        with pytest.raises(np.linalg.LinAlgError):
-            _scalar_chol(np.array([2.0, v, 3.0]))
-
-    def test_nan_fails(self):
-        # numpy's factor of [[nan]] is [[nan]]; the scalar part fails instead
-        with pytest.raises(np.linalg.LinAlgError):
-            _scalar_chol(np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("v", [-1.0, np.nan])
     def test_jitter_gives_up(self, v):
@@ -229,53 +216,63 @@ class TestScalarCholesky:
             _chol(mat)
 
 
-def _scalar_reference(l: float, d: float):
-    """The general path's step bound and inverse on the 1x1 blocks [[l]],
-    [[d]]: dsygst and its eigenvalue, without _max_step's finiteness check,
-    and _inverse."""
-    G, _ = dsygst(np.array([[d]]), np.array([[l]]), lower=1)
-    lam = float(_eigvalsh(G)[0])
+def _closed_forms(l: float, d: float):
+    """dsygst's one operation on the 1x1 blocks [[l]], [[d]], d / l^2, and
+    the step bound and inverse it gives: no bound for lam >= 0, and
+    (1 / l)^2, dtrtri's division squared."""
+    l, d = np.float64(l), np.float64(d)
+    lam = d / (l * l)
     step = -1.0 / lam if lam < 0.0 else np.inf
-    return step, _inverse(np.array([[l]]))[1][0, 0]
+    inv = 1.0 / l
+    return lam, step, inv * inv
 
 
 class TestScalarBlocks:
+    """1x1 blocks go through the general kernels; on them those compute the
+    closed forms bit for bit."""
+
     def test_closed_forms_equal_general_path(self):
         rng = np.random.default_rng(7)
         ls = 10.0 ** rng.uniform(-8, 8, 2000)
         ds = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-8, 8, 2000)
-        inverses = _scalar_inverse(ls)
-        for l, d, inv in zip(ls, ds, inverses):
-            step, expected_inv = _scalar_reference(l, d)
-            assert _scalar_max_step(np.array([l]), np.array([d])) == step
-            # no overflow in this range, so the checked path agrees too
-            assert _max_step([np.array([[l]])], [np.array([[d]])]) == step
-            assert np.array_equal(inv, expected_inv)
-        # the bound of many scalars at once is the smallest of their bounds
-        steps = [_scalar_reference(l, d)[0] for l, d in zip(ls, ds)]
-        assert _scalar_max_step(ls, ds) == min(steps)
-        assert _scalar_max_step(np.zeros(0), np.zeros(0)) == np.inf
+        steps = []
+        for l, d in zip(ls, ds):
+            _, step, inv = _closed_forms(l, d)
+            steps.append(step)
+            # no overflow in this range, so the finiteness check passes
+            assert _max_step(np.array([[l]]), np.array([[d]])) == step
+            assert _inverse(np.array([[l]]))[1][0, 0] == inv
+        # the bound of many 1x1 blocks at once, as one diagonal matrix, is
+        # the smallest of their bounds
+        assert _max_step(np.diag(ls[:60]), np.diag(ds[:60])) == min(steps[:60])
 
     def test_mixed_blocks_equal_general_path(self):
         rng = np.random.default_rng(3)
         G = rng.normal(size=(6, 6))
-        chols = [_chol(G @ G.T + np.eye(6)), np.array([[0.7]])]
-        dS = [-(G + G.T), np.array([[-2.5]])]
-        combined = min(_max_step(chols[:1], dS[:1]),
-                       _scalar_max_step(np.array([0.7]), np.array([-2.5])))
-        assert combined == _max_step(chols, dS)
+        L6 = _chol(G @ G.T + np.eye(6))
+        dS6 = -(G + G.T)
+        combined = min(_max_step(L6, dS6), _closed_forms(0.7, -2.5)[1])
+        for chols, dS in (([L6, np.array([[0.7]])], [dS6, np.array([[-2.5]])]),
+                          ([np.array([[0.7]]), L6], [np.array([[-2.5]]), dS6])):
+            got = _max_step(block_diag(*chols), block_diag(*dS))
+            assert abs(got - combined) <= 1e-12 * combined
 
     @pytest.mark.parametrize("d, l", [(1e300, 1e-10), (-1e300, 1e-10),
                                       (1e200, 1e-60), (-1e200, 1e-60),
                                       (1.0, 1e-200), (-1e300, 1e-4)])
     def test_overflow_matches_general_path(self, d, l):
-        # d / l^2 beyond the float range, or l^2 underflowing to 0, gives
-        # +-inf in both paths, and +inf (no bound) or -inf (step 0)
-        # follows; a finite d / l^2 = -1e308 bounds the step at 1e-308
-        with np.errstate(over="ignore", divide="ignore"):  # numpy's ops warn
-            step, expected_inv = _scalar_reference(l, d)
-            assert _scalar_max_step(np.array([l]), np.array([d])) == step
-            assert np.array_equal(_scalar_inverse(np.array([l])), [expected_inv])
+        # d / l^2 beyond the float range, or l^2 underflowing to 0, is not
+        # finite: a 1x1 block raises like any block; a finite
+        # d / l^2 = -1e308 bounds the step at 1e-308
+        with np.errstate(over="ignore", divide="ignore"):  # the closed forms warn
+            lam, step, inv = _closed_forms(l, d)
+        if math.isfinite(lam):
+            assert _max_step(np.array([[l]]), np.array([[d]])) == step
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                _max_step(np.array([[l]]), np.array([[d]]))
+        with np.errstate(over="ignore"):  # (1 / l)^2 overflows on both sides
+            assert _inverse(np.array([[l]]))[1][0, 0] == inv
 
 
 class TestStepLength:
@@ -287,29 +284,42 @@ class TestStepLength:
         dS = -np.eye(4)
         assert _reference_max_step([L], [dS]) == np.inf
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            _max_step([L], [dS])
+            _max_step(L, dS)
         # the same block after a well-behaved one: any non-finite block raises
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            _max_step([np.eye(2), L], [-np.eye(2), dS])
+            _max_step(block_diag(np.eye(2), L), block_diag(-np.eye(2), dS))
 
 
 # (n, p') of every certification SDP the benchmark solves
 BENCH_STRUCTURES = [(1, 4), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6)]
 
 
+def _offsets(sizes):
+    """s_j, the place of block j on the diagonal of the D x D matrix."""
+    return np.cumsum([0] + list(sizes[:-1])).tolist()
+
+
+def _embedded(problem, flat):
+    """The D x D matrix whose cells hold flat, a vector in the column order
+    of the row matrix Avec, and zeros off the diagonal blocks."""
+    D = problem.n_total
+    out = np.zeros(D * D)
+    out[problem._cells] = flat
+    return out.reshape(D, D)
+
+
 def _scattered_stacks(problem, Lx):
-    """Each PSD block's (m, d, w) stack of Lx_j' A_k on the nonzero columns
-    of A_k, cut from the flat scatter of the lower triangular Lx."""
+    """Each block's (m, d, w) stack of Lx_j' A_k on the nonzero columns of
+    A_k, cut from the scatter of the block-diagonal lower triangular
+    block_diag(Lx)."""
     scatter = problem._scatter
-    m, width = problem._avec.shape
-    flat_lx = np.zeros(width)
-    for (start, end, _), L in zip(scatter.psd, Lx):
-        flat_lx[start:end] = L.ravel()
-    shapes = [(m, d, gather.shape[1]) for (_, _, d), gather in zip(scatter.psd,
+    m = problem._avec.shape[0]
+    shapes = [(m, d, gather.shape[1]) for (_, _, d), gather in zip(scatter.columns,
                                                                  scatter.gathers)]
     sizes = [int(np.prod(shape)) for shape in shapes]
-    flat = np.bincount(scatter.bins, flat_lx[scatter.sources] * scatter.factors,
-                       minlength=sum(sizes))
+    assert scatter.stacked == sum(sizes)
+    flat = np.bincount(scatter.bins, block_diag(*Lx).T.take(scatter.sources)
+                       * scatter.factors, minlength=sum(sizes))
     ends = np.cumsum(sizes)
     return [flat[end - size:end].reshape(shape)
             for end, size, shape in zip(ends, sizes, shapes)]
@@ -318,14 +328,15 @@ def _scattered_stacks(problem, Lx):
 def _expected_stacks(problem, Lx):
     """The dense Lx_j' A_k on the same columns, zero where a row's columns
     are padded; and a check that the columns are each A_k's nonzero ones,
-    and that the gathers pick their rows of Lz^-T."""
+    and that the gathers pick their rows of Lz^-T in the flattened D x D
+    Lz^-T."""
     stacks = []
-    for (start, _, d), gather, L, a in zip(problem._scatter.psd,
-                                           problem._scatter.gathers, Lx,
-                                           [c for c in problem.constraints
-                                            if c.shape[1] > 1]):
-        cols = gather[:, :, 0] - start
-        assert np.array_equal(gather, start + d * np.arange(d) + cols[:, :, None])
+    D = problem.n_total
+    for s, gather, L, a in zip(_offsets(problem.block_sizes), problem._scatter.gathers,
+                               Lx, problem.constraints):
+        d = a.shape[1]
+        cols = gather[:, :, 0] // D - s
+        assert np.array_equal(gather, (s + cols[:, :, None]) * D + s + np.arange(d))
         counts = np.count_nonzero(np.any(a != 0.0, axis=1), axis=1)
         assert cols.shape[1] == np.max(counts, initial=0)
         for k, count in enumerate(counts):
@@ -351,14 +362,14 @@ class TestConstraintScatter:
         problem = _gram_structure(n, p_prime).problem
         rng = np.random.default_rng(10 * n + p_prime)
         for _ in range(5):
-            Lx = [_lower(rng, d) for _, _, d in problem._scatter.psd]
+            Lx = [_lower(rng, d) for d in problem.block_sizes]
             for got, expected in zip(_scattered_stacks(problem, Lx),
                                      _expected_stacks(problem, Lx)):
                 assert np.array_equal(got, expected)
             y = _wide_range(rng, len(problem.b))
-            # the sigma column sums one term per row: the order of k matters
-            expected = np.einsum("k,kn->n", y, problem._avec)
-            assert np.array_equal(_adjoint(y, problem._scatter, len(expected)),
+            # the sigma cell sums one term per row: the order of k matters
+            expected = _embedded(problem, np.einsum("k,kn->n", y, problem._avec))
+            assert np.array_equal(_adjoint(y, problem._scatter, problem.n_total),
                                   expected)
 
     def test_dense_products_agree_to_rounding(self):
@@ -372,16 +383,16 @@ class TestConstraintScatter:
         problem = SdpProblem(objective=objective, constraints=constraints,
                              b=np.zeros(m))
         # dense blocks: every row uses every column
-        assert [gather.shape for gather in problem._scatter.gathers] == [(m, 7, 7),
-                                                                        (m, 4, 4)]
-        Lx = [np.tril(rng.standard_normal((d, d))) for d in (7, 4)]
+        assert [gather.shape for gather in problem._scatter.gathers] == [
+            (m, 7, 7), (m, 1, 1), (m, 4, 4)]
+        Lx = [np.tril(rng.standard_normal((d, d))) for d in sizes]
         for got, expected in zip(_scattered_stacks(problem, Lx),
                                  _expected_stacks(problem, Lx)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
         y = rng.standard_normal(m)
-        expected = np.einsum("k,kn->n", y, problem._avec)
-        np.testing.assert_allclose(_adjoint(y, problem._scatter, len(expected)),
+        expected = _embedded(problem, np.einsum("k,kn->n", y, problem._avec))
+        np.testing.assert_allclose(_adjoint(y, problem._scatter, problem.n_total),
                                    expected, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(expected)))
 
@@ -409,7 +420,7 @@ def _operator_problems():
 
 
 class TestConstraintOperator:
-    """A(v) through the scatter and the stored inverse of the constraint
+    """A(V) through the scatter and the stored inverse of the constraint
     Gram matrix, against the dense row matrix Avec."""
 
     @pytest.fixture(scope="class")
@@ -422,7 +433,7 @@ class TestConstraintOperator:
             avec = problem._avec
             for _ in range(5):
                 v = _wide_range(rng, avec.shape[1])
-                got = _apply(v, problem._scatter, len(problem.b))
+                got = _apply(_embedded(problem, v), problem._scatter, len(problem.b))
                 assert got.shape == (len(problem.b),), name
                 # rounding of either sum is bounded by its length times
                 # eps times the sum of the terms' magnitudes
@@ -440,18 +451,18 @@ class TestConstraintOperator:
                                        rtol=0.0, atol=1e-12, err_msg=name)
 
 
+def _factors(X, Z):
+    """The lower Cholesky factor of block_diag(X) and the inverse of
+    block_diag(Z)'s, from numpy: C-ordered, unlike the solver's."""
+    Lx = np.linalg.cholesky(block_diag(*X))
+    Lz_inv = np.linalg.inv(np.linalg.cholesky(block_diag(*Z)))
+    return Lx, Lz_inv
+
+
 def _schur(problem, X, Z):
     """B B' from _schur_factor at X and Z, given as lists of PD blocks."""
-    scatter = problem._scatter
-    width = problem._avec.shape[1]
-    Lx, Lz_inv = np.zeros(width), np.zeros(width)
-    for (start, end, _), x, z in zip(scatter.psd, [x for x in X if len(x) > 1],
-                                     [z for z in Z if len(z) > 1]):
-        Lx[start:end] = np.linalg.cholesky(x).ravel()
-        Lz_inv[start:end] = np.linalg.inv(np.linalg.cholesky(z)).ravel()
-    lx = np.sqrt([x[0, 0] for x in X if len(x) == 1])
-    lz = np.sqrt([z[0, 0] for z in Z if len(z) == 1])
-    B = _schur_factor(scatter, Lx, Lz_inv, lx, lz, np.full_like(problem._avec, np.nan))
+    Lx, Lz_inv = _factors(X, Z)
+    B = _schur_factor(problem._scatter, Lx, Lz_inv, np.full_like(problem._avec, np.nan))
     return B @ B.T
 
 
@@ -467,6 +478,10 @@ def _pd_blocks(rng, sizes):
         g = rng.standard_normal((d, d))
         blocks.append(g @ g.T + d * np.eye(d))
     return blocks
+
+
+# 1x1 blocks at every position among two planted PSD blocks
+SCALAR_PLANS = {"before": (0,), "between": (1,), "after": (2,), "everywhere": (0, 1, 2)}
 
 
 class TestSchurFactor:
@@ -489,8 +504,8 @@ class TestSchurFactor:
         self._check(_gram_structure(n, p_prime).problem,
                     np.random.default_rng(n + p_prime))
 
-    @pytest.mark.parametrize("scalars", [(0,), (1,), (2,), (0, 1, 2)],
-                             ids=["before", "between", "after", "everywhere"])
+    @pytest.mark.parametrize("scalars", list(SCALAR_PLANS.values()),
+                             ids=list(SCALAR_PLANS))
     def test_planted_dense_problems(self, scalars):
         rng = np.random.default_rng(sum(scalars) + 7)
         for _ in range(3):
@@ -513,14 +528,150 @@ class TestSchurFactor:
         for got, expected in zip(problem.constraints, planted.constraints):
             assert np.array_equal(got, expected)
         scatter = problem._scatter
-        assert [gather.shape[0] for gather in scatter.gathers] == [m, m]
-        assert scatter.scalar_columns.shape == (m, 1)
-        Lx = [_lower(rng, d) for _, _, d in scatter.psd]
+        assert [gather.shape[0] for gather in scatter.gathers] == [m, m, m]
+        Lx = [_lower(rng, d) for d in problem.block_sizes]
         for got, expected in zip(_scattered_stacks(problem, Lx),
                                  _expected_stacks(problem, Lx)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
         self._check(problem, rng)
-        for array in (scatter.scalars, scatter.scalar_columns, scatter.sources,
-                      scatter.factors, scatter.bins, *scatter.gathers):
+        for array in (problem._cells, scatter.rows, scatter.cells, scatter.values,
+                      scatter.sources, scatter.factors, scatter.bins, *scatter.gathers):
             assert not array.flags.writeable
+
+
+def _layout_problems():
+    """(id, problem): the certification structures, and planted dense data
+    with 1x1 blocks at every position."""
+    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem)
+                for n, p_prime in BENCH_STRUCTURES]
+    for name, scalars in SCALAR_PLANS.items():
+        rng = np.random.default_rng(sum(scalars) + 17)
+        problems.append((name, planted_sdp(rng, max_block=8, max_m=30,
+                                           scalars=scalars, nblocks=2)[0]))
+    return problems
+
+
+def _off_block(sizes) -> np.ndarray:
+    """True off the diagonal blocks of the D x D matrix."""
+    return ~block_diag(*[np.ones((d, d), dtype=bool) for d in sizes])
+
+
+class TestDenseLayout:
+    """The solver's iterates are block-diagonal D x D matrices: the cell map
+    places each block, the Schur factor and the step length read the
+    embedded factors as the blocks' own, and what reaches a factorization
+    holds exact zeros off the diagonal blocks."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return _layout_problems()
+
+    def test_cell_map(self, problems):
+        for name, problem in problems:
+            sizes = problem.block_sizes
+            D = sum(sizes)
+            expected = []
+            for s, d in zip(_offsets(sizes), sizes):
+                expected += [(s + a) * D + s + b for a in range(d) for b in range(d)]
+            assert problem._cells.tolist() == expected, name
+            assert len(expected) == problem._avec.shape[1], name
+            rows, columns = np.nonzero(problem._avec)
+            assert np.array_equal(problem._scatter.cells, problem._cells[columns]), name
+            assert np.array_equal(problem._c, block_diag(*problem.objective)), name
+
+    def test_schur_rows_equal_each_blocks_product(self, problems):
+        rng = np.random.default_rng(21)
+        for name, problem in problems:
+            sizes = problem.block_sizes
+            X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
+            Lx, Lz_inv = _factors(X, Z)
+            B = _schur_factor(problem._scatter, Lx, Lz_inv,
+                              np.full_like(problem._avec, np.nan))
+            for (start, end, d), s, a in zip(problem._scatter.columns,
+                                             _offsets(sizes), problem.constraints):
+                block = slice(s, s + d)
+                expected = Lx[block, block].T @ a @ Lz_inv[block, block].T
+                got = B[:, start:end].reshape(-1, d, d)
+                assert _relative(got, expected) <= 1e-12, name
+
+    def test_step_length_is_smallest_block_bound(self, problems):
+        rng = np.random.default_rng(22)
+        for name, problem in problems:
+            sizes = problem.block_sizes
+            for _ in range(3):
+                chols = [_chol(S) for S in _pd_blocks(rng, sizes)]
+                dS = []
+                for d in sizes:
+                    G = rng.standard_normal((d, d))
+                    dS.append((G + G.T) / 2.0 - np.eye(d))
+                expected = _reference_max_step(chols, dS)
+                got = _max_step(block_diag(*chols), block_diag(*dS))
+                assert abs(got - expected) <= 1e-12 * expected, name
+
+    def test_factored_iterates_are_block_diagonal(self, monkeypatch):
+        # the plans of tests/test_sdp_core.py::TestScalarPart
+        plans = [(0,), (1,), (2,), (0, 1, 2), (0, 0, 2, 2)]
+        problems = []
+        for scalars in plans:
+            rng = np.random.default_rng(len(scalars) + 10 * scalars[0])
+            problems += [planted_sdp(rng, max_block=8, max_m=30, scalars=scalars,
+                                     nblocks=2)[0] for _ in range(3)]
+        factored = []
+        chol = sdp_core._chol
+
+        def recording(mat):
+            factored.append(mat.copy())
+            return chol(mat)
+
+        monkeypatch.setattr(sdp_core, "_chol", recording)
+        for problem in problems:
+            factored.clear()
+            sol = solve_sdp(problem, tol=1e-9)
+            assert sol.status is SdpStatus.OPTIMAL
+            # X, Z and M in each iteration
+            assert len(factored) == 3 * sol.iterations
+            off = _off_block(problem.block_sizes)
+            for mat in factored[0::3] + factored[1::3]:
+                assert mat.shape == off.shape
+                assert np.all(mat[off] == 0.0)
+
+
+def _counted(monkeypatch, names):
+    """Each of sdp_core's LAPACK routines in names wrapped to count its
+    calls in the returned dict."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        routine = getattr(sdp_core, name)
+
+        def counting(*args, _name=name, _routine=routine, **kwargs):
+            counts[_name] += 1
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(sdp_core, name, counting)
+    return counts
+
+
+class TestLapackCalls:
+    def test_sixteen_calls_per_iteration(self, monkeypatch):
+        # the certification SDP of the bundled runs, (n, p') = (2, 4), whose
+        # blocks are [6, 1]; its structure is built before the count starts
+        model = random_certified_model(np.random.default_rng(0), 2, 3)
+        assert model.p_prime == 4
+        assert _gram_structure(2, 4).problem.block_sizes == [6, 1]
+        solves = []
+        solve = sos_certify.solve_sdp
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", recording)
+        counts = _counted(monkeypatch, ["dpotrf", "dpotrs", "dtrtri", "dsygst", "dsyevd"])
+        min_sigma_sos(model)
+        assert len(solves) == 1 and solves[0].status is SdpStatus.OPTIMAL
+        iterations = solves[0].iterations
+        assert iterations > 10
+        assert counts == {"dpotrf": 3 * iterations, "dpotrs": 4 * iterations,
+                          "dtrtri": iterations, "dsygst": 4 * iterations,
+                          "dsyevd": 4 * iterations}

@@ -156,6 +156,22 @@ class TestSolveCounter:
                                   "Optimal": 1, "Infeasible": 1}
         assert counter.counts["ipm_iters"] > 2
 
+    def test_sums_per_gram_size(self):
+        # the Gram size is the first block's: two solves at 3, one at 2
+        three = SdpProblem(objective=[np.eye(3), np.ones((1, 1))],
+                           constraints=[np.eye(3)[None], np.ones((1, 1, 1))], b=[1.0])
+        two = SdpProblem(objective=[np.eye(2)], constraints=[np.eye(2)[None]], b=[1.0])
+        counter = SolveCounter(solve_sdp)
+        solutions = [counter(three), counter(two), counter(three.with_rhs([-1.0]))]
+        assert [s.status for s in solutions] == [SdpStatus.OPTIMAL, SdpStatus.OPTIMAL,
+                                                 SdpStatus.INFEASIBLE]
+        iterations = [s.iterations for s in solutions]
+        assert counter.by_size == {
+            3: {"sdps": 2, "ipm_iters": iterations[0] + iterations[2],
+                "Optimal": 1, "Infeasible": 1},
+            2: {"sdps": 1, "ipm_iters": iterations[1], "Optimal": 1}}
+        assert counter.counts == sum(counter.by_size.values(), type(counter.counts)())
+
 
 def _git(repo: Path, *args) -> str:
     done = subprocess.run(["git", "-c", "user.name=test", "-c", "user.email=test@example.com",

@@ -8,8 +8,10 @@ seed and workload, the untimed warm-up and then one pass, counting every
 solve_sdp call the pass makes through sos_certify: the number of SDPs,
 their IPM iterations and how many ended with each status.  One line per
 workload and seed follows a header, then one line per workload with the
-sums over the seeds.  The counts repeat exactly for a checkout and seed, so
-two checkouts compare line by line without timing noise.
+sums over the seeds, and then, under a second header, one line per
+workload and Gram size (the size of the SDP's first block) with that
+size's sums over the seeds.  The counts repeat exactly for a checkout and
+seed, so two checkouts compare line by line without timing noise.
 """
 
 from __future__ import annotations
@@ -18,28 +20,32 @@ import argparse
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Dict
 
 from fingerprint import load_checkout
 
 
 class SolveCounter:
     """solve_sdp wrapped to tally its solves: "sdps", "ipm_iters" and one
-    count per status value."""
+    count per status value, over all solves in counts and per Gram size,
+    the size of the problem's first block, in by_size."""
 
     def __init__(self, solve) -> None:
         self._solve = solve
         self.counts: Counter = Counter()
+        self.by_size: Dict[int, Counter] = {}
 
-    def __call__(self, *args, **kwargs):
-        solution = self._solve(*args, **kwargs)
-        self.counts["sdps"] += 1
-        self.counts["ipm_iters"] += solution.iterations
-        self.counts[solution.status.value] += 1
+    def __call__(self, problem, *args, **kwargs):
+        solution = self._solve(problem, *args, **kwargs)
+        tally = Counter({"sdps": 1, "ipm_iters": solution.iterations,
+                         solution.status.value: 1})
+        self.counts.update(tally)
+        self.by_size.setdefault(problem.block_sizes[0], Counter()).update(tally)
         return solution
 
 
-def count_pass(workloads, name: str, seed: int) -> Counter:
-    """The counts of one pass of workload name at seed, after its warm-up."""
+def count_pass(workloads, name: str, seed: int) -> SolveCounter:
+    """The tally of one pass of workload name at seed, after its warm-up."""
     from timing import OpClock  # bench/, on the path after load_checkout
     workload = workloads.WORKLOADS[name](seed)
     workload.warm_up()
@@ -50,7 +56,7 @@ def count_pass(workloads, name: str, seed: int) -> Counter:
         workload.run_pass(OpClock())
     finally:
         sos_certify.solve_sdp = counter._solve
-    return counter.counts
+    return counter
 
 
 def main(argv=None) -> int:
@@ -60,16 +66,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = load_checkout(args.checkout.resolve())
     columns = ["sdps", "ipm_iters"] + [s.value for s in workloads.sos_certify.SdpStatus]
-    print(f"{'workload':13s} {'seed':>4s} " + " ".join(f"{c:>16s}" for c in columns))
+
+    def line(name: str, label, counts: Counter) -> str:
+        return f"{name:13s} {label:>4} " + " ".join(f"{counts[c]:16d}" for c in columns)
+
+    def header(label: str) -> str:
+        return f"{'workload':13s} {label:>4s} " + " ".join(f"{c:>16s}" for c in columns)
+
+    print(header("seed"))
     sums = {name: Counter() for name in workloads.WORKLOADS}
+    size_sums: Dict[str, Dict[int, Counter]] = {name: {} for name in workloads.WORKLOADS}
     for seed in args.seeds:
         for name in workloads.WORKLOADS:
-            counts = count_pass(workloads, name, seed)
-            sums[name] += counts
-            print(f"{name:13s} {seed:4d} "
-                  + " ".join(f"{counts[c]:16d}" for c in columns), flush=True)
+            counter = count_pass(workloads, name, seed)
+            sums[name].update(counter.counts)
+            for size, counts in counter.by_size.items():
+                size_sums[name].setdefault(size, Counter()).update(counts)
+            print(line(name, seed, counter.counts), flush=True)
     for name, counts in sums.items():
-        print(f"{name:13s} {'sum':>4s} " + " ".join(f"{counts[c]:16d}" for c in columns))
+        print(line(name, "sum", counts))
+    print(header("gram"))
+    for name, by_size in size_sums.items():
+        for size in sorted(by_size):
+            print(line(name, size, by_size[size]))
     return 0
 
 
