@@ -1,8 +1,8 @@
 """The LAPACK routines sosarp calls, from scipy's compiled wrappers alone.
 
-The solver and the subsolver call LAPACK directly: dpotrf, dpotrs, dtrtri,
-dsygst and dsyevd in sdp_core, dpotrf and dpotrs in subproblem.  All of
-them live in one f2py extension, scipy.linalg._flapack, which
+The solver calls LAPACK directly: dpotrf, dpotrs, dtrtri, dsygst and
+dsyevd in sdp_core, whose Cholesky factor and solve the subsolver shares.
+All of them live in one f2py extension, scipy.linalg._flapack, which
 scipy.linalg.lapack re-exports.  Importing that through the scipy.linalg
 package would run the package's __init__, which pulls in scipy's array-API
 layer and with it numpy.f2py, numpy.testing and numpy.ma: about 0.17 s and

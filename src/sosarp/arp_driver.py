@@ -23,6 +23,11 @@ from .sos_certify import (CertificationError, ConvexityCase, SosModel,
 from .subproblem import SubsolverFailure, minimize_model
 from .tensor_poly import min_eigenvalue, taylor_value
 
+_STATIONARY_STEP = 1e-14  # a step this short, relative to 1 + ||x||, is rounding: no progress
+_CASE_SLACK = 1e-8  # (a): Taylor decrease may miss its case bound by this, relative to 1 + |bound|
+_ETA_SLACK = 1e-14  # (b): accepted decrease may miss eta * predicted by this rounding, relative
+_FLOOR_SLACK = 1e-10  # (d): absolute rounding by which a decrease may miss the delta/18 floor
+
 
 class RunStatus(Enum):
     CONVERGED = "Converged"
@@ -242,7 +247,7 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
             step_norm = float(np.linalg.norm(step))
             taylor_at_step = taylor_value(bundle, step)
             taylor_decrease = f_before - taylor_at_step
-            if step_norm <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
+            if step_norm <= _STATIONARY_STEP * (1.0 + float(np.linalg.norm(x))):
                 flags.append("StationaryStep")
                 rho = math.nan
                 success = False
@@ -309,12 +314,12 @@ def assert_theory(records: Sequence[IterationRecord],
 
     (a) case-specific model-decrease lower bounds on the Taylor decrease
         (quadratic shifts carry the 1/2 prefactor of the model definition),
-        1e-8 relative slack;
+        _CASE_SLACK (1e-8) relative slack;
     (b) accepted steps decrease f by at least eta times the Taylor decrease;
     (c) iteration accounting: total <= |S|*(1 + |log g2|/log g1)
         + log(sigma_max/sigma0)/log g1;
     (d) for p = 3, successful StronglyConvex steps decrease f by at least
-        eta*(delta/18)*||s||^2 - 1e-10;
+        eta*(delta/18)*||s||^2 - _FLOOR_SLACK (1e-10);
     (e) f is nonincreasing across successful iterations.
     Every violation is reported with its iteration index.
     """
@@ -335,7 +340,7 @@ def assert_theory(records: Sequence[IterationRecord],
             bound = 0.5 * (-rec.lambda_min + delta) * rec.step_norm ** 2 + reg
         else:
             bound = 0.5 * delta * rec.step_norm ** 2 + reg
-        if rec.taylor_decrease < bound - 1e-8 * (1.0 + abs(bound)):
+        if rec.taylor_decrease < bound - _CASE_SLACK * (1.0 + abs(bound)):
             failures.append(
                 f"iteration {rec.k}: Taylor decrease {rec.taylor_decrease:.6e} "
                 f"below case bound {bound:.6e}")
@@ -343,12 +348,12 @@ def assert_theory(records: Sequence[IterationRecord],
         if rec.success:
             actual = rec.f_before - rec.f_after
             needed = config.eta * rec.taylor_decrease
-            if actual < needed - 1e-14 * (1.0 + abs(needed)):
+            if actual < needed - _ETA_SLACK * (1.0 + abs(needed)):
                 failures.append(
                     f"iteration {rec.k}: accepted decrease {actual:.6e} "
                     f"below eta * predicted {needed:.6e}")
             if config.p == 3 and rec.case_tag is ConvexityCase.STRONGLY_CONVEX:
-                floor = config.eta * (delta / 18.0) * rec.step_norm ** 2 - 1e-10
+                floor = config.eta * (delta / 18.0) * rec.step_norm ** 2 - _FLOOR_SLACK
                 if actual < floor:
                     failures.append(
                         f"iteration {rec.k}: accepted decrease {actual:.6e} "

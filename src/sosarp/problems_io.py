@@ -21,6 +21,12 @@ from .tensor_poly import DerivativeBundle, Exponents, SymmetricTensor
 DEGREE_CAP = 8
 MAX_DERIVATIVE_ORDER = 8
 
+# check_derivatives' central-difference steps and passing relative errors
+_FD_STEP_LOW = 1e-5  # orders <= 2: about eps^(1/3), where truncation and rounding balance
+_FD_STEP_HIGH = 1e-4  # orders >= 3: a longer step damps rounding in the differenced tensors
+_FD_TOL_LOW = 1e-5  # orders <= 3: well above the O(h^2) truncation of a central difference
+_FD_TOL_HIGH = 1e-3  # orders >= 4: their differenced tensors carry more rounding
+
 KIND_POLYNOMIAL = "ExplicitPolynomial"
 KIND_BUILTIN = "Builtin"
 
@@ -467,15 +473,15 @@ def check_derivatives(spec: ProblemSpec, x: Sequence[float],
     """Each order-j tensor against central differences of the exact order-(j-1).
 
     Relative errors are scaled by (1 + largest entry of the exact tensor);
-    thresholds: 1e-5 for orders <= 3, 1e-3 above.
+    thresholds: _FD_TOL_LOW for orders <= 3, _FD_TOL_HIGH above.
     """
     func = build_function(spec)
     x = np.asarray(x, dtype=float)
     exact = func.derivatives(x, p)
     checks: List[OrderCheck] = []
     for j in range(1, p + 1):
-        h = 1e-5 if j <= 2 else 1e-4
-        threshold = 1e-5 if j <= 3 else 1e-3
+        h = _FD_STEP_LOW if j <= 2 else _FD_STEP_HIGH
+        threshold = _FD_TOL_LOW if j <= 3 else _FD_TOL_HIGH
         tensor = exact.tensors[j - 1]
         scale = 1.0 + float(np.max(np.abs(tensor.array)))
         worst = 0.0

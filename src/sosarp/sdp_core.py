@@ -37,24 +37,33 @@ its transpose, the same matrix.  An iteration makes 16 calls whatever the
 blocks: 3 dpotrf, 1 dtrtri, 4 dpotrs, 4 dsygst and 4 dsyevd.
 
 An SdpProblem checks its data once, on construction, and keeps what every
-solve needs: the (m, N) row matrix Avec, row k the blocks of A_k flattened
-one after another (N = sum d_j^2), of which each block's (m, d, d) stack of
-constraint matrices is a view; the inverse L^-T L^-1 of the constraint
-Gram matrix G = Avec Avec', from dtrtri on its Cholesky factor L, so that
-each solve with G is one matrix-vector product (cond(G) is at most about
-2e3 on the certification structures); the cell map, which sends cell
-(a, b) of block j, column start_j + a d_j + b of Avec, to entry
+solve needs.  The constraints are the rows of the (m, N) row matrix A, row
+k the blocks of A_k flattened one after another (N = sum d_j^2), which is
+never formed: the nonzero entries, read once from the checked stacks in
+order of the row, then of the column, are the one copy kept, and they feed
+the rank check, the Gram matrix G = A A', the data scale and the scatters
+below.  A cell nonzero in one row only is private to it, one nonzero in
+several rows shared.  With p_k the private part of row k and S the shared
+cells, G = S'S + diag(||p_k||^2), and the QR of [S; diag(||p_k||)], whose
+Gram matrix is G, gives each row's distance from the span of the rows
+before it, |R[k, k]|, as a QR over all N columns would: rotating a row's
+private cells onto one cell changes no inner product.  The certification
+SDP's pair matrices have disjoint supports, so its S is the sigma cell.
+The problem keeps the inverse L^-T L^-1 of G, from dtrtri on its Cholesky
+factor L, so each solve with G is one matrix-vector product (cond(G) is at
+most about 2e3 on the certification structures); the cell map, which sends
+column start_j + a d_j + b of A, cell (a, b) of block j, to entry
 (s_j + a) D + s_j + b of a flattened D x D matrix, s_j = d_0 + ... +
-d_(j-1); the scatters below, built from the nonzero entries of Avec; and C
-as a D x D matrix.  with_rhs poses the same constraints with another b and
-checks only b, so a family of problems that differ in b, like the
-certification SDPs of one Gram structure, pays for that once.
+d_(j-1); the scatters below; and C as a D x D matrix.  with_rhs poses the
+same constraints with another b and checks only b, so a family of problems
+that differ in b, like the certification SDPs of one Gram structure, pays
+for that once.
 
 The Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1> of the HKM
 direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) is
 formed as B B', which numpy computes as one dsyrk, so M is symmetric to the
 bit: with X = Lx Lx' and Z = Lz Lz', row k of B holds Lx_j' A_k Lz_j^-T of
-every block j, flattened in the column order of Avec, so B has N columns,
+every block j, flattened in the column order of A, so B has N columns,
 not D^2 (901, not 961, at Gram size 30).  Lx' A_k is nonzero only on the w
 columns where A_k is, so it is built on those alone, as Fujisawa, Kojima &
 Nakata exploit sparse data (Math. Program. 1997): a scatter of the nonzero
@@ -65,7 +74,7 @@ is 4 of 20 for the certification SDP at (n, p') = (4, 4) and 12 of 30 at
 (3, 6), and at most 1 for a 1x1 block; dense data has w = d.  A(V) and
 A*(y) are scatters too, over the cell map: A(V) adds each A_k[c] V[c] into
 entry k in order of c, and A*(y) each y_k A_k[c] into cell c in order of k,
-so at (3, 6) each reads the 927 nonzero entries of the (210, 901) Avec
+so at (3, 6) each reads the 927 nonzero entries of the (210, 901) A
 instead of all of it.  For the certification SDP the scatters of B and of
 A*(y) are exact: each pair matrix is a 0/1 partial permutation, with no two
 nonzeros in a row or column, so each cell of Lx' A_k receives at most one
@@ -74,7 +83,7 @@ matrices' supports are disjoint, so each cell of their block in A*(y)
 receives one term too, and the sigma cell receives its terms in order of k,
 as einsum over the dense rows adds them.  So those results are bit for bit
 the dense products'; for dense data they agree up to rounding, as A(V) does
-with Avec @ v on all data, since BLAS adds a row's terms in its own order.
+with A @ v on all data, since BLAS adds a row's terms in its own order.
 The scatter of B keeps i + 1 products per nonzero entry in row i, those of
 Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair matrices, whose
 supports cover each cell once, but m d^2 (d + 1) / 2 for dense data, about
@@ -98,7 +107,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import List, NamedTuple, Tuple
 
@@ -140,12 +149,6 @@ class IterateLog(NamedTuple):
     centering: float = math.nan
 
 
-def _rows(stacks: Blocks) -> np.ndarray:
-    """Row k holds the k-th matrix of every stack, flattened and concatenated."""
-    return np.concatenate([s.reshape(s.shape[0], s.shape[1] * s.shape[2])
-                           for s in stacks], axis=1)
-
-
 def _symmetrized(stack: np.ndarray, what: str) -> np.ndarray:
     """Stack of (S + S')/2; raises ValueError naming what.format(k) if S_k is
     not finite or not symmetric."""
@@ -169,6 +172,23 @@ def _rhs_vector(b) -> np.ndarray:
     if bad.size:
         raise ValueError(f"entry {bad[0]} of b is not finite")
     return b
+
+
+def _independent_rows(rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                      squares: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The mask of the rows of A to keep and A A' over the kept rows, from
+    A's nonzero entries and its rows' squared norms, by the split into
+    private and shared cells of the module docstring."""
+    m = len(squares)
+    shared = np.bincount(columns)[columns] > 1
+    private = np.bincount(rows[~shared], values[~shared] ** 2, minlength=m)
+    cells, place = np.unique(columns[shared], return_inverse=True)
+    S = np.zeros((len(cells), m))
+    S[place, rows[shared]] = values[shared]
+    R = np.linalg.qr(np.vstack([S, np.diag(np.sqrt(private))]), mode="r")
+    kept = np.abs(np.diagonal(R)) > _RANK_TOL * np.maximum(1.0, np.sqrt(squares))
+    S = S[:, kept]
+    return kept, S.T @ S + np.diag(private[kept])
 
 
 def _cell_map(sizes: List[int]) -> np.ndarray:
@@ -207,11 +227,9 @@ class _Scatter(NamedTuple):
     stacked: int
 
 
-def _scatter(avec: np.ndarray, sizes: List[int], cell_map: np.ndarray) -> _Scatter:
-    m = avec.shape[0]
+def _scatter(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, m: int,
+             sizes: List[int], cell_map: np.ndarray) -> _Scatter:
     D = sum(sizes)
-    rows, columns = np.nonzero(avec)
-    values = avec[rows, columns]
     ends = np.cumsum([d * d for d in sizes]).tolist()
     offsets = np.cumsum([0] + sizes[:-1]).tolist()
     spans = tuple((end - d * d, end, d) for end, d in zip(ends, sizes))
@@ -245,7 +263,7 @@ def _scatter(avec: np.ndarray, sizes: List[int], cell_map: np.ndarray) -> _Scatt
 
 
 def _apply(V: np.ndarray, scatter: _Scatter, m: int) -> np.ndarray:
-    """A(V) = Avec @ v of length m for the D x D matrix V, each row's terms
+    """A(V) = A v of length m for the D x D matrix V, each row's terms
     added in order of the cell."""
     return np.bincount(scatter.rows, V.take(scatter.cells) * scatter.values,
                        minlength=m)
@@ -291,32 +309,33 @@ class SdpProblem:
     warning during construction.  Construction also inverts the constraint
     Gram matrix through its Cholesky factor, which raises LinAlgError if it
     is not numerically positive definite; without constraints the inverse is
-    empty.  The stored blocks, the inverse and the cell map are read-only
-    and shared by with_rhs.
+    empty.  The stacks are not kept: the problem holds their nonzero entries,
+    in its scatter.  The stored blocks, the inverse, the cell map and the
+    scatter are read-only and shared by with_rhs.
     """
 
     objective: Blocks
-    constraints: Blocks
+    constraints: InitVar[Blocks]
     b: np.ndarray
     _kept: np.ndarray = field(init=False, repr=False, compare=False)
-    _avec: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _a_scale: float = field(init=False, repr=False, compare=False)
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
     _scatter: _Scatter = field(init=False, repr=False, compare=False)
     _c: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, constraints: Blocks) -> None:
         if len(self.objective) == 0:
             raise ValueError("objective has no blocks")
-        if len(self.constraints) != len(self.objective):
-            raise ValueError(f"constraints have {len(self.constraints)} blocks, "
+        if len(constraints) != len(self.objective):
+            raise ValueError(f"constraints have {len(constraints)} blocks, "
                              f"objective has {len(self.objective)}")
         b = _rhs_vector(self.b)
         m = len(b)
         objective: Blocks = []
-        constraints: Blocks = []
-        for j, (c, a) in enumerate(zip(self.objective, self.constraints)):
+        entries = []  # (rows, columns of the row matrix, values) of each block
+        start = 0  # the block's first column in the row matrix
+        for j, (c, a) in enumerate(zip(self.objective, constraints)):
             c = np.asarray(c, dtype=float)
             a = np.asarray(a, dtype=float)
             if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
@@ -330,32 +349,28 @@ class SdpProblem:
                 raise ValueError(f"constraint block {j} holds {a.shape[1:]} "
                                  f"matrices, the objective block is ({d}, {d})")
             objective.append(_symmetrized(c[None], f"objective block {j}")[0])
-            constraints.append(_symmetrized(a, f"constraint {{}} in block {j}"))
+            a = _symmetrized(a, f"constraint {{}} in block {j}")
+            k, r, s = np.nonzero(a)
+            entries.append((k, start + r * d + s, a[k, r, s]))
+            start += d * d
 
-        # |R[k, k]| of a QR of the rows in order is row k's distance from the
-        # span of the rows before it; <vec A, vec B> = <A, B>
-        rows = _rows(constraints)
-        distance = np.zeros(m)
-        diag = np.abs(np.diagonal(np.linalg.qr(rows.T, mode="r")))
-        distance[:len(diag)] = diag
-        kept = distance > _RANK_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+        # a stable sort by row keeps each row's entries in order of the column
+        order = np.argsort(np.concatenate([e[0] for e in entries]), kind="stable")
+        rows, columns, values = (np.concatenate(e)[order] for e in zip(*entries))
+        squares = np.bincount(rows, values * values, minlength=m)
+        kept, gram = _independent_rows(rows, columns, values, squares)
         for k in np.flatnonzero(~kept):
             warnings.warn(f"dropping linearly dependent SDP constraint row {k}",
                           RuntimeWarning, stacklevel=2)
         if not kept.all():
-            rows = rows[kept]
+            keep = kept[rows]
+            rows = (np.cumsum(kept) - 1)[rows[keep]]
+            columns, values = columns[keep], values[keep]
             b = b[kept]
         m = len(b)
 
-        # what every solve of these constraints shares, read-only; each
-        # block's stack is a view of its columns of the row matrix
-        for array in (*objective, kept, rows):
-            array.setflags(write=False)
+        # what every solve of these constraints shares, read-only
         sizes = [c.shape[0] for c in objective]
-        ends = np.cumsum([d * d for d in sizes]).tolist()
-        constraints = [rows[:, end - d * d:end].reshape(m, d, d)
-                       for end, d in zip(ends, sizes)]
-        gram = rows @ rows.T
         # dtrtri refuses the empty factor of a problem without constraints
         gram_inv = (_inverse(_chol((gram + gram.T) / 2.0))[1] if m
                     else np.zeros((0, 0)))
@@ -364,14 +379,13 @@ class SdpProblem:
         c = np.zeros(D * D)
         c[cells] = np.concatenate([block.ravel() for block in objective])
         c = c.reshape(D, D)
-        for array in (gram_inv, cells, c):
+        for array in (*objective, kept, gram_inv, cells, c):
             array.setflags(write=False)
         self._gram_inv, self._cells, self._c = gram_inv, cells, c
-        self._a_scale = math.sqrt(float(np.max(
-            sum(np.sum(a * a, axis=(1, 2)) for a in constraints), initial=0.0)))
-        self._scatter = _scatter(rows, sizes, cells)
-        self._kept, self._avec = kept, rows
-        self.objective, self.constraints, self.b = objective, constraints, b
+        self._a_scale = math.sqrt(float(np.max(squares[kept], initial=0.0)))
+        self._scatter = _scatter(rows, columns, values, m, sizes, cells)
+        self._kept = kept
+        self.objective, self.b = objective, b
 
     def with_rhs(self, b) -> SdpProblem:
         """This problem with right-hand side b, sharing the checked
@@ -409,13 +423,15 @@ class SdpSolution:
     trace: List[IterateLog] = field(default_factory=list)
 
 
-def _chol(mat: np.ndarray) -> np.ndarray:
+def _chol(mat: np.ndarray, start: float = _JITTER_START,
+          cap: float = _JITTER_MAX) -> np.ndarray:
     """Lower Cholesky factor of the symmetric mat, from dpotrf: F-ordered,
     with a zero upper triangle, so the other calls take it without a copy.
-    A failing factor is retried with escalating diagonal jitter up to
-    _JITTER_MAX, relative to mat's largest entry, then raises LinAlgError.
-    For a block-diagonal iterate that is the largest entry of any block, and
-    the shift moves every block's diagonal."""
+    A failing factor is retried with a diagonal shift of start, then
+    _JITTER_GROWTH times the last, relative to max(1, max |mat|), and
+    raises LinAlgError once the shift would pass cap.  For a block-diagonal
+    iterate that is the largest entry of any block, and the shift moves
+    every block's diagonal."""
     jitter = 0.0
     while True:
         shifted = mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0])
@@ -426,12 +442,12 @@ def _chol(mat: np.ndarray) -> np.ndarray:
             return L
         if jitter == 0.0:
             scale = float(np.max(np.abs(mat), initial=1.0))
-            jitter = _JITTER_START * scale
+            jitter = start * scale
         else:
             jitter *= _JITTER_GROWTH
         # a NaN or infinite scale gives a shift that helps no factor, and
         # NaN compares false with the cap: stop instead of retrying forever
-        if not math.isfinite(jitter) or jitter > _JITTER_MAX * scale:
+        if not math.isfinite(jitter) or jitter > cap * scale:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
@@ -523,7 +539,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     a_scale = problem._a_scale
     C = problem._c
     eye = np.eye(D)
-    B = np.empty_like(problem._avec)  # M = B B', see _schur_factor
+    B = np.empty((m, len(problem._cells)))  # M = B B', see _schur_factor
 
     b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))

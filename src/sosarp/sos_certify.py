@@ -6,13 +6,16 @@ h_hat below, is quadratic in y, so its Gram factor only needs the basis
 {y_i * s^beta : |beta| <= (p'-2)/2}.  Matching the coefficients of h_hat and
 z'Qz depends on the model only through the right-hand side, so the matching
 rows are built once per (n, p') and cached: the basis, one pair matrix per
-monomial y_i y_i' s^alpha (stacked into one array, the solver's constraint
-format), and the regularizer's exact integer Gram matrix R at sigma = 1 with
-its row coefficients reg.  One SDP is solved per model, with sigma linear in
-the rows, minimized: its primal iterate is the certificate at sigma_bar
-whenever its residuals are clean, and its dual objective bounds the minimal
-weight from below.  Q_bar + (sigma - sigma_bar) R matches h_hat at any other
-sigma exactly, so the same solve answers membership at a fixed sigma.
+monomial y_i y_i' s^alpha, the regularizer's exact integer Gram matrix R at
+sigma = 1 with its row coefficients reg, and the SDP over them, which keeps
+only the nonzero entries of the dense pair stack it is given: every cell of
+Q belongs to one row, so only the sigma cell is shared between rows, and
+its rank check and constraint Gram matrix need no dense rows.  One SDP is
+solved per model, with sigma linear in the rows, minimized: its primal
+iterate is the certificate at sigma_bar whenever its residuals are clean,
+and its dual objective bounds the minimal weight from below.
+Q_bar + (sigma - sigma_bar) R matches h_hat at any other sigma exactly, so
+the same solve answers membership at a fixed sigma.
 
 That SDP is balanced before it is solved: it is posed in u, s = r u, with
 r = 2^k chosen from the model so that sigma r^(p'-2) is about max |H_bar|.
@@ -145,14 +148,10 @@ class SosModel:
         hess = self.H_bar.copy()
         for j, tensor in enumerate(self.higher, start=3):
             hess = hess + tensor_apply(tensor, s, 2) / math.factorial(j - 2)
-        eye = np.eye(self.n)
-        if self.p_prime == 4:
-            hess = hess + self.sigma * (norm ** 2 * eye + 2.0 * np.outer(s, s))
-        elif norm > 0.0:
-            hess = hess + self.sigma * (norm ** (self.p_prime - 2) * eye
-                                        + (self.p_prime - 2) * norm ** (self.p_prime - 4)
-                                        * np.outer(s, s))
-        return hess
+        # p' >= 4, so norm ** (p' - 4) is defined at s = 0
+        return hess + self.sigma * (norm ** (self.p_prime - 2) * np.eye(self.n)
+                                    + (self.p_prime - 2) * norm ** (self.p_prime - 4)
+                                    * np.outer(s, s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,23 +215,20 @@ class _GramStructure:
     """Coefficient matching of h_hat against z'Qz for one (n, p').
 
     Row k is the monomial rows[k] = (i, i', alpha), i <= i', standing for
-    y_i y_i' s^alpha.  <pair_matrices[k], Q> is its coefficient in z'Qz.
-    pair_matrices is one (len(rows), size, size) stack, the layout of an
-    SdpProblem constraint block.  R is the regularizer's Gram matrix at
-    sigma = 1, integer and PSD, and reg = <pair_matrices, R> its row
-    coefficients; integer sums are exact, so z'Rz is the regularizer's form
-    bit for bit.  row_degrees[k] = |alpha| and basis_degrees[u] = |beta| of
-    basis[u] = (i, beta) are the powers of r by which the substitution
-    s = r u scales a row and a basis element.  pairs re-expands z'Qz from
-    the basis for the certificate check.  problem is the min-sigma
-    SDP over these rows, min sigma s.t. <pair_matrices[k], Q> - reg[k] sigma
-    = b_k, with b = 0; each model poses it with problem.with_rhs, so its
-    checks and factorizations are made once per (n, p').
+    y_i y_i' s^alpha, and <A_k, Q> its coefficient in z'Qz for the pair
+    matrix A_k.  R is the regularizer's Gram matrix at sigma = 1, integer and
+    PSD, and reg = <A_k, R> its row coefficients; integer sums are exact, so
+    z'Rz is the regularizer's form bit for bit.  row_degrees[k] = |alpha|
+    and basis_degrees[u] = |beta| of basis[u] = (i, beta) are the powers of
+    r by which the substitution s = r u scales a row and a basis element.
+    pairs re-expands z'Qz from the basis for the certificate check.  problem
+    is the min-sigma SDP over these rows, min sigma s.t. <A_k, Q> - reg[k]
+    sigma = b_k, with b = 0; each model poses it with problem.with_rhs, so
+    its checks and factorizations are made once per (n, p').
     """
 
     basis: Tuple[BasisElement, ...]
     rows: Tuple[Tuple[int, int, Exponents], ...]
-    pair_matrices: np.ndarray
     R: np.ndarray
     reg: np.ndarray
     row_degrees: np.ndarray
@@ -289,15 +285,12 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
     reg = np.einsum("kab,ab->k", pair_matrices, R)
     row_degrees = np.array([sum(alpha) for _, _, alpha in rows])
     basis_degrees = np.array([sum(beta) for _, beta in basis])
-    for array in (pair_matrices, R, reg, row_degrees, basis_degrees):
+    for array in (R, reg, row_degrees, basis_degrees):
         array.setflags(write=False)
     problem = SdpProblem(objective=[np.zeros((size, size)), np.ones((1, 1))],
                          constraints=[pair_matrices, -reg[:, None, None]],
                          b=np.zeros(len(rows)))
-    # the problem's read-only stack is this one, symmetric to the bit: keep
-    # one copy
-    return _GramStructure(basis=tuple(basis), rows=tuple(rows),
-                          pair_matrices=problem.constraints[0], R=R, reg=reg,
+    return _GramStructure(basis=tuple(basis), rows=tuple(rows), R=R, reg=reg,
                           row_degrees=row_degrees, basis_degrees=basis_degrees,
                           pairs=_basis_pairs(basis, rows), problem=problem)
 

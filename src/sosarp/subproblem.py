@@ -5,11 +5,8 @@ makes it coercive, so any stationary point is a global minimizer; plain
 damped Newton from the origin therefore suffices and keeps the origin-descent
 property m(s) <= m(0) by construction.
 
-Each Newton direction is one Cholesky factor and solve, LAPACK's dpotrf and
-dpotrs called directly, as scipy.linalg's cho_factor and cho_solve call
-them.  They come from sosarp._lapack, which loads scipy's compiled LAPACK
-wrappers without the scipy.linalg package: that package's import would cost
-about 0.17 s and 23 MB per process, for four routines.
+Each Newton direction is one factor and solve by the SDP solver's shifted
+Cholesky routines, with the subsolver's own shift start and cap.
 """
 
 from __future__ import annotations
@@ -18,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dpotrf, dpotrs
+from .sdp_core import _cho_solve, _chol
 from .sos_certify import SosModel
 
-_RIDGE_START = 1e-12  # first ridge on a failed factor, relative to max |H|
-_RIDGE_GROWTH = 100.0  # ridge multiplier per failed retry
+_RIDGE_START = 1e-12  # first ridge on a failed factor, relative to max(1, max |H|)
 _RIDGE_MAX = 1e-4  # a Hessian that needs a larger relative ridge is a breakdown
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 _MAX_HALVINGS = 60  # step halvings before the line search gives up
@@ -45,26 +41,18 @@ class SubsolveResult:
 
 
 def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H d = -grad by Cholesky with an escalating scaled ridge.
-
-    The factor and the solve are LAPACK's dpotrf and dpotrs with the
-    arguments scipy.linalg's cho_factor(H, lower=True) and cho_solve pass,
-    so the bits are theirs.  Their finiteness check is made here, once; the
-    f2py wrappers reject mismatched shapes, so info > 0 (a leading minor not
-    positive definite) is the one failure LAPACK reports.
-    """
+    """Solve H d = -grad by the solver's shifted Cholesky factor, its shift
+    from _RIDGE_START up to _RIDGE_MAX, and its dpotrs solve.  For a
+    bit-symmetric H these are the calls scipy.linalg's cho_factor(H,
+    lower=True) and cho_solve make, so the bits are theirs.  The finiteness
+    check is made here, once."""
     if not (np.isfinite(hessian).all() and np.isfinite(grad).all()):
         raise ValueError("model Hessian and gradient must be finite")
-    scale = max(1.0, float(np.max(np.abs(hessian))))
-    ridge = 0.0
-    while True:
-        shifted = hessian if ridge == 0.0 else hessian + ridge * np.eye(len(grad))
-        factor, info = dpotrf(shifted, lower=1, clean=0)
-        if info == 0:
-            return dpotrs(factor, -grad, lower=1)[0]
-        ridge = _RIDGE_START * scale if ridge == 0.0 else ridge * _RIDGE_GROWTH
-        if ridge > _RIDGE_MAX * scale:
-            raise SubsolverFailure("model Hessian factorization failed")
+    try:
+        factor = _chol(hessian, _RIDGE_START, _RIDGE_MAX)
+    except np.linalg.LinAlgError:
+        raise SubsolverFailure("model Hessian factorization failed") from None
+    return _cho_solve(factor, -grad)
 
 
 def minimize_model(model: SosModel, theta: float = 0.5) -> SubsolveResult:

@@ -18,6 +18,8 @@ import numpy as np
 Index = Tuple[int, ...]
 Exponents = Tuple[int, ...]
 
+_SYMMETRY_TOL = 1e-12  # asymmetry, relative to max(1, max |H|), that min_eigenvalue accepts
+
 
 def _counts(key: Sequence[int], dim: int) -> Exponents:
     alpha = [0] * dim
@@ -142,7 +144,7 @@ def min_eigenvalue(H: np.ndarray) -> Tuple[float, np.ndarray]:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    if float(np.max(np.abs(H - H.T))) > 1e-12 * scale:
+    if float(np.max(np.abs(H - H.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(H)
     return float(eigenvalues[0]), eigenvectors[:, 0].copy()

@@ -4,7 +4,7 @@ non-finite."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -28,9 +28,28 @@ SUITE_SETTINGS = {
 }
 
 
+class PlantedData(NamedTuple):
+    """A planted SDP's input: objective blocks, constraint stacks, b and the
+    optimal objective value."""
+
+    objective: List[np.ndarray]
+    constraints: List[np.ndarray]
+    b: np.ndarray
+    obj_star: float
+
+
 def planted_sdp(rng: np.random.Generator, max_block: int = 20,
                 max_m: int = 100, scalars: Sequence[int] = (),
                 nblocks: Optional[int] = None) -> Tuple[SdpProblem, float]:
+    """The SdpProblem of planted_data and its optimal objective value."""
+    data = planted_data(rng, max_block, max_m, scalars, nblocks)
+    return (SdpProblem(objective=data.objective, constraints=data.constraints,
+                       b=data.b), data.obj_star)
+
+
+def planted_data(rng: np.random.Generator, max_block: int = 20,
+                 max_m: int = 100, scalars: Sequence[int] = (),
+                 nblocks: Optional[int] = None) -> PlantedData:
     """Planted-optimum SDP with unique primal and dual solutions.
 
     X* and Z* are built on complementary eigenspaces of a shared random
@@ -76,7 +95,7 @@ def planted_sdp(rng: np.random.Generator, max_block: int = 20,
     y_star = rng.standard_normal(m)
     C = [z + np.tensordot(y_star, a, axes=1) for z, a in zip(Zs, A)]
     obj_star = sum(np.sum(c * x) for c, x in zip(C, Xs))
-    return SdpProblem(objective=C, constraints=A, b=b), obj_star
+    return PlantedData(C, A, b, obj_star)
 
 
 def random_tensor(rng: np.random.Generator, order: int, n: int,

@@ -24,9 +24,11 @@ import scipy.linalg.lapack as lapack
 SAME_OBJECTS = """
 used = [(name, getattr(sdp_core, name))
         for name in ("dpotrf", "dpotrs", "dsyevd", "dsygst", "dtrtri")]
-used += [(name, getattr(subproblem, name)) for name in ("dpotrf", "dpotrs")]
 for name, routine in used:
     assert routine is getattr(lapack, name), name
+# the subsolver factors and solves with the solver's own routines
+assert subproblem._chol is sdp_core._chol
+assert subproblem._cho_solve is sdp_core._cho_solve
 """
 
 

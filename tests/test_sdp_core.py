@@ -7,7 +7,7 @@ import pytest
 
 from sosarp import sdp_core
 from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
-from conftest import planted_sdp
+from conftest import planted_data, planted_sdp
 
 
 def primal_objective(problem: SdpProblem, X) -> float:
@@ -43,7 +43,10 @@ class TestAnalytic:
                                  constraints=[np.stack([A, A.copy()])],
                                  b=[2.0, 2.0])
         assert len(problem.b) == 1
-        assert problem.constraints[0].shape == (1, 2, 2)
+        # only the kept row's entries remain, and the stacks are not kept
+        assert problem._kept.tolist() == [True, False]
+        assert problem._scatter.rows.tolist() == [0, 0]
+        assert not hasattr(problem, "constraints")
         sol = solve_sdp(problem)
         assert sol.status is SdpStatus.OPTIMAL
         assert primal_objective(problem, sol.X) == pytest.approx(2.0, abs=1e-6)
@@ -105,14 +108,16 @@ class TestPlanted:
 
     def test_feasibility_of_returned_iterates(self):
         rng = np.random.default_rng(7)
-        problem, _ = planted_sdp(rng, max_block=10, max_m=30)
+        data = planted_data(rng, max_block=10, max_m=30)
+        problem = SdpProblem(objective=data.objective,
+                             constraints=data.constraints, b=data.b)
         sol = solve_sdp(problem)
         # X PSD blockwise and A(X) = b to the reported residual
         for block in sol.X:
             assert np.linalg.eigvalsh(block)[0] >= -1e-9
         for k, target in enumerate(problem.b):
             value = sum(float(np.sum(a[k] * x))
-                        for a, x in zip(problem.constraints, sol.X))
+                        for a, x in zip(data.constraints, sol.X))
             assert value == pytest.approx(
                 target, abs=1e-6 * (1.0 + abs(target)))
 
@@ -236,15 +241,13 @@ class TestWithRhs:
     def test_shared_data_is_read_only(self):
         problem, _ = planted_sdp(np.random.default_rng(5), max_block=6, max_m=12)
         other = problem.with_rhs(2.0 * problem.b)
-        assert other._avec is problem._avec
         assert other._gram_inv is problem._gram_inv
         scatter = problem._scatter
         assert other._scatter is scatter
         assert other._cells is problem._cells
-        shared = [*problem.objective, *problem.constraints, problem._avec,
-                  problem._gram_inv, problem._cells, problem._c, scatter.rows,
-                  scatter.cells, scatter.values, scatter.sources, scatter.factors,
-                  scatter.bins, *scatter.gathers]
+        shared = [*problem.objective, problem._kept, problem._gram_inv, problem._cells,
+                  problem._c, scatter.rows, scatter.cells, scatter.values,
+                  scatter.sources, scatter.factors, scatter.bins, *scatter.gathers]
         for array in shared:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

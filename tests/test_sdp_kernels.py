@@ -9,8 +9,10 @@ equality.  The kernels check no input for inf or NaN (the solver checks each
 iterate once).  The constraint scatters promise the dense products' bits
 only for the certification SDP's 0/1 pair matrices; on dense data they agree
 up to rounding, as does the Schur complement B B' with its dense
-definition.  A(V) through the scatter agrees with the dense product Avec @ v
+definition.  A(V) through the scatter agrees with the dense product A v
 up to rounding on all data, since BLAS adds a row's terms in its own order.
+The dense references are built here: the row matrix A of planted data from
+its input stacks, and that of the certification SDP from the basis pairs.
 """
 
 import math
@@ -20,11 +22,11 @@ import pytest
 from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from sosarp import sdp_core, sos_certify
-from sosarp.sdp_core import (SdpProblem, SdpStatus, _adjoint, _apply, _chol,
-                             _cho_solve, _eigvalsh, _inverse, _max_step,
-                             _schur_factor, solve_sdp)
+from sosarp.sdp_core import (_RANK_TOL, SdpProblem, SdpStatus, _adjoint, _apply,
+                             _chol, _cho_solve, _eigvalsh, _independent_rows,
+                             _inverse, _max_step, _schur_factor, solve_sdp)
 from sosarp.sos_certify import _gram_structure, min_sigma_sos
-from conftest import planted_sdp, random_certified_model
+from conftest import planted_data, planted_sdp, random_certified_model
 
 KERNEL_SIZES = [1, 6, 12, 20, 30]
 
@@ -299,9 +301,39 @@ def _offsets(sizes):
     return np.cumsum([0] + list(sizes[:-1])).tolist()
 
 
+def _rows(stacks):
+    """The (m, N) row matrix: row k holds the k-th matrix of every stack,
+    flattened and concatenated."""
+    return np.concatenate([a.reshape(len(a), -1) for a in stacks], axis=1)
+
+
+def _stacks(rows, sizes):
+    """Each block's (m, d, d) stack of the row matrix."""
+    ends = np.cumsum([d * d for d in sizes]).tolist()
+    return [rows[:, end - d * d:end].reshape(-1, d, d) for end, d in zip(ends, sizes)]
+
+
+def _certification_rows(n, p_prime):
+    """The row matrix of the certification SDP, from the basis pairs alone:
+    row k is 1 on both cells (u, w) and (w, u) of Q whose product is row k's
+    monomial, and -reg[k] on the sigma cell."""
+    structure = _gram_structure(n, p_prime)
+    pairs = structure.pairs
+    size, m = len(structure.basis), len(structure.rows)
+    A = np.zeros((m, size, size))
+    A[pairs.bins, pairs.u, pairs.w] = 1.0
+    A[pairs.bins, pairs.w, pairs.u] = 1.0
+    return np.concatenate([A.reshape(m, -1), -structure.reg[:, None]], axis=1)
+
+
+def _b_array(problem):
+    """An (m, N) array of NaN, for _schur_factor to fill with B."""
+    return np.full((len(problem.b), len(problem._cells)), np.nan)
+
+
 def _embedded(problem, flat):
     """The D x D matrix whose cells hold flat, a vector in the column order
-    of the row matrix Avec, and zeros off the diagonal blocks."""
+    of the row matrix, and zeros off the diagonal blocks."""
     D = problem.n_total
     out = np.zeros(D * D)
     out[problem._cells] = flat
@@ -313,7 +345,7 @@ def _scattered_stacks(problem, Lx):
     A_k, cut from the scatter of the block-diagonal lower triangular
     block_diag(Lx)."""
     scatter = problem._scatter
-    m = problem._avec.shape[0]
+    m = len(problem.b)
     shapes = [(m, d, gather.shape[1]) for (_, _, d), gather in zip(scatter.columns,
                                                                  scatter.gathers)]
     sizes = [int(np.prod(shape)) for shape in shapes]
@@ -325,15 +357,16 @@ def _scattered_stacks(problem, Lx):
             for end, size, shape in zip(ends, sizes, shapes)]
 
 
-def _expected_stacks(problem, Lx):
-    """The dense Lx_j' A_k on the same columns, zero where a row's columns
-    are padded; and a check that the columns are each A_k's nonzero ones,
-    and that the gathers pick their rows of Lz^-T in the flattened D x D
-    Lz^-T."""
+def _expected_stacks(problem, Lx, rows):
+    """The dense Lx_j' A_k on the same columns, A_k read from the row matrix
+    rows, zero where a row's columns are padded; and a check that the
+    columns are each A_k's nonzero ones, and that the gathers pick their
+    rows of Lz^-T in the flattened D x D Lz^-T."""
     stacks = []
     D = problem.n_total
-    for s, gather, L, a in zip(_offsets(problem.block_sizes), problem._scatter.gathers,
-                               Lx, problem.constraints):
+    sizes = problem.block_sizes
+    for s, gather, L, a in zip(_offsets(sizes), problem._scatter.gathers,
+                               Lx, _stacks(rows, sizes)):
         d = a.shape[1]
         cols = gather[:, :, 0] // D - s
         assert np.array_equal(gather, (s + cols[:, :, None]) * D + s + np.arange(d))
@@ -360,15 +393,16 @@ class TestConstraintScatter:
     @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
     def test_certification_products_equal_dense(self, n, p_prime):
         problem = _gram_structure(n, p_prime).problem
+        rows = _certification_rows(n, p_prime)
         rng = np.random.default_rng(10 * n + p_prime)
         for _ in range(5):
             Lx = [_lower(rng, d) for d in problem.block_sizes]
             for got, expected in zip(_scattered_stacks(problem, Lx),
-                                     _expected_stacks(problem, Lx)):
+                                     _expected_stacks(problem, Lx, rows)):
                 assert np.array_equal(got, expected)
             y = _wide_range(rng, len(problem.b))
             # the sigma cell sums one term per row: the order of k matters
-            expected = _embedded(problem, np.einsum("k,kn->n", y, problem._avec))
+            expected = _embedded(problem, np.einsum("k,kn->n", y, rows))
             assert np.array_equal(_adjoint(y, problem._scatter, problem.n_total),
                                   expected)
 
@@ -385,29 +419,34 @@ class TestConstraintScatter:
         # dense blocks: every row uses every column
         assert [gather.shape for gather in problem._scatter.gathers] == [
             (m, 7, 7), (m, 1, 1), (m, 4, 4)]
+        rows = _rows(constraints)
         Lx = [np.tril(rng.standard_normal((d, d))) for d in sizes]
         for got, expected in zip(_scattered_stacks(problem, Lx),
-                                 _expected_stacks(problem, Lx)):
+                                 _expected_stacks(problem, Lx, rows)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
         y = rng.standard_normal(m)
-        expected = _embedded(problem, np.einsum("k,kn->n", y, problem._avec))
+        expected = _embedded(problem, np.einsum("k,kn->n", y, rows))
         np.testing.assert_allclose(_adjoint(y, problem._scatter, problem.n_total),
                                    expected, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(expected)))
 
 
 def _operator_problems():
-    """(id, problem) for the constraint operator's tests: the pair matrices
-    of every benchmark structure, dense planted data with 1x1 blocks, and
-    dense data whose dependent rows 1 and 3 were dropped."""
-    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem)
+    """(id, problem, row matrix of its kept rows) for the constraint
+    operator's tests: the pair matrices of every benchmark structure, dense
+    planted data with 1x1 blocks, and dense data whose dependent rows 1 and
+    3 were dropped."""
+    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem,
+                 _certification_rows(n, p_prime))
                 for n, p_prime in BENCH_STRUCTURES]
     rng = np.random.default_rng(12)
     for scalars in [(), (0, 2)]:
-        planted, _ = planted_sdp(rng, max_block=8, max_m=30, scalars=scalars,
-                                 nblocks=2)
-        problems.append((f"dense{len(scalars)}", planted))
+        planted = planted_data(rng, max_block=8, max_m=30, scalars=scalars,
+                               nblocks=2)
+        problems.append((f"dense{len(scalars)}",
+                         SdpProblem(planted.objective, planted.constraints, planted.b),
+                         _rows(planted.constraints)))
     m = len(planted.b)
     order = [0, 0, 1, 1] + list(range(2, m))
     with pytest.warns(RuntimeWarning, match="dependent"):
@@ -415,13 +454,13 @@ def _operator_problems():
                              constraints=[a[order] for a in planted.constraints],
                              b=planted.b[order])
     assert len(dropped.b) == m
-    problems.append(("dropped", dropped))
+    problems.append(("dropped", dropped, _rows(planted.constraints)))
     return problems
 
 
 class TestConstraintOperator:
     """A(V) through the scatter and the stored inverse of the constraint
-    Gram matrix, against the dense row matrix Avec."""
+    Gram matrix, against the dense row matrix."""
 
     @pytest.fixture(scope="class")
     def problems(self):
@@ -429,8 +468,7 @@ class TestConstraintOperator:
 
     def test_apply_agrees_with_dense_product(self, problems):
         rng = np.random.default_rng(13)
-        for name, problem in problems:
-            avec = problem._avec
+        for name, problem, avec in problems:
             for _ in range(5):
                 v = _wide_range(rng, avec.shape[1])
                 got = _apply(_embedded(problem, v), problem._scatter, len(problem.b))
@@ -441,14 +479,84 @@ class TestConstraintOperator:
                 assert np.all(np.abs(got - avec @ v) <= bound), name
 
     def test_gram_inverse(self, problems):
-        for name, problem in problems:
-            avec = problem._avec
+        for name, problem, avec in problems:
             inverse = problem._gram_inv
             assert not inverse.flags.writeable, name
             assert problem.with_rhs(np.zeros(len(problem._kept)))._gram_inv is inverse
             # cond(A A') is at most about 2e3 on these structures
             np.testing.assert_allclose((avec @ avec.T) @ inverse, np.eye(len(problem.b)),
                                        rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def _reference_rank(rows):
+    """The kept mask and the Gram matrix of the kept rows from the dense row
+    matrix: a QR over all N columns, whose |R[k, k]| is row k's distance
+    from the span of the rows before it, and rows @ rows.T."""
+    distance = np.zeros(len(rows))
+    diag = np.abs(np.diagonal(np.linalg.qr(rows.T, mode="r")))
+    distance[:len(diag)] = diag
+    kept = distance > _RANK_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    return kept, rows[kept] @ rows[kept].T
+
+
+def _symmetric(rng, m, d):
+    raw = rng.standard_normal((m, d, d))
+    return raw + raw.transpose(0, 2, 1)
+
+
+def _split_rank(rows):
+    """_independent_rows on the nonzero entries of the dense row matrix."""
+    k, c = np.nonzero(rows)
+    return _independent_rows(k, c, rows[k, c], np.sum(rows * rows, axis=1))
+
+
+class TestIndependentRows:
+    """The rank check and the Gram matrix from the private and shared cells
+    against the QR over all N columns and the dense product."""
+
+    @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
+    def test_certification_structures(self, n, p_prime):
+        rows = _certification_rows(n, p_prime)
+        kept, gram = _split_rank(rows)
+        expected_kept, expected_gram = _reference_rank(rows)
+        assert kept.all() and np.array_equal(kept, expected_kept)
+        # integer entries: both sums are exact, so the same bits, and the
+        # stored inverse is the one of the dense Gram matrix
+        assert np.array_equal(gram, expected_gram)
+        problem = _gram_structure(n, p_prime).problem
+        assert np.array_equal(problem._kept, kept)
+        assert np.array_equal(problem._gram_inv, _inverse(_chol(expected_gram))[1])
+
+    def test_dense_rows_with_dependent_and_near_dependent_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            data = planted_data(rng, max_block=8, max_m=30, scalars=(1,), nblocks=2)
+            rows = _rows(data.constraints)
+            # e1 and e2, symmetric, orthonormal and orthogonal to every row,
+            # move a combination of rows off their span by 3 and 0.3 times
+            # the threshold; appended after the rows in any order with
+            # copies of rows 0 and 2, the copies and the nearer combination
+            # drop
+            sizes = [a.shape[1] for a in data.constraints]
+            e = _rows([_symmetric(rng, 2, d) for d in sizes]).T
+            e -= rows.T @ np.linalg.lstsq(rows.T, e, rcond=None)[0]
+            e = np.linalg.qr(e)[0].T
+            extra = [rows[0], rows[2]]
+            for combination, factor, unit in [(rows[0] + rows[2], 3.0, e[0]),
+                                              (rows[1] - rows[3], 0.3, e[1])]:
+                threshold = _RANK_TOL * np.linalg.norm(combination)
+                extra.append(combination + factor * threshold * unit)
+            rows = np.concatenate([rows, np.stack(extra)[rng.permutation(4)]])
+            kept, gram = _split_rank(rows)
+            expected_kept, expected_gram = _reference_rank(rows)
+            assert np.array_equal(kept, expected_kept)
+            assert np.count_nonzero(~kept) == 3
+            np.testing.assert_allclose(gram, expected_gram, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(expected_gram)))
+            with pytest.warns(RuntimeWarning, match="dependent"):
+                problem = SdpProblem(data.objective, _stacks(rows, sizes),
+                                     np.zeros(len(rows)))
+            assert np.array_equal(problem._kept, expected_kept)
 
 
 def _factors(X, Z):
@@ -462,14 +570,14 @@ def _factors(X, Z):
 def _schur(problem, X, Z):
     """B B' from _schur_factor at X and Z, given as lists of PD blocks."""
     Lx, Lz_inv = _factors(X, Z)
-    B = _schur_factor(problem._scatter, Lx, Lz_inv, np.full_like(problem._avec, np.nan))
+    B = _schur_factor(problem._scatter, Lx, Lz_inv, _b_array(problem))
     return B @ B.T
 
 
-def _dense_schur(problem, X, Z):
+def _dense_schur(stacks, X, Z):
     """M[i, j] = sum over blocks of <A_i, X A_j Z^-1>, from the definition."""
     return sum(np.einsum("iab,jab->ij", a, x @ a @ np.linalg.inv(z))
-               for a, x, z in zip(problem.constraints, X, Z))
+               for a, x, z in zip(stacks, X, Z))
 
 
 def _pd_blocks(rng, sizes):
@@ -489,12 +597,12 @@ class TestSchurFactor:
     on dense planted problems with 1x1 blocks anywhere."""
 
     @staticmethod
-    def _check(problem, rng):
+    def _check(problem, rows, rng):
         sizes = problem.block_sizes
         for _ in range(3):
             X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
             M = _schur(problem, X, Z)
-            expected = _dense_schur(problem, X, Z)
+            expected = _dense_schur(_stacks(rows, sizes), X, Z)
             assert np.array_equal(M, M.T)
             np.testing.assert_allclose(M, expected, rtol=1e-12,
                                        atol=1e-13 * np.max(np.abs(expected)))
@@ -502,22 +610,23 @@ class TestSchurFactor:
     @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
     def test_certification_structures(self, n, p_prime):
         self._check(_gram_structure(n, p_prime).problem,
-                    np.random.default_rng(n + p_prime))
+                    _certification_rows(n, p_prime), np.random.default_rng(n + p_prime))
 
     @pytest.mark.parametrize("scalars", list(SCALAR_PLANS.values()),
                              ids=list(SCALAR_PLANS))
     def test_planted_dense_problems(self, scalars):
         rng = np.random.default_rng(sum(scalars) + 7)
         for _ in range(3):
-            problem, _ = planted_sdp(rng, max_block=8, max_m=30, scalars=scalars,
-                                     nblocks=2)
-            self._check(problem, rng)
+            data = planted_data(rng, max_block=8, max_m=30, scalars=scalars,
+                                nblocks=2)
+            self._check(SdpProblem(data.objective, data.constraints, data.b),
+                        _rows(data.constraints), rng)
 
     def test_built_from_kept_rows_and_read_only(self):
         # rows 1 and 3 repeat rows 0 and 2 and are dropped; the rows after
         # them move up, and every new array has one row per kept constraint
         rng = np.random.default_rng(11)
-        planted, _ = planted_sdp(rng, max_block=6, max_m=12, scalars=(1,), nblocks=2)
+        planted = planted_data(rng, max_block=6, max_m=12, scalars=(1,), nblocks=2)
         m = len(planted.b)
         order = [0, 0, 1, 1] + list(range(2, m))
         with pytest.warns(RuntimeWarning, match="dependent"):
@@ -525,30 +634,38 @@ class TestSchurFactor:
                                  constraints=[a[order] for a in planted.constraints],
                                  b=planted.b[order])
         assert len(problem.b) == m
-        for got, expected in zip(problem.constraints, planted.constraints):
-            assert np.array_equal(got, expected)
+        # the scatter holds the kept rows' entries, renumbered, and nothing else
+        rows = _rows(planted.constraints)
+        cells = np.zeros((m, problem.n_total ** 2))
+        cells[:, problem._cells] = rows
+        nonzero = np.nonzero(cells)
         scatter = problem._scatter
+        assert np.array_equal(scatter.rows, nonzero[0])
+        assert np.array_equal(scatter.cells, nonzero[1])
+        assert np.array_equal(scatter.values, cells[nonzero])
         assert [gather.shape[0] for gather in scatter.gathers] == [m, m, m]
         Lx = [_lower(rng, d) for d in problem.block_sizes]
         for got, expected in zip(_scattered_stacks(problem, Lx),
-                                 _expected_stacks(problem, Lx)):
+                                 _expected_stacks(problem, Lx, rows)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(expected)))
-        self._check(problem, rng)
+        self._check(problem, rows, rng)
         for array in (problem._cells, scatter.rows, scatter.cells, scatter.values,
                       scatter.sources, scatter.factors, scatter.bins, *scatter.gathers):
             assert not array.flags.writeable
 
 
 def _layout_problems():
-    """(id, problem): the certification structures, and planted dense data
-    with 1x1 blocks at every position."""
-    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem)
+    """(id, problem, row matrix): the certification structures, and planted
+    dense data with 1x1 blocks at every position."""
+    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem,
+                 _certification_rows(n, p_prime))
                 for n, p_prime in BENCH_STRUCTURES]
     for name, scalars in SCALAR_PLANS.items():
         rng = np.random.default_rng(sum(scalars) + 17)
-        problems.append((name, planted_sdp(rng, max_block=8, max_m=30,
-                                           scalars=scalars, nblocks=2)[0]))
+        data = planted_data(rng, max_block=8, max_m=30, scalars=scalars, nblocks=2)
+        problems.append((name, SdpProblem(data.objective, data.constraints, data.b),
+                         _rows(data.constraints)))
     return problems
 
 
@@ -568,28 +685,27 @@ class TestDenseLayout:
         return _layout_problems()
 
     def test_cell_map(self, problems):
-        for name, problem in problems:
+        for name, problem, rows in problems:
             sizes = problem.block_sizes
             D = sum(sizes)
             expected = []
             for s, d in zip(_offsets(sizes), sizes):
                 expected += [(s + a) * D + s + b for a in range(d) for b in range(d)]
             assert problem._cells.tolist() == expected, name
-            assert len(expected) == problem._avec.shape[1], name
-            rows, columns = np.nonzero(problem._avec)
+            assert len(expected) == rows.shape[1], name
+            _, columns = np.nonzero(rows)
             assert np.array_equal(problem._scatter.cells, problem._cells[columns]), name
             assert np.array_equal(problem._c, block_diag(*problem.objective)), name
 
     def test_schur_rows_equal_each_blocks_product(self, problems):
         rng = np.random.default_rng(21)
-        for name, problem in problems:
+        for name, problem, rows in problems:
             sizes = problem.block_sizes
             X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
             Lx, Lz_inv = _factors(X, Z)
-            B = _schur_factor(problem._scatter, Lx, Lz_inv,
-                              np.full_like(problem._avec, np.nan))
+            B = _schur_factor(problem._scatter, Lx, Lz_inv, _b_array(problem))
             for (start, end, d), s, a in zip(problem._scatter.columns,
-                                             _offsets(sizes), problem.constraints):
+                                             _offsets(sizes), _stacks(rows, sizes)):
                 block = slice(s, s + d)
                 expected = Lx[block, block].T @ a @ Lz_inv[block, block].T
                 got = B[:, start:end].reshape(-1, d, d)
@@ -597,7 +713,7 @@ class TestDenseLayout:
 
     def test_step_length_is_smallest_block_bound(self, problems):
         rng = np.random.default_rng(22)
-        for name, problem in problems:
+        for name, problem, _ in problems:
             sizes = problem.block_sizes
             for _ in range(3):
                 chols = [_chol(S) for S in _pd_blocks(rng, sizes)]

@@ -1,6 +1,7 @@
 """Gram-matrix certification of model convexity and the minimal weight."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sosarp import sos_certify
-from sosarp.sdp_core import SdpStatus, solve_sdp
+from sosarp.sdp_core import SdpStatus, _apply, solve_sdp
 from sosarp.sos_certify import (CertificationError, ConvexityCase,
                                 GramCertificate, SosIndeterminate, SosModel,
                                 _balancing_exponent, _coefficient_residual,
@@ -18,6 +19,16 @@ from sosarp.sos_certify import (CertificationError, ConvexityCase,
                                 min_sigma_sos, verify_certificate)
 from sosarp.tensor_poly import SymmetricTensor
 from conftest import random_certified_model, random_tensor
+
+
+def _matched(structure, Q):
+    """<A_k, Q> of every row, from the solver's own constraint data: A(V)
+    through its scatter, for V the SDP variable with Q as its Gram block
+    and sigma = 0."""
+    problem = structure.problem
+    V = np.zeros((problem.n_total, problem.n_total))
+    V[:-1, :-1] = Q
+    return _apply(V, problem._scatter, len(problem.b))
 
 
 def univariate_model(h: float, t: float, sigma: float = 0.0) -> SosModel:
@@ -221,18 +232,20 @@ class TestCoefficients:
            seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
     @settings(max_examples=40, deadline=None)
     def test_pair_matrices_match_basis_expansion(self, n, p_prime, seed, scale):
-        # <pair_matrices[k], Q> must be row k's coefficient in z'Qz as the
-        # certificate check re-expands it from the basis pairs
+        # <A_k, Q>, as the solver's scatter holds the pair matrices, must be
+        # row k's coefficient in z'Qz as the certificate check re-expands it
+        # from the basis pairs
         structure = _gram_structure(n, p_prime)
         size = len(structure.basis)
-        assert structure.pair_matrices.shape == (len(structure.rows), size, size)
+        assert structure.problem.block_sizes == [size, 1]
         raw = np.random.default_rng(seed).standard_normal((size, size)) * scale
         Q = (raw + raw.T) / 2.0
-        target = np.einsum("kij,ij->k", structure.pair_matrices, Q)
+        target = _matched(structure, Q)
+        assert target.shape == (len(structure.rows),)
         residual = _coefficient_residual(structure.pairs, Q, target)
         assert residual <= 1e-12 * (1.0 + float(np.max(np.abs(Q))))
         with pytest.raises(ValueError, match="read-only"):
-            structure.pair_matrices[0, 0, 0] = 1.0
+            structure.problem._scatter.values[0] = 1.0
 
 
 def _poly_mul(a, b):
@@ -281,8 +294,7 @@ class TestRegularizerGram:
         R = structure.R
         # integer sums are exact, so A(R) and the form's own expansion
         # agree bit for bit, and z'Rz re-expanded from the basis matches too
-        assert np.array_equal(
-            np.einsum("kab,ab->k", structure.pair_matrices, R), structure.reg)
+        assert np.array_equal(_matched(structure, R), structure.reg)
         assert np.array_equal(structure.reg,
                               _regularizer_rows(n, p_prime, structure.rows))
         assert _coefficient_residual(structure.pairs, R, structure.reg) == 0.0
@@ -291,6 +303,22 @@ class TestRegularizerGram:
         assert np.linalg.eigvalsh(R)[0] >= -1e-13 * float(np.max(R))
         with pytest.raises(ValueError, match="read-only"):
             R[0, 0] = 1.0
+
+
+class TestStructureMemory:
+    def test_built_structure_holds_no_dense_constraints(self):
+        # (n, p') = (4, 6): 700 rows over a Gram matrix of size 60, whose
+        # dense pair stack alone is 20 MB; what stays is mostly the scatter
+        # and the inverse constraint Gram matrix, about 10 MB.  Built
+        # uncached, so every array it keeps is allocated under tracemalloc
+        tracemalloc.start()
+        try:
+            structure = _gram_structure.__wrapped__(4, 6)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(structure.rows) == 700 and len(structure.basis) == 60
+        assert held <= 12 * 2 ** 20
 
 
 class TestBalancing:
@@ -309,7 +337,7 @@ class TestBalancing:
         size = len(structure.basis)
         raw = rng.standard_normal((size, size))
         Q = (raw + raw.T) / 2.0
-        matched = np.einsum("kij,ij->k", structure.pair_matrices, Q)
+        matched = _matched(structure, Q)
         for k in range(-8, 9):
             # the rows and sigma in u, mapped back, give h_hat's rows in s
             sigma_u = math.ldexp(sigma, k * q)
@@ -320,7 +348,7 @@ class TestBalancing:
             # D^-1 (D Q D) D^-1 is Q again
             Q_u = _scale_gram(structure, Q, k)
             assert np.array_equal(_scale_gram(structure, Q_u, -k), Q)
-            matched_u = np.einsum("kij,ij->k", structure.pair_matrices, Q_u)
+            matched_u = _matched(structure, Q_u)
             assert np.array_equal(_scale_rows(structure, matched_u, -k), matched)
 
     def test_no_tensor_weight_means_no_scaling(self):
@@ -490,8 +518,7 @@ class TestCoefficientResidual:
         for _ in range(5):
             raw = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-5, 5, (size, size))
             Q = (raw + raw.T) / 2.0
-            for target in (rng.standard_normal(rows),
-                           np.einsum("kij,ij->k", structure.pair_matrices, Q)):
+            for target in (rng.standard_normal(rows), _matched(structure, Q)):
                 assert (_coefficient_residual(structure.pairs, Q, target)
                         == _loop_residual(structure.basis, Q, structure.rows, target))
 
@@ -503,7 +530,7 @@ class TestCoefficientResidual:
         assert pairs.size == len(structure.rows)
         Q = np.random.default_rng(1).standard_normal((6, 6))
         Q = Q + Q.T
-        target = np.einsum("kij,ij->k", structure.pair_matrices, Q)[:-1]
+        target = _matched(structure, Q)[:-1]
         residual = _coefficient_residual(pairs, Q, target)
         assert residual == _loop_residual(structure.basis, Q, rows, target)
         assert residual > 0.0

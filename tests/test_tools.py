@@ -1,20 +1,24 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
 runs: wins, the claim rule, the bound, and the separated and unresolved
-verdicts; tools/bench_pairs.revision, which names the measured code; and
-tools/sdp_counts' tally of solves."""
+verdicts; tools/bench_pairs.revision, which names the measured code;
+tools/sdp_counts' tally of solves; and tools/fingerprint's structures
+digest."""
 
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sosarp import sos_certify
 from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_pairs import compare, revision  # noqa: E402
+from fingerprint import _Digest, add_problem, structures  # noqa: E402
 from sdp_counts import SolveCounter  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
@@ -171,6 +175,36 @@ class TestSolveCounter:
                 "Optimal": 1, "Infeasible": 1},
             2: {"sdps": 1, "ipm_iters": iterations[1], "Optimal": 1}}
         assert counter.counts == sum(counter.by_size.values(), type(counter.counts)())
+
+
+def _digest(hash_into, *args) -> str:
+    digest = _Digest()
+    hash_into(digest, *args)
+    return digest.hexdigest()
+
+
+class TestStructuresDigest:
+    def test_hashes_what_construction_keeps(self):
+        # one grid cell, (n, p) = (2, 3): the structure of the bundled runs
+        workloads = SimpleNamespace(GRID_CELLS=((2, 3),), p_prime=lambda p: p + 1,
+                                    sos_certify=sos_certify)
+        problem = sos_certify._gram_structure(2, 4).problem
+        scatter = problem._scatter
+        expected = _Digest()
+        expected.add("structure", 2, 4)
+        expected.add(problem._kept, scatter.rows, scatter.cells, scatter.values,
+                     problem._gram_inv, problem._a_scale)
+        assert _digest(structures, workloads) == expected.hexdigest()
+
+    def test_moves_with_one_constraint_value(self):
+        # the same data gives the same digest; one entry changed, the
+        # scatter's values, the inverse and the scale move with it
+        def problem(entry):
+            A = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, entry]]])
+            return SdpProblem(objective=[np.eye(2)], constraints=[A], b=[1.0, 0.0])
+
+        assert _digest(add_problem, problem(2.0)) == _digest(add_problem, problem(2.0))
+        assert _digest(add_problem, problem(2.0)) != _digest(add_problem, problem(3.0))
 
 
 def _git(repo: Path, *args) -> str:

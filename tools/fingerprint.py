@@ -15,7 +15,12 @@ Floats enter as their exact repr and arrays as their raw bytes, so two
 checkouts print the same digest only if every output is bit-identical.
 The first line is the digest of everything; one line per workload follows,
 its digest over that workload's outputs at both seeds, so a difference
-shows which workload moved.  Run it on two checkouts (for instance a
+shows which workload moved.  A last line, `structures`, hashes what the SDP
+construction keeps for each Gram structure the benchmark solves: the mask
+of kept rows, the constraint scatter's rows, cells and values, the inverse
+constraint Gram matrix and the data scale.  A change to construction alone
+is checked there, where the data is made; it stays out of the first line,
+which therefore compares with digests recorded before it existed.  Run it on two checkouts (for instance a
 `git clone` of the parent commit and the working tree) and compare the
 printed lines.
 
@@ -122,6 +127,22 @@ def _bundled_runs(digest: _Digest, workloads, seed: int) -> None:
                        rec.f_after, rec.flags)
 
 
+def add_problem(digest: _Digest, problem) -> None:
+    """The constraint data an SdpProblem keeps from its construction."""
+    scatter = problem._scatter
+    digest.add(problem._kept, scatter.rows, scatter.cells, scatter.values,
+               problem._gram_inv, problem._a_scale)
+
+
+def structures(digest: _Digest, workloads) -> None:
+    """add_problem of the SDP of every (n, p') on the certification grid,
+    which holds the bundled runs' and the scans' (2, 4) too."""
+    for n, p in workloads.GRID_CELLS:
+        p_prime = workloads.p_prime(p)
+        digest.add("structure", n, p_prime)
+        add_problem(digest, workloads.sos_certify._gram_structure(n, p_prime).problem)
+
+
 # in the order they enter the total digest at each seed
 WORKLOADS = {"certify_grid": _certify_grid, "scans": _scans,
              "bundled_runs": _bundled_runs}
@@ -160,6 +181,9 @@ def main(argv) -> int:
           f"blas={_blas(numpy)},{_blas(scipy)}  {threads}")
     for name, part in parts.items():
         print(f"{part.hexdigest()}  {name}")
+    built = _Digest()
+    structures(built, workloads)
+    print(f"{built.hexdigest()}  structures")
     return 0
 
 
