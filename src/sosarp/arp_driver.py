@@ -19,7 +19,7 @@ import numpy as np
 
 from .problems_io import ProblemFunction, ProblemSpec, build_function
 from .sos_certify import (CertificationError, ConvexityCase, SosModel,
-                          min_sigma_sos)
+                          min_sigma_sos, regularizer_order)
 from .subproblem import SubsolverFailure, minimize_model
 from .tensor_poly import min_eigenvalue, taylor_value
 
@@ -325,7 +325,7 @@ def assert_theory(records: Sequence[IterationRecord],
     """
     failures: List[str] = []
     delta = config.effective_delta
-    p_prime = config.p + 1 if config.p % 2 == 1 else config.p + 2
+    p_prime = regularizer_order(config.p)
 
     last_f = None
     for rec in records:

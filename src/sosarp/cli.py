@@ -30,8 +30,9 @@ import numpy as np
 
 from .arp_driver import ArpConfig, RunStatus, build_model, classify_case, run
 from .experiments import ScanConfig, ScanResult, convex_rate, scan_delta, scan_tensor
-from .problems_io import (ProblemFormatError, ProblemSpec, build_function,
-                          check_derivatives, load_point, load_problem)
+from .problems_io import (MAX_DERIVATIVE_ORDER, ProblemFormatError, ProblemSpec,
+                          build_function, check_derivatives, load_point,
+                          load_problem)
 from .sos_certify import CertificationError, min_sigma_sos
 from .tensor_poly import min_eigenvalue
 
@@ -96,6 +97,13 @@ def _load_point_or_usage(path: Optional[str], n: int) -> Optional[np.ndarray]:
         raise UsageError(str(err))
 
 
+def _check_order(p: int, least: int) -> None:
+    """--p between the least order the command needs and the highest
+    derivative order the problem oracles supply."""
+    if not least <= p <= MAX_DERIVATIVE_ORDER:
+        raise UsageError(f"--p must lie in [{least}, {MAX_DERIVATIVE_ORDER}]")
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]],
                footer: Optional[str] = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -130,6 +138,7 @@ def _add_driver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _driver_config(args: argparse.Namespace,
                    x0: Optional[np.ndarray]) -> ArpConfig:
+    _check_order(args.p, 3)
     try:
         return ArpConfig(p=args.p, epsilon=args.eps, a=args.a,
                          delta=args.delta, eta=args.eta, gamma1=args.gamma1,
@@ -219,8 +228,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         point = np.zeros(spec.n)
     if not 0.0 < args.delta <= 1.0:
         raise UsageError("--delta must lie in (0, 1]")
-    if args.p < 2:
-        raise UsageError("--p must be at least 2")
+    _check_order(args.p, 2)
 
     func = build_function(spec)
     bundle = func.derivatives(point, args.p)
@@ -245,6 +253,11 @@ def cmd_convex_rate(args: argparse.Namespace) -> int:
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise UsageError(f"--eps-list: epsilon {eps:g} outside (0, 1)")
+    _check_order(args.p, 3)
+    try:  # the config convex_rate builds per epsilon, checked before any run
+        ArpConfig(p=args.p, epsilon=epsilons[0], x0=x0, max_iter=args.max_iter)
+    except ValueError as err:
+        raise UsageError(str(err))
     func = build_function(spec)
     if not func.strongly_convex:
         raise UsageError(
@@ -284,8 +297,7 @@ def cmd_check_derivs(args: argparse.Namespace) -> int:
     if point is None:
         rng = np.random.default_rng(_resolve_seed(args.seed))
         point = rng.standard_normal(spec.n) * 0.5
-    if args.p < 1:
-        raise UsageError("--p must be at least 1")
+    _check_order(args.p, 1)
     report = check_derivatives(spec, point, args.p)
     for order in report.orders:
         print(f"order={order.order} max_rel_error={order.max_rel_error:.3e} "

@@ -1,13 +1,15 @@
 """Test problems with exact derivative oracles, file I/O, and an FD checker.
 
 Problems come in two kinds: ExplicitPolynomial (term list, differentiated
-symbolically) and Builtin (a registered set with closed-form tensors).  The
+symbolically) and Builtin (a registered set: the polynomial builtins expand
+to term lists, sum_exponentials has closed-form tensors).  The
 ``.prob`` file format is JSON with the same field names as ProblemSpec; a
 schema ships in docs/problem_format.md.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor_poly import DerivativeBundle, Exponents, SymmetricTensor
+from .tensor_poly import DerivativeBundle, Exponents, Index, SymmetricTensor, _counts
 
 DEGREE_CAP = 8
 MAX_DERIVATIVE_ORDER = 8
@@ -123,170 +125,67 @@ class ProblemFunction:
         return DerivativeBundle(x=x, value=self.value(x), tensors=tensors)
 
 
-class _PolynomialFunction(ProblemFunction):
-    """sum_alpha c_alpha x^alpha over a checked ProblemSpec's terms; exact
-    zero coefficients are dropped."""
+@functools.lru_cache(maxsize=None)
+def _order_keys(n: int, order: int) -> Tuple[Tuple[Index, ...], np.ndarray]:
+    """The sorted index tuples of an order-j tensor over R^n, in
+    combinations_with_replacement order, as tuples and as a (K, j) array."""
+    keys = tuple(itertools.combinations_with_replacement(range(n), order))
+    index = np.array(keys, dtype=int).reshape(len(keys), order)
+    index.setflags(write=False)
+    return keys, index
 
-    def __init__(self, name: str, n: int, terms: Dict[Exponents, float]):
+
+def _symmetric(order: int, n: int, values: np.ndarray) -> SymmetricTensor:
+    """The tensor whose entry at the k-th sorted key is values[k]."""
+    keys, _ = _order_keys(n, order)
+    return SymmetricTensor(order, n, {key: val for key, val in
+                                      zip(keys, values.tolist()) if val != 0.0})
+
+
+class _PolynomialFunction(ProblemFunction):
+    """sum_alpha c_alpha x^alpha; exact zero coefficients are dropped.
+
+    Order j's entry at a sorted key holding m_i copies of i is the sum of
+    c_alpha prod_i alpha_i!/(alpha_i - m_i)! x^(alpha - m) over alpha >= m.
+    Its table, built on first use, holds these factors and shifted powers for
+    every key and term; where alpha < m both are 0, so the term adds an exact
+    0 even where x^alpha overflows.
+    """
+
+    def __init__(self, name: str, n: int, terms: Dict[Exponents, float],
+                 strongly_convex: bool = False, f_star: Optional[float] = None):
         self.name = name
         self.n = n
-        self.terms = {a: c for a, c in terms.items() if abs(c) > 0.0}
+        self.strongly_convex = strongly_convex
+        self.f_star = f_star
+        kept = {alpha: c for alpha, c in terms.items() if abs(c) > 0.0}
+        self._powers = np.array(list(kept), dtype=int).reshape(len(kept), n)
+        self._coeffs = np.array(list(kept.values()), dtype=float)
+        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def value(self, x: Sequence[float]) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has shape {x.shape}, polynomial dim is {self.n}")
-        total = 0.0
-        for alpha, coeff in self.terms.items():
-            term = coeff
-            for xi, e in zip(x, alpha):
-                if e:
-                    term *= xi ** e
-            total += term
-        return total
+        return float(self._coeffs @ np.prod(x ** self._powers, axis=1))
+
+    def _table(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(K, T, n) shifted powers and (K, T) factors of one order."""
+        if order not in self._tables:
+            keys, _ = _order_keys(self.n, order)
+            counts = [_counts(key, self.n) for key in keys]
+            terms = list(zip(self._powers.tolist(), self._coeffs.tolist()))
+            factors = np.array([[c * math.prod(map(math.perm, alpha, m))
+                                 for alpha, c in terms] for m in counts])
+            shifted = self._powers[None, :, :] - np.array(counts)[:, None, :]
+            shifted[(shifted < 0).any(axis=2)] = 0
+            self._tables[order] = shifted, factors
+        return self._tables[order]
 
     def _tensor(self, x: np.ndarray, order: int) -> SymmetricTensor:
-        entries: Dict[Tuple[int, ...], float] = {}
-        for key in itertools.combinations_with_replacement(range(self.n), order):
-            m = [0] * self.n
-            for idx in key:
-                m[idx] += 1
-            total = 0.0
-            for expo, coeff in self.terms.items():
-                if any(e < mi for e, mi in zip(expo, m)):
-                    continue
-                factor = coeff
-                for e, mi in zip(expo, m):
-                    factor *= math.factorial(e) / math.factorial(e - mi)
-                mono = 1.0
-                for xi, e, mi in zip(x, expo, m):
-                    if e - mi:
-                        mono *= xi ** (e - mi)
-                total += factor * mono
-            if total != 0.0:
-                entries[key] = total
-        return SymmetricTensor(order, self.n, entries)
-
-
-class _QuarticSeparable(ProblemFunction):
-    """f(x) = sum_i x_i^4 + (mu/2) x_i^2, strongly convex for mu > 0."""
-
-    strongly_convex = True
-    f_star = 0.0
-
-    def __init__(self, name: str, n: int, mu: float):
-        if mu <= 0:
-            raise ProblemFormatError(f"problem '{name}': quartic_sc needs mu > 0")
-        self.name = name
-        self.n = n
-        self.mu = mu
-
-    def value(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(x ** 4) + 0.5 * self.mu * np.sum(x ** 2))
-
-    def _tensor(self, x: np.ndarray, order: int) -> SymmetricTensor:
-        entries: Dict[Tuple[int, ...], float] = {}
-        for i in range(self.n):
-            key = (i,) * order
-            if order == 1:
-                val = 4.0 * x[i] ** 3 + self.mu * x[i]
-            elif order == 2:
-                val = 12.0 * x[i] ** 2 + self.mu
-            elif order == 3:
-                val = 24.0 * x[i]
-            elif order == 4:
-                val = 24.0
-            else:
-                val = 0.0
-            if val != 0.0:
-                entries[key] = val
-        return SymmetricTensor(order, self.n, entries)
-
-
-class _CubicQuartic(ProblemFunction):
-    """f(u, v) = u^3 - 3 u v^2 + (u^2 + v^2)^2.
-
-    Monkey saddle plus a bowl: indefinite Hessian near the origin, three
-    symmetric minima at radius 3/4 with value -27/256.
-    """
-
-    f_star = -27.0 / 256.0
-
-    def __init__(self, name: str):
-        self.name = name
-        self.n = 2
-
-    def value(self, x: Sequence[float]) -> float:
-        u, v = float(x[0]), float(x[1])
-        return u ** 3 - 3.0 * u * v ** 2 + (u * u + v * v) ** 2
-
-    def _tensor(self, x: np.ndarray, order: int) -> SymmetricTensor:
-        u, v = float(x[0]), float(x[1])
-        r2 = u * u + v * v
-        if order == 1:
-            entries = {(0,): 3 * u * u - 3 * v * v + 4 * r2 * u,
-                       (1,): -6 * u * v + 4 * r2 * v}
-        elif order == 2:
-            entries = {(0, 0): 6 * u + 4 * r2 + 8 * u * u,
-                       (0, 1): -6 * v + 8 * u * v,
-                       (1, 1): -6 * u + 4 * r2 + 8 * v * v}
-        elif order == 3:
-            entries = {(0, 0, 0): 6 + 24 * u,
-                       (0, 0, 1): 8 * v,
-                       (0, 1, 1): -6 + 8 * u,
-                       (1, 1, 1): 24 * v}
-        elif order == 4:
-            entries = {(0, 0, 0, 0): 24.0, (0, 0, 1, 1): 8.0, (1, 1, 1, 1): 24.0}
-        else:
-            entries = {}
-        return SymmetricTensor(order, 2,
-                               {k: float(val) for k, val in entries.items() if val})
-
-
-class _Rosenbrock(ProblemFunction):
-    """f(x) = sum_i b (x_{i+1} - x_i^2)^2 + (1 - x_i)^2, minimum 0 at all-ones."""
-
-    f_star = 0.0
-
-    def __init__(self, name: str, n: int, b: float):
-        if n < 2:
-            raise ProblemFormatError(f"problem '{name}': rosenbrock needs n >= 2")
-        if b <= 0:
-            raise ProblemFormatError(f"problem '{name}': rosenbrock needs b > 0")
-        self.name = name
-        self.n = n
-        self.b = b
-
-    def value(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(self.b * (x[1:] - x[:-1] ** 2) ** 2
-                            + (1.0 - x[:-1]) ** 2))
-
-    def _tensor(self, x: np.ndarray, order: int) -> SymmetricTensor:
-        b = self.b
-        entries: Dict[Tuple[int, ...], float] = {}
-
-        def add(key: Tuple[int, ...], val: float) -> None:
-            if val != 0.0:
-                key = tuple(sorted(key))
-                entries[key] = entries.get(key, 0.0) + val
-
-        for i in range(self.n - 1):
-            gap = x[i + 1] - x[i] ** 2
-            if order == 1:
-                add((i,), -4 * b * gap * x[i] - 2 * (1 - x[i]))
-                add((i + 1,), 2 * b * gap)
-            elif order == 2:
-                add((i, i), 12 * b * x[i] ** 2 - 4 * b * x[i + 1] + 2)
-                add((i, i + 1), -4 * b * x[i])
-                add((i + 1, i + 1), 2 * b)
-            elif order == 3:
-                add((i, i, i), 24 * b * x[i])
-                add((i, i, i + 1), -4 * b)
-            elif order == 4:
-                add((i, i, i, i), 24 * b)
-        return SymmetricTensor(order, self.n, dict(entries))
+        shifted, factors = self._table(order)
+        values = np.sum(factors * np.prod(x ** shifted, axis=2), axis=1)
+        return _symmetric(order, self.n, values)
 
 
 class _SumExponentials(ProblemFunction):
@@ -313,32 +212,48 @@ class _SumExponentials(ProblemFunction):
         return float(np.sum(self._exps(np.asarray(x, dtype=float))))
 
     def _tensor(self, x: np.ndarray, order: int) -> SymmetricTensor:
-        terms = self._exps(x)
-        entries: Dict[Tuple[int, ...], float] = {}
-        for key in itertools.combinations_with_replacement(range(self.n), order):
-            prod = terms.copy()
-            for idx in key:
-                prod = prod * self.A[:, idx]
-            val = float(np.sum(prod))
-            if val != 0.0:
-                entries[key] = val
-        return SymmetricTensor(order, self.n, entries)
+        _, index = _order_keys(self.n, order)
+        return _symmetric(order, self.n,
+                          self._exps(x) @ np.prod(self.A[:, index], axis=2))
 
 
 def _make_quartic_sc(spec: ProblemSpec) -> ProblemFunction:
+    """f(x) = sum_i x_i^4 + (mu/2) x_i^2, strongly convex for mu > 0."""
     mu = float(spec.params.get("mu", 1.0))
-    return _QuarticSeparable(spec.name, spec.n, mu)
+    if mu <= 0:
+        raise ProblemFormatError(f"problem '{spec.name}': quartic_sc needs mu > 0")
+    terms = {_counts((i,) * k, spec.n): c for i in range(spec.n)
+             for k, c in ((4, 1.0), (2, 0.5 * mu))}
+    return _PolynomialFunction(spec.name, spec.n, terms,
+                               strongly_convex=True, f_star=0.0)
 
 
 def _make_cubic_quartic(spec: ProblemSpec) -> ProblemFunction:
+    """f(u, v) = u^3 - 3 u v^2 + (u^2 + v^2)^2: a monkey saddle plus a bowl,
+    indefinite near the origin, with three minima of value -27/256 at radius 3/4."""
     if spec.n != 2:
         raise ProblemFormatError(f"problem '{spec.name}': cubic_quartic is 2-dimensional")
-    return _CubicQuartic(spec.name)
+    terms = {(3, 0): 1.0, (1, 2): -3.0, (4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}
+    return _PolynomialFunction(spec.name, 2, terms, f_star=-27.0 / 256.0)
 
 
 def _make_rosenbrock(spec: ProblemSpec) -> ProblemFunction:
+    """f(x) = sum_i b (x_{i+1} - x_i^2)^2 + (1 - x_i)^2, minimum 0 at all-ones."""
     b = float(spec.params.get("b", 10.0))
-    return _Rosenbrock(spec.name, spec.n, b)
+    if spec.n < 2:
+        raise ProblemFormatError(f"problem '{spec.name}': rosenbrock needs n >= 2")
+    if b <= 0:
+        raise ProblemFormatError(f"problem '{spec.name}': rosenbrock needs b > 0")
+    # Each summand expanded, with the constants and the x_i^2 that neighbouring
+    # summands share added up.  Near the minimum the value's rounding is then
+    # about 1e-15 b absolute, not relative to f as in the factored form.
+    terms: Dict[Exponents, float] = {}
+    for i in range(spec.n - 1):
+        for key, c in (((i,) * 4, b), ((i, i, i + 1), -2.0 * b), ((i + 1, i + 1), b),
+                       ((i, i), 1.0), ((i,), -2.0), ((), 1.0)):
+            alpha = _counts(key, spec.n)
+            terms[alpha] = terms.get(alpha, 0.0) + c
+    return _PolynomialFunction(spec.name, spec.n, terms, f_star=0.0)
 
 
 def _make_sum_exponentials(spec: ProblemSpec) -> ProblemFunction:

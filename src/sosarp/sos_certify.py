@@ -67,6 +67,12 @@ class SosIndeterminate(CertificationError):
     false."""
 
 
+def regularizer_order(p: int) -> int:
+    """p' of an order-p model: p + 1 for odd p and p + 2 for even p, always
+    even, so that (sigma/p') ||s||^p' is a polynomial."""
+    return p + 1 if p % 2 == 1 else p + 2
+
+
 @dataclass(frozen=True, eq=False)
 class SosModel:
     """Case-dependent convexified Taylor model around a fixed point.
@@ -75,8 +81,7 @@ class SosModel:
            + (sigma/p') ||s||^p'
 
     H_bar already contains any case-dependent quadratic shift, so the three
-    convexity cases share one evaluation path.  p' is p+1 for odd p and p+2
-    for even p, always even.
+    convexity cases share one evaluation path; p' is regularizer_order(p).
     """
 
     n: int
@@ -96,8 +101,7 @@ class SosModel:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise ValueError("model order p must be >= 2")
-        object.__setattr__(self, "p_prime",
-                           self.p + 1 if self.p % 2 == 1 else self.p + 2)
+        object.__setattr__(self, "p_prime", regularizer_order(self.p))
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
         object.__setattr__(self, "H_bar", np.asarray(self.H_bar, dtype=float))
         if self.g.shape != (self.n,):

@@ -257,6 +257,30 @@ class TestCheckDerivs:
         assert out.count("order=") == 4
 
 
+class TestOutOfRangeFlags:
+    """Flags that the run itself would refuse are usage errors, reported
+    before any run starts or output file is opened."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("convex-rate", ["--p", "2"]),
+        ("convex-rate", ["--max-iter", "0"]),
+        ("minimize", ["--p", "9"]),
+        ("certify", ["--p", "9"]),
+        ("check-derivs", ["--p", "9"]),
+    ])
+    def test_usage_error_and_no_output(self, command, flags, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = [command, "--problem", bundled_problem_paths()["quartic_sc2"]]
+        if command == "convex-rate":
+            args += ["--eps-list", "1e-2", "--output", "rate.csv"]
+        elif command == "minimize":
+            args += ["--output", "run.csv"]
+        assert main(args + flags) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParser:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
