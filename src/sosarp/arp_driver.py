@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problems_io import ProblemFunction, ProblemSpec, build_function
+from .problems_io import (MAX_DERIVATIVE_ORDER, ProblemFunction, ProblemSpec,
+                          build_function)
 from .sos_certify import (CertificationError, ConvexityCase, SosModel,
                           min_sigma_sos, regularizer_order)
 from .subproblem import SubsolverFailure, minimize_model
@@ -61,6 +62,9 @@ class ArpConfig:
     def __post_init__(self) -> None:
         if self.p < 3:
             raise ValueError("model order p must be >= 3")
+        if self.p > MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"model order p must be <= {MAX_DERIVATIVE_ORDER}, "
+                             f"the highest derivative order of the problem oracles")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.a is not None and self.delta is not None:

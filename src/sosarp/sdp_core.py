@@ -94,6 +94,15 @@ residual is formed as B (B' dy) rather than M dy: near the optimum dy is
 large along M's smallest eigenvectors, where B' dy stays small, so the
 factored form rounds far less.
 
+A caller that can prove a certificate from an iterate passes solve_sdp a
+certify hook.  It is called once per iteration, before the tol test, with
+the D x D primal iterate and the iteration's IterateLog (objectives, gap,
+residuals); it returns None to go on, or the D x D matrix that the solve
+returns as X with the status CERTIFIED and the iterate's y, Z, gap and
+residuals.  The solver knows nothing of what the hook proves: the
+certification SDP's hook lives in sos_certify.  A hook that returns None
+changes no bit of the solve.
+
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
 step that overflows or yields NaN ends the solve with NUMERICAL_FAILURE and
@@ -109,7 +118,7 @@ import math
 import warnings
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -134,6 +143,7 @@ class SdpStatus(Enum):
     DUAL_INFEASIBLE = "DualInfeasible"
     MAX_ITERATIONS = "MaxIterations"
     NUMERICAL_FAILURE = "NumericalFailure"
+    CERTIFIED = "Certified"
 
 
 class IterateLog(NamedTuple):
@@ -147,6 +157,11 @@ class IterateLog(NamedTuple):
     alpha_p: float = math.nan
     alpha_d: float = math.nan
     centering: float = math.nan
+
+
+# solve_sdp's hook: from the D x D primal iterate and its log, None or the
+# X to end the solve with
+Certify = Callable[[np.ndarray, IterateLog], Optional[np.ndarray]]
 
 
 def _symmetrized(stack: np.ndarray, what: str) -> np.ndarray:
@@ -519,11 +534,16 @@ def _diagonal_blocks(V: np.ndarray, sizes: List[int]) -> Blocks:
 # a step that overflows makes numpy warn before the iterate check turns it
 # into NUMERICAL_FAILURE; under warnings-as-errors the warning would escape
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
+              certify: Optional[Certify] = None) -> SdpSolution:
     """Infeasible-start predictor-corrector interior-point solve.
 
     On OPTIMAL: normalized duality gap and feasibility residuals <= tol,
     reached within _MAX_ITER iterations.
+    certify, when given, is called once per iteration before that test,
+    with the D x D primal iterate and the iteration's IterateLog; it
+    returns None to go on or a D x D matrix to end the solve with status
+    CERTIFIED, that matrix as X and the iterate's y, Z, gap and residuals.
     MAX_ITERATIONS and NUMERICAL_FAILURE are reported as statuses, never as
     silent wrong answers; suspected (dual-)infeasibility is flagged when the
     dual (primal) objective diverges beyond 1e12.  Every returned iterate is
@@ -574,6 +594,12 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         if best is None or merit < best[0]:
             best = (merit, X, y, Z, gap, p_res, d_res)
 
+        if certify is not None:
+            certificate = certify(X, trace[-1])
+            if certificate is not None:
+                X = certificate
+                status = SdpStatus.CERTIFIED
+                break
         if gap <= tol and p_res <= tol and d_res <= tol:
             status = SdpStatus.OPTIMAL
             break

@@ -17,6 +17,25 @@ and its dual objective bounds the minimal weight from below.
 Q_bar + (sigma - sigma_bar) R matches h_hat at any other sigma exactly, so
 the same solve answers membership at a fixed sigma.
 
+The solve ends on the first iterate that carries a proven interior
+certificate, not on the gap: an over-estimate of sigma_bar is safe, since
+feasibility is monotone in sigma.  Through solve_sdp's certify hook, an
+iterate with sigma > 0, both residuals at most _CLEAN_RESIDUAL and
+(sigma - b'y) <= _CERT_GAP sigma, _CERT_GAP = 5e-7 being half the
+benchmark's 1e-6 reference gate on sigma_bar, has its Gram block Q
+projected onto the rows at its own sigma in closed form (Peyrl & Parrilo,
+Theor. Comput. Sci. 2008): the pair matrices have disjoint supports, so
+Q' = Q + sum_k lambda_k A_k with lambda_k = (b_k + reg_k sigma - <A_k, Q>)
+/ ||A_k||^2.  Q' is the certificate once a shifted Cholesky factor proves
+it positive definite (Rump, "Verification of positive definiteness", BIT
+2006, Corollary 2.4): dpotrf succeeds on Q' - c I with
+c = 2 gamma_(D+1) (tr(Q') + D tiny), gamma_k = k u / (1 - k u), u = 2^-53,
+tiny = 2^-1022, D the Gram size (see _proven_positive_definite).  b'y is
+not a rigorous bound, so sigma_bar comes only from the certificate.  A
+solve that never reaches such an iterate ends as before: on the gap
+(Optimal), or stalled with clean residuals, whose last iterate, on the PSD
+boundary, is then accepted as the certificate.
+
 That SDP is balanced before it is solved: it is posed in u, s = r u, with
 r = 2^k chosen from the model so that sigma r^(p'-2) is about max |H_bar|.
 Each row, sigma and the Gram matrix scale by a power of r, which is a power
@@ -35,7 +54,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sdp_core import SdpProblem, SdpStatus, solve_sdp
+from ._lapack import dpotrf
+from .sdp_core import Certify, IterateLog, SdpProblem, SdpStatus, solve_sdp
 from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
                           monomials_up_to, tensor_apply)
 
@@ -44,6 +64,7 @@ BasisElement = Tuple[int, Exponents]
 _CLEAN_RESIDUAL = 1e-8  # residuals at or below this mark an SDP iterate as feasible
 _COEFF_MATCH = 1e-7  # coefficient match, relative to 1 + max |coefficient| of h_hat
 _MIN_SIGMA_TOL = 1e-10  # SDP tolerance of the minimal-weight solve (sigma_bar)
+_CERT_GAP = 5e-7  # (sigma - b'y) / sigma at which an iterate's certificate is tried: half the 1e-6 reference gate
 _MARGIN_SLACK = 1e-10  # rounding by which an SosModel's lambda_min(H_bar) may miss delta
 _VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hessian
 _VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
@@ -323,17 +344,19 @@ def _coefficients(model: SosModel, structure: _GramStructure,
     return closed + sigma * structure.reg
 
 
+def _expand(pairs: _BasisPairs, Q: np.ndarray) -> np.ndarray:
+    """The coefficient of each bin's monomial in z'Qz, re-expanded from the
+    basis pairs, independently of the pair matrices the SDP was built from;
+    np.bincount adds each coefficient's terms in pair order, from 0.0."""
+    return np.bincount(pairs.bins, pairs.weights * Q[pairs.u, pairs.w],
+                       minlength=pairs.size)
+
+
 def _coefficient_residual(pairs: _BasisPairs, Q: np.ndarray,
                           target: np.ndarray) -> float:
     """Largest coefficient mismatch of z'Qz against target, row by row, and
-    of every monomial outside the rows against 0.
-
-    z'Qz is re-expanded from the basis pairs, independently of the pair
-    matrices the SDP was built from; np.bincount adds each coefficient's
-    terms in pair order, from 0.0.
-    """
-    recon = np.bincount(pairs.bins, pairs.weights * Q[pairs.u, pairs.w],
-                        minlength=pairs.size)
+    of every monomial outside the rows against 0."""
+    recon = _expand(pairs, Q)
     rows = len(target)
     return float(max(np.max(np.abs(recon[:rows] - target), initial=0.0),
                      np.max(np.abs(recon[rows:]), initial=0.0)))
@@ -390,13 +413,88 @@ def _certificate(structure: _GramStructure, Q: np.ndarray,
     return GramCertificate(basis=list(structure.basis), Q=Q, residual=residual)
 
 
+def _projected(pairs: _BasisPairs, Q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Q moved onto the rows <A_k, Q> = target_k in closed form (Peyrl &
+    Parrilo, Theor. Comput. Sci. 2008), for the pairs of a structure's own
+    basis, every product of which lies in a row: the pair matrices have
+    disjoint supports, so the projection is Q + sum_k lambda_k A_k with
+    lambda_k = (target_k - <A_k, Q>) / ||A_k||^2, and ||A_k||^2 is the sum
+    of row k's pair weights.  Built on the upper triangle and mirrored, so
+    the result is symmetric to the bit."""
+    norms = np.bincount(pairs.bins, pairs.weights, minlength=pairs.size)
+    lam = (target - _expand(pairs, Q)) / norms
+    projected = np.empty_like(Q)
+    projected[pairs.u, pairs.w] = Q[pairs.u, pairs.w] + lam[pairs.bins]
+    projected[pairs.w, pairs.u] = projected[pairs.u, pairs.w]
+    return projected
+
+
+def _proven_positive_definite(Q: np.ndarray) -> bool:
+    """Whether a floating-point Cholesky factor of Q - c I proves the
+    symmetric Q positive definite, after Rump ("Verification of positive
+    definiteness", BIT 2006, Corollary 2.4).
+
+    The argument is Rump's.  If dpotrf factors A = fl(Q - c I) into G'G,
+    Demmel's backward error bound gives G'G = A + E with
+    |E| <= gamma_(n+1) |G'| |G|, gamma_k = k u / (1 - k u), u = 2^-53, for
+    any order of the inner products; a column of G has squared norm at most
+    a_ii / (1 - gamma_(n+1)), so ||E||_2 <= gamma_(n+1) / (1 - gamma_(n+1))
+    tr(A), and A + E = G'G is PSD.  So lambda_min(Q) > 0 whenever c
+    exceeds that bound plus the rounding of the shifted diagonal: Rump's
+    Corollary 2.4 shift, gamma_(n+1) / (1 - gamma_(n+1)) tr(Q) plus terms
+    of order u tr(Q) and of underflow.  The check takes
+    c = 2 gamma_(n+1) (tr(Q) + n tiny), tiny = 2^-1022: the factor 2 covers
+    those terms, the rounding of c and of the trace, and one more relative
+    rounding of each entry of Q (at most u tr(Q) in norm for a PSD Q, the
+    map back by the scale of _min_sigma_solve), and n tiny covers
+    underflow.  A factor exists only if every q_ii > c >= 0, so tr(Q) is
+    positive whenever the check passes.
+    """
+    n = len(Q)
+    gamma = (n + 1) * 2.0 ** -53 / (1.0 - (n + 1) * 2.0 ** -53)
+    c = 2.0 * gamma * (float(np.trace(Q)) + n * np.finfo(float).tiny)
+    shifted = Q.copy()
+    shifted[np.diag_indices(n)] -= c
+    # shifted is symmetric, so its transpose is the same matrix in the
+    # column order dpotrf takes without a copy
+    _, info = dpotrf(shifted.T, lower=1)
+    return info == 0
+
+
+def _certifier(structure: _GramStructure, b: np.ndarray) -> Certify:
+    """solve_sdp's certify hook for the min-sigma SDP with right-hand side
+    b: an iterate with sigma > 0, (sigma - b'y) <= _CERT_GAP sigma and both
+    residuals at most _CLEAN_RESIDUAL has its Gram block projected onto the
+    rows at its own sigma, and the iterate with that block is the
+    certificate once Rump's check proves the block positive definite."""
+    size = len(structure.basis)
+
+    def certify(X: np.ndarray, log: IterateLog) -> Optional[np.ndarray]:
+        sigma, bound = log.primal_objective, log.dual_objective
+        if not (sigma > 0.0 and sigma - bound <= _CERT_GAP * sigma
+                and log.primal_residual <= _CLEAN_RESIDUAL
+                and log.dual_residual <= _CLEAN_RESIDUAL):
+            return None
+        # sigma, the primal objective <C, X>, is the iterate's X[size, size]
+        Q = _projected(structure.pairs, X[:size, :size], b + sigma * structure.reg)
+        if not _proven_positive_definite(Q):
+            return None
+        certificate = X.copy()
+        certificate[:size, :size] = Q
+        return certificate
+
+    return certify
+
+
 def _min_sigma_solve(model: SosModel) -> Tuple[
         _GramStructure, np.ndarray, float, np.ndarray, float]:
     """The model's one certification SDP: min sigma s.t.
     <A_k, Q> - reg[k] * sigma = rows[k], Q PSD, sigma >= 0.
 
-    Returns the structure, the rows at sigma = 0 (base), sigma_bar, Q_bar
-    over the s basis, matching base + sigma_bar * reg, and sigma_lo, the
+    The solve ends Certified on a proven interior certificate when it
+    reaches one (see _certifier).  Returns the structure, the rows at
+    sigma = 0 (base), sigma_bar, Q_bar over the s basis, matching
+    base + sigma_bar * reg, and sigma_lo, the
     dual objective b'y mapped back like sigma_bar.  Unclean residuals raise
     SosIndeterminate naming the SDP status, gap and residuals.
     """
@@ -407,9 +505,11 @@ def _min_sigma_solve(model: SosModel) -> Tuple[
     # rescale the matching rows to O(1); sigma and Q scale back linearly
     scale = max(1.0, float(np.max(np.abs(rows))))
     problem = structure.problem.with_rhs(rows / scale)
-    solution = solve_sdp(problem, tol=_MIN_SIGMA_TOL)
+    solution = solve_sdp(problem, tol=_MIN_SIGMA_TOL,
+                         certify=_certifier(structure, problem.b))
     # both residuals small, though the gap may have stalled
-    if not (solution.status in (SdpStatus.OPTIMAL, SdpStatus.MAX_ITERATIONS,
+    if not (solution.status in (SdpStatus.CERTIFIED, SdpStatus.OPTIMAL,
+                                SdpStatus.MAX_ITERATIONS,
                                 SdpStatus.NUMERICAL_FAILURE)
             and solution.primal_residual <= _CLEAN_RESIDUAL
             and solution.dual_residual <= _CLEAN_RESIDUAL):
@@ -445,11 +545,14 @@ def min_sigma_sos(model: SosModel) -> Tuple[float, GramCertificate]:
     built and checked in the original basis against base + sigma_bar * reg,
     so r can cost iterations but never soundness.
 
-    A solve whose residuals are clean returns its primal iterate as the
-    certificate, whatever its gap: a stalled gap only over-estimates
-    sigma_bar, which is safe because feasibility is monotone in sigma.
-    Unclean residuals raise SosIndeterminate (a CertificationError) naming
-    the SDP status, gap and residuals.
+    The solve usually ends Certified, on the first iterate within _CERT_GAP
+    of its dual bound whose projected Gram block passes Rump's check, and
+    that block is the certificate.  A solve that ends otherwise with clean
+    residuals returns its primal iterate as the certificate, whatever its
+    gap: a stalled gap only over-estimates sigma_bar, which is safe because
+    feasibility is monotone in sigma.  Unclean residuals raise
+    SosIndeterminate (a CertificationError) naming the SDP status, gap and
+    residuals.
     """
     structure, base, sigma_bar, Q, _ = _min_sigma_solve(model)
     return sigma_bar, _certificate(structure, Q, base + sigma_bar * structure.reg)

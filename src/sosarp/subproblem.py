@@ -3,7 +3,8 @@
 The certifier guarantees convexity of the model before entry, and sigma > 0
 makes it coercive, so any stationary point is a global minimizer; plain
 damped Newton from the origin therefore suffices and keeps the origin-descent
-property m(s) <= m(0) by construction.
+property m(s) <= m(0) by construction, up to the rounding of m near its
+minimizer, where the line search judges a step by its slope.
 
 Each Newton direction is one factor and solve by the SDP solver's shifted
 Cholesky routines, with the subsolver's own shift start and cap.
@@ -21,6 +22,7 @@ from .sos_certify import SosModel
 _RIDGE_START = 1e-12  # first ridge on a failed factor, relative to max(1, max |H|)
 _RIDGE_MAX = 1e-4  # a Hessian that needs a larger relative ridge is a breakdown
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+_VALUE_ROUNDING = 2.0 ** -50  # values within this of |m(s)|, relative, differ by rounding
 _MAX_HALVINGS = 60  # step halvings before the line search gives up
 _POLISH_STEPS = 4  # Newton steps taken after the termination test first holds
 _MAX_ITER = 100  # Newton iterations; the bundled runs average about 5 per solve
@@ -60,7 +62,13 @@ def minimize_model(model: SosModel, theta: float = 0.5) -> SubsolveResult:
     floor = _GRAD_FLOOR * (1 + |f0|), within _MAX_ITER Newton iterations.
 
     Armijo backtracking (constant _ARMIJO, halving, at most _MAX_HALVINGS
-    halvings) keeps every accepted step a strict descent step.  Once the
+    halvings) keeps every accepted step a descent step.  Near the minimizer
+    the predicted decrease can fall below one ulp of m(s), and the value
+    test then decides on rounding noise and lets the gradient crawl; a trial
+    whose value lies within _VALUE_ROUNDING |m(s)| of m(s) is therefore also
+    accepted when it passes the approximate Wolfe test of Hager & Zhang,
+    grad m(trial) . d <= (2 _ARMIJO - 1) grad m(s) . d, so such a step
+    descends up to rounding of the value.  Once the
     termination inequality first holds, up to _POLISH_STEPS polishing Newton
     steps sharpen the stationarity residual — near the minimizer they
     contract quadratically — and the last iterate still meeting the
@@ -103,8 +111,15 @@ def minimize_model(model: SosModel, theta: float = 0.5) -> SubsolveResult:
         while True:
             trial = s + step * direction
             trial_value = model.value(trial)
+            trial_grad = None
             if trial_value <= value + _ARMIJO * step * slope:
                 break
+            # approximate Wolfe (Hager & Zhang, SIAM J. Optim. 2005): where
+            # the values differ by rounding alone, the slope decides
+            if abs(trial_value - value) <= _VALUE_ROUNDING * abs(value):
+                trial_grad = model.gradient(trial)
+                if float(trial_grad @ direction) <= (2.0 * _ARMIJO - 1.0) * slope:
+                    break
             step *= 0.5
             halvings += 1
             if halvings >= _MAX_HALVINGS:
@@ -116,7 +131,7 @@ def minimize_model(model: SosModel, theta: float = 0.5) -> SubsolveResult:
                     f"line search failed after {_MAX_HALVINGS} halvings")
         s = trial
         value = trial_value
-        grad = model.gradient(s)
+        grad = model.gradient(s) if trial_grad is None else trial_grad
         iterations += 1
 
     if best is None:

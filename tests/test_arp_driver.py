@@ -9,7 +9,7 @@ import pytest
 from sosarp import arp_driver, sos_certify
 from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
-from sosarp.problems_io import build_function, derivatives
+from sosarp.problems_io import MAX_DERIVATIVE_ORDER, build_function, derivatives
 from sosarp.sos_certify import (_coefficients, _gram_structure, min_sigma_sos,
                                 verify_certificate)
 from sosarp.subproblem import SubsolveResult
@@ -39,6 +39,13 @@ class TestConfig:
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ArpConfig(**kwargs)
+
+    def test_order_above_the_oracles_rejected(self):
+        # the oracles supply derivatives up to MAX_DERIVATIVE_ORDER; a higher
+        # p fails on construction, not at the run's first derivative call
+        assert ArpConfig(p=MAX_DERIVATIVE_ORDER).p == MAX_DERIVATIVE_ORDER
+        with pytest.raises(ValueError, match=f"p must be <= {MAX_DERIVATIVE_ORDER}"):
+            ArpConfig(p=MAX_DERIVATIVE_ORDER + 1)
 
 
 class TestClassification:
@@ -225,6 +232,15 @@ class TestRuns:
                                    sigma_bar)
             assert report.max_coeff_mismatch <= 1e-9 * (
                 1.0 + float(np.max(np.abs(target))))
+
+    def test_bundled_subsolves_converge(self, bundled):
+        # sumexp2's last model once met an Armijo test on values at rounding
+        # level and ran out of Newton iterations
+        for name, overrides in SUITE_SETTINGS.items():
+            result = run(bundled[name], ArpConfig(p=3, epsilon=1e-5, **overrides))
+            assert result.status is RunStatus.CONVERGED, name
+            for record in result.records:
+                assert "SubsolverNotConverged" not in record.flags, (name, record.k)
 
     def test_converged_run_has_no_message(self, bundled):
         config = ArpConfig(p=3, epsilon=1e-5, x0=[1.5, -2.0])

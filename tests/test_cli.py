@@ -92,8 +92,8 @@ class TestMinimize:
                                                     start_point, capsys,
                                                     monkeypatch):
         # every certification SDP reports a breakdown with unusable residuals
-        def broken(problem, tol):
-            return replace(solve_sdp(problem, tol),
+        def broken(problem, tol, certify=None):
+            return replace(solve_sdp(problem, tol, certify),
                            status=SdpStatus.NUMERICAL_FAILURE, primal_residual=1.0)
 
         monkeypatch.setattr(sos_certify, "solve_sdp", broken)

@@ -1,5 +1,6 @@
 """Interior-point SDP solver: analytic instances, planted optima, statuses."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -127,6 +128,60 @@ class TestPlanted:
         sol = solve_sdp(problem)
         assert [x.shape[0] for x in sol.X] == list(problem.block_sizes)
         assert [z.shape[0] for z in sol.Z] == list(problem.block_sizes)
+
+
+class TestCertifyHook:
+    # sha256 of the X, y and Z blocks of ACCEPTANCE 9's planted batch as
+    # solve_sdp computed them before it took a hook (scipy's bundled
+    # OpenBLAS 0.3.30, one or two threads)
+    BATCH_DIGEST = "59f8c920660ca9b67eba91c399a5dcea26b47f8f46b93ef9d09f2c7171739efa"
+
+    @staticmethod
+    def batch_digest(**kwargs) -> str:
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            problem, _ = planted_sdp(rng, max_block=20, max_m=100)
+            sol = solve_sdp(problem, **kwargs)
+            for array in (*sol.X, sol.y, *sol.Z):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        return digest.hexdigest()
+
+    def test_without_hook_bits_unchanged(self):
+        assert self.batch_digest() == self.BATCH_DIGEST
+
+    def test_declining_hook_changes_no_bit(self):
+        calls = []
+
+        def decline(X, log):
+            calls.append(log.iteration)
+            return None
+
+        assert self.batch_digest(certify=decline) == self.BATCH_DIGEST
+        # called once per iteration, the last one included
+        assert calls.count(0) == 100
+
+    def test_certificate_ends_the_solve(self):
+        rng = np.random.default_rng(3)
+        problem, _ = planted_sdp(rng, max_block=6, max_m=10)
+        reference = solve_sdp(problem, tol=1e-9)
+        seen = []
+
+        def accept_fourth(X, log):
+            seen.append(log)
+            return 2.0 * X if log.iteration == 4 else None
+
+        sol = solve_sdp(problem, tol=1e-9, certify=accept_fourth)
+        assert reference.iterations > 4
+        assert sol.status is SdpStatus.CERTIFIED
+        assert sol.iterations == 4 and len(sol.trace) == 5
+        assert [log.iteration for log in seen] == [0, 1, 2, 3, 4]
+        # the returned X is the hook's, the rest the iterate's
+        assert sol.trace == reference.trace[:4] + [seen[-1]]
+        sizes = problem.block_sizes
+        assert [x.shape for x in sol.X] == [(d, d) for d in sizes]
+        assert sol.primal_residual == seen[-1].primal_residual
+        assert sol.gap == seen[-1].gap
 
 
 class TestScalarPart:

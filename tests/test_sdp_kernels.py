@@ -784,10 +784,21 @@ class TestLapackCalls:
 
         monkeypatch.setattr(sos_certify, "solve_sdp", recording)
         counts = _counted(monkeypatch, ["dpotrf", "dpotrs", "dtrtri", "dsygst", "dsyevd"])
+        # Rump's check of a certificate factors with its own dpotrf
+        checks = []
+        dpotrf = sos_certify.dpotrf
+
+        def checking(*args, **kwargs):
+            checks.append(args[0].shape)
+            return dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(sos_certify, "dpotrf", checking)
         min_sigma_sos(model)
-        assert len(solves) == 1 and solves[0].status is SdpStatus.OPTIMAL
+        assert len(solves) == 1 and solves[0].status is SdpStatus.CERTIFIED
         iterations = solves[0].iterations
         assert iterations > 10
         assert counts == {"dpotrf": 3 * iterations, "dpotrs": 4 * iterations,
                           "dtrtri": iterations, "dsygst": 4 * iterations,
                           "dsyevd": 4 * iterations}
+        # the certified iterate passed the first check it reached
+        assert checks == [(6, 6)]

@@ -3,18 +3,21 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sosarp import sos_certify
 from sosarp.sdp_core import SdpStatus, _apply, solve_sdp
 from sosarp.sos_certify import (CertificationError, ConvexityCase,
                                 GramCertificate, SosIndeterminate, SosModel,
-                                _balancing_exponent, _coefficient_residual,
-                                _coefficients, _gram_structure, _scale_gram,
+                                _CERT_GAP, _MIN_SIGMA_TOL, _balancing_exponent,
+                                _certifier, _coefficient_residual,
+                                _coefficients, _gram_structure,
+                                _proven_positive_definite, _scale_gram,
                                 _scale_rows, gram_basis, is_sos_convex,
                                 min_sigma_sos, verify_certificate)
 from sosarp.tensor_poly import SymmetricTensor
@@ -148,8 +151,8 @@ class TestOneSolve:
     @staticmethod
     def solve_ending(monkeypatch, **fields):
         """Every certification SDP reports its solve with fields replaced."""
-        def solve(problem, tol):
-            return replace(solve_sdp(problem, tol), **fields)
+        def solve(problem, tol, certify=None):
+            return replace(solve_sdp(problem, tol, certify), **fields)
 
         monkeypatch.setattr(sos_certify, "solve_sdp", solve)
 
@@ -474,8 +477,8 @@ class TestMembership:
                                                                monkeypatch):
         # halving the dual iterate halves the bound: sigma_lo ~ 1.5 for
         # sigma_bar = 3, so 0.75 sigma_bar is neither certified nor refuted
-        def solve(problem, tol):
-            solution = solve_sdp(problem, tol)
+        def solve(problem, tol, certify=None):
+            solution = solve_sdp(problem, tol, certify)
             return replace(solution, y=solution.y / 2.0)
 
         monkeypatch.setattr(sos_certify, "solve_sdp", solve)
@@ -576,3 +579,97 @@ class TestCertificates:
             H = certified.hessian(s)
             lam = np.linalg.eigvalsh(H)[0]
             assert lam >= -1e-8 * (1.0 + np.linalg.norm(H, 2))
+
+
+def _exactly_positive_definite(Q) -> bool:
+    """Whether the float matrix Q is symmetric positive definite, decided in
+    exact rational arithmetic: every pivot of its symmetric elimination is
+    positive."""
+    n = len(Q)
+    A = [[Fraction(float(v)) for v in row] for row in Q]
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
+        return False
+    for k in range(n):
+        pivot = A[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = A[i][k] / pivot
+            if factor:
+                for j in range(k + 1, n):
+                    A[i][j] -= factor * A[k][j]
+    return True
+
+
+def _solve_recorded(model):
+    """min_sigma_sos(model) and the status of its SDP."""
+    statuses = []
+    solve = sos_certify.solve_sdp
+
+    def recording(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        statuses.append(solution.status)
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sos_certify, "solve_sdp", recording)
+        sigma_bar, cert = min_sigma_sos(model)
+    assert len(statuses) == 1
+    return sigma_bar, cert, statuses[0]
+
+
+class TestCertifiedStop:
+    def test_rump_check_accepts_a_margin(self):
+        assert _proven_positive_definite(np.eye(12))
+        assert _proven_positive_definite(np.diag([1e-10, 1.0, 3.0]))
+
+    def test_rump_check_rejects_the_boundary(self):
+        v = np.random.default_rng(0).standard_normal(6)
+        assert _exactly_positive_definite(np.eye(6))
+        assert not _exactly_positive_definite(np.outer(v, v))
+        assert not _proven_positive_definite(np.outer(v, v))
+        assert not _proven_positive_definite(np.zeros((3, 3)))
+        assert not _proven_positive_definite(-np.eye(3))
+
+    def test_rump_check_rejects_a_lowered_optimal_gram(self):
+        # the Gram block of a solve run to the gap, without the hook, sits on
+        # the PSD boundary; lowered along its lambda_min direction by 1e-6
+        # of its largest entry it is indefinite and must fail
+        model = random_certified_model(np.random.default_rng(0), 2, 3)
+        structure = _gram_structure(2, model.p_prime)
+        rows = _coefficients(model, structure, 0.0)
+        problem = structure.problem.with_rhs(rows / max(1.0, np.max(np.abs(rows))))
+        solution = solve_sdp(problem, tol=_MIN_SIGMA_TOL)
+        assert solution.status is SdpStatus.OPTIMAL
+        Q = solution.X[0]
+        _, vectors = np.linalg.eigh(Q)
+        v = vectors[:, 0]
+        lowered = Q - 1e-6 * float(np.max(np.abs(Q))) * np.outer(v, v)
+        assert not _proven_positive_definite(lowered)
+        assert not _exactly_positive_definite(lowered)
+        # the same solve with the hook ends on a certificate that passes
+        certified = solve_sdp(problem, tol=_MIN_SIGMA_TOL,
+                              certify=_certifier(structure, problem.b))
+        assert certified.status is SdpStatus.CERTIFIED
+        assert certified.iterations < solution.iterations
+        assert _proven_positive_definite(certified.X[0])
+        assert _exactly_positive_definite(certified.X[0])
+
+    def test_certificate_sigma_within_the_gate_of_the_bound(self):
+        model = random_certified_model(np.random.default_rng(1), 2, 4)
+        _, _, sigma_bar, _, sigma_lo = sos_certify._min_sigma_solve(model)
+        assert 0.0 < sigma_lo <= sigma_bar
+        assert sigma_bar - sigma_lo <= _CERT_GAP * sigma_bar * (1.0 + 1e-12)
+
+    @given(n=st.integers(1, 3), p=st.sampled_from([3, 4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2, p=3, seed=0)
+    @example(n=2, p=4, seed=7)
+    @settings(max_examples=30, deadline=None)
+    def test_certified_certificates_pass_exact_check(self, n, p, seed):
+        model = random_certified_model(np.random.default_rng(seed), n, p)
+        assume(len(gram_basis(n, model.p_prime)) <= 12)
+        sigma_bar, cert, status = _solve_recorded(model)
+        if status is SdpStatus.CERTIFIED:
+            assert _exactly_positive_definite(cert.Q)
+            assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok

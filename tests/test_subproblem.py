@@ -146,3 +146,36 @@ def _descend_from(model, s0, steps=200):
         else:
             break
     return value
+
+
+def _rounding_level_model(f0, g):
+    """A strongly convex n = 2, p = 3 model whose minimizer lies so near the
+    origin that the predicted decrease of a Newton step falls below one ulp
+    of f0."""
+    T3 = SymmetricTensor(3, 2, {(0, 0, 0): 0.7, (0, 0, 1): -0.4, (0, 1, 1): 0.2,
+                                (1, 1, 1): 0.5})
+    return SosModel(n=2, p=3, f0=f0, g=np.asarray(g, dtype=float),
+                    H_bar=np.array([[2.0, 0.3], [0.3, 1.0]]), higher=[T3],
+                    delta=0.5, sigma=0.2, case_tag=ConvexityCase.STRONGLY_CONVEX)
+
+
+class TestRoundingLevelValues:
+    def test_small_gradient_converges(self):
+        # the Armijo value test alone accepted and halved steps on rounding
+        # noise here and ran all 100 iterations to a gradient of 1.2e-10
+        model = _rounding_level_model(
+            1.0, [1.583298086143001e-05, -1.2273718296963251e-05])
+        result = minimize_model(model)
+        assert result.converged
+        assert result.iterations <= 20
+        assert result.model_value <= model.f0 + 2.0 ** -50 * abs(model.f0)
+
+    def test_random_models_converge(self):
+        rng = np.random.default_rng(0)
+        for _ in range(80):
+            f0 = 10.0 ** rng.uniform(0.0, 6.0)
+            direction = rng.standard_normal(2)
+            g = 10.0 ** rng.uniform(-6.0, -3.0) * direction / np.linalg.norm(direction)
+            result = minimize_model(_rounding_level_model(f0, g))
+            assert result.converged, (f0, g.tolist())
+            assert result.iterations <= 20

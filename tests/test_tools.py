@@ -19,7 +19,7 @@ from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_pairs import compare, revision  # noqa: E402
 from fingerprint import _Digest, add_problem, structures  # noqa: E402
-from sdp_counts import SolveCounter  # noqa: E402
+from sdp_counts import SolveCounter, count_columns, header  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {"unit": "count", "better": "higher", "bound": 0.1}
@@ -175,6 +175,19 @@ class TestSolveCounter:
                 "Optimal": 1, "Infeasible": 1},
             2: {"sdps": 1, "ipm_iters": iterations[1], "Optimal": 1}}
         assert counter.counts == sum(counter.by_size.values(), type(counter.counts)())
+
+
+    def test_certified_column(self):
+        assert "Certified" in header("seed", count_columns(SdpStatus)).split()
+        # a stubbed solve that ends on a certificate is tallied under it
+        problem = SdpProblem(objective=[np.eye(3), np.ones((1, 1))],
+                             constraints=[np.eye(3)[None], np.ones((1, 1, 1))],
+                             b=[1.0])
+        counter = SolveCounter(lambda problem, tol, certify=None: SimpleNamespace(
+            status=SdpStatus.CERTIFIED, iterations=7))
+        counter(problem, 1e-10, certify=lambda X, log: X)
+        assert counter.counts == {"sdps": 1, "ipm_iters": 7, "Certified": 1}
+        assert counter.by_size == {3: counter.counts}
 
 
 def _digest(hash_into, *args) -> str:

@@ -6,7 +6,11 @@ Imports sosarp from CHECKOUT/src and the workloads from
 CHECKOUT/bench/workloads.py, as tools/fingerprint.py does, and runs, per
 seed and workload, the untimed warm-up and then one pass, counting every
 solve_sdp call the pass makes through sos_certify: the number of SDPs,
-their IPM iterations and how many ended with each status.  One line per
+their IPM iterations and how many ended with each status, one column per
+member of the checkout's SdpStatus (Certified counts the solves that ended
+on a proven interior certificate, Optimal those that reached the gap
+tolerance first, NumericalFailure and MaxIterations those accepted on
+clean residuals alone).  One line per
 workload and seed follows a header, then one line per workload with the
 sums over the seeds, and then, under a second header, one line per
 workload and Gram size (the size of the SDP's first block) with that
@@ -20,7 +24,7 @@ import argparse
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 from fingerprint import load_checkout
 
@@ -59,21 +63,28 @@ def count_pass(workloads, name: str, seed: int) -> SolveCounter:
     return counter
 
 
+def count_columns(statuses) -> List[str]:
+    """The tally's columns: "sdps", "ipm_iters" and one per member of the
+    checkout's SdpStatus, so a new status gets its column unasked."""
+    return ["sdps", "ipm_iters"] + [s.value for s in statuses]
+
+
+def header(label: str, columns: List[str]) -> str:
+    return f"{'workload':13s} {label:>4s} " + " ".join(f"{c:>16s}" for c in columns)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
     workloads = load_checkout(args.checkout.resolve())
-    columns = ["sdps", "ipm_iters"] + [s.value for s in workloads.sos_certify.SdpStatus]
+    columns = count_columns(workloads.sos_certify.SdpStatus)
 
     def line(name: str, label, counts: Counter) -> str:
         return f"{name:13s} {label:>4} " + " ".join(f"{counts[c]:16d}" for c in columns)
 
-    def header(label: str) -> str:
-        return f"{'workload':13s} {label:>4s} " + " ".join(f"{c:>16s}" for c in columns)
-
-    print(header("seed"))
+    print(header("seed", columns))
     sums = {name: Counter() for name in workloads.WORKLOADS}
     size_sums: Dict[str, Dict[int, Counter]] = {name: {} for name in workloads.WORKLOADS}
     for seed in args.seeds:
@@ -85,7 +96,7 @@ def main(argv=None) -> int:
             print(line(name, seed, counter.counts), flush=True)
     for name, counts in sums.items():
         print(line(name, "sum", counts))
-    print(header("gram"))
+    print(header("gram", columns))
     for name, by_size in size_sums.items():
         for size in sorted(by_size):
             print(line(name, size, by_size[size]))
