@@ -2,10 +2,21 @@
 
 Each iteration: test stationarity, classify the local convexity case from
 lambda_min of the Hessian against delta, build the case-shifted model,
-certify the minimal SoS weight sigma_bar (cached per point — it does not
-depend on sigma), set sigma = max(sigma_bar, sigma_r), minimize the model,
-and accept or reject the step by the ratio of actual to Taylor-predicted
-decrease.  Success relaxes sigma_r by gamma2, failure escalates by gamma1.
+certify a weight sigma_bar (cached per point — it does not depend on
+sigma), set sigma = max(sigma_bar, sigma_r), minimize the model, and accept
+or reject the step by the ratio of actual to Taylor-predicted decrease.
+Success relaxes sigma_r by gamma2, failure escalates by gamma1.
+
+sigma_bar is the certified weight: a proven upper bound on the minimal SoS
+weight, whose relative gap to the certification SDP's dual objective b'y is
+at most _WEIGHT_GAP (1e-3).  Any sigma >= sigma_bar is certified, since
+feasibility is monotone in sigma, so an over-estimate costs step length,
+never soundness.  It is no promise to lie within 1e-3 of the minimum, since
+b'y is no rigorous lower bound.  Measured at p = 4 on rosenbrock2 from the
+suite start, where sigma_bar reaches about 1.1e12, each weight lay at most
+4.5e-4 above a 5e-7-gap certification of the same point.  The records of
+the run moved further, by up to 4.7e-2 at iteration 257, because the run's
+points moved by about 2e-5 and the minimal weight is that sensitive there.
 """
 
 from __future__ import annotations
@@ -28,6 +39,11 @@ _STATIONARY_STEP = 1e-14  # a step this short, relative to 1 + ||x||, is roundin
 _CASE_SLACK = 1e-8  # (a): Taylor decrease may miss its case bound by this, relative to 1 + |bound|
 _ETA_SLACK = 1e-14  # (b): accepted decrease may miss eta * predicted by this rounding, relative
 _FLOOR_SLACK = 1e-10  # (d): absolute rounding by which a decrease may miss the delta/18 floor
+# (sigma - b'y) / sigma at which a certification may stop on a proven
+# certificate: three decades below the factors gamma1 = 2 and gamma2 = 0.5
+# by which sigma_r moves, and an over-estimate of that size moves bound
+# (c)'s log(sigma_max/sigma0)/log(gamma1) term by at most log(1.001)/log 2
+_WEIGHT_GAP = 1e-3
 
 
 class RunStatus(Enum):
@@ -109,6 +125,10 @@ class IterationRecord:
     NonpositiveDenominator or SubsolverFailure, which are forced
     unsuccessful.  On unsuccessful iterations x does not move, so
     f_after == f_before.  taylor_decrease is f(x_k) - T_p(x_k, s_k).
+    sigma_bar is the certified weight at x_before: a proven upper bound on
+    the minimal SoS weight within _WEIGHT_GAP (relative) of the
+    certification SDP's dual objective, not of the minimum itself (see the
+    module docstring).
     """
 
     k: int
@@ -218,7 +238,9 @@ def run(problem: Union[ProblemSpec, ProblemFunction],
             case = classify_case(lam, delta)
             base_model = build_model(bundle, case, delta, sigma=0.0, lambda_min=lam)
             try:
-                sigma_bar, _ = min_sigma_sos(base_model)
+                # gap by position: bench/tracing.py's summary of this
+                # call takes extra positional arguments only
+                sigma_bar, _ = min_sigma_sos(base_model, _WEIGHT_GAP)
             except CertificationError as err:
                 status = RunStatus.CERTIFICATION_FAILURE
                 message = str(err)

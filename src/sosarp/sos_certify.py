@@ -21,20 +21,29 @@ The solve ends on the first iterate that carries a proven interior
 certificate, not on the gap: an over-estimate of sigma_bar is safe, since
 feasibility is monotone in sigma.  Through solve_sdp's certify hook, an
 iterate with sigma > 0, both residuals at most _CLEAN_RESIDUAL and
-(sigma - b'y) <= _CERT_GAP sigma, _CERT_GAP = 5e-7 being half the
-benchmark's 1e-6 reference gate on sigma_bar, has its Gram block Q
-projected onto the rows at its own sigma in closed form (Peyrl & Parrilo,
-Theor. Comput. Sci. 2008): the pair matrices have disjoint supports, so
-Q' = Q + sum_k lambda_k A_k with lambda_k = (b_k + reg_k sigma - <A_k, Q>)
-/ ||A_k||^2.  Q' is the certificate once a shifted Cholesky factor proves
-it positive definite (Rump, "Verification of positive definiteness", BIT
-2006, Corollary 2.4): dpotrf succeeds on Q' - c I with
+(sigma - b'y) <= gap sigma, for min_sigma_sos's gap (below), has its
+Gram block Q projected onto the rows at its own sigma in closed form
+(Peyrl & Parrilo, Theor. Comput. Sci. 2008): the pair matrices have
+disjoint supports, so Q' = Q + sum_k lambda_k A_k with
+lambda_k = (b_k + reg_k sigma - <A_k, Q>) / ||A_k||^2.  Q' is the
+certificate once a shifted Cholesky factor proves it positive definite
+(Rump, "Verification of positive definiteness", BIT 2006, Corollary 2.4):
+dpotrf succeeds on Q' - c I with
 c = 2 gamma_(D+1) (tr(Q') + D tiny), gamma_k = k u / (1 - k u), u = 2^-53,
 tiny = 2^-1022, D the Gram size (see _proven_positive_definite).  b'y is
 not a rigorous bound, so sigma_bar comes only from the certificate.  A
 solve that never reaches such an iterate ends as before: on the gap
 (Optimal), or stalled with clean residuals, whose last iterate, on the PSD
 boundary, is then accepted as the certificate.
+
+gap is min_sigma_sos's one tuning argument.  Its default, _CERT_GAP =
+5e-7, is half the benchmark's 1e-6 reference gate on sigma_bar, and every
+caller but the driver keeps it.  The driver passes 1e-3: it only needs a
+proven upper bound on sigma_bar, and the last IPM iterations before 5e-7
+buy digits it never uses.  A larger gap moves where the solve stops, never
+how its certificate is proven.  It bounds sigma_bar's relative distance
+to the SDP's dual objective b'y, not to the minimal weight, since b'y is
+no rigorous bound.
 
 That SDP is balanced before it is solved: it is posed in u, s = r u, with
 r = 2^k chosen from the model so that sigma r^(p'-2) is about max |H_bar|.
@@ -461,9 +470,10 @@ def _proven_positive_definite(Q: np.ndarray) -> bool:
     return info == 0
 
 
-def _certifier(structure: _GramStructure, b: np.ndarray) -> Certify:
+def _certifier(structure: _GramStructure, b: np.ndarray,
+               gap: float = _CERT_GAP) -> Certify:
     """solve_sdp's certify hook for the min-sigma SDP with right-hand side
-    b: an iterate with sigma > 0, (sigma - b'y) <= _CERT_GAP sigma and both
+    b: an iterate with sigma > 0, (sigma - b'y) <= gap sigma and both
     residuals at most _CLEAN_RESIDUAL has its Gram block projected onto the
     rows at its own sigma, and the iterate with that block is the
     certificate once Rump's check proves the block positive definite."""
@@ -471,7 +481,7 @@ def _certifier(structure: _GramStructure, b: np.ndarray) -> Certify:
 
     def certify(X: np.ndarray, log: IterateLog) -> Optional[np.ndarray]:
         sigma, bound = log.primal_objective, log.dual_objective
-        if not (sigma > 0.0 and sigma - bound <= _CERT_GAP * sigma
+        if not (sigma > 0.0 and sigma - bound <= gap * sigma
                 and log.primal_residual <= _CLEAN_RESIDUAL
                 and log.dual_residual <= _CLEAN_RESIDUAL):
             return None
@@ -486,16 +496,16 @@ def _certifier(structure: _GramStructure, b: np.ndarray) -> Certify:
     return certify
 
 
-def _min_sigma_solve(model: SosModel) -> Tuple[
+def _min_sigma_solve(model: SosModel, gap: float = _CERT_GAP) -> Tuple[
         _GramStructure, np.ndarray, float, np.ndarray, float]:
     """The model's one certification SDP: min sigma s.t.
     <A_k, Q> - reg[k] * sigma = rows[k], Q PSD, sigma >= 0.
 
-    The solve ends Certified on a proven interior certificate when it
-    reaches one (see _certifier).  Returns the structure, the rows at
-    sigma = 0 (base), sigma_bar, Q_bar over the s basis, matching
-    base + sigma_bar * reg, and sigma_lo, the
-    dual objective b'y mapped back like sigma_bar.  Unclean residuals raise
+    The solve ends Certified on a proven interior certificate within gap of
+    its dual bound when it reaches one (see _certifier).  Returns the
+    structure, the rows at sigma = 0 (base), sigma_bar, Q_bar over the s
+    basis, matching base + sigma_bar * reg, and sigma_lo, the dual
+    objective b'y mapped back like sigma_bar.  Unclean residuals raise
     SosIndeterminate naming the SDP status, gap and residuals.
     """
     structure = _gram_structure(model.n, model.p_prime)
@@ -506,7 +516,7 @@ def _min_sigma_solve(model: SosModel) -> Tuple[
     scale = max(1.0, float(np.max(np.abs(rows))))
     problem = structure.problem.with_rhs(rows / scale)
     solution = solve_sdp(problem, tol=_MIN_SIGMA_TOL,
-                         certify=_certifier(structure, problem.b))
+                         certify=_certifier(structure, problem.b, gap))
     # both residuals small, though the gap may have stalled
     if not (solution.status in (SdpStatus.CERTIFIED, SdpStatus.OPTIMAL,
                                 SdpStatus.MAX_ITERATIONS,
@@ -526,7 +536,8 @@ def _min_sigma_solve(model: SosModel) -> Tuple[
     return structure, base, sigma_bar, Q, sigma_lo
 
 
-def min_sigma_sos(model: SosModel) -> Tuple[float, GramCertificate]:
+def min_sigma_sos(model: SosModel,
+                  gap: float = _CERT_GAP) -> Tuple[float, GramCertificate]:
     """Minimal sigma >= 0 making the model's Hessian form a sum of squares.
 
     The model's own sigma field is ignored; sigma is the 1x1 second block of
@@ -545,16 +556,26 @@ def min_sigma_sos(model: SosModel) -> Tuple[float, GramCertificate]:
     built and checked in the original basis against base + sigma_bar * reg,
     so r can cost iterations but never soundness.
 
-    The solve usually ends Certified, on the first iterate within _CERT_GAP
-    of its dual bound whose projected Gram block passes Rump's check, and
-    that block is the certificate.  A solve that ends otherwise with clean
+    The solve usually ends Certified, on the first iterate whose sigma lies
+    within gap of its dual bound, (sigma - b'y) <= gap sigma, and whose
+    projected Gram block passes Rump's check, and that block is the
+    certificate.  gap must lie in (0, 1); it sets how early the solve may
+    stop, never how the certificate is proven.  The default, _CERT_GAP =
+    5e-7, is half the benchmark's 1e-6 reference gate on sigma_bar, so the
+    certify subcommand, the scans and is_sos_convex keep it; the driver,
+    which only needs a proven upper bound on sigma_bar, passes a larger
+    one.  b'y is the dual objective of the balanced SDP, not a rigorous
+    lower bound on the minimal weight, so gap bounds sigma_bar's distance
+    to b'y, not to the minimum.  A solve that ends otherwise with clean
     residuals returns its primal iterate as the certificate, whatever its
     gap: a stalled gap only over-estimates sigma_bar, which is safe because
     feasibility is monotone in sigma.  Unclean residuals raise
     SosIndeterminate (a CertificationError) naming the SDP status, gap and
     residuals.
     """
-    structure, base, sigma_bar, Q, _ = _min_sigma_solve(model)
+    if not 0.0 < gap < 1.0:
+        raise ValueError(f"gap must lie in (0, 1), got {gap!r}")
+    structure, base, sigma_bar, Q, _ = _min_sigma_solve(model, gap)
     return sigma_bar, _certificate(structure, Q, base + sigma_bar * structure.reg)
 
 

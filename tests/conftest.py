@@ -141,11 +141,11 @@ def second_certification_fails(monkeypatch) -> List[SosModel]:
     returned list collects every model the driver asked to certify."""
     calls: List[SosModel] = []
 
-    def certify(model):
+    def certify(model, *args, **kwargs):
         calls.append(model)
         if len(calls) == 2:
             raise SosIndeterminate("forced failure of the second certification")
-        return min_sigma_sos(model)
+        return min_sigma_sos(model, *args, **kwargs)
 
     monkeypatch.setattr(arp_driver, "min_sigma_sos", certify)
     return calls

@@ -1,6 +1,7 @@
 """Outer loop: case classification, ratio test, weight updates, theory checks."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,31 @@ from sosarp import arp_driver, sos_certify
 from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import MAX_DERIVATIVE_ORDER, build_function, derivatives
+from sosarp.sdp_core import SdpStatus
 from sosarp.sos_certify import (_coefficients, _gram_structure, min_sigma_sos,
                                 verify_certificate)
 from sosarp.subproblem import SubsolveResult
 from sosarp.tensor_poly import min_eigenvalue, taylor_value
 from conftest import SUITE_SETTINGS
+
+# solve_sdp statuses that certify only through the stalled-gap rule, on a
+# Gram matrix at the PSD boundary that no check proves
+UNPROVEN = (SdpStatus.NUMERICAL_FAILURE, SdpStatus.MAX_ITERATIONS)
+
+
+@pytest.fixture()
+def sdp_statuses(monkeypatch) -> Counter:
+    """The status of every certification SDP solved during the test."""
+    statuses: Counter = Counter()
+    solve = sos_certify.solve_sdp
+
+    def counting(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        statuses[solution.status] += 1
+        return solution
+
+    monkeypatch.setattr(sos_certify, "solve_sdp", counting)
+    return statuses
 
 
 class TestConfig:
@@ -106,7 +127,7 @@ class TestRuns:
         assert result.records == []
 
     def test_stationary_point_is_not_certified(self, bundled, monkeypatch):
-        def refuse(model):
+        def refuse(model, *args, **kwargs):
             raise AssertionError("certified a stationary point")
 
         monkeypatch.setattr(arp_driver, "min_sigma_sos", refuse)
@@ -193,11 +214,11 @@ class TestRuns:
         reference = run(bundled["rosenbrock2"], config)
         calls = []
 
-        def certify(model):
+        def certify(model, *args, **kwargs):
             calls.append(model)
             if len(calls) == 2:
                 poisoned_vector_solves["value"] = np.nan
-            return min_sigma_sos(model)
+            return min_sigma_sos(model, *args, **kwargs)
 
         monkeypatch.setattr(arp_driver, "min_sigma_sos", certify)
         result = run(bundled["rosenbrock2"], config)
@@ -210,13 +231,15 @@ class TestRuns:
             assert _fields(rec) == _fields(ref)
 
     def test_bundled_certificates_match_to_rounding(self, bundled,
-                                                    monkeypatch):
+                                                    monkeypatch, sdp_statuses):
         # every certificate the driver gets on the bundled runs reproduces
-        # h_hat to rounding, far inside verify_certificate's 1e-7 threshold
+        # h_hat to rounding, far inside verify_certificate's 1e-7 threshold,
+        # and the driver's gap lets every SDP stop on a proven certificate:
+        # none takes the stalled-gap rule
         certified = []
 
-        def certify(model):
-            sigma_bar, cert = min_sigma_sos(model)
+        def certify(model, *args, **kwargs):
+            sigma_bar, cert = min_sigma_sos(model, *args, **kwargs)
             certified.append((model, sigma_bar, cert))
             return sigma_bar, cert
 
@@ -225,6 +248,7 @@ class TestRuns:
             result = run(bundled[name], ArpConfig(p=3, epsilon=1e-5, **overrides))
             assert result.status is RunStatus.CONVERGED, name
         assert certified
+        assert not any(sdp_statuses[s] for s in UNPROVEN), sdp_statuses
         for model, sigma_bar, cert in certified:
             report = verify_certificate(cert, replace(model, sigma=sigma_bar))
             assert report.ok
@@ -324,12 +348,13 @@ class TestOrderFour:
     """The north star names p in {3, 4}; these gates run the driver at p = 4."""
 
     @pytest.mark.parametrize("name", SUITE_SETTINGS)
-    def test_suite_converges(self, bundled, name):
+    def test_suite_converges(self, bundled, name, sdp_statuses):
         config = ArpConfig(p=4, epsilon=1e-5, **SUITE_SETTINGS[name])
         result = run(bundled[name], config)
         assert result.status is RunStatus.CONVERGED, result.message
         report = assert_theory(result.records, config)
         assert report.ok, report.failures
+        assert not any(sdp_statuses[s] for s in UNPROVEN), sdp_statuses
 
     def test_rosenbrock_second_certification(self, bundled):
         # the second point of the p = 4 rosenbrock2 run from the suite start
@@ -393,7 +418,8 @@ class TestOracles:
                                  config.p)
             model = build_model(bundle, rec.case_tag, config.effective_delta,
                                 0.0)
-            sigma_bar, _ = min_sigma_sos(model)
+            # like for like: the driver certifies at its own gap
+            sigma_bar, _ = min_sigma_sos(model, gap=arp_driver._WEIGHT_GAP)
             assert sigma_bar == pytest.approx(rec.sigma_bar, rel=1e-9,
                                               abs=1e-9)
 

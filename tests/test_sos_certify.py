@@ -673,3 +673,47 @@ class TestCertifiedStop:
         if status is SdpStatus.CERTIFIED:
             assert _exactly_positive_definite(cert.Q)
             assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
+
+
+_GAP_MODELS = pytest.mark.parametrize("model", [
+    univariate_model(1.0, 6.0),
+    random_certified_model(np.random.default_rng(6), 2, 3),
+    random_certified_model(np.random.default_rng(7), 2, 4),
+], ids=["univariate", "n2-p3", "n2-p4"])
+
+
+class TestGapArgument:
+    """min_sigma_sos's gap sets where its SDP may stop on a proven
+    certificate, never how the certificate is proven."""
+
+    @_GAP_MODELS
+    def test_default_gap_is_bit_identical(self, model):
+        sigma_bar, cert = min_sigma_sos(model)
+        sigma_explicit, cert_explicit = min_sigma_sos(model, gap=_CERT_GAP)
+        assert repr(sigma_explicit) == repr(sigma_bar)
+        assert cert_explicit.Q.tobytes() == cert.Q.tobytes()
+
+    @_GAP_MODELS
+    def test_loose_gap_stops_on_a_proven_certificate(self, model, monkeypatch):
+        solutions = []
+        solve = sos_certify.solve_sdp
+
+        def spy(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", spy)
+        sigma_bar, cert = min_sigma_sos(model, gap=1e-3)
+        [solution] = solutions
+        assert solution.status is SdpStatus.CERTIFIED
+        # the stopping iterate's own sigma and dual objective b'y
+        stop = solution.trace[-1]
+        assert stop.primal_objective - stop.dual_objective <= 1e-3 * stop.primal_objective
+        # a stop the default gate would not have taken: the gap reached it
+        assert stop.primal_objective - stop.dual_objective > _CERT_GAP * stop.primal_objective
+        assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
+
+    @pytest.mark.parametrize("gap", [0.0, 1.0, -1e-3, math.nan])
+    def test_gap_outside_the_open_unit_interval_raises(self, gap):
+        with pytest.raises(ValueError, match="gap"):
+            min_sigma_sos(univariate_model(1.0, 6.0), gap=gap)

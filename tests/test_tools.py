@@ -1,8 +1,8 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
 runs: wins, the claim rule, the bound, and the separated and unresolved
 verdicts; tools/bench_pairs.revision, which names the measured code;
-tools/sdp_counts' tally of solves; and tools/fingerprint's structures
-digest."""
+tools/sdp_counts' tally of solves and its --p option; and
+tools/fingerprint's structures digest."""
 
 import shutil
 import subprocess
@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from sosarp import sos_certify
+from sosarp.arp_driver import ArpConfig
 from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_pairs import compare, revision  # noqa: E402
 from fingerprint import _Digest, add_problem, structures  # noqa: E402
+import sdp_counts  # noqa: E402
 from sdp_counts import SolveCounter, count_columns, header  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
@@ -188,6 +190,51 @@ class TestSolveCounter:
         counter(problem, 1e-10, certify=lambda X, log: X)
         assert counter.counts == {"sdps": 1, "ipm_iters": 7, "Certified": 1}
         assert counter.by_size == {3: counter.counts}
+
+
+class TestOrderOption:
+    def test_bundled_problems_rerun_at_the_order(self, monkeypatch, capsys):
+        # a stand-in for bench/workloads.py whose bundled pass solves one
+        # stubbed SDP per problem, over the Gram structure of its config's p
+        orders = []
+
+        class Bundled:
+            def __init__(self, seed):
+                self.problems = [(name, None, ArpConfig(p=3)) for name in ("quad2", "cubic2")]
+
+            def warm_up(self):
+                pass
+
+            def run_pass(self, clock):
+                for _, _, config in self.problems:
+                    orders.append(config.p)
+                    p_prime = sos_certify.regularizer_order(config.p)
+                    workloads.sos_certify.solve_sdp(
+                        sos_certify._gram_structure(2, p_prime).problem, 1e-10)
+
+        class Unused:
+            def __init__(self, seed):
+                raise AssertionError("--p runs bundled_runs only")
+
+        stub = SimpleNamespace(status=SdpStatus.CERTIFIED, iterations=5)
+        workloads = SimpleNamespace(
+            WORKLOADS={"bundled_runs": Bundled, "scans": Unused},
+            sos_certify=SimpleNamespace(SdpStatus=SdpStatus,
+                                        solve_sdp=lambda problem, tol: stub))
+        monkeypatch.setattr(sdp_counts, "load_checkout", lambda checkout: workloads)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        assert sdp_counts.main([".", "--p", "4"]) == 0
+        assert orders == [4, 4]
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        columns = lines[0][2:]
+        expected = dict.fromkeys(columns, "0")
+        expected.update(sdps="2", ipm_iters="10", Certified="2")
+        # the seed line, the sum and one line for Gram size 12, (n, p') = (2, 6)
+        assert [line[:2] for line in lines[1:]] == [
+            ["bundled_p4", "0"], ["bundled_p4", "sum"], ["workload", "gram"],
+            ["bundled_p4", "12"]]
+        for line in (lines[1], lines[2], lines[4]):
+            assert dict(zip(columns, line[2:])) == expected
 
 
 def _digest(hash_into, *args) -> str:

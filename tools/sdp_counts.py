@@ -1,6 +1,6 @@
 """SDP solve counts of one benchmark pass, per workload and seed.
 
-Usage: python3 tools/sdp_counts.py CHECKOUT [--seeds S ...]
+Usage: python3 tools/sdp_counts.py CHECKOUT [--seeds S ...] [--p P]
 
 Imports sosarp from CHECKOUT/src and the workloads from
 CHECKOUT/bench/workloads.py, as tools/fingerprint.py does, and runs, per
@@ -16,6 +16,10 @@ sums over the seeds, and then, under a second header, one line per
 workload and Gram size (the size of the SDP's first block) with that
 size's sums over the seeds.  The counts repeat exactly for a checkout and
 seed, so two checkouts compare line by line without timing noise.
+
+With --p P only bundled_runs' six problems run, each with its ArpConfig at
+model order P (their workload is at p = 3), and their lines are labelled
+bundled_pP; the seed does not enter bundled_runs.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List
 
@@ -48,10 +53,14 @@ class SolveCounter:
         return solution
 
 
-def count_pass(workloads, name: str, seed: int) -> SolveCounter:
-    """The tally of one pass of workload name at seed, after its warm-up."""
+def count_pass(workloads, name: str, seed: int, p=None) -> SolveCounter:
+    """The tally of one pass of workload name at seed, after its warm-up;
+    with p, bundled_runs' configs run at model order p."""
     from timing import OpClock  # bench/, on the path after load_checkout
     workload = workloads.WORKLOADS[name](seed)
+    if p is not None:
+        workload.problems = [(label, func, replace(config, p=p))
+                             for label, func, config in workload.problems]
     workload.warm_up()
     sos_certify = workloads.sos_certify
     counter = SolveCounter(sos_certify.solve_sdp)
@@ -77,19 +86,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    parser.add_argument("--p", type=int, help="run only bundled_runs, at this model order")
     args = parser.parse_args(argv)
     workloads = load_checkout(args.checkout.resolve())
     columns = count_columns(workloads.sos_certify.SdpStatus)
+    names = {name: name for name in workloads.WORKLOADS}
+    if args.p is not None:
+        names = {"bundled_runs": f"bundled_p{args.p}"}
 
     def line(name: str, label, counts: Counter) -> str:
-        return f"{name:13s} {label:>4} " + " ".join(f"{counts[c]:16d}" for c in columns)
+        return f"{names[name]:13s} {label:>4} " + " ".join(f"{counts[c]:16d}" for c in columns)
 
     print(header("seed", columns))
-    sums = {name: Counter() for name in workloads.WORKLOADS}
-    size_sums: Dict[str, Dict[int, Counter]] = {name: {} for name in workloads.WORKLOADS}
+    sums = {name: Counter() for name in names}
+    size_sums: Dict[str, Dict[int, Counter]] = {name: {} for name in names}
     for seed in args.seeds:
-        for name in workloads.WORKLOADS:
-            counter = count_pass(workloads, name, seed)
+        for name in names:
+            counter = count_pass(workloads, name, seed, args.p)
             sums[name].update(counter.counts)
             for size, counts in counter.by_size.items():
                 size_sums[name].setdefault(size, Counter()).update(counts)
