@@ -1,7 +1,8 @@
 """The LAPACK routines sosarp calls, from scipy's compiled wrappers alone.
 
 The solver calls LAPACK directly: dpotrf, dpotrs, dtrtri, dsygst and
-dsyevd in sdp_core, whose Cholesky factor and solve the subsolver shares.
+dsyevd in sdp_core, whose Cholesky factor and solve the subsolver shares,
+and sos_certify picks its sample points with dgeqp3's pivoted QR.
 All of them live in one f2py extension, scipy.linalg._flapack, which
 scipy.linalg.lapack re-exports.  Importing that through the scipy.linalg
 package would run the package's __init__, which pulls in scipy's array-API
@@ -44,6 +45,7 @@ def _flapack():
 
 
 _module = _flapack()
+dgeqp3 = _module.dgeqp3
 dpotrf = _module.dpotrf
 dpotrs = _module.dpotrs
 dsyevd = _module.dsyevd

@@ -25,7 +25,8 @@ in place, so the cleanest one is kept by reference.
 
 The LAPACK routines come from sosarp._lapack, which loads scipy's compiled
 wrappers without the scipy.linalg package (about 0.17 s and 23 MB per
-process): besides the factors above, dpotrf factors the Schur complement M,
+process): besides the factors above, dpotrf factors the Schur complement
+(M, or H at sample points, below),
 dpotrs makes both triangular solves of a Schur system in one call, and each
 step length is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T, which
 dsygst forms in one call from the lower triangles of dS and of the factor L
@@ -94,6 +95,30 @@ residual is formed as B (B' dy) rather than M dy: near the optimum dy is
 large along M's smallest eigenvectors, where B' dy stays small, so the
 factored form rounds far less.
 
+A problem with blocks [d, 1] may carry constraint samples
+(ConstraintSamples): m points j at which sum_k T[j, k] A_k =
+diag(z_j z_j', s_j), for an invertible m x m T.  Its solves form the Schur
+complement in that dual basis instead (Lofberg & Parrilo, "From
+coefficients to samples", CDC 2004; Papp & Yildiz, SIAM J. Optim. 2019):
+H = T M T' has the entries (z_i' X z_j)(z_i' Z^-1 z_j) + s_i s_j x / z, x
+and z the 1x1 blocks, so with F = V Lx and G = V Lz^-T over the d x d
+block, the z_j the rows of V, H = (F F') o (G G') + c c', c = s sqrt(x /
+z): two dsyrks of (m, d) arrays and a Hadamard product, O(m^2 d) against
+the O(m^2 N) of B B', and symmetric to the bit.  Each Schur system is
+solved as dy = T' H^-1 T r, since M^-1 = T' H^-1 T, with the one round of
+refinement taking its residual as K (K' v) for the rows K_j = (vec(F_j
+G_j'), c_j) of H = K K', K = T B, as B (B' dy) is taken above; never as
+H v.  Only the Schur solve changes basis: the rows, b, the residuals,
+A(V), A*(y), project_primal and the start point stay in coefficient
+form, so the (X, y, Z) directions are those of the rows in exact
+arithmetic, and the LAPACK calls are the same 16.  T is kept as its
+row-wise Khatri-Rao factors, so T r and T' v are one matrix product each.
+Construction checks the samples: T must be invertible with cond(T) at
+most _SAMPLE_COND, and for random symmetric P, z_j' P z_j + s_j p = (T
+A(P))_j must hold to rounding.  The sampled form pays off only on large
+structures, so sos_certify gives samples to those alone (its
+_SAMPLED_ROWS holds the measured crossover).
+
 A caller that can prove a certificate from an iterate passes solve_sdp a
 certify hook.  It is called once per iteration, before the tol test, with
 the D x D primal iterate and the iteration's IterateLog (objectives, gap,
@@ -135,6 +160,9 @@ _STEP_FRACTION = 0.98  # share of the step to the cone boundary: keeps X and Z i
 _DIVERGENCE = 1e12  # an objective or trace(X) beyond this marks (dual) infeasibility
 _MIN_STEP = 1e-10  # both step lengths below this: the iteration cannot progress
 _MAX_ITER = 200  # certification SDPs average ~23 iterations; this only caps a stall
+_SAMPLE_TOL = 1e-10  # relative mismatch of z_j' P z_j + s_j p against (T A(P))_j accepted as rounding
+_SAMPLE_PROBES = 2  # random symmetric P by which construction checks constraint samples
+_SAMPLE_COND = 1e6  # cond(T) above this refuses constraint samples; sos_certify's reach about 2e4
 
 
 class SdpStatus(Enum):
@@ -313,6 +341,124 @@ def _schur_factor(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
     return out
 
 
+class ConstraintSamples(NamedTuple):
+    """The constraints of a problem with blocks [d, 1] in a sampled dual
+    basis: at each of m points j, sum_k T[j, k] A_k = diag(z_j z_j', s_j)
+    for an invertible m x m matrix T, so (T A(P))_j = z_j' P z_j + s_j p
+    for P with blocks P and p.  T is kept as its row-wise Khatri-Rao
+    factors, T[j, a u + c] = W[j, a] U[j, c] for U with u columns, so T r
+    and T' v are one matrix product each; V holds the z_j as its rows and
+    s the s_j."""
+
+    U: np.ndarray
+    W: np.ndarray
+    V: np.ndarray
+    s: np.ndarray
+
+
+def _to_samples(samples: ConstraintSamples, r: np.ndarray) -> np.ndarray:
+    """T r for a vector r indexed by the constraint rows."""
+    U, W = samples.U, samples.W
+    return np.sum(W * (U @ r.reshape(W.shape[1], U.shape[1]).T), axis=1)
+
+
+def _from_samples(samples: ConstraintSamples, v: np.ndarray) -> np.ndarray:
+    """T' v for a vector v indexed by the points."""
+    return ((samples.W * v[:, None]).T @ samples.U).ravel()
+
+
+def _checked_samples(samples: ConstraintSamples, scatter: _Scatter, m: int,
+                     sizes: List[int]) -> ConstraintSamples:
+    """Read-only float copies of samples; ValueError unless they have the
+    shapes of a problem with blocks [d, 1] and m rows, are finite, T is
+    invertible with cond(T) <= _SAMPLE_COND (a repeated point makes it
+    singular, and matches the constraints all the same), and z_j' P z_j +
+    s_j p = (T A(P))_j holds to rounding for _SAMPLE_PROBES random
+    symmetric P."""
+    U, W, V, s = (np.array(a, dtype=float) for a in samples)
+    if len(sizes) != 2 or sizes[1] != 1:
+        raise ValueError(f"constraint samples need blocks [d, 1], not {sizes}")
+    d = sizes[0]
+    if (U.ndim != 2 or W.ndim != 2 or len(U) != m or len(W) != m
+            or U.shape[1] * W.shape[1] != m or V.shape != (m, d) or s.shape != (m,)):
+        raise ValueError(f"constraint samples have shapes {U.shape}, {W.shape}, "
+                         f"{V.shape} and {s.shape}, expected {m} points of a "
+                         f"({d}, {d}) block")
+    if not all(np.isfinite(a).all() for a in (U, W, V, s)):
+        raise ValueError("constraint samples are not finite")
+    singular = np.linalg.svd((W[:, :, None] * U[:, None, :]).reshape(m, m),
+                             compute_uv=False)
+    if not singular[-1] * _SAMPLE_COND >= singular[0]:
+        raise ValueError(f"constraint samples give cond(T) = "
+                         f"{singular[0] / singular[-1]:.3e}, above {_SAMPLE_COND:.0e}")
+    samples = ConstraintSamples(U, W, V, s)
+    bounds = samples._replace(U=np.abs(U), W=np.abs(W))  # |T| = |W| * |U|
+    rng = np.random.default_rng(0)
+    for _ in range(_SAMPLE_PROBES):
+        G = rng.standard_normal((d + 1, d + 1))
+        P = G + G.T
+        rows = _apply(P, scatter, m)
+        sampled = np.sum((V @ P[:d, :d]) * V, axis=1) + s * P[d, d]
+        mismatch = np.abs(sampled - _to_samples(samples, rows))
+        bad = np.flatnonzero(mismatch > _SAMPLE_TOL * np.max(
+            _to_samples(bounds, np.abs(rows)), initial=1.0))
+        if bad.size:
+            raise ValueError(f"constraint sample {bad[0]} does not match the "
+                             f"constraints")
+    for a in samples:
+        a.setflags(write=False)
+    return samples
+
+
+def _row_schur(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
+               B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve dy = M^-1 rhs of the Schur system on the rows, M = B B'
+    with B filled in place by _schur_factor.
+
+    Each solve takes one round of iterative refinement against the
+    unjittered M: the Schur complement gets very ill-conditioned near the
+    optimum and the raw solve error regrows the primal residual.  The
+    residual is taken as B (B' sol): the rounding of M @ sol grows with
+    |M| |sol|, which is large exactly when sol is large along M's small
+    eigenvectors, while B' sol stays small there."""
+    _schur_factor(scatter, Lx, Lz_inv, B)
+    # numpy computes B B' as one dsyrk, so M is symmetric to the bit
+    M_chol = _chol(B @ B.T)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        sol = _cho_solve(M_chol, rhs)
+        return sol + _cho_solve(M_chol, rhs - B @ (B.T @ sol))
+
+    return solve
+
+
+def _sample_schur(samples: ConstraintSamples, Lx: np.ndarray,
+                  Lz_inv: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve dy = M^-1 rhs of the Schur system in the sampled dual
+    basis: M^-1 = T' H^-1 T for H = T M T', the Schur complement of the
+    sampled constraints diag(z_j z_j', s_j).
+
+    With F = V Lx and G = V Lz^-T over the d x d block, H[i, j] =
+    (z_i' X z_j)(z_i' Z^-1 z_j) + c_i c_j, c = s sqrt(x / z) from the 1x1
+    block: two dsyrks and a Hadamard product, so H is symmetric to the bit.
+    H = K K' for the rows K_j = (vec(F_j G_j'), c_j), and the one round of
+    refinement takes its residual as K (K' v), as _row_schur takes B (B'
+    sol): K' v is F' diag(v) G and c'v, and row j of K W is F_j W G_j'."""
+    d = samples.V.shape[1]
+    F = samples.V @ Lx[:d, :d]
+    G = samples.V @ Lz_inv[:d, :d].T
+    c = samples.s * (Lx[d, d] * Lz_inv[d, d])
+    H_chol = _chol((F @ F.T) * (G @ G.T) + np.outer(c, c))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        t = _to_samples(samples, rhs)
+        v = _cho_solve(H_chol, t)
+        KKv = np.sum((F @ (F.T @ (v[:, None] * G))) * G, axis=1) + c * (c @ v)
+        return _from_samples(samples, v + _cho_solve(H_chol, t - KKv))
+
+    return solve
+
+
 @dataclass
 class SdpProblem:
     """minimize <C, X> s.t. <A_k, X> = b_k, X PSD block-diagonal.
@@ -325,21 +471,30 @@ class SdpProblem:
     Gram matrix through its Cholesky factor, which raises LinAlgError if it
     is not numerically positive definite; without constraints the inverse is
     empty.  The stacks are not kept: the problem holds their nonzero entries,
-    in its scatter.  The stored blocks, the inverse, the cell map and the
-    scatter are read-only and shared by with_rhs.
+    in its scatter.  samples, for blocks [d, 1] only, poses the Schur
+    complement in a sampled dual basis (ConstraintSamples; see the module
+    docstring); construction checks them against the constraints and
+    raises ValueError if they do not match, if their T is singular or
+    ill-conditioned, or if a row was dropped.  The
+    stored blocks, the inverse, the cell map, the scatter and the samples
+    are read-only and shared by with_rhs.
     """
 
     objective: Blocks
     constraints: InitVar[Blocks]
     b: np.ndarray
+    samples: InitVar[Optional[ConstraintSamples]] = None
     _kept: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _a_scale: float = field(init=False, repr=False, compare=False)
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
     _scatter: _Scatter = field(init=False, repr=False, compare=False)
     _c: np.ndarray = field(init=False, repr=False, compare=False)
+    _samples: Optional[ConstraintSamples] = field(init=False, repr=False,
+                                                  compare=False)
 
-    def __post_init__(self, constraints: Blocks) -> None:
+    def __post_init__(self, constraints: Blocks,
+                      samples: Optional[ConstraintSamples]) -> None:
         if len(self.objective) == 0:
             raise ValueError("objective has no blocks")
         if len(constraints) != len(self.objective):
@@ -400,6 +555,10 @@ class SdpProblem:
         self._a_scale = math.sqrt(float(np.max(squares[kept], initial=0.0)))
         self._scatter = _scatter(rows, columns, values, m, sizes, cells)
         self._kept = kept
+        if samples is not None and not kept.all():
+            raise ValueError("constraint samples need every constraint row kept")
+        self._samples = (None if samples is None
+                         else _checked_samples(samples, self._scatter, m, sizes))
         self.objective, self.b = objective, b
 
     def with_rhs(self, b) -> SdpProblem:
@@ -558,8 +717,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
     scatter = problem._scatter
     a_scale = problem._a_scale
     C = problem._c
+    samples = problem._samples
     eye = np.eye(D)
-    B = np.empty((m, len(problem._cells)))  # M = B B', see _schur_factor
+    # M = B B' on the rows, see _schur_factor; the sampled Schur complement
+    # needs no B
+    B = np.empty((m, len(problem._cells))) if samples is None else None
 
     b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))
@@ -617,22 +779,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
             Lx = _chol(X)
             Lz = _chol(Z)
             Lz_inv, Z_inv = _inverse(Lz)
-
-            # numpy computes B B' as one dsyrk, so M is symmetric to the bit
-            _schur_factor(scatter, Lx, Lz_inv, B)
-            M = B @ B.T
-            M_chol = _chol(M)
-
-            def solve_schur(rhs: np.ndarray) -> np.ndarray:
-                sol = _cho_solve(M_chol, rhs)
-                # one round of iterative refinement against the unjittered
-                # M = B B'; the Schur complement gets very ill-conditioned
-                # near the optimum and the raw solve error regrows the
-                # primal residual.  The residual is taken as B (B' sol): the
-                # rounding of M @ sol grows with |M| |sol|, which is large
-                # exactly when sol is large along M's small eigenvectors,
-                # while B' sol stays small there
-                return sol + _cho_solve(M_chol, rhs - B @ (B.T @ sol))
+            solve_schur = (_row_schur(scatter, Lx, Lz_inv, B) if samples is None
+                           else _sample_schur(samples, Lx, Lz_inv))
 
             def project_primal(dX: np.ndarray) -> np.ndarray:
                 # The direction inherits the Schur system's ill-conditioning

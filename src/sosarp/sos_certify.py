@@ -45,6 +45,16 @@ how its certificate is proven.  It bounds sigma_bar's relative distance
 to the SDP's dual objective b'y, not to the minimal weight, since b'y is
 no rigorous bound.
 
+A structure whose row count lies in _SAMPLED_ROWS gives its SDP
+constraint samples, so each solve forms its Schur complement at sample
+points (sdp_core): a change of dual basis inside the Schur solve only, so
+the rows, b, the certificate and its check stay in coefficient form.  The
+points are m approximate Fekete points (u_j, y_j), picked once per (n, p')
+by one pivoted QR (dgeqp3) of the rows' monomials y_i y_i' u^alpha at 2m
+seeded candidates (Sommariva & Vianello, Comput. Math. Appl. 2009; see
+_constraint_samples).  The crossover and the spread of the candidates are
+measured; the figures stand beside _SAMPLED_ROWS and _SAMPLE_SPREAD.
+
 That SDP is balanced before it is solved: it is posed in u, s = r u, with
 r = 2^k chosen from the model so that sigma r^(p'-2) is about max |H_bar|.
 Each row, sigma and the Gram matrix scale by a power of r, which is a power
@@ -63,8 +73,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._lapack import dpotrf
-from .sdp_core import Certify, IterateLog, SdpProblem, SdpStatus, solve_sdp
+from ._lapack import dgeqp3, dpotrf
+from .sdp_core import (Certify, ConstraintSamples, IterateLog, SdpProblem,
+                       SdpStatus, solve_sdp)
 from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
                           monomials_up_to, tensor_apply)
 
@@ -79,6 +90,23 @@ _VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hes
 _VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
 _HESSIAN_SLACK = 1e-8  # sampled Hessian eigenvalue >= -this * (1 + spectral radius) passes
 _GRAM_SLACK = 1e-9  # lambda_min(Q) >= -this * (1 + max |Q|) passes
+# Row counts whose structures take the sampled Schur complement.  Per IPM
+# iteration, over the rows against at sample points (tools/schur_crossover.py,
+# three seed-0 certify_grid models, one BLAS thread, 2-core host): 0.16
+# against 0.19 ms at (n, p') = (2, 4), m = 18, the bundled runs' and scans';
+# 0.27 against 0.30 at (3, 4), m = 60; 0.79 against 0.65 at (4, 4), m = 150;
+# 2.0 against 1.0 at (3, 6), m = 210; 46.4 against 13.5 at (4, 6), m = 700.
+# Above 700 the points were not good enough: at (5, 6), m = 1890, cond(T) is
+# 4.4e4 and one of three grid models ended NumericalFailure where the rows
+# certify it, so the range stops at the largest structure checked.
+_SAMPLED_ROWS = range(100, 701)
+_SAMPLE_SEED = 0  # seed of the candidate sample points, so every process picks the same
+# Standard deviation of the candidate points' u, measured on certify_grid's
+# (3, 6) cell, seeds 0-3: with u uniform in [-1, 1]^n (cond(T) = 812) 7 of
+# its 48 SDPs ended NumericalFailure or MaxIterations, in 1903 IPM iterations
+# against the rows' 1020; at 1.5 (cond(T) about 1e4) every count matched the
+# rows' for five candidate seeds, and for seed 0 at grid seeds 4-7 too.
+_SAMPLE_SPREAD = 1.5
 
 
 class ConvexityCase(Enum):
@@ -257,8 +285,10 @@ class _GramStructure:
     r by which the substitution s = r u scales a row and a basis element.
     pairs re-expands z'Qz from the basis for the certificate check.  problem
     is the min-sigma SDP over these rows, min sigma s.t. <A_k, Q> - reg[k]
-    sigma = b_k, with b = 0; each model poses it with problem.with_rhs, so
-    its checks and factorizations are made once per (n, p').
+    sigma = b_k, with b = 0, and with constraint samples
+    (_constraint_samples) when its row count lies in _SAMPLED_ROWS; each
+    model poses it with problem.with_rhs, so its checks and factorizations
+    are made once per (n, p').
     """
 
     basis: Tuple[BasisElement, ...]
@@ -275,6 +305,39 @@ def _multinomial(exponents: Exponents) -> int:
     """Coefficient of s^(2 exponents) in ||s||^(2 |exponents|)."""
     return (math.factorial(sum(exponents))
             // math.prod(math.factorial(e) for e in exponents))
+
+
+def _constraint_samples(n: int, p_prime: int, reg: np.ndarray) -> ConstraintSamples:
+    """The m rows of (n, p'), whose row coefficients of the regularizer are
+    reg, at m approximate Fekete points (u_j, y_j), picked by one pivoted
+    QR from 2m seeded candidates (Sommariva & Vianello, Comput. Math. Appl.
+    2009): u normal with standard deviation _SAMPLE_SPREAD, y uniform on
+    the unit sphere, and T[j, k] row k's monomial y_i y_i' u^alpha at
+    candidate j; the first m pivots of dgeqp3 on T' are the points.  The
+    rows run over the pairs (i, i'), then alpha, so T is the row-wise
+    Khatri-Rao product of the pair products W and the Vandermonde U of the
+    alphas.  z_j is the basis at the point: y_i u^beta, whose u^beta, with
+    |beta| <= (p'-2)/2, lead the graded alphas.  The sigma column's sample
+    is s = -T reg."""
+    m = len(reg)
+    alphas = np.array(monomials_up_to(n, p_prime - 2))
+    half = len(monomials_up_to(n, (p_prime - 2) // 2))
+    pairs = np.triu_indices(n)
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    u = _SAMPLE_SPREAD * rng.standard_normal((2 * m, n))
+    y = rng.standard_normal((2 * m, n))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    U = np.prod(u[:, None, :] ** alphas, axis=2)
+    W = y[:, pairs[0]] * y[:, pairs[1]]
+    T = (W[:, :, None] * U[:, None, :]).reshape(2 * m, m)
+    # a workspace query first: the minimal one runs the unblocked QR
+    work = dgeqp3(T.T, lwork=-1)[3]
+    _, pivots, _, _, info = dgeqp3(T.T, lwork=int(work[0]))
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal geqp3")
+    points = pivots[:m] - 1
+    V = (y[points, :, None] * U[points, None, :half]).reshape(m, -1)
+    return ConstraintSamples(U[points], W[points], V, -(T[points] @ reg))
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,9 +384,11 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
     basis_degrees = np.array([sum(beta) for _, beta in basis])
     for array in (R, reg, row_degrees, basis_degrees):
         array.setflags(write=False)
+    samples = (_constraint_samples(n, p_prime, reg)
+               if len(rows) in _SAMPLED_ROWS else None)
     problem = SdpProblem(objective=[np.zeros((size, size)), np.ones((1, 1))],
                          constraints=[pair_matrices, -reg[:, None, None]],
-                         b=np.zeros(len(rows)))
+                         b=np.zeros(len(rows)), samples=samples)
     return _GramStructure(basis=tuple(basis), rows=tuple(rows), R=R, reg=reg,
                           row_degrees=row_degrees, basis_degrees=basis_degrees,
                           pairs=_basis_pairs(basis, rows), problem=problem)

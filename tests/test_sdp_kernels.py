@@ -11,10 +11,14 @@ only for the certification SDP's 0/1 pair matrices; on dense data they agree
 up to rounding, as does the Schur complement B B' with its dense
 definition.  A(V) through the scatter agrees with the dense product A v
 up to rounding on all data, since BLAS adds a row's terms in its own order.
+On the structures with constraint samples, the sampled Schur solve agrees
+with the solve over the rows up to rounding.
 The dense references are built here: the row matrix A of planted data from
 its input stacks, and that of the certification SDP from the basis pairs.
 """
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -22,10 +26,12 @@ import pytest
 from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from sosarp import sdp_core, sos_certify
-from sosarp.sdp_core import (_RANK_TOL, SdpProblem, SdpStatus, _adjoint, _apply,
-                             _chol, _cho_solve, _eigvalsh, _independent_rows,
-                             _inverse, _max_step, _schur_factor, solve_sdp)
-from sosarp.sos_certify import _gram_structure, min_sigma_sos
+from sosarp.sdp_core import (_RANK_TOL, ConstraintSamples, SdpProblem, SdpStatus,
+                             _adjoint, _apply, _chol, _cho_solve, _eigvalsh,
+                             _from_samples, _independent_rows, _inverse,
+                             _max_step, _row_schur, _sample_schur, _schur_factor,
+                             _to_samples, solve_sdp)
+from sosarp.sos_certify import _SAMPLED_ROWS, _gram_structure, min_sigma_sos
 from conftest import planted_data, planted_sdp, random_certified_model
 
 KERNEL_SIZES = [1, 6, 12, 20, 30]
@@ -294,6 +300,9 @@ class TestStepLength:
 
 # (n, p') of every certification SDP the benchmark solves
 BENCH_STRUCTURES = [(1, 4), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6)]
+# the structures whose row counts lie in _SAMPLED_ROWS: the two benchmark ones
+# above the crossover and (4, 6), the largest that takes samples
+SAMPLED_STRUCTURES = [(4, 4), (3, 6), (4, 6)]
 
 
 def _offsets(sizes):
@@ -655,6 +664,130 @@ class TestSchurFactor:
             assert not array.flags.writeable
 
 
+class TestSampledSchur:
+    """The Schur solve at sample points against the one over the rows, and
+    the check of the samples on construction."""
+
+    def test_crossover(self):
+        # 60 rows at (3, 4) stay on the rows, 150 at (4, 4) take samples
+        sampled = [(n, p_prime) for n, p_prime in BENCH_STRUCTURES
+                   if _gram_structure(n, p_prime).problem._samples is not None]
+        assert sampled == SAMPLED_STRUCTURES[:2]
+        assert all(len(_gram_structure(*s).rows) in _SAMPLED_ROWS
+                   for s in SAMPLED_STRUCTURES)
+        # (5, 6), 15 pairs times 126 monomials of degree <= 4 in 5 variables,
+        # stays on the rows: its points lost a certificate the rows prove
+        assert 15 * 126 not in _SAMPLED_ROWS
+
+    # one model at (4, 6), where a solve over the rows takes about 1 s
+    @pytest.mark.parametrize("n, p_prime, models", [(4, 4, 3), (3, 6, 3), (4, 6, 1)])
+    def test_certifies_what_the_rows_certify(self, monkeypatch, n, p_prime, models):
+        # min_sigma_sos of random models at samples and over the rows of the
+        # same structure: every certificate the rows prove is proven at the
+        # samples too, to a sigma_bar within the benchmark's 1e-6 gate
+        structure = _gram_structure(n, p_prime)
+        rows = copy.copy(structure.problem)
+        rows._samples = None
+        over_rows = dataclasses.replace(structure, problem=rows)
+        solves = []
+        solve = sos_certify.solve_sdp
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", recording)
+        p = {4: 3, 6: 4}[p_prime]
+        for seed in range(models):
+            model = random_certified_model(np.random.default_rng(seed), n, p)
+            assert model.p_prime == p_prime
+            sigma = {}
+            for name, used in (("rows", over_rows), ("samples", structure)):
+                monkeypatch.setattr(sos_certify, "_gram_structure",
+                                    lambda *_, used=used: used)
+                sigma[name] = min_sigma_sos(model)[0]
+            at_rows, at_samples = solves[-2:]
+            assert at_rows.status is SdpStatus.CERTIFIED
+            assert at_samples.status is SdpStatus.CERTIFIED
+            assert sigma["samples"] == pytest.approx(sigma["rows"], rel=1e-6)
+
+    @pytest.mark.parametrize("n, p_prime", SAMPLED_STRUCTURES)
+    def test_khatri_rao_products(self, n, p_prime):
+        # T r and T' v against the dense T, W[j, a] U[j, c] at column a u + c
+        samples = _gram_structure(n, p_prime).problem._samples
+        m = len(samples.s)
+        T = (samples.W[:, :, None] * samples.U[:, None, :]).reshape(m, m)
+        rng = np.random.default_rng(n + p_prime)
+        r, v = rng.standard_normal(m), rng.standard_normal(m)
+        # both agree up to the rounding of a sum of m products
+        assert np.all(np.abs(_to_samples(samples, r) - T @ r)
+                      <= 1e-12 * (np.abs(T) @ np.abs(r)))
+        assert np.all(np.abs(_from_samples(samples, v) - T.T @ v)
+                      <= 1e-12 * (np.abs(T.T) @ np.abs(v)))
+        # approximate Fekete points: T is far from singular
+        assert np.linalg.cond(T) < 1e5
+
+    @pytest.mark.parametrize("n, p_prime", SAMPLED_STRUCTURES)
+    def test_solve_matches_rows(self, n, p_prime):
+        problem = _gram_structure(n, p_prime).problem
+        sizes = problem.block_sizes
+        rng = np.random.default_rng(3 * n + p_prime)
+        for _ in range(3):
+            X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
+            Lx, Lz_inv = _factors(X, Z)
+            rhs = rng.standard_normal(len(problem.b))
+            rows = _row_schur(problem._scatter, Lx, Lz_inv, _b_array(problem))(rhs)
+            sampled = _sample_schur(problem._samples, Lx, Lz_inv)(rhs)
+            np.testing.assert_allclose(sampled, rows, rtol=1e-9,
+                                       atol=1e-12 * np.max(np.abs(rows)))
+
+    @pytest.mark.parametrize("n, p_prime", SAMPLED_STRUCTURES)
+    def test_moved_point_is_refused(self, n, p_prime):
+        problem = _gram_structure(n, p_prime).problem
+        samples = problem._samples
+        stacks = _stacks(_certification_rows(n, p_prime), problem.block_sizes)
+        b = np.zeros(len(problem.b))
+        # the samples as built pass
+        SdpProblem(problem.objective, stacks, b, samples=samples)
+        rng = np.random.default_rng(n * p_prime)
+        j = int(rng.integers(len(b)))
+        V = samples.V.copy()
+        direction = rng.standard_normal(V.shape[1])
+        V[j] += 1e-6 * direction / np.linalg.norm(direction)
+        with pytest.raises(ValueError, match=f"constraint sample {j} does not match"):
+            SdpProblem(problem.objective, stacks, b, samples=samples._replace(V=V))
+
+    @pytest.mark.parametrize("n, p_prime", SAMPLED_STRUCTURES)
+    def test_repeated_point_is_refused(self, n, p_prime):
+        # a point taken twice matches the constraints, but T is singular
+        problem = _gram_structure(n, p_prime).problem
+        samples = problem._samples
+        stacks = _stacks(_certification_rows(n, p_prime), problem.block_sizes)
+        b = np.zeros(len(problem.b))
+        rng = np.random.default_rng(n + 2 * p_prime)
+        i, j = rng.choice(len(b), size=2, replace=False)
+        repeated = ConstraintSamples(*(a.copy() for a in samples))
+        for a in repeated:
+            a[j] = a[i]
+        with pytest.raises(ValueError, match="cond"):
+            SdpProblem(problem.objective, stacks, b, samples=repeated)
+
+    def test_shapes_are_checked(self):
+        problem = _gram_structure(4, 4).problem
+        samples = problem._samples
+        stacks = _stacks(_certification_rows(4, 4), problem.block_sizes)
+        b = np.zeros(len(problem.b))
+        with pytest.raises(ValueError, match="shapes"):
+            SdpProblem(problem.objective, stacks, b,
+                       samples=samples._replace(V=samples.V[:, :-1]))
+        with pytest.raises(ValueError, match="blocks"):
+            SdpProblem(problem.objective[:1], stacks[:1], b, samples=samples)
+        bad = samples.s.copy()
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            SdpProblem(problem.objective, stacks, b, samples=samples._replace(s=bad))
+
+
 def _layout_problems():
     """(id, problem, row matrix): the certification structures, and planted
     dense data with 1x1 blocks at every position."""
@@ -771,10 +904,22 @@ def _counted(monkeypatch, names):
 class TestLapackCalls:
     def test_sixteen_calls_per_iteration(self, monkeypatch):
         # the certification SDP of the bundled runs, (n, p') = (2, 4), whose
-        # blocks are [6, 1]; its structure is built before the count starts
-        model = random_certified_model(np.random.default_rng(0), 2, 3)
-        assert model.p_prime == 4
-        assert _gram_structure(2, 4).problem.block_sizes == [6, 1]
+        # blocks are [6, 1], over its rows
+        self._check(monkeypatch, 2, 3, p_prime=4, size=6, sampled=False)
+
+    def test_sixteen_calls_per_iteration_at_samples(self, monkeypatch):
+        # the one of certify_grid's Gram-size-30 cell, (3, 6), at sample
+        # points, where dpotrf factors H instead of M
+        self._check(monkeypatch, 3, 4, p_prime=6, size=30, sampled=True)
+
+    @staticmethod
+    def _check(monkeypatch, n, p, p_prime, size, sampled):
+        # the structure is built before the count starts
+        model = random_certified_model(np.random.default_rng(0), n, p)
+        assert model.p_prime == p_prime
+        problem = _gram_structure(n, p_prime).problem
+        assert problem.block_sizes == [size, 1]
+        assert (problem._samples is not None) == sampled
         solves = []
         solve = sos_certify.solve_sdp
 
@@ -801,4 +946,4 @@ class TestLapackCalls:
                           "dtrtri": iterations, "dsygst": 4 * iterations,
                           "dsyevd": 4 * iterations}
         # the certified iterate passed the first check it reached
-        assert checks == [(6, 6)]
+        assert checks == [(size, size)]

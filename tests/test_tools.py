@@ -1,9 +1,11 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
 runs: wins, the claim rule, the bound, and the separated and unresolved
 verdicts; tools/bench_pairs.revision, which names the measured code;
-tools/sdp_counts' tally of solves and its --p option; and
-tools/fingerprint's structures digest."""
+tools/sdp_counts' tally of solves, its Schur path column and its --p
+option; tools/fingerprint's structures digest; and the two sides of
+tools/schur_crossover."""
 
+import copy
 import shutil
 import subprocess
 import sys
@@ -15,12 +17,14 @@ import pytest
 
 from sosarp import sos_certify
 from sosarp.arp_driver import ArpConfig
+from sosarp import sdp_core
 from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_pairs import compare, revision  # noqa: E402
 from fingerprint import _Digest, add_problem, structures  # noqa: E402
 import sdp_counts  # noqa: E402
+from schur_crossover import both_paths  # noqa: E402
 from sdp_counts import SolveCounter, count_columns, header  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
@@ -191,6 +195,18 @@ class TestSolveCounter:
         assert counter.counts == {"sdps": 1, "ipm_iters": 7, "Certified": 1}
         assert counter.by_size == {3: counter.counts}
 
+    def test_schur_path_per_gram_size(self):
+        # (4, 4), 150 rows, solves at sample points; the bundled runs' (2, 4)
+        # over its rows; a stand-in for a checkout older than the samples too
+        counter = SolveCounter(lambda problem, tol: SimpleNamespace(
+            status=SdpStatus.CERTIFIED, iterations=3))
+        for n, p_prime in [(4, 4), (2, 4), (4, 4)]:
+            counter(sos_certify._gram_structure(n, p_prime).problem, 1e-10)
+        older = SimpleNamespace(block_sizes=[6, 1])
+        counter(older, 1e-10)
+        assert counter.paths == {20: {"samples"}, 6: {"rows"}}
+        assert counter.by_size[20]["sdps"] == 2 and counter.by_size[6]["sdps"] == 2
+
 
 class TestOrderOption:
     def test_bundled_problems_rerun_at_the_order(self, monkeypatch, capsys):
@@ -235,6 +251,8 @@ class TestOrderOption:
             ["bundled_p4", "12"]]
         for line in (lines[1], lines[2], lines[4]):
             assert dict(zip(columns, line[2:])) == expected
+        # the Gram-size line ends with its Schur path: 45 rows stay on the rows
+        assert lines[3][-1] == "schur" and lines[4][-1] == "rows"
 
 
 def _digest(hash_into, *args) -> str:
@@ -265,6 +283,26 @@ class TestStructuresDigest:
 
         assert _digest(add_problem, problem(2.0)) == _digest(add_problem, problem(2.0))
         assert _digest(add_problem, problem(2.0)) != _digest(add_problem, problem(3.0))
+
+    def test_hashes_the_samples(self):
+        problem = sos_certify._gram_structure(4, 4).problem
+        without = copy.copy(problem)
+        without._samples = None
+        assert problem._samples is not None
+        assert _digest(add_problem, problem) != _digest(add_problem, without)
+
+
+class TestSchurCrossover:
+    def test_both_paths_of_a_structure_below_the_crossover(self):
+        # (2, 4) takes the rows; the tool builds its samples for the other side
+        structure, rows, sampled = both_paths(sos_certify, sdp_core, 2, 4)
+        assert structure.problem._samples is None and rows._samples is None
+        assert sampled._samples is not None and len(sampled._samples.s) == 18
+        b = np.zeros(18)
+        b[0] = 1.0  # H_bar[0, 0] = 1: every other model coefficient 0
+        solutions = [solve_sdp(problem.with_rhs(b)) for problem in (rows, sampled)]
+        assert [s.status for s in solutions] == [SdpStatus.OPTIMAL] * 2
+        np.testing.assert_allclose(solutions[1].X[1], solutions[0].X[1], atol=1e-7)
 
 
 def _git(repo: Path, *args) -> str:

@@ -18,7 +18,8 @@ its digest over that workload's outputs at both seeds, so a difference
 shows which workload moved.  A last line, `structures`, hashes what the SDP
 construction keeps for each Gram structure the benchmark solves: the mask
 of kept rows, the constraint scatter's rows, cells and values, the inverse
-constraint Gram matrix and the data scale.  A change to construction alone
+constraint Gram matrix, the data scale and, for a structure solved at
+sample points, the constraint samples.  A change to construction alone
 is checked there, where the data is made; it stays out of the first line,
 which therefore compares with digests recorded before it existed.  Run it on two checkouts (for instance a
 `git clone` of the parent commit and the working tree) and compare the
@@ -132,6 +133,10 @@ def add_problem(digest: _Digest, problem) -> None:
     scatter = problem._scatter
     digest.add(problem._kept, scatter.rows, scatter.cells, scatter.values,
                problem._gram_inv, problem._a_scale)
+    # a checkout older than the sampled Schur path has no samples
+    samples = getattr(problem, "_samples", None)
+    if samples is not None:
+        digest.add(*samples)
 
 
 def structures(digest: _Digest, workloads) -> None:

@@ -14,8 +14,13 @@ clean residuals alone).  One line per
 workload and seed follows a header, then one line per workload with the
 sums over the seeds, and then, under a second header, one line per
 workload and Gram size (the size of the SDP's first block) with that
-size's sums over the seeds.  The counts repeat exactly for a checkout and
-seed, so two checkouts compare line by line without timing noise.
+size's sums over the seeds and, last, the Schur path its solves took:
+rows, the Schur complement B B' over the constraint rows, or samples, the
+Hadamard form at sample points (rows+samples if solves of that size took
+both; a checkout older than the sampled path takes rows).  The counts
+repeat exactly for a checkout and seed, so two checkouts compare line by
+line without timing noise, and the path column shows which structures
+moved.
 
 With --p P only bundled_runs' six problems run, each with its ArpConfig at
 model order P (their workload is at p = 3), and their lines are labelled
@@ -29,27 +34,37 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from fingerprint import load_checkout
+
+
+def schur_path(problem) -> str:
+    """"samples" if the problem's solves form the Schur complement at
+    sample points, else "rows"."""
+    return "rows" if getattr(problem, "_samples", None) is None else "samples"
 
 
 class SolveCounter:
     """solve_sdp wrapped to tally its solves: "sdps", "ipm_iters" and one
     count per status value, over all solves in counts and per Gram size,
-    the size of the problem's first block, in by_size."""
+    the size of the problem's first block, in by_size; paths holds the
+    Schur paths (schur_path) each Gram size's solves took."""
 
     def __init__(self, solve) -> None:
         self._solve = solve
         self.counts: Counter = Counter()
         self.by_size: Dict[int, Counter] = {}
+        self.paths: Dict[int, Set[str]] = {}
 
     def __call__(self, problem, *args, **kwargs):
         solution = self._solve(problem, *args, **kwargs)
         tally = Counter({"sdps": 1, "ipm_iters": solution.iterations,
                          solution.status.value: 1})
         self.counts.update(tally)
-        self.by_size.setdefault(problem.block_sizes[0], Counter()).update(tally)
+        size = problem.block_sizes[0]
+        self.by_size.setdefault(size, Counter()).update(tally)
+        self.paths.setdefault(size, set()).add(schur_path(problem))
         return solution
 
 
@@ -100,19 +115,23 @@ def main(argv=None) -> int:
     print(header("seed", columns))
     sums = {name: Counter() for name in names}
     size_sums: Dict[str, Dict[int, Counter]] = {name: {} for name in names}
+    size_paths: Dict[str, Dict[int, Set[str]]] = {name: {} for name in names}
     for seed in args.seeds:
         for name in names:
             counter = count_pass(workloads, name, seed, args.p)
             sums[name].update(counter.counts)
             for size, counts in counter.by_size.items():
                 size_sums[name].setdefault(size, Counter()).update(counts)
+            for size, paths in counter.paths.items():
+                size_paths[name].setdefault(size, set()).update(paths)
             print(line(name, seed, counter.counts), flush=True)
     for name, counts in sums.items():
         print(line(name, "sum", counts))
-    print(header("gram", columns))
+    print(header("gram", columns) + f" {'schur':>12s}")
     for name, by_size in size_sums.items():
         for size in sorted(by_size):
-            print(line(name, size, by_size[size]))
+            path = "+".join(sorted(size_paths[name][size]))
+            print(line(name, size, by_size[size]) + f" {path:>12s}")
     return 0
 
 
