@@ -20,8 +20,7 @@ an inverse, a product or a sum of them is a sum of products with exact
 zeros, so it is a zero.  The zeros cost little: at the [6, 1] structure of
 the bundled runs a product is 7 x 7 instead of 6 x 6 and 1 x 1, against the
 dozens of numpy calls that per-block views cost each iteration.  The
-solution's blocks are copies of the diagonal blocks.  No iterate is written
-in place, so the cleanest one is kept by reference.
+solution's blocks are copies of the diagonal blocks.
 
 The LAPACK routines come from sosarp._lapack, which loads scipy's compiled
 wrappers without the scipy.linalg package (about 0.17 s and 23 MB per
@@ -131,7 +130,7 @@ changes no bit of the solve.
 Every iterate is finite: the data is checked on construction, and each new
 (X, y, Z) is checked once per iteration.  So the kernels check no input; a
 step that overflows or yields NaN ends the solve with NUMERICAL_FAILURE and
-the cleanest finite iterate, never with an exception.  The one check inside
+the last finite iterate, never with an exception.  The one check inside
 a kernel is the step length's: dsygst's L^-1 dS L^-T can overflow on a
 finite iterate, and LAPACK's eigenvalues of the result are no bound.
 """
@@ -707,8 +706,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
     silent wrong answers; suspected (dual-)infeasibility is flagged when the
     dual (primal) objective diverges beyond 1e12.  Every returned iterate is
     finite: a factorization that fails, or a step that gives a non-finite X,
-    y or Z, ends the solve with NUMERICAL_FAILURE and the cleanest iterate
-    so far, not with an exception.
+    y or Z, ends the solve with NUMERICAL_FAILURE and the last iterate in
+    its trace, not with an exception.
     """
     D = problem.n_total
     b = problem.b
@@ -734,13 +733,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
     y = np.zeros(m)
 
     trace: List[IterateLog] = []
-    status = SdpStatus.MAX_ITERATIONS
-    gap = math.inf
-    p_res = math.inf
-    d_res = math.inf
-    iteration = 0
-    best = None  # (merit, X, y, Z, gap, p_res, d_res) of the cleanest iterate
-
+    # every exit of the loop sets status; the last iteration ends it
     for iteration in range(_MAX_ITER + 1):
         r_p = b - _apply(X, scatter, m)
         R_d = C - Z - _adjoint(y, scatter, D)
@@ -752,9 +745,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
         p_res = math.sqrt(r_p @ r_p) / (1.0 + b_norm)
         d_res = math.sqrt(np.vdot(R_d, R_d)) / (1.0 + c_scale)
         trace.append(IterateLog(iteration, obj_p, obj_d, gap, p_res, d_res, mu))
-        merit = max(gap, p_res, d_res)
-        if best is None or merit < best[0]:
-            best = (merit, X, y, Z, gap, p_res, d_res)
 
         if certify is not None:
             certificate = certify(X, trace[-1])
@@ -842,10 +832,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
             break
         X, y, Z = X_next, y_next, Z_next
 
-    if (status in (SdpStatus.MAX_ITERATIONS, SdpStatus.NUMERICAL_FAILURE)
-            and best is not None and best[0] < max(gap, p_res, d_res)):
-        # a late bad step can poison the final iterate; report the cleanest one
-        _, X, y, Z, gap, p_res, d_res = best
     sizes = problem.block_sizes
     return SdpSolution(X=_diagonal_blocks(X, sizes), y=y, Z=_diagonal_blocks(Z, sizes),
                        status=status, gap=gap, primal_residual=p_res,

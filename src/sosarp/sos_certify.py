@@ -12,29 +12,27 @@ only the nonzero entries of the dense pair stack it is given: every cell of
 Q belongs to one row, so only the sigma cell is shared between rows, and
 its rank check and constraint Gram matrix need no dense rows.  One SDP is
 solved per model, with sigma linear in the rows, minimized: its primal
-iterate is the certificate at sigma_bar whenever its residuals are clean,
-and its dual objective bounds the minimal weight from below.
+iterate, once proven (below), is the certificate at sigma_bar, and its dual
+objective bounds the minimal weight from below.
 Q_bar + (sigma - sigma_bar) R matches h_hat at any other sigma exactly, so
 the same solve answers membership at a fixed sigma.
 
-The solve ends on the first iterate that carries a proven interior
-certificate, not on the gap: an over-estimate of sigma_bar is safe, since
-feasibility is monotone in sigma.  Through solve_sdp's certify hook, an
-iterate with sigma > 0, both residuals at most _CLEAN_RESIDUAL and
-(sigma - b'y) <= gap sigma, for min_sigma_sos's gap (below), has its
-Gram block Q projected onto the rows at its own sigma in closed form
-(Peyrl & Parrilo, Theor. Comput. Sci. 2008): the pair matrices have
-disjoint supports, so Q' = Q + sum_k lambda_k A_k with
+A certificate is accepted only when it is proven; an over-estimate of
+sigma_bar is safe, since feasibility is monotone in sigma.  An iterate's
+Gram block Q at weight sigma is projected onto the rows at that sigma in
+closed form (Peyrl & Parrilo, Theor. Comput. Sci. 2008): the pair matrices
+have disjoint supports, so Q' = Q + sum_k lambda_k A_k with
 lambda_k = (b_k + reg_k sigma - <A_k, Q>) / ||A_k||^2.  Q' is the
 certificate once a shifted Cholesky factor proves it positive definite
-(Rump, "Verification of positive definiteness", BIT 2006, Corollary 2.4):
-dpotrf succeeds on Q' - c I with
-c = 2 gamma_(D+1) (tr(Q') + D tiny), gamma_k = k u / (1 - k u), u = 2^-53,
-tiny = 2^-1022, D the Gram size (see _proven_positive_definite).  b'y is
-not a rigorous bound, so sigma_bar comes only from the certificate.  A
-solve that never reaches such an iterate ends as before: on the gap
-(Optimal), or stalled with clean residuals, whose last iterate, on the PSD
-boundary, is then accepted as the certificate.
+(Rump, BIT 2006, Corollary 2.4; see _proven_positive_definite).  Through
+solve_sdp's certify hook the proof is tried on each iterate with sigma > 0,
+both residuals at most _CLEAN_RESIDUAL and (sigma - b'y) <= gap sigma, and
+the solve ends Certified on the first that proves.  A solve that ends
+otherwise with clean residuals has its returned iterate tried once more,
+lifted to Q + t sigma R at sigma (1 + t) for t = 0, gap/8, gap/2 in turn:
+R's rows are reg exactly, so a lift costs at most a factor 1 + gap/2.
+Anything else raises SosIndeterminate.  b'y is not a rigorous bound, so
+sigma_bar comes only from the certificate.
 
 gap is min_sigma_sos's one tuning argument.  Its default, _CERT_GAP =
 5e-7, is half the benchmark's 1e-6 reference gate on sigma_bar, and every
@@ -42,8 +40,7 @@ caller but the driver keeps it.  The driver passes 1e-3: it only needs a
 proven upper bound on sigma_bar, and the last IPM iterations before 5e-7
 buy digits it never uses.  A larger gap moves where the solve stops, never
 how its certificate is proven.  It bounds sigma_bar's relative distance
-to the SDP's dual objective b'y, not to the minimal weight, since b'y is
-no rigorous bound.
+to b'y, not to the minimal weight.
 
 A structure whose row count lies in _SAMPLED_ROWS gives its SDP
 constraint samples, so each solve forms its Schur complement at sample
@@ -75,16 +72,17 @@ import numpy as np
 
 from ._lapack import dgeqp3, dpotrf
 from .sdp_core import (Certify, ConstraintSamples, IterateLog, SdpProblem,
-                       SdpStatus, solve_sdp)
+                       SdpSolution, SdpStatus, solve_sdp)
 from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
                           monomials_up_to, tensor_apply)
 
 BasisElement = Tuple[int, Exponents]
 
-_CLEAN_RESIDUAL = 1e-8  # residuals at or below this mark an SDP iterate as feasible
+_CLEAN_RESIDUAL = 1e-8  # residuals at or below this let an SDP iterate's certificate be tried
 _COEFF_MATCH = 1e-7  # coefficient match, relative to 1 + max |coefficient| of h_hat
 _MIN_SIGMA_TOL = 1e-10  # SDP tolerance of the minimal-weight solve (sigma_bar)
 _CERT_GAP = 5e-7  # (sigma - b'y) / sigma at which an iterate's certificate is tried: half the 1e-6 reference gate
+_LIFT_RUNGS = (0.0, 0.125, 0.5)  # t / gap of the lifts Q + t sigma R tried after a solve
 _MARGIN_SLACK = 1e-10  # rounding by which an SosModel's lambda_min(H_bar) may miss delta
 _VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hessian
 _VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
@@ -120,9 +118,9 @@ class CertificationError(RuntimeError):
 
 
 class SosIndeterminate(CertificationError):
-    """The certification SDP ended with unclean residuals, or a fixed sigma
-    lies between the dual bound and sigma_bar; membership is undecided, not
-    false."""
+    """The certification SDP ended without a proven certificate, or a fixed
+    sigma lies between the dual bound and sigma_bar; membership is
+    undecided, not false."""
 
 
 def regularizer_order(p: int) -> int:
@@ -535,13 +533,19 @@ def _proven_positive_definite(Q: np.ndarray) -> bool:
     return info == 0
 
 
+def _proven_gram(structure: _GramStructure, Q: np.ndarray, b: np.ndarray,
+                 sigma: float) -> Optional[np.ndarray]:
+    """Q projected onto the rows with right-hand side b at weight sigma, if
+    Rump's check proves the projection positive definite, else None."""
+    projected = _projected(structure.pairs, Q, b + sigma * structure.reg)
+    return projected if _proven_positive_definite(projected) else None
+
+
 def _certifier(structure: _GramStructure, b: np.ndarray,
                gap: float = _CERT_GAP) -> Certify:
     """solve_sdp's certify hook for the min-sigma SDP with right-hand side
-    b: an iterate with sigma > 0, (sigma - b'y) <= gap sigma and both
-    residuals at most _CLEAN_RESIDUAL has its Gram block projected onto the
-    rows at its own sigma, and the iterate with that block is the
-    certificate once Rump's check proves the block positive definite."""
+    b: an iterate with sigma > 0, (sigma - b'y) <= gap sigma and residuals
+    at most _CLEAN_RESIDUAL, its Gram block as _proven_gram proves it."""
     size = len(structure.basis)
 
     def certify(X: np.ndarray, log: IterateLog) -> Optional[np.ndarray]:
@@ -551,8 +555,8 @@ def _certifier(structure: _GramStructure, b: np.ndarray,
                 and log.dual_residual <= _CLEAN_RESIDUAL):
             return None
         # sigma, the primal objective <C, X>, is the iterate's X[size, size]
-        Q = _projected(structure.pairs, X[:size, :size], b + sigma * structure.reg)
-        if not _proven_positive_definite(Q):
+        Q = _proven_gram(structure, X[:size, :size], b, sigma)
+        if Q is None:
             return None
         certificate = X.copy()
         certificate[:size, :size] = Q
@@ -561,17 +565,36 @@ def _certifier(structure: _GramStructure, b: np.ndarray,
     return certify
 
 
+def _proven_after_solve(structure: _GramStructure, b: np.ndarray, solution: SdpSolution,
+                        gap: float) -> Optional[Tuple[float, np.ndarray]]:
+    """(t, Q') for a min-sigma solve that did not end Certified: t the first
+    rung * gap, rung in _LIFT_RUNGS, at which _proven_gram proves its Gram
+    block Q lifted to Q + t sigma R at sigma (1 + t), and Q' that proof.
+    None when no rung proves, or the solve ended Infeasible, DualInfeasible
+    or with a residual above _CLEAN_RESIDUAL."""
+    if (solution.status in (SdpStatus.INFEASIBLE, SdpStatus.DUAL_INFEASIBLE)
+            or not solution.primal_residual <= _CLEAN_RESIDUAL
+            or not solution.dual_residual <= _CLEAN_RESIDUAL):
+        return None
+    Q, sigma = solution.X[0], max(0.0, float(solution.X[1][0, 0]))
+    for t in (rung * gap for rung in _LIFT_RUNGS):
+        proven = _proven_gram(structure, Q + t * sigma * structure.R, b, sigma * (1.0 + t))
+        if proven is not None:
+            return t, proven
+    return None
+
+
 def _min_sigma_solve(model: SosModel, gap: float = _CERT_GAP) -> Tuple[
         _GramStructure, np.ndarray, float, np.ndarray, float]:
     """The model's one certification SDP: min sigma s.t.
     <A_k, Q> - reg[k] * sigma = rows[k], Q PSD, sigma >= 0.
 
-    The solve ends Certified on a proven interior certificate within gap of
-    its dual bound when it reaches one (see _certifier).  Returns the
-    structure, the rows at sigma = 0 (base), sigma_bar, Q_bar over the s
-    basis, matching base + sigma_bar * reg, and sigma_lo, the dual
-    objective b'y mapped back like sigma_bar.  Unclean residuals raise
-    SosIndeterminate naming the SDP status, gap and residuals.
+    The certificate is proven on an iterate (Certified, see _certifier) or
+    after the solve (_proven_after_solve).  Returns the structure, the rows
+    at sigma = 0 (base), sigma_bar, Q_bar over the s basis, matching
+    base + sigma_bar * reg, and sigma_lo, the dual objective b'y mapped back
+    like sigma_bar.  An unproven solve raises SosIndeterminate naming the
+    SDP status, gap and residuals.
     """
     structure = _gram_structure(model.n, model.p_prime)
     base = _coefficients(model, structure, 0.0)
@@ -582,22 +605,19 @@ def _min_sigma_solve(model: SosModel, gap: float = _CERT_GAP) -> Tuple[
     problem = structure.problem.with_rhs(rows / scale)
     solution = solve_sdp(problem, tol=_MIN_SIGMA_TOL,
                          certify=_certifier(structure, problem.b, gap))
-    # both residuals small, though the gap may have stalled
-    if not (solution.status in (SdpStatus.CERTIFIED, SdpStatus.OPTIMAL,
-                                SdpStatus.MAX_ITERATIONS,
-                                SdpStatus.NUMERICAL_FAILURE)
-            and solution.primal_residual <= _CLEAN_RESIDUAL
-            and solution.dual_residual <= _CLEAN_RESIDUAL):
+    proven = ((0.0, solution.X[0]) if solution.status is SdpStatus.CERTIFIED
+              else _proven_after_solve(structure, problem.b, solution, gap))
+    if proven is None:
         raise SosIndeterminate(
-            f"min-sigma SDP ended with {solution.status.value} "
-            f"(gap {solution.gap:.3e}, primal residual "
-            f"{solution.primal_residual:.3e}, dual residual "
+            f"min-sigma SDP ended with {solution.status.value} (gap {solution.gap:.3e}, "
+            f"primal residual {solution.primal_residual:.3e}, dual residual "
             f"{solution.dual_residual:.3e})")
+    t, Q_u = proven
     q = model.p_prime - 2
-    sigma_u = max(0.0, float(solution.X[1][0, 0])) * scale
+    sigma_u = max(0.0, float(solution.X[1][0, 0])) * (1.0 + t) * scale
     sigma_bar = math.ldexp(sigma_u, -k * q)
     sigma_lo = math.ldexp(float(problem.b @ solution.y) * scale, -k * q)
-    Q = _scale_gram(structure, solution.X[0] * scale, -k)
+    Q = _scale_gram(structure, Q_u * scale, -k)
     return structure, base, sigma_bar, Q, sigma_lo
 
 
@@ -621,22 +641,16 @@ def min_sigma_sos(model: SosModel,
     built and checked in the original basis against base + sigma_bar * reg,
     so r can cost iterations but never soundness.
 
-    The solve usually ends Certified, on the first iterate whose sigma lies
-    within gap of its dual bound, (sigma - b'y) <= gap sigma, and whose
-    projected Gram block passes Rump's check, and that block is the
-    certificate.  gap must lie in (0, 1); it sets how early the solve may
-    stop, never how the certificate is proven.  The default, _CERT_GAP =
-    5e-7, is half the benchmark's 1e-6 reference gate on sigma_bar, so the
-    certify subcommand, the scans and is_sos_convex keep it; the driver,
-    which only needs a proven upper bound on sigma_bar, passes a larger
-    one.  b'y is the dual objective of the balanced SDP, not a rigorous
-    lower bound on the minimal weight, so gap bounds sigma_bar's distance
-    to b'y, not to the minimum.  A solve that ends otherwise with clean
-    residuals returns its primal iterate as the certificate, whatever its
-    gap: a stalled gap only over-estimates sigma_bar, which is safe because
-    feasibility is monotone in sigma.  Unclean residuals raise
-    SosIndeterminate (a CertificationError) naming the SDP status, gap and
-    residuals.
+    The certificate is proven (see the module docstring): on the first
+    iterate within gap of its dual bound, (sigma - b'y) <= gap sigma, or
+    after the solve, at most a factor 1 + gap/2 above the solve's own sigma.
+    gap must lie in (0, 1); it sets how early the solve may stop, never how
+    the certificate is proven.  The default, _CERT_GAP, is half the
+    benchmark's 1e-6 reference gate on sigma_bar; the driver, which only
+    needs a proven upper bound, passes a larger one.  gap bounds sigma_bar's
+    distance to b'y, the balanced SDP's dual objective, not to the minimal
+    weight.  An unproven solve raises SosIndeterminate (a
+    CertificationError) naming the SDP status, gap and residuals.
     """
     if not 0.0 < gap < 1.0:
         raise ValueError(f"gap must lie in (0, 1), got {gap!r}")

@@ -1,8 +1,8 @@
 """Outer loop: case classification, ratio test, weight updates, theory checks."""
 
 import math
-from collections import Counter
 from dataclasses import replace
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -12,30 +12,37 @@ from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import MAX_DERIVATIVE_ORDER, build_function, derivatives
 from sosarp.sdp_core import SdpStatus
-from sosarp.sos_certify import (_coefficients, _gram_structure, min_sigma_sos,
-                                verify_certificate)
+from sosarp.sos_certify import (_CERT_GAP, _coefficients, _gram_structure,
+                                min_sigma_sos, verify_certificate)
 from sosarp.subproblem import SubsolveResult
 from sosarp.tensor_poly import min_eigenvalue, taylor_value
 from conftest import SUITE_SETTINGS
 
-# solve_sdp statuses that certify only through the stalled-gap rule, on a
-# Gram matrix at the PSD boundary that no check proves
-UNPROVEN = (SdpStatus.NUMERICAL_FAILURE, SdpStatus.MAX_ITERATIONS)
-
-
 @pytest.fixture()
-def sdp_statuses(monkeypatch) -> Counter:
-    """The status of every certification SDP solved during the test."""
-    statuses: Counter = Counter()
-    solve = sos_certify.solve_sdp
+def proof_outcomes(monkeypatch) -> List[Tuple[str, float]]:
+    """How the certificate of every certification SDP solved during the
+    test was proven, as (outcome, t): "iterate" for a Certified solve,
+    "solve" for a proof after the solve at its own sigma, "lift" for one
+    after a lift by t > 0 along R, "unproven" for none; t is 0 but for a
+    lift."""
+    outcomes: List[Tuple[str, float]] = []
+    solve, after_solve = sos_certify.solve_sdp, sos_certify._proven_after_solve
 
-    def counting(*args, **kwargs):
+    def solving(*args, **kwargs):
         solution = solve(*args, **kwargs)
-        statuses[solution.status] += 1
+        if solution.status is SdpStatus.CERTIFIED:
+            outcomes.append(("iterate", 0.0))
         return solution
 
-    monkeypatch.setattr(sos_certify, "solve_sdp", counting)
-    return statuses
+    def proving(*args, **kwargs):
+        proven = after_solve(*args, **kwargs)
+        t = 0.0 if proven is None else proven[0]
+        outcomes.append(("unproven" if proven is None else "lift" if t else "solve", t))
+        return proven
+
+    monkeypatch.setattr(sos_certify, "solve_sdp", solving)
+    monkeypatch.setattr(sos_certify, "_proven_after_solve", proving)
+    return outcomes
 
 
 class TestConfig:
@@ -231,11 +238,11 @@ class TestRuns:
             assert _fields(rec) == _fields(ref)
 
     def test_bundled_certificates_match_to_rounding(self, bundled,
-                                                    monkeypatch, sdp_statuses):
+                                                    monkeypatch, proof_outcomes):
         # every certificate the driver gets on the bundled runs reproduces
         # h_hat to rounding, far inside verify_certificate's 1e-7 threshold,
-        # and the driver's gap lets every SDP stop on a proven certificate:
-        # none takes the stalled-gap rule
+        # and the driver's gap lets every SDP stop on a proven certificate,
+        # on an iterate or after the solve
         certified = []
 
         def certify(model, *args, **kwargs):
@@ -247,8 +254,8 @@ class TestRuns:
         for name, overrides in SUITE_SETTINGS.items():
             result = run(bundled[name], ArpConfig(p=3, epsilon=1e-5, **overrides))
             assert result.status is RunStatus.CONVERGED, name
-        assert certified
-        assert not any(sdp_statuses[s] for s in UNPROVEN), sdp_statuses
+        assert certified and len(proof_outcomes) == len(certified)
+        assert ("unproven", 0.0) not in proof_outcomes, proof_outcomes
         for model, sigma_bar, cert in certified:
             report = verify_certificate(cert, replace(model, sigma=sigma_bar))
             assert report.ok
@@ -348,19 +355,22 @@ class TestOrderFour:
     """The north star names p in {3, 4}; these gates run the driver at p = 4."""
 
     @pytest.mark.parametrize("name", SUITE_SETTINGS)
-    def test_suite_converges(self, bundled, name, sdp_statuses):
+    def test_suite_converges(self, bundled, name, proof_outcomes):
         config = ArpConfig(p=4, epsilon=1e-5, **SUITE_SETTINGS[name])
         result = run(bundled[name], config)
         assert result.status is RunStatus.CONVERGED, result.message
         report = assert_theory(result.records, config)
         assert report.ok, report.failures
-        assert not any(sdp_statuses[s] for s in UNPROVEN), sdp_statuses
+        assert proof_outcomes and ("unproven", 0.0) not in proof_outcomes, proof_outcomes
 
-    def test_rosenbrock_second_certification(self, bundled):
+    def test_rosenbrock_second_certification(self, bundled, proof_outcomes,
+                                             monkeypatch):
         # the second point of the p = 4 rosenbrock2 run from the suite start
         # [-1.2, 1.0]: lambda_min(H_bar) = delta ~ 3e-3 against tensors of
         # order 1e2-1e3 needs sigma_bar ~ 5.4e11, and the unbalanced SDP
-        # ended NumericalFailure with a 6.6e-7 primal residual there
+        # ended NumericalFailure with a 6.6e-7 primal residual there.  The
+        # balanced solve stalls short of a proven iterate, and its last
+        # iterate proves only lifted along R
         config = ArpConfig(p=4, epsilon=1e-5)
         x = np.array([-0.8680024871290185, 0.8074178893043644])
         bundle = derivatives(bundled["rosenbrock2"], x, config.p)
@@ -369,6 +379,14 @@ class TestOrderFour:
         model = build_model(bundle, case, config.effective_delta, 0.0)
         sigma_bar, cert = min_sigma_sos(model)
         assert sigma_bar == pytest.approx(5.4364e11, rel=1e-4)
+        [(outcome, t)] = proof_outcomes
+        assert outcome == "lift" and 0.0 < t <= _CERT_GAP / 2
+        # the solve's own sigma, mapped back, from its unproven iterate
+        monkeypatch.setattr(sos_certify, "_proven_after_solve",
+                            lambda structure, b, solution, gap: (0.0, solution.X[0]))
+        sigma, _ = min_sigma_sos(model)
+        # the lift costs at most 1 + gap/2, up to the rounding of the map back
+        assert sigma < sigma_bar <= sigma * (1.0 + _CERT_GAP / 2) * (1.0 + 1e-15)
         report = verify_certificate(cert, replace(model, sigma=sigma_bar))
         assert report.ok
         target = _coefficients(model, _gram_structure(model.n, model.p_prime),

@@ -163,12 +163,71 @@ class TestOneSolve:
     ], ids=["univariate", "n2-p3", "n2-p4"])
     def test_clean_stalled_solve_is_the_certificate(self, model, monkeypatch,
                                                     membership_calls):
+        # a solve reported stalled is proven after the solve, on its own
+        # iterate at its own sigma: sigma_bar keeps every bit, and the
+        # second projection moves Q by rounding only
         sigma_ref, cert_ref = min_sigma_sos(model)
         self.solve_ending(monkeypatch, status=SdpStatus.NUMERICAL_FAILURE,
                           gap=1e-3)
         sigma_bar, cert = min_sigma_sos(model)
-        assert sigma_bar == sigma_ref
-        assert np.array_equal(cert.Q, cert_ref.Q)
+        assert repr(sigma_bar) == repr(sigma_ref)
+        assert np.max(np.abs(cert.Q - cert_ref.Q)) <= 1e-14 * np.max(np.abs(cert_ref.Q))
+        assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
+        assert membership_calls == []
+
+    @staticmethod
+    def solve_lowered(monkeypatch, factor):
+        """Every certification SDP ends NumericalFailure, its Gram block
+        lowered along its lambda_min vector by factor times its largest
+        entry."""
+        def solve(problem, tol, certify=None):
+            solution = solve_sdp(problem, tol, certify)
+            Q = solution.X[0]
+            v = np.linalg.eigh(Q)[1][:, 0]
+            lowered = Q - factor * float(np.max(np.abs(Q))) * np.outer(v, v)
+            return replace(solution, status=SdpStatus.NUMERICAL_FAILURE,
+                           X=[lowered, solution.X[1]])
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", solve)
+
+    @pytest.mark.parametrize("model", [
+        random_certified_model(np.random.default_rng(6), 2, 3),
+        random_certified_model(np.random.default_rng(7), 2, 4),
+    ], ids=["n2-p3", "n2-p4"])
+    def test_unproven_stalled_solve_raises(self, model, monkeypatch,
+                                           membership_calls):
+        # the rows fix most of the lambda_min direction, so the projection
+        # gives back nearly all of a lowering along it: lowered by 10 times
+        # its largest entry, the block projects to lambda_min about -4e-8
+        # (n2-p3) and -5e-5 (n2-p4), and no lift up to gap/2 along R proves
+        # it.  (A univariate Gram matrix is fixed by its rows, so the
+        # projection would undo any lowering.)
+        self.solve_lowered(monkeypatch, 10.0)
+        with pytest.raises(SosIndeterminate,
+                           match="min-sigma SDP ended with NumericalFailure"):
+            min_sigma_sos(model)
+        assert membership_calls == []
+
+    def test_lift_proves_what_the_projection_does_not(self, monkeypatch,
+                                                      membership_calls):
+        # lowered by its largest entry, this block projects to lambda_min
+        # about -9e-10, and the lift by gap/8 along R proves it
+        model = random_certified_model(np.random.default_rng(6), 2, 3)
+        sigma_ref, _ = min_sigma_sos(model)
+        lifts = []
+        after_solve = sos_certify._proven_after_solve
+
+        def proving(*args):
+            proven = after_solve(*args)
+            lifts.append(proven[0])
+            return proven
+
+        monkeypatch.setattr(sos_certify, "_proven_after_solve", proving)
+        self.solve_lowered(monkeypatch, 1.0)
+        sigma_bar, cert = min_sigma_sos(model)
+        assert lifts == [_CERT_GAP / 8]
+        assert sigma_bar == pytest.approx(sigma_ref * (1.0 + _CERT_GAP / 8), rel=1e-15)
+        assert _exactly_positive_definite(cert.Q)
         assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
         assert membership_calls == []
 
@@ -601,23 +660,6 @@ def _exactly_positive_definite(Q) -> bool:
     return True
 
 
-def _solve_recorded(model):
-    """min_sigma_sos(model) and the status of its SDP."""
-    statuses = []
-    solve = sos_certify.solve_sdp
-
-    def recording(*args, **kwargs):
-        solution = solve(*args, **kwargs)
-        statuses.append(solution.status)
-        return solution
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sos_certify, "solve_sdp", recording)
-        sigma_bar, cert = min_sigma_sos(model)
-    assert len(statuses) == 1
-    return sigma_bar, cert, statuses[0]
-
-
 class TestCertifiedStop:
     def test_rump_check_accepts_a_margin(self):
         assert _proven_positive_definite(np.eye(12))
@@ -644,7 +686,7 @@ class TestCertifiedStop:
         Q = solution.X[0]
         _, vectors = np.linalg.eigh(Q)
         v = vectors[:, 0]
-        lowered = Q - 1e-6 * float(np.max(np.abs(Q))) * np.outer(v, v)
+        lowered = Q - 10.0 * float(np.max(np.abs(Q))) * np.outer(v, v)
         assert not _proven_positive_definite(lowered)
         assert not _exactly_positive_definite(lowered)
         # the same solve with the hook ends on a certificate that passes
@@ -669,10 +711,10 @@ class TestCertifiedStop:
     def test_certified_certificates_pass_exact_check(self, n, p, seed):
         model = random_certified_model(np.random.default_rng(seed), n, p)
         assume(len(gram_basis(n, model.p_prime)) <= 12)
-        sigma_bar, cert, status = _solve_recorded(model)
-        if status is SdpStatus.CERTIFIED:
-            assert _exactly_positive_definite(cert.Q)
-            assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
+        # every certificate is proven, on an iterate or after the solve
+        sigma_bar, cert = min_sigma_sos(model)
+        assert _exactly_positive_definite(cert.Q)
+        assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
 
 
 _GAP_MODELS = pytest.mark.parametrize("model", [

@@ -1,8 +1,8 @@
 """tools/bench_pairs.compare, on which every speed claim rests, on synthetic
 runs: wins, the claim rule, the bound, and the separated and unresolved
 verdicts; tools/bench_pairs.revision, which names the measured code;
-tools/sdp_counts' tally of solves, its Schur path column and its --p
-option; tools/fingerprint's structures digest; and the two sides of
+tools/sdp_counts' tally of solves, its proof outcome and Schur path
+columns and its --p option; tools/fingerprint's structures digest; and the two sides of
 tools/schur_crossover."""
 
 import copy
@@ -26,6 +26,7 @@ from fingerprint import _Digest, add_problem, structures  # noqa: E402
 import sdp_counts  # noqa: E402
 from schur_crossover import both_paths  # noqa: E402
 from sdp_counts import SolveCounter, count_columns, header  # noqa: E402
+from conftest import random_certified_model  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {"unit": "count", "better": "higher", "bound": 0.1}
@@ -161,9 +162,10 @@ class TestSolveCounter:
         solutions = [counter(feasible), counter(infeasible, tol=1e-8)]
         assert [s.status for s in solutions] == [SdpStatus.OPTIMAL,
                                                  SdpStatus.INFEASIBLE]
+        # without a post-solve proof to wrap, neither solve is proven
         assert counter.counts == {"sdps": 2,
                                   "ipm_iters": sum(s.iterations for s in solutions),
-                                  "Optimal": 1, "Infeasible": 1}
+                                  "Optimal": 1, "Infeasible": 1, "unproven": 2}
         assert counter.counts["ipm_iters"] > 2
 
     def test_sums_per_gram_size(self):
@@ -178,8 +180,8 @@ class TestSolveCounter:
         iterations = [s.iterations for s in solutions]
         assert counter.by_size == {
             3: {"sdps": 2, "ipm_iters": iterations[0] + iterations[2],
-                "Optimal": 1, "Infeasible": 1},
-            2: {"sdps": 1, "ipm_iters": iterations[1], "Optimal": 1}}
+                "Optimal": 1, "Infeasible": 1, "unproven": 2},
+            2: {"sdps": 1, "ipm_iters": iterations[1], "Optimal": 1, "unproven": 1}}
         assert counter.counts == sum(counter.by_size.values(), type(counter.counts)())
 
 
@@ -192,8 +194,58 @@ class TestSolveCounter:
         counter = SolveCounter(lambda problem, tol, certify=None: SimpleNamespace(
             status=SdpStatus.CERTIFIED, iterations=7))
         counter(problem, 1e-10, certify=lambda X, log: X)
-        assert counter.counts == {"sdps": 1, "ipm_iters": 7, "Certified": 1}
+        assert counter.counts == {"sdps": 1, "ipm_iters": 7, "Certified": 1,
+                                  "proven_iterate": 1}
         assert counter.by_size == {3: counter.counts}
+
+    def test_proof_outcome_columns(self):
+        columns = header("seed", count_columns(SdpStatus)).split()
+        assert columns[-4:] == ["proven_iterate", "proven_solve", "proven_lift",
+                                "unproven"]
+        # three stubbed solves that stall at Gram size 3, proven by the
+        # stubbed post-solve proof at its own sigma, after a lift, and not
+        problem = SdpProblem(objective=[np.eye(3), np.ones((1, 1))],
+                             constraints=[np.eye(3)[None], np.ones((1, 1, 1))],
+                             b=[1.0])
+        stalled = SimpleNamespace(status=SdpStatus.NUMERICAL_FAILURE, iterations=4,
+                                  X=[np.eye(3), np.ones((1, 1))])
+        proofs = iter([(0.0, np.eye(3)), (6.25e-8, np.eye(3)), None])
+        counter = SolveCounter(lambda problem, tol: stalled,
+                               lambda structure, b, solution, gap: next(proofs))
+        for _ in range(3):
+            counter.prove(None, problem.b, counter(problem, 1e-10), 5e-7)
+        assert counter.counts == {"sdps": 3, "ipm_iters": 12, "NumericalFailure": 3,
+                                  "proven_solve": 1, "proven_lift": 1, "unproven": 1}
+        assert counter.by_size == {3: counter.counts}
+
+    def test_count_pass_wraps_the_post_solve_proof(self, monkeypatch):
+        # a pass whose one SDP runs to the gap without the certify hook, so
+        # that it is proven after the solve: the wrapper
+        # sees the proof, and both module functions are restored after it
+        solve, prove_after = sos_certify.solve_sdp, sos_certify._proven_after_solve
+        model = random_certified_model(np.random.default_rng(6), 2, 3)
+
+        class Workload:
+            def __init__(self, seed):
+                pass
+
+            def warm_up(self):
+                pass
+
+            def run_pass(self, clock):
+                sos_certify.min_sigma_sos(model)
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", lambda problem, tol, certify=None:
+                            solve(problem, tol))
+        unhooked = sos_certify.solve_sdp
+        workloads = SimpleNamespace(WORKLOADS={"one": Workload}, sos_certify=sos_certify)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        counter = sdp_counts.count_pass(workloads, "one", 0)
+        assert counter.counts["sdps"] == 1 and counter.counts["Optimal"] == 1
+        assert counter.counts["proven_solve"] + counter.counts["proven_lift"] == 1
+        assert counter.counts["unproven"] == 0
+        assert sos_certify.solve_sdp is unhooked
+        assert sos_certify._proven_after_solve is prove_after
 
     def test_schur_path_per_gram_size(self):
         # (4, 4), 150 rows, solves at sample points; the bundled runs' (2, 4)
@@ -244,7 +296,7 @@ class TestOrderOption:
         lines = [line.split() for line in capsys.readouterr().out.splitlines()]
         columns = lines[0][2:]
         expected = dict.fromkeys(columns, "0")
-        expected.update(sdps="2", ipm_iters="10", Certified="2")
+        expected.update(sdps="2", ipm_iters="10", Certified="2", proven_iterate="2")
         # the seed line, the sum and one line for Gram size 12, (n, p') = (2, 6)
         assert [line[:2] for line in lines[1:]] == [
             ["bundled_p4", "0"], ["bundled_p4", "sum"], ["workload", "gram"],

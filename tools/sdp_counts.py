@@ -9,8 +9,13 @@ solve_sdp call the pass makes through sos_certify: the number of SDPs,
 their IPM iterations and how many ended with each status, one column per
 member of the checkout's SdpStatus (Certified counts the solves that ended
 on a proven interior certificate, Optimal those that reached the gap
-tolerance first, NumericalFailure and MaxIterations those accepted on
-clean residuals alone).  One line per
+tolerance first, NumericalFailure and MaxIterations those that stalled).
+Four more columns say how each certificate was proven (OUTCOMES):
+proven_iterate on an iterate, the Certified solves; proven_solve on the
+returned iterate after the solve, proven_lift on that iterate lifted along
+R, both counted by wrapping sos_certify._proven_after_solve; unproven, the
+rest.  A checkout without that post-solve proof counts every solve that
+did not end Certified as unproven.  One line per
 workload and seed follows a header, then one line per workload with the
 sums over the seeds, and then, under a second header, one line per
 workload and Gram size (the size of the SDP's first block) with that
@@ -45,27 +50,45 @@ def schur_path(problem) -> str:
     return "rows" if getattr(problem, "_samples", None) is None else "samples"
 
 
-class SolveCounter:
-    """solve_sdp wrapped to tally its solves: "sdps", "ipm_iters" and one
-    count per status value, over all solves in counts and per Gram size,
-    the size of the problem's first block, in by_size; paths holds the
-    Schur paths (schur_path) each Gram size's solves took."""
+OUTCOMES = ("proven_iterate", "proven_solve", "proven_lift", "unproven")
 
-    def __init__(self, solve) -> None:
+
+class SolveCounter:
+    """solve_sdp wrapped to tally its solves: "sdps", "ipm_iters", one
+    count per status value and one per proof outcome (OUTCOMES), over all
+    solves in counts and per Gram size, the size of the problem's first
+    block, in by_size; paths holds the Schur paths (schur_path) each Gram
+    size's solves took.  A solve that does not end Certified counts as
+    unproven until prove, which wraps the post-solve proof prove_after,
+    proves its certificate."""
+
+    def __init__(self, solve, prove_after=None) -> None:
         self._solve = solve
+        self._prove_after = prove_after
         self.counts: Counter = Counter()
         self.by_size: Dict[int, Counter] = {}
         self.paths: Dict[int, Set[str]] = {}
 
+    def _tally(self, size: int, tally: Counter) -> None:
+        self.counts.update(tally)
+        self.by_size.setdefault(size, Counter()).update(tally)
+
     def __call__(self, problem, *args, **kwargs):
         solution = self._solve(problem, *args, **kwargs)
-        tally = Counter({"sdps": 1, "ipm_iters": solution.iterations,
-                         solution.status.value: 1})
-        self.counts.update(tally)
+        certified = solution.status.value == "Certified"
         size = problem.block_sizes[0]
-        self.by_size.setdefault(size, Counter()).update(tally)
+        self._tally(size, Counter({"sdps": 1, "ipm_iters": solution.iterations,
+                                   solution.status.value: 1,
+                                   "proven_iterate" if certified else "unproven": 1}))
         self.paths.setdefault(size, set()).add(schur_path(problem))
         return solution
+
+    def prove(self, structure, b, solution, gap):
+        proven = self._prove_after(structure, b, solution, gap)
+        if proven is not None:
+            outcome = "proven_lift" if proven[0] else "proven_solve"
+            self._tally(len(solution.X[0]), Counter({outcome: 1, "unproven": -1}))
+        return proven
 
 
 def count_pass(workloads, name: str, seed: int, p=None) -> SolveCounter:
@@ -78,19 +101,25 @@ def count_pass(workloads, name: str, seed: int, p=None) -> SolveCounter:
                              for label, func, config in workload.problems]
     workload.warm_up()
     sos_certify = workloads.sos_certify
-    counter = SolveCounter(sos_certify.solve_sdp)
+    prove_after = getattr(sos_certify, "_proven_after_solve", None)
+    counter = SolveCounter(sos_certify.solve_sdp, prove_after)
     sos_certify.solve_sdp = counter
+    if prove_after is not None:
+        sos_certify._proven_after_solve = counter.prove
     try:
         workload.run_pass(OpClock())
     finally:
         sos_certify.solve_sdp = counter._solve
+        if prove_after is not None:
+            sos_certify._proven_after_solve = prove_after
     return counter
 
 
 def count_columns(statuses) -> List[str]:
-    """The tally's columns: "sdps", "ipm_iters" and one per member of the
-    checkout's SdpStatus, so a new status gets its column unasked."""
-    return ["sdps", "ipm_iters"] + [s.value for s in statuses]
+    """The tally's columns: "sdps", "ipm_iters", one per member of the
+    checkout's SdpStatus, so a new status gets its column unasked, and the
+    proof outcomes."""
+    return ["sdps", "ipm_iters"] + [s.value for s in statuses] + list(OUTCOMES)
 
 
 def header(label: str, columns: List[str]) -> str:
