@@ -29,8 +29,8 @@ solve_sdp's certify hook the proof is tried on each iterate with sigma > 0,
 both residuals at most _CLEAN_RESIDUAL and (sigma - b'y) <= gap sigma, and
 the solve ends Certified on the first that proves.  A solve that ends
 otherwise with clean residuals has its returned iterate tried once more,
-lifted to Q + t sigma R at sigma (1 + t) for t = 0, gap/8, gap/2 in turn:
-R's rows are reg exactly, so a lift costs at most a factor 1 + gap/2.
+lifted to Q + t sigma R at sigma (1 + t) for t = 0, then (if sigma > 0)
+gap/8: R's rows are reg exactly, so the lift costs a factor 1 + gap/8.
 Anything else raises SosIndeterminate.  b'y is not a rigorous bound, so
 sigma_bar comes only from the certificate.
 
@@ -82,7 +82,7 @@ _CLEAN_RESIDUAL = 1e-8  # residuals at or below this let an SDP iterate's certif
 _COEFF_MATCH = 1e-7  # coefficient match, relative to 1 + max |coefficient| of h_hat
 _MIN_SIGMA_TOL = 1e-10  # SDP tolerance of the minimal-weight solve (sigma_bar)
 _CERT_GAP = 5e-7  # (sigma - b'y) / sigma at which an iterate's certificate is tried: half the 1e-6 reference gate
-_LIFT_RUNGS = (0.0, 0.125, 0.5)  # t / gap of the lifts Q + t sigma R tried after a solve
+_LIFT = 0.125  # t / gap of the lift Q + t sigma R tried after a solve whose own iterate fails
 _MARGIN_SLACK = 1e-10  # rounding by which an SosModel's lambda_min(H_bar) may miss delta
 _VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hessian
 _VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
@@ -568,16 +568,16 @@ def _certifier(structure: _GramStructure, b: np.ndarray,
 def _proven_after_solve(structure: _GramStructure, b: np.ndarray, solution: SdpSolution,
                         gap: float) -> Optional[Tuple[float, np.ndarray]]:
     """(t, Q') for a min-sigma solve that did not end Certified: t the first
-    rung * gap, rung in _LIFT_RUNGS, at which _proven_gram proves its Gram
-    block Q lifted to Q + t sigma R at sigma (1 + t), and Q' that proof.
-    None when no rung proves, or the solve ended Infeasible, DualInfeasible
-    or with a residual above _CLEAN_RESIDUAL."""
+    of 0 and (at sigma > 0, where a lift moves Q) _LIFT * gap at which
+    _proven_gram proves its Gram block Q lifted to Q + t sigma R at
+    sigma (1 + t), and Q' that proof.  None when neither proves, or the solve
+    ended Infeasible, DualInfeasible or with a residual above _CLEAN_RESIDUAL."""
     if (solution.status in (SdpStatus.INFEASIBLE, SdpStatus.DUAL_INFEASIBLE)
             or not solution.primal_residual <= _CLEAN_RESIDUAL
             or not solution.dual_residual <= _CLEAN_RESIDUAL):
         return None
     Q, sigma = solution.X[0], max(0.0, float(solution.X[1][0, 0]))
-    for t in (rung * gap for rung in _LIFT_RUNGS):
+    for t in (0.0, _LIFT * gap) if sigma > 0.0 else (0.0,):
         proven = _proven_gram(structure, Q + t * sigma * structure.R, b, sigma * (1.0 + t))
         if proven is not None:
             return t, proven
@@ -643,7 +643,7 @@ def min_sigma_sos(model: SosModel,
 
     The certificate is proven (see the module docstring): on the first
     iterate within gap of its dual bound, (sigma - b'y) <= gap sigma, or
-    after the solve, at most a factor 1 + gap/2 above the solve's own sigma.
+    after the solve, at most a factor 1 + gap/8 above the solve's own sigma.
     gap must lie in (0, 1); it sets how early the solve may stop, never how
     the certificate is proven.  The default, _CERT_GAP, is half the
     benchmark's 1e-6 reference gate on sigma_bar; the driver, which only

@@ -380,13 +380,13 @@ class TestOrderFour:
         sigma_bar, cert = min_sigma_sos(model)
         assert sigma_bar == pytest.approx(5.4364e11, rel=1e-4)
         [(outcome, t)] = proof_outcomes
-        assert outcome == "lift" and 0.0 < t <= _CERT_GAP / 2
+        assert outcome == "lift" and t == _CERT_GAP / 8
         # the solve's own sigma, mapped back, from its unproven iterate
         monkeypatch.setattr(sos_certify, "_proven_after_solve",
                             lambda structure, b, solution, gap: (0.0, solution.X[0]))
         sigma, _ = min_sigma_sos(model)
-        # the lift costs at most 1 + gap/2, up to the rounding of the map back
-        assert sigma < sigma_bar <= sigma * (1.0 + _CERT_GAP / 2) * (1.0 + 1e-15)
+        # the lift costs 1 + gap/8, up to the rounding of the map back
+        assert sigma_bar == pytest.approx(sigma * (1.0 + _CERT_GAP / 8), rel=1e-15)
         report = verify_certificate(cert, replace(model, sigma=sigma_bar))
         assert report.ok
         target = _coefficients(model, _gram_structure(model.n, model.p_prime),

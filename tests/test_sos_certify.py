@@ -199,8 +199,8 @@ class TestOneSolve:
         # the rows fix most of the lambda_min direction, so the projection
         # gives back nearly all of a lowering along it: lowered by 10 times
         # its largest entry, the block projects to lambda_min about -4e-8
-        # (n2-p3) and -5e-5 (n2-p4), and no lift up to gap/2 along R proves
-        # it.  (A univariate Gram matrix is fixed by its rows, so the
+        # (n2-p3) and -5e-5 (n2-p4), and the lift by gap/8 along R does not
+        # prove it.  (A univariate Gram matrix is fixed by its rows, so the
         # projection would undo any lowering.)
         self.solve_lowered(monkeypatch, 10.0)
         with pytest.raises(SosIndeterminate,
@@ -230,6 +230,30 @@ class TestOneSolve:
         assert _exactly_positive_definite(cert.Q)
         assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
         assert membership_calls == []
+
+    def test_no_lift_at_sigma_zero(self, monkeypatch):
+        # at sigma = 0 a lift along R moves neither Q nor sigma, so an
+        # iterate that does not prove is projected once after the solve
+        model = random_certified_model(np.random.default_rng(6), 2, 3)
+        tried = []
+        proven_gram = sos_certify._proven_gram
+
+        def trying(structure, Q, b, sigma):
+            tried.append(sigma)
+            return proven_gram(structure, Q, b, sigma)
+
+        def solve(problem, tol, certify=None):
+            solution = solve_sdp(problem, tol, certify)
+            tried.clear()  # the hook's tries during the solve
+            return replace(solution, status=SdpStatus.NUMERICAL_FAILURE,
+                           X=[-np.eye(len(solution.X[0])), np.zeros((1, 1))])
+
+        monkeypatch.setattr(sos_certify, "_proven_gram", trying)
+        monkeypatch.setattr(sos_certify, "solve_sdp", solve)
+        with pytest.raises(SosIndeterminate,
+                           match="min-sigma SDP ended with NumericalFailure"):
+            min_sigma_sos(model)
+        assert tried == [0.0]
 
     def test_structure_checked_once(self, monkeypatch):
         # the rank QR runs when the structure's SDP is built, not per model
@@ -686,7 +710,7 @@ class TestCertifiedStop:
         Q = solution.X[0]
         _, vectors = np.linalg.eigh(Q)
         v = vectors[:, 0]
-        lowered = Q - 10.0 * float(np.max(np.abs(Q))) * np.outer(v, v)
+        lowered = Q - 1e-6 * float(np.max(np.abs(Q))) * np.outer(v, v)
         assert not _proven_positive_definite(lowered)
         assert not _exactly_positive_definite(lowered)
         # the same solve with the hook ends on a certificate that passes
