@@ -4,9 +4,13 @@ Standard primal form: minimize <C, X> subject to <A_k, X> = b_k, X PSD, with
 X constrained to a fixed block-diagonal structure.  The solver is a
 Mehrotra-style predictor-corrector on the HKM search direction (linearize
 dX Z + X dZ = R_c, solve, symmetrize dX), with dense factorizations
-throughout.  It is sized for small blocks with sparse constraint data, such
-as the certification SDP's 0/1 pair matrices (see the Schur complement
-below).
+throughout.  The predictor steps 0.98 of the way to the cone boundary, and
+the corrector 0.9 + 0.09 min(ap_aff, ad_aff) of it, ap_aff and ad_aff the
+predictor's step lengths, as SDPT3 does (Toh, Todd & Tutuncu, Optim.
+Methods Softw. 1999): as the predictor nears a full step the corrector
+steps up to 0.99 of the way, and each IterateLog records the fraction.
+It is sized for small blocks with sparse constraint data, such as the
+certification SDP's 0/1 pair matrices (see the Schur complement below).
 
 At that scale the fixed cost of a call outweighs its arithmetic, so a solve
 holds X, Z, R_d and every search direction as one block-diagonal D x D
@@ -25,16 +29,18 @@ solution's blocks are copies of the diagonal blocks.
 The LAPACK routines come from sosarp._lapack, which loads scipy's compiled
 wrappers without the scipy.linalg package (about 0.17 s and 23 MB per
 process): besides the factors above, dpotrf factors the Schur complement
-(M, or H at sample points, below),
-dpotrs makes both triangular solves of a Schur system in one call, and each
-step length is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T, which
-dsygst forms in one call from the lower triangles of dS and of the factor L
-of S, as SDPT3 takes the step length from the Cholesky-reduced matrix (Toh,
-Todd & Tutuncu, Optim. Methods Softw. 1999).  Every operand reaches LAPACK
-in column order, so f2py copies none to transpose it: the factors come from
-dpotrf in that order, and a symmetric matrix held in row order is passed as
-its transpose, the same matrix.  An iteration makes 16 calls whatever the
-blocks: 3 dpotrf, 1 dtrtri, 4 dpotrs, 4 dsygst and 4 dsyevd.
+(M, or H at sample points, below), whose 4 solves an iteration are one
+dpotrs each over the rows and two dtrtrs each at sample points, the
+cheaper call at each path's sizes (_triangular_solves), and each step
+length is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T,
+which dsygst forms in one call from the lower triangles of dS and of the
+factor L of S, as SDPT3 takes the step length from the Cholesky-reduced
+matrix.  Every operand reaches LAPACK in column order, so f2py copies none
+to transpose it: the factors come from dpotrf in that order, and a
+symmetric matrix held in row order is passed as its transpose, the same
+matrix.  An iteration makes 16 calls over the rows, 3 dpotrf, 1 dtrtri,
+4 dpotrs, 4 dsygst and 4 dsyevd, whatever the blocks, and 20 at sample
+points, the 4 dpotrs replaced by 8 dtrtrs.
 
 An SdpProblem checks its data once, on construction, and keeps what every
 solve needs.  The constraints are the rows of the (m, N) row matrix A, row
@@ -110,8 +116,8 @@ G_j'), c_j) of H = K K', K = T B, as B (B' dy) is taken above; never as
 H v.  Only the Schur solve changes basis: the rows, b, the residuals,
 A(V), A*(y), project_primal and the start point stay in coefficient
 form, so the (X, y, Z) directions are those of the rows in exact
-arithmetic, and the LAPACK calls are the same 16.  T is kept as its
-row-wise Khatri-Rao factors, so T r and T' v are one matrix product each.
+arithmetic.  T is kept as its row-wise Khatri-Rao factors, so T r and
+T' v are one matrix product each.
 Construction checks the samples: T must be invertible with cond(T) at
 most _SAMPLE_COND, and for random symmetric P, z_j' P z_j + s_j p = (T
 A(P))_j must hold to rounding.  The sampled form pays off only on large
@@ -146,7 +152,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._lapack import dpotrf, dpotrs, dsyevd, dsygst, dtrtri
+from ._lapack import dpotrf, dpotrs, dsyevd, dsygst, dtrtri, dtrtrs
 
 Blocks = List[np.ndarray]
 
@@ -155,7 +161,9 @@ _RANK_TOL = 1e-10  # a row within this of the earlier rows' span, relative, is d
 _JITTER_START = 1e-14  # first relative Cholesky shift: rounding level, changes nothing else
 _JITTER_GROWTH = 100.0  # three tries reach _JITTER_MAX, so a failing factor fails fast
 _JITTER_MAX = 1e-10  # a matrix that needs a larger relative shift is not numerically PD
-_STEP_FRACTION = 0.98  # share of the step to the cone boundary: keeps X and Z interior
+_PREDICTOR_FRACTION = 0.98  # predictor's share of the step to the boundary; 0.99 or 1 stall scans SDPs
+_STEP_BASE = 0.9  # the corrector's share is SDPT3's _STEP_BASE + _STEP_GAIN times the
+_STEP_GAIN = 0.09  # smaller predictor step: bolder as the predictor nears a full step
 _DIVERGENCE = 1e12  # an objective or trace(X) beyond this marks (dual) infeasibility
 _MIN_STEP = 1e-10  # both step lengths below this: the iteration cannot progress
 _MAX_ITER = 200  # certification SDPs average ~23 iterations; this only caps a stall
@@ -184,6 +192,7 @@ class IterateLog(NamedTuple):
     alpha_p: float = math.nan
     alpha_d: float = math.nan
     centering: float = math.nan
+    step_fraction: float = math.nan
 
 
 # solve_sdp's hook: from the D x D primal iterate and its log, None or the
@@ -447,13 +456,16 @@ def _sample_schur(samples: ConstraintSamples, Lx: np.ndarray,
     F = samples.V @ Lx[:d, :d]
     G = samples.V @ Lz_inv[:d, :d].T
     c = samples.s * (Lx[d, d] * Lz_inv[d, d])
-    H_chol = _chol((F @ F.T) * (G @ G.T) + np.outer(c, c))
+    H = F @ F.T
+    H *= G @ G.T
+    H += c[:, None] * c
+    H_chol = _chol(H)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         t = _to_samples(samples, rhs)
-        v = _cho_solve(H_chol, t)
+        v = _triangular_solves(H_chol, t)
         KKv = np.sum((F @ (F.T @ (v[:, None] * G))) * G, axis=1) + c * (c @ v)
-        return _from_samples(samples, v + _cho_solve(H_chol, t - KKv))
+        return _from_samples(samples, v + _triangular_solves(H_chol, t - KKv))
 
     return solve
 
@@ -636,6 +648,21 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _triangular_solves(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L L')^-1 rhs for a factor from _chol and a nonempty rhs: two dtrtrs
+    calls, L w = rhs and then L' x = w.  At m = 210 they take 15.9 us where
+    _cho_solve's one dpotrs takes 26.8, but 1.80 against 1.28 us at m = 18
+    (one BLAS thread, 2-core Xeon), so the sampled Schur solve, on 100 rows
+    or more, takes these and the rest _cho_solve.  _chol's factor has a
+    positive diagonal, so dtrtrs finds it nonsingular."""
+    w, info = dtrtrs(L, rhs, lower=1)
+    if info == 0:
+        w, info = dtrtrs(L, w, lower=1, trans=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return w
+
+
 def _eigvalsh(S: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric S from its lower triangle, ascending:
     the dsyevd call np.linalg.eigvalsh makes, without numpy's per-call
@@ -797,27 +824,29 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
                 dX = T1 - X @ dZ @ Z_inv
                 return project_primal((dX + dX.T) / 2.0), dy, dZ
 
-            def step(L: np.ndarray, dS: np.ndarray) -> float:
-                return min(1.0, _STEP_FRACTION * _max_step(L, dS))
-
             # predictor (affine scaling): Rc = -XZ
             XZ = X @ Z
             dX_aff, dy_aff, dZ_aff = direction(-XZ)
-            ap_aff = step(Lx, dX_aff)
-            ad_aff = step(Lz, dZ_aff)
+            ap_aff = min(1.0, _PREDICTOR_FRACTION * _max_step(Lx, dX_aff))
+            ad_aff = min(1.0, _PREDICTOR_FRACTION * _max_step(Lz, dZ_aff))
             mu_aff = float(np.vdot(X + ap_aff * dX_aff, Z + ad_aff * dZ_aff)) / D
             center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
             # corrector with Mehrotra second-order term
             dX, dy, dZ = direction(center * mu * eye - XZ - dX_aff @ dZ_aff)
-            alpha_p = step(Lx, dX)
-            alpha_d = step(Lz, dZ)
+            # SDPT3's step to the cone boundary (Toh, Todd & Tutuncu 1999)
+            fraction = _STEP_BASE + _STEP_GAIN * min(ap_aff, ad_aff)
+            alpha_p = min(1.0, fraction * _max_step(Lx, dX))
+            alpha_d = min(1.0, fraction * _max_step(Lz, dZ))
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d,
-                                       centering=center)
+        # built whole: _replace builds its tuple from an iterator, which
+        # leaves an 11-tuple on CPython's tuple free list per call, up to
+        # 2000 of them, +0.3 MB peak RSS on the scans
+        trace[-1] = IterateLog(iteration, obj_p, obj_d, gap, p_res, d_res, mu,
+                               alpha_p, alpha_d, center, fraction)
         if alpha_p < _MIN_STEP and alpha_d < _MIN_STEP:
             status = SdpStatus.NUMERICAL_FAILURE
             break

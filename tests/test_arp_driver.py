@@ -12,8 +12,8 @@ from sosarp.arp_driver import (ArpConfig, ConvexityCase, RunStatus,
                                assert_theory, build_model, classify_case, run)
 from sosarp.problems_io import MAX_DERIVATIVE_ORDER, build_function, derivatives
 from sosarp.sdp_core import SdpStatus
-from sosarp.sos_certify import (_CERT_GAP, _coefficients, _gram_structure,
-                                min_sigma_sos, verify_certificate)
+from sosarp.sos_certify import (_coefficients, _gram_structure, min_sigma_sos,
+                                verify_certificate)
 from sosarp.subproblem import SubsolveResult
 from sosarp.tensor_poly import min_eigenvalue, taylor_value
 from conftest import SUITE_SETTINGS
@@ -363,14 +363,14 @@ class TestOrderFour:
         assert report.ok, report.failures
         assert proof_outcomes and ("unproven", 0.0) not in proof_outcomes, proof_outcomes
 
-    def test_rosenbrock_second_certification(self, bundled, proof_outcomes,
-                                             monkeypatch):
+    def test_rosenbrock_second_certification(self, bundled, proof_outcomes):
         # the second point of the p = 4 rosenbrock2 run from the suite start
         # [-1.2, 1.0]: lambda_min(H_bar) = delta ~ 3e-3 against tensors of
         # order 1e2-1e3 needs sigma_bar ~ 5.4e11, and the unbalanced SDP
         # ended NumericalFailure with a 6.6e-7 primal residual there.  The
-        # balanced solve stalls short of a proven iterate, and its last
-        # iterate proves only lifted along R
+        # balanced solve reaches the gap tolerance (Optimal) without a
+        # proven iterate on the way, and its returned iterate proves at its
+        # own sigma, with no lift along R
         config = ArpConfig(p=4, epsilon=1e-5)
         x = np.array([-0.8680024871290185, 0.8074178893043644])
         bundle = derivatives(bundled["rosenbrock2"], x, config.p)
@@ -379,14 +379,7 @@ class TestOrderFour:
         model = build_model(bundle, case, config.effective_delta, 0.0)
         sigma_bar, cert = min_sigma_sos(model)
         assert sigma_bar == pytest.approx(5.4364e11, rel=1e-4)
-        [(outcome, t)] = proof_outcomes
-        assert outcome == "lift" and t == _CERT_GAP / 8
-        # the solve's own sigma, mapped back, from its unproven iterate
-        monkeypatch.setattr(sos_certify, "_proven_after_solve",
-                            lambda structure, b, solution, gap: (0.0, solution.X[0]))
-        sigma, _ = min_sigma_sos(model)
-        # the lift costs 1 + gap/8, up to the rounding of the map back
-        assert sigma_bar == pytest.approx(sigma * (1.0 + _CERT_GAP / 8), rel=1e-15)
+        assert proof_outcomes == [("solve", 0.0)]
         report = verify_certificate(cert, replace(model, sigma=sigma_bar))
         assert report.ok
         target = _coefficients(model, _gram_structure(model.n, model.p_prime),

@@ -23,7 +23,7 @@ import scipy.linalg.lapack as lapack
 """
 SAME_OBJECTS = """
 used = [(name, getattr(sdp_core, name))
-        for name in ("dpotrf", "dpotrs", "dsyevd", "dsygst", "dtrtri")]
+        for name in ("dpotrf", "dpotrs", "dsyevd", "dsygst", "dtrtri", "dtrtrs")]
 for name, routine in used:
     assert routine is getattr(lapack, name), name
 # the subsolver factors and solves with the solver's own routines

@@ -1,14 +1,18 @@
 """Interior-point SDP solver: analytic instances, planted optima, statuses."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sosarp import sdp_core
-from sosarp.sdp_core import SdpProblem, SdpStatus, solve_sdp
-from conftest import planted_data, planted_sdp
+from sosarp import sdp_core, sos_certify
+from sosarp._lapack import dpotrf
+from sosarp.sdp_core import (_PREDICTOR_FRACTION, _STEP_BASE, _STEP_GAIN, SdpProblem,
+                             SdpStatus, solve_sdp)
+from sosarp.sos_certify import min_sigma_sos
+from conftest import planted_data, planted_sdp, random_certified_model
 
 
 def primal_objective(problem: SdpProblem, X) -> float:
@@ -132,9 +136,9 @@ class TestPlanted:
 
 class TestCertifyHook:
     # sha256 of the X, y and Z blocks of ACCEPTANCE 9's planted batch as
-    # solve_sdp computed them before it took a hook (scipy's bundled
-    # OpenBLAS 0.3.30, one or two threads)
-    BATCH_DIGEST = "59f8c920660ca9b67eba91c399a5dcea26b47f8f46b93ef9d09f2c7171739efa"
+    # solve_sdp computes them without a hook, all 100 ending Optimal in 1347
+    # IPM iterations (scipy's bundled OpenBLAS 0.3.30, one or two threads)
+    BATCH_DIGEST = "2a1a844c7ea1d75a021df8cb3c3e6ef70907a4995fb08bb8973f0313d9718cbc"
 
     @staticmethod
     def batch_digest(**kwargs) -> str:
@@ -182,6 +186,81 @@ class TestCertifyHook:
         assert [x.shape for x in sol.X] == [(d, d) for d in sizes]
         assert sol.primal_residual == seen[-1].primal_residual
         assert sol.gap == seen[-1].gap
+
+
+class TestStepRule:
+    """The corrector steps SDPT3's fraction 0.9 + 0.09 min(ap_aff, ad_aff)
+    of the way to the cone boundary, from the iteration's predictor steps,
+    and each IterateLog records it.  The four step bounds of an iteration
+    come from _max_step in order: the predictor's on X and Z, then the
+    corrector's."""
+
+    @pytest.fixture()
+    def spied(self, monkeypatch):
+        """The step bounds _max_step returns and the matrices _chol
+        factors, in order of the calls."""
+        bounds, factored = [], []
+        max_step, chol = sdp_core._max_step, sdp_core._chol
+
+        def bounding(L, dS):
+            bounds.append(max_step(L, dS))
+            return bounds[-1]
+
+        def factoring(mat):
+            factored.append(mat.copy())
+            return chol(mat)
+
+        monkeypatch.setattr(sdp_core, "_max_step", bounding)
+        monkeypatch.setattr(sdp_core, "_chol", factoring)
+        return bounds, factored
+
+    @staticmethod
+    def _check(sol, bounds, factored):
+        stepped = sol.trace[:-1]
+        assert len(stepped) == sol.iterations > 5
+        assert math.isnan(sol.trace[-1].step_fraction)
+        # X, Z and the Schur complement are factored once an iteration
+        assert len(bounds) == 4 * len(stepped) and len(factored) == 3 * len(stepped)
+        for k, log in enumerate(stepped):
+            bx_aff, bz_aff, bx, bz = bounds[4 * k:4 * k + 4]
+            ap_aff = min(1.0, _PREDICTOR_FRACTION * bx_aff)
+            ad_aff = min(1.0, _PREDICTOR_FRACTION * bz_aff)
+            assert 0.9 <= log.step_fraction <= 0.99
+            assert log.step_fraction == _STEP_BASE + _STEP_GAIN * min(ap_aff, ad_aff)
+            assert log.alpha_p == min(1.0, log.step_fraction * bx)
+            assert log.alpha_d == min(1.0, log.step_fraction * bz)
+        # every iterate a step reached factors without _chol's shift: the
+        # ones stepped from as the solve saw them, the last as returned
+        reached = factored[3::3] + factored[4::3] + list(sol.Z)
+        if sol.status is not SdpStatus.CERTIFIED:
+            reached += list(sol.X)
+        for mat in reached:
+            assert dpotrf(mat.T, lower=1)[1] == 0
+
+    def test_planted(self, spied):
+        problem, _ = planted_sdp(np.random.default_rng(42), max_block=12, max_m=40)
+        spied[1].clear()  # the constraint Gram matrix's factor
+        sol = solve_sdp(problem, tol=1e-9)
+        assert sol.status is SdpStatus.OPTIMAL
+        self._check(sol, *spied)
+
+    @pytest.mark.parametrize("n, p", [(2, 3), (3, 4)], ids=["rows", "samples"])
+    def test_certification(self, n, p, spied, monkeypatch):
+        model = random_certified_model(np.random.default_rng(0), n, p)
+        solves = []
+        solve = sos_certify.solve_sdp
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", recording)
+        sos_certify._gram_structure(model.n, model.p_prime)
+        spied[1].clear()  # what building the structure factored
+        min_sigma_sos(model)
+        [sol] = solves
+        assert sol.status is SdpStatus.CERTIFIED
+        self._check(sol, *spied)
 
 
 class TestScalarPart:

@@ -210,8 +210,10 @@ class TestOneSolve:
 
     def test_lift_proves_what_the_projection_does_not(self, monkeypatch,
                                                       membership_calls):
-        # lowered by its largest entry, this block projects to lambda_min
-        # about -9e-10, and the lift by gap/8 along R proves it
+        # the final iterate's block has lambda_min 1.1e-9; lowered by half
+        # its largest entry, it projects to lambda_min about -1.9e-9, and the
+        # lift by gap/8 along R proves it (lowered by 0.2 to 0.95 of that
+        # entry, only the lift proves it)
         model = random_certified_model(np.random.default_rng(6), 2, 3)
         sigma_ref, _ = min_sigma_sos(model)
         lifts = []
@@ -223,7 +225,7 @@ class TestOneSolve:
             return proven
 
         monkeypatch.setattr(sos_certify, "_proven_after_solve", proving)
-        self.solve_lowered(monkeypatch, 1.0)
+        self.solve_lowered(monkeypatch, 0.5)
         sigma_bar, cert = min_sigma_sos(model)
         assert lifts == [_CERT_GAP / 8]
         assert sigma_bar == pytest.approx(sigma_ref * (1.0 + _CERT_GAP / 8), rel=1e-15)
@@ -511,17 +513,20 @@ class TestMembership:
     @given(n=st.integers(1, 3), p=st.sampled_from([3, 4]),
            seed=st.integers(0, 2 ** 32 - 1), factor=st.floats(1.0, 10.0))
     @example(n=2, p=3, seed=0, factor=1.0)
+    # minimal weight 0, where the solve stops at sigma_bar ~ 1e-9
+    @example(n=1, p=4, seed=0, factor=1.0)
     @settings(max_examples=10, deadline=None)
     def test_answers_follow_the_minimal_weight(self, n, p, seed, factor):
         # at or above sigma_bar the answer is True with a certificate that
-        # passes the independent check; clearly below, it is False
+        # passes the independent check; clearly below, it is False unless
+        # the minimal weight is proven to be 0, when nothing lies below it
         model = random_certified_model(np.random.default_rng(seed), n, p)
         sigma_bar, _ = min_sigma_sos(model)
         above = replace(model, sigma=sigma_bar * factor)
         ok, cert = is_sos_convex(above)
         assert ok is True
         assert verify_certificate(cert, above).ok
-        if sigma_bar > 1e-9:
+        if not is_sos_convex(replace(model, sigma=0.0))[0]:
             assert is_sos_convex(replace(model, sigma=sigma_bar * 0.99)) == (
                 False, None)
 
