@@ -145,7 +145,6 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -227,9 +226,10 @@ def _rhs_vector(b) -> np.ndarray:
 
 def _independent_rows(rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
                       squares: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The mask of the rows of A to keep and A A' over the kept rows, from
-    A's nonzero entries and its rows' squared norms, by the split into
-    private and shared cells of the module docstring."""
+    """The mask of the rows of A independent of the rows before them, and
+    A A' over those rows, from A's nonzero entries and its rows' squared
+    norms, by the split into private and shared cells of the module
+    docstring."""
     m = len(squares)
     shared = np.bincount(columns)[columns] > 1
     private = np.bincount(rows[~shared], values[~shared] ** 2, minlength=m)
@@ -476,26 +476,26 @@ class SdpProblem:
 
     objective[j] is block j of C, a (d_j, d_j) matrix; constraints[j] is the
     (m, d_j, d_j) stack of block j of A_1..A_m, and b has length m.  Data
-    that is not finite or not symmetric raises ValueError.  Linearly
-    dependent constraint rows (rank tolerance 1e-10) are dropped with a
-    warning during construction.  Construction also inverts the constraint
-    Gram matrix through its Cholesky factor, which raises LinAlgError if it
-    is not numerically positive definite; without constraints the inverse is
-    empty.  The stacks are not kept: the problem holds their nonzero entries,
-    in its scatter.  samples, for blocks [d, 1] only, poses the Schur
-    complement in a sampled dual basis (ConstraintSamples; see the module
-    docstring); construction checks them against the constraints and
-    raises ValueError if they do not match, if their T is singular or
-    ill-conditioned, or if a row was dropped.  The
-    stored blocks, the inverse, the cell map, the scatter and the samples
-    are read-only and shared by with_rhs.
+    that is not finite or not symmetric raises ValueError, and so does a
+    constraint row within the rank tolerance _RANK_TOL of the span of the
+    rows before it: dropping it would drop its entry of b unchecked, and
+    solve an inconsistent system as if it were consistent.  Construction
+    also inverts the constraint Gram matrix through its Cholesky factor,
+    which raises LinAlgError if it is not numerically positive definite;
+    without constraints the inverse is empty.  The stacks are not kept: the
+    problem holds their nonzero entries, in its scatter.  samples, for
+    blocks [d, 1] only, poses the Schur complement in a sampled dual basis
+    (ConstraintSamples; see the module docstring); construction checks them
+    against the constraints and raises ValueError if they do not match or
+    if their T is singular or ill-conditioned.  The stored blocks, the
+    inverse, the cell map, the scatter and the samples are read-only and
+    shared by with_rhs.
     """
 
     objective: Blocks
     constraints: InitVar[Blocks]
     b: np.ndarray
     samples: InitVar[Optional[ConstraintSamples]] = None
-    _kept: np.ndarray = field(init=False, repr=False, compare=False)
     _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _a_scale: float = field(init=False, repr=False, compare=False)
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
@@ -540,15 +540,9 @@ class SdpProblem:
         rows, columns, values = (np.concatenate(e)[order] for e in zip(*entries))
         squares = np.bincount(rows, values * values, minlength=m)
         kept, gram = _independent_rows(rows, columns, values, squares)
-        for k in np.flatnonzero(~kept):
-            warnings.warn(f"dropping linearly dependent SDP constraint row {k}",
-                          RuntimeWarning, stacklevel=2)
         if not kept.all():
-            keep = kept[rows]
-            rows = (np.cumsum(kept) - 1)[rows[keep]]
-            columns, values = columns[keep], values[keep]
-            b = b[kept]
-        m = len(b)
+            raise ValueError(f"constraint row {np.flatnonzero(~kept)[0]} is linearly "
+                             f"dependent on the rows before it")
 
         # what every solve of these constraints shares, read-only
         sizes = [c.shape[0] for c in objective]
@@ -560,30 +554,26 @@ class SdpProblem:
         c = np.zeros(D * D)
         c[cells] = np.concatenate([block.ravel() for block in objective])
         c = c.reshape(D, D)
-        for array in (*objective, kept, gram_inv, cells, c):
+        for array in (*objective, gram_inv, cells, c):
             array.setflags(write=False)
         self._gram_inv, self._cells, self._c = gram_inv, cells, c
-        self._a_scale = math.sqrt(float(np.max(squares[kept], initial=0.0)))
+        self._a_scale = math.sqrt(float(np.max(squares, initial=0.0)))
         self._scatter = _scatter(rows, columns, values, m, sizes, cells)
-        self._kept = kept
-        if samples is not None and not kept.all():
-            raise ValueError("constraint samples need every constraint row kept")
         self._samples = (None if samples is None
                          else _checked_samples(samples, self._scatter, m, sizes))
         self.objective, self.b = objective, b
 
     def with_rhs(self, b) -> SdpProblem:
         """This problem with right-hand side b, sharing the checked
-        constraints and everything built from them.  b has one entry per
-        constraint row given at construction, and loses the rows dropped
-        then.  Only b is checked: ValueError unless it is a finite vector
-        of that length."""
+        constraints and everything built from them.  Only b is checked:
+        ValueError unless it is a finite vector with one entry per
+        constraint row."""
         b = _rhs_vector(b)
-        if len(b) != len(self._kept):
+        if len(b) != len(self.b):
             raise ValueError(f"b has length {len(b)}, expected one entry per "
-                             f"constraint row ({len(self._kept)})")
+                             f"constraint row ({len(self.b)})")
         problem = copy.copy(self)
-        problem.b = b if self._kept.all() else b[self._kept]
+        problem.b = b
         return problem
 
     @property

@@ -5,15 +5,16 @@ in the joint variables (s, y).  For the models built here that form, called
 h_hat below, is quadratic in y, so its Gram factor only needs the basis
 {y_i * s^beta : |beta| <= (p'-2)/2}.  Matching the coefficients of h_hat and
 z'Qz depends on the model only through the right-hand side, so the matching
-rows are built once per (n, p') and cached: the basis, one pair matrix per
-monomial y_i y_i' s^alpha, the regularizer's exact integer Gram matrix R at
-sigma = 1 with its row coefficients reg, and the SDP over them, which keeps
-only the nonzero entries of the dense pair stack it is given: every cell of
-Q belongs to one row, so only the sigma cell is shared between rows, and
-its rank check and constraint Gram matrix need no dense rows.  One SDP is
-solved per model, with sigma linear in the rows, minimized: its primal
-iterate, once proven (below), is the certificate at sigma_bar, and its dual
-objective bounds the minimal weight from below.
+rows are built once per (n, p') and cached: the basis, the table of the
+basis pairs whose product is each row's monomial y_i y_i' s^alpha, one pair
+matrix per row filled from it, the regularizer's exact integer Gram matrix
+R at sigma = 1 with its row coefficients reg, and the SDP over them, which
+keeps only the nonzero entries of the dense pair stack it is given: every
+cell of Q belongs to one row, so only the sigma cell is shared between
+rows, and its rank check and constraint Gram matrix need no dense rows.
+One SDP is solved per model, with sigma linear in the rows, minimized: its
+primal iterate, once proven (below), is the certificate at sigma_bar, and
+its dual objective bounds the minimal weight from below.
 Q_bar + (sigma - sigma_bar) R matches h_hat at any other sigma exactly, so
 the same solve answers membership at a fixed sigma.
 
@@ -255,8 +256,9 @@ class _BasisPairs(NamedTuple):
 def _basis_pairs(basis: Sequence[BasisElement],
                  rows: Sequence[Tuple[int, int, Exponents]]) -> _BasisPairs:
     """The pairs of basis whose products make up z'Qz, read from the basis
-    elements themselves, independently of the pair matrices the SDP was
-    built from."""
+    elements themselves.  Over a structure's own basis they are the one
+    table of its rows: _gram_structure fills the SDP's pair matrices and
+    the regularizer's row coefficients from them."""
     row_index = {row: k for k, row in enumerate(rows)}
     u, w = np.triu_indices(len(basis))
     bins = np.empty(len(u), dtype=np.intp)
@@ -281,7 +283,8 @@ class _GramStructure:
     z'Rz is the regularizer's form bit for bit.  row_degrees[k] = |alpha|
     and basis_degrees[u] = |beta| of basis[u] = (i, beta) are the powers of
     r by which the substitution s = r u scales a row and a basis element.
-    pairs re-expands z'Qz from the basis for the certificate check.  problem
+    pairs, the table of the basis pairs in each row, gives the pair
+    matrices and reg, and re-expands z'Qz for the certificate check.  problem
     is the min-sigma SDP over these rows, min sigma s.t. <A_k, Q> - reg[k]
     sigma = b_k, with b = 0, and with constraint samples
     (_constraint_samples) when its row count lies in _SAMPLED_ROWS; each
@@ -350,16 +353,12 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
 
     rows = [(i, ip, alpha) for i in range(n) for ip in range(i, n)
             for alpha in alphas]
+    # every product of two basis elements lies in a row, so the pairs fill
+    # the 0/1 pair matrices, each cell of Q in exactly one of them
+    pairs = _basis_pairs(basis, rows)
     pair_matrices = np.zeros((len(rows), size, size))
-    for k, (i, ip, alpha) in enumerate(rows):
-        A = pair_matrices[k]
-        for beta in half_list:
-            rem = tuple(a - b for a, b in zip(alpha, beta))
-            if any(e < 0 for e in rem) or sum(rem) > half:
-                continue
-            A[basis_index[(i, beta)], basis_index[(ip, rem)]] += 1.0
-            if i != ip:
-                A[basis_index[(ip, beta)], basis_index[(i, rem)]] += 1.0
+    pair_matrices[pairs.bins, pairs.u, pairs.w] = \
+        pair_matrices[pairs.bins, pairs.w, pairs.u] = 1.0
     # the regularizer's form at sigma = 1,
     # ||s||^(p'-2) ||y||^2 + (p'-2) ||s||^(p'-4) (s.y)^2, as squares over the
     # basis: ||s||^(2h) = sum_{|g| = h} multinom(h; g) s^(2g), h = (p'-2)/2,
@@ -377,7 +376,7 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
                 beta = tuple(e + (idx == j) for idx, e in enumerate(gamma))
                 v[basis_index[(j, beta)]] = 1.0
             R += (p_prime - 2) * _multinomial(gamma) * np.outer(v, v)
-    reg = np.einsum("kab,ab->k", pair_matrices, R)
+    reg = _expand(pairs, R)
     row_degrees = np.array([sum(alpha) for _, _, alpha in rows])
     basis_degrees = np.array([sum(beta) for _, beta in basis])
     for array in (R, reg, row_degrees, basis_degrees):
@@ -389,7 +388,7 @@ def _gram_structure(n: int, p_prime: int) -> _GramStructure:
                          b=np.zeros(len(rows)), samples=samples)
     return _GramStructure(basis=tuple(basis), rows=tuple(rows), R=R, reg=reg,
                           row_degrees=row_degrees, basis_degrees=basis_degrees,
-                          pairs=_basis_pairs(basis, rows), problem=problem)
+                          pairs=pairs, problem=problem)
 
 
 def _coefficients(model: SosModel, structure: _GramStructure,
@@ -418,8 +417,8 @@ def _coefficients(model: SosModel, structure: _GramStructure,
 
 def _expand(pairs: _BasisPairs, Q: np.ndarray) -> np.ndarray:
     """The coefficient of each bin's monomial in z'Qz, re-expanded from the
-    basis pairs, independently of the pair matrices the SDP was built from;
-    np.bincount adds each coefficient's terms in pair order, from 0.0."""
+    basis pairs; np.bincount adds each coefficient's terms in pair order,
+    from 0.0."""
     return np.bincount(pairs.bins, pairs.weights * Q[pairs.u, pairs.w],
                        minlength=pairs.size)
 

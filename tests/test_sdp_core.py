@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -41,29 +40,20 @@ class TestAnalytic:
         assert primal_objective(problem, sol.X) == pytest.approx(1.0, abs=1e-7)
         assert sol.X[0][0, 0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_duplicate_constraint_row_dropped(self):
-        A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.warns(RuntimeWarning, match="dependent"):
-            problem = SdpProblem(objective=[np.eye(2)],
-                                 constraints=[np.stack([A, A.copy()])],
-                                 b=[2.0, 2.0])
-        assert len(problem.b) == 1
-        # only the kept row's entries remain, and the stacks are not kept
-        assert problem._kept.tolist() == [True, False]
-        assert problem._scatter.rows.tolist() == [0, 0]
-        assert not hasattr(problem, "constraints")
-        sol = solve_sdp(problem)
-        assert sol.status is SdpStatus.OPTIMAL
-        assert primal_objective(problem, sol.X) == pytest.approx(2.0, abs=1e-6)
-        # with_rhs takes a b for both rows given and drops the same one,
-        # without checking the constraints, or warning, again
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            wider = problem.with_rhs([3.0, 5.0])
-        assert np.array_equal(wider.b, [3.0])
-        sol = solve_sdp(wider)
-        assert sol.status is SdpStatus.OPTIMAL
-        assert primal_objective(wider, sol.X) == pytest.approx(3.0, abs=1e-6)
+    @pytest.mark.parametrize("first, second, b", [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+         [2.0, 2.0]),
+        # X00 = 1 and 2 X00 = 3 have no common solution: with the second
+        # row dropped, the solve would end Optimal at X = diag(1, 0), the
+        # dropped row violated by 1.0
+        (np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), [1.0, 3.0]),
+    ], ids=["duplicate", "inconsistent"])
+    def test_duplicate_constraint_row_refused(self, first, second, b):
+        # a row in the span of the rows before it is refused, not dropped:
+        # dropping it would drop its entry of b unchecked
+        with pytest.raises(ValueError, match="constraint row 1 is linearly dependent"):
+            SdpProblem(objective=[np.eye(2)], constraints=[np.stack([first, second])],
+                       b=b)
 
 
 class TestStatuses:
@@ -379,8 +369,9 @@ class TestWithRhs:
         scatter = problem._scatter
         assert other._scatter is scatter
         assert other._cells is problem._cells
-        shared = [*problem.objective, problem._kept, problem._gram_inv, problem._cells,
-                  problem._c, scatter.rows, scatter.cells, scatter.values,
+        assert np.array_equal(other.b, 2.0 * problem.b)
+        shared = [*problem.objective, problem._gram_inv, problem._cells, problem._c,
+                  scatter.rows, scatter.cells, scatter.values,
                   scatter.sources, scatter.factors, scatter.bins, *scatter.gathers]
         for array in shared:
             assert not array.flags.writeable

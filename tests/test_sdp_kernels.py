@@ -442,10 +442,9 @@ class TestConstraintScatter:
 
 
 def _operator_problems():
-    """(id, problem, row matrix of its kept rows) for the constraint
-    operator's tests: the pair matrices of every benchmark structure, dense
-    planted data with 1x1 blocks, and dense data whose dependent rows 1 and
-    3 were dropped."""
+    """(id, problem, row matrix of its rows) for the constraint operator's
+    tests: the pair matrices of every benchmark structure and dense planted
+    data with 1x1 blocks."""
     problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem,
                  _certification_rows(n, p_prime))
                 for n, p_prime in BENCH_STRUCTURES]
@@ -456,14 +455,6 @@ def _operator_problems():
         problems.append((f"dense{len(scalars)}",
                          SdpProblem(planted.objective, planted.constraints, planted.b),
                          _rows(planted.constraints)))
-    m = len(planted.b)
-    order = [0, 0, 1, 1] + list(range(2, m))
-    with pytest.warns(RuntimeWarning, match="dependent"):
-        dropped = SdpProblem(objective=planted.objective,
-                             constraints=[a[order] for a in planted.constraints],
-                             b=planted.b[order])
-    assert len(dropped.b) == m
-    problems.append(("dropped", dropped, _rows(planted.constraints)))
     return problems
 
 
@@ -491,7 +482,7 @@ class TestConstraintOperator:
         for name, problem, avec in problems:
             inverse = problem._gram_inv
             assert not inverse.flags.writeable, name
-            assert problem.with_rhs(np.zeros(len(problem._kept)))._gram_inv is inverse
+            assert problem.with_rhs(np.zeros(len(problem.b)))._gram_inv is inverse
             # cond(A A') is at most about 2e3 on these structures
             np.testing.assert_allclose((avec @ avec.T) @ inverse, np.eye(len(problem.b)),
                                        rtol=0.0, atol=1e-12, err_msg=name)
@@ -533,7 +524,7 @@ class TestIndependentRows:
         # stored inverse is the one of the dense Gram matrix
         assert np.array_equal(gram, expected_gram)
         problem = _gram_structure(n, p_prime).problem
-        assert np.array_equal(problem._kept, kept)
+        assert len(problem.b) == len(kept)
         assert np.array_equal(problem._gram_inv, _inverse(_chol(expected_gram))[1])
 
     def test_dense_rows_with_dependent_and_near_dependent_rows(self):
@@ -545,7 +536,7 @@ class TestIndependentRows:
             # move a combination of rows off their span by 3 and 0.3 times
             # the threshold; appended after the rows in any order with
             # copies of rows 0 and 2, the copies and the nearer combination
-            # drop
+            # are dependent, and SdpProblem refuses the first of them
             sizes = [a.shape[1] for a in data.constraints]
             e = _rows([_symmetric(rng, 2, d) for d in sizes]).T
             e -= rows.T @ np.linalg.lstsq(rows.T, e, rcond=None)[0]
@@ -562,10 +553,10 @@ class TestIndependentRows:
             assert np.count_nonzero(~kept) == 3
             np.testing.assert_allclose(gram, expected_gram, rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(expected_gram)))
-            with pytest.warns(RuntimeWarning, match="dependent"):
-                problem = SdpProblem(data.objective, _stacks(rows, sizes),
-                                     np.zeros(len(rows)))
-            assert np.array_equal(problem._kept, expected_kept)
+            first = np.flatnonzero(~expected_kept)[0]
+            with pytest.raises(ValueError,
+                               match=f"constraint row {first} is linearly dependent"):
+                SdpProblem(data.objective, _stacks(rows, sizes), np.zeros(len(rows)))
 
 
 def _factors(X, Z):
@@ -632,18 +623,13 @@ class TestSchurFactor:
                         _rows(data.constraints), rng)
 
     def test_built_from_kept_rows_and_read_only(self):
-        # rows 1 and 3 repeat rows 0 and 2 and are dropped; the rows after
-        # them move up, and every new array has one row per kept constraint
+        # every new array has one row per constraint
         rng = np.random.default_rng(11)
         planted = planted_data(rng, max_block=6, max_m=12, scalars=(1,), nblocks=2)
         m = len(planted.b)
-        order = [0, 0, 1, 1] + list(range(2, m))
-        with pytest.warns(RuntimeWarning, match="dependent"):
-            problem = SdpProblem(objective=planted.objective,
-                                 constraints=[a[order] for a in planted.constraints],
-                                 b=planted.b[order])
-        assert len(problem.b) == m
-        # the scatter holds the kept rows' entries, renumbered, and nothing else
+        problem = SdpProblem(planted.objective, planted.constraints, planted.b)
+        # the scatter holds the rows' nonzero entries, in order of the row,
+        # then of the cell, and nothing else
         rows = _rows(planted.constraints)
         cells = np.zeros((m, problem.n_total ** 2))
         cells[:, problem._cells] = rows

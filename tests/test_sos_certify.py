@@ -16,7 +16,7 @@ from sosarp.sos_certify import (CertificationError, ConvexityCase,
                                 GramCertificate, SosIndeterminate, SosModel,
                                 _CERT_GAP, _MIN_SIGMA_TOL, _balancing_exponent,
                                 _certifier, _coefficient_residual,
-                                _coefficients, _gram_structure,
+                                _coefficients, _gram_structure, _proven_gram,
                                 _proven_positive_definite, _scale_gram,
                                 _scale_rows, gram_basis, is_sos_convex,
                                 min_sigma_sos, verify_certificate)
@@ -176,17 +176,20 @@ class TestOneSolve:
         assert membership_calls == []
 
     @staticmethod
-    def solve_lowered(monkeypatch, factor):
-        """Every certification SDP ends NumericalFailure, its Gram block
-        lowered along its lambda_min vector by factor times its largest
+    def lowered(Q, factor):
+        """Q lowered along its lambda_min vector by factor times its largest
         entry."""
+        v = np.linalg.eigh(Q)[1][:, 0]
+        return Q - factor * float(np.max(np.abs(Q))) * np.outer(v, v)
+
+    @classmethod
+    def solve_lowered(cls, monkeypatch, factor):
+        """Every certification SDP ends NumericalFailure, its Gram block
+        lowered by factor (see lowered)."""
         def solve(problem, tol, certify=None):
             solution = solve_sdp(problem, tol, certify)
-            Q = solution.X[0]
-            v = np.linalg.eigh(Q)[1][:, 0]
-            lowered = Q - factor * float(np.max(np.abs(Q))) * np.outer(v, v)
             return replace(solution, status=SdpStatus.NUMERICAL_FAILURE,
-                           X=[lowered, solution.X[1]])
+                           X=[cls.lowered(solution.X[0], factor), solution.X[1]])
 
         monkeypatch.setattr(sos_certify, "solve_sdp", solve)
 
@@ -208,14 +211,49 @@ class TestOneSolve:
             min_sigma_sos(model)
         assert membership_calls == []
 
+    @staticmethod
+    def largest_proven(proves, low, high):
+        """The largest factor in [low, high] at which proves holds, by
+        bisection, for proves true at low and false at high."""
+        assert proves(low) and not proves(high)
+        for _ in range(60):
+            middle = (low + high) / 2.0
+            low, high = (middle, high) if proves(middle) else (low, middle)
+        return low
+
     def test_lift_proves_what_the_projection_does_not(self, monkeypatch,
                                                       membership_calls):
-        # the final iterate's block has lambda_min 1.1e-9; lowered by half
-        # its largest entry, it projects to lambda_min about -1.9e-9, and the
-        # lift by gap/8 along R proves it (lowered by 0.2 to 0.95 of that
-        # entry, only the lift proves it)
+        # the final iterate's block, lowered by a factor times its largest
+        # entry: the largest factor that the plain projection proves and the
+        # largest that the lift by gap/8 along R proves are read from this
+        # solve's own iterate, so the lowering halfway between them, which
+        # only the lift proves, follows the IPM trajectory
         model = random_certified_model(np.random.default_rng(6), 2, 3)
+        solves = []
+
+        def recording(problem, tol, certify=None):
+            solves.append((problem, solve_sdp(problem, tol, certify)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", recording)
         sigma_ref, _ = min_sigma_sos(model)
+        (problem, solution), = solves
+        structure = _gram_structure(model.n, model.p_prime)
+        Q, sigma = solution.X[0], float(solution.X[1][0, 0])
+        t = _CERT_GAP / 8
+
+        def projection_proves(factor):
+            return _proven_gram(structure, self.lowered(Q, factor), problem.b,
+                                sigma) is not None
+
+        def lift_proves(factor):
+            lifted = self.lowered(Q, factor) + t * sigma * structure.R
+            return _proven_gram(structure, lifted, problem.b,
+                                sigma * (1.0 + t)) is not None
+
+        projected = self.largest_proven(projection_proves, 0.0, 10.0)
+        lifted = self.largest_proven(lift_proves, 0.0, 10.0)
+        assert projected < lifted
         lifts = []
         after_solve = sos_certify._proven_after_solve
 
@@ -225,7 +263,7 @@ class TestOneSolve:
             return proven
 
         monkeypatch.setattr(sos_certify, "_proven_after_solve", proving)
-        self.solve_lowered(monkeypatch, 0.5)
+        self.solve_lowered(monkeypatch, (projected + lifted) / 2.0)
         sigma_bar, cert = min_sigma_sos(model)
         assert lifts == [_CERT_GAP / 8]
         assert sigma_bar == pytest.approx(sigma_ref * (1.0 + _CERT_GAP / 8), rel=1e-15)
@@ -321,8 +359,8 @@ class TestCoefficients:
     @settings(max_examples=40, deadline=None)
     def test_pair_matrices_match_basis_expansion(self, n, p_prime, seed, scale):
         # <A_k, Q>, as the solver's scatter holds the pair matrices, must be
-        # row k's coefficient in z'Qz as the certificate check re-expands it
-        # from the basis pairs
+        # row k's coefficient in z'Qz multiplied out over (s, y), and z'Qz
+        # must have no monomial outside the rows
         structure = _gram_structure(n, p_prime)
         size = len(structure.basis)
         assert structure.problem.block_sizes == [size, 1]
@@ -330,8 +368,11 @@ class TestCoefficients:
         Q = (raw + raw.T) / 2.0
         target = _matched(structure, Q)
         assert target.shape == (len(structure.rows),)
-        residual = _coefficient_residual(structure.pairs, Q, target)
-        assert residual <= 1e-12 * (1.0 + float(np.max(np.abs(Q))))
+        form = _gram_form(n, structure.basis, Q)
+        assert set(form) <= {_row_key(n, row) for row in structure.rows}
+        expected = np.array([form.get(_row_key(n, row), 0.0) for row in structure.rows])
+        assert (np.max(np.abs(target - expected))
+                <= 1e-12 * (1.0 + float(np.max(np.abs(Q)))))
         with pytest.raises(ValueError, match="read-only"):
             structure.problem._scatter.values[0] = 1.0
 
@@ -344,6 +385,25 @@ def _poly_mul(a, b):
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return out
+
+
+def _row_key(n, row):
+    """The exponents over the variables (s, y) of row (i, i', alpha)'s
+    monomial y_i y_i' s^alpha."""
+    i, ip, alpha = row
+    return tuple(alpha) + tuple(int(j == i) + int(j == ip) for j in range(n))
+
+
+def _gram_form(n, basis, Q):
+    """z'Qz for z the basis monomials y_i s^beta, multiplied out pair by
+    pair over the variables (s, y), independently of the pair matrices and
+    of the basis pairs."""
+    z = [{tuple(beta) + tuple(int(j == i) for j in range(n)): 1} for i, beta in basis]
+    form = {}
+    for u, w in np.ndindex(Q.shape):
+        for key, c in _poly_mul(z[u], z[w]).items():
+            form[key] = form.get(key, 0.0) + c * float(Q[u, w])
+    return form
 
 
 def _regularizer_rows(n, p_prime, rows):
@@ -365,8 +425,7 @@ def _regularizer_rows(n, p_prime, rows):
     form = _poly_mul(_poly_mul(power, s_sq), y_sq)
     for key, c in _poly_mul(power, _poly_mul(s_dot_y, s_dot_y)).items():
         form[key] = form.get(key, 0) + (p_prime - 2) * c
-    return np.array([float(form.get(tuple(alpha) + unit(n + i, n + ip)[n:], 0))
-                     for i, ip, alpha in rows])
+    return np.array([float(form.get(_row_key(n, row), 0)) for row in rows])
 
 
 class TestRegularizerGram:

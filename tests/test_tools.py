@@ -322,8 +322,8 @@ class TestStructuresDigest:
         scatter = problem._scatter
         expected = _Digest()
         expected.add("structure", 2, 4)
-        expected.add(problem._kept, scatter.rows, scatter.cells, scatter.values,
-                     problem._gram_inv, problem._a_scale)
+        expected.add(scatter.rows, scatter.cells, scatter.values, problem._gram_inv,
+                     problem._a_scale)
         assert _digest(structures, workloads) == expected.hexdigest()
 
     def test_moves_with_one_constraint_value(self):

@@ -16,14 +16,14 @@ checkouts print the same digest only if every output is bit-identical.
 The first line is the digest of everything; one line per workload follows,
 its digest over that workload's outputs at both seeds, so a difference
 shows which workload moved.  A last line, `structures`, hashes what the SDP
-construction keeps for each Gram structure the benchmark solves: the mask
-of kept rows, the constraint scatter's rows, cells and values, the inverse
-constraint Gram matrix, the data scale and, for a structure solved at
-sample points, the constraint samples.  A change to construction alone
-is checked there, where the data is made; it stays out of the first line,
-which therefore compares with digests recorded before it existed.  Run it on two checkouts (for instance a
-`git clone` of the parent commit and the working tree) and compare the
-printed lines.
+construction keeps for each Gram structure the benchmark solves: the
+constraint scatter's rows, cells and values, the inverse constraint Gram
+matrix, the data scale and, for a structure solved at sample points, the
+constraint samples.  A change to construction alone is checked there,
+where the data is made; it stays out of the first line, which therefore
+compares with digests recorded before it existed.  Run it on two checkouts
+(for instance a `git clone` of the parent commit and the working tree) and
+compare the printed lines.
 
 Rounding inside BLAS depends on the library and its thread count, so the
 first line also names numpy's and scipy's BLAS builds and the pinned thread
@@ -131,8 +131,8 @@ def _bundled_runs(digest: _Digest, workloads, seed: int) -> None:
 def add_problem(digest: _Digest, problem) -> None:
     """The constraint data an SdpProblem keeps from its construction."""
     scatter = problem._scatter
-    digest.add(problem._kept, scatter.rows, scatter.cells, scatter.values,
-               problem._gram_inv, problem._a_scale)
+    digest.add(scatter.rows, scatter.cells, scatter.values, problem._gram_inv,
+               problem._a_scale)
     # a checkout older than the sampled Schur path has no samples
     samples = getattr(problem, "_samples", None)
     if samples is not None:
