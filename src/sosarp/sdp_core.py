@@ -10,7 +10,7 @@ predictor's step lengths, as SDPT3 does (Toh, Todd & Tutuncu, Optim.
 Methods Softw. 1999): as the predictor nears a full step the corrector
 steps up to 0.99 of the way, and each IterateLog records the fraction.
 It is sized for small blocks with sparse constraint data, such as the
-certification SDP's 0/1 pair matrices (see the Schur complement below).
+certification SDP's 0/1 pair matrices (see the scatters below).
 
 At that scale the fixed cost of a call outweighs its arithmetic, so a solve
 holds X, Z, R_d and every search direction as one block-diagonal D x D
@@ -46,59 +46,50 @@ An SdpProblem checks its data once, on construction, and keeps what every
 solve needs.  The constraints are the rows of the (m, N) row matrix A, row
 k the blocks of A_k flattened one after another (N = sum d_j^2), which is
 never formed: the nonzero entries, read once from the checked stacks in
-order of the row, then of the column, are the one copy kept, and they feed
-the rank check, the Gram matrix G = A A', the data scale and the scatters
-below.  A cell nonzero in one row only is private to it, one nonzero in
-several rows shared.  With p_k the private part of row k and S the shared
-cells, G = S'S + diag(||p_k||^2), and the QR of [S; diag(||p_k||)], whose
-Gram matrix is G, gives each row's distance from the span of the rows
-before it, |R[k, k]|, as a QR over all N columns would: rotating a row's
-private cells onto one cell changes no inner product.  The certification
-SDP's pair matrices have disjoint supports, so its S is the sigma cell.
-The problem keeps the inverse L^-T L^-1 of G, from dtrtri on its Cholesky
-factor L, so each solve with G is one matrix-vector product (cond(G) is at
-most about 2e3 on the certification structures); the cell map, which sends
-column start_j + a d_j + b of A, cell (a, b) of block j, to entry
-(s_j + a) D + s_j + b of a flattened D x D matrix, s_j = d_0 + ... +
-d_(j-1); the scatters below; and C as a D x D matrix.  with_rhs poses the
-same constraints with another b and checks only b, so a family of problems
-that differ in b, like the certification SDPs of one Gram structure, pays
-for that once.
+order of the row, then of the column, are kept, and they feed the rank
+check, the Gram matrix G = A A', the data scale and the scatters below.  A
+cell nonzero in one row only is private to it, one nonzero in several rows
+shared.  With p_k the private part of row k and S the shared cells, G = S'S
++ diag(||p_k||^2), and the QR of [S; diag(||p_k||)], whose Gram matrix is
+G, gives each row's distance from the span of the rows before it,
+|R[k, k]|, as a QR over all N columns would: rotating a row's private cells
+onto one cell changes no inner product.  The certification SDP's pair matrices
+have disjoint supports, so its S is the sigma cell.  The problem keeps the
+inverse L^-T L^-1 of G, from dtrtri on its Cholesky factor L, so each solve
+with G is one matrix-vector product (cond(G) is at most about 2e3 on the
+certification structures); the cell map, which sends column start_j + a d_j
++ b of A, cell (a, b) of block j, to entry (s_j + a) D + s_j + b of a
+flattened D x D matrix, s_j = d_0 + ... + d_(j-1); the scatter below;
+without constraint samples, the checked stacks in the layout of the Schur
+factor below; and C as a D x D matrix.  with_rhs poses the same constraints
+with another b and checks only b, so a family of problems that differ in b,
+like the certification SDPs of one Gram structure, pays for that once.
 
 The Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1> of the HKM
 direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) is
 formed as B B', which numpy computes as one dsyrk, so M is symmetric to the
 bit: with X = Lx Lx' and Z = Lz Lz', row k of B holds Lx_j' A_k Lz_j^-T of
-every block j, flattened in the column order of A, so B has N columns,
-not D^2 (901, not 961, at Gram size 30).  Lx' A_k is nonzero only on the w
-columns where A_k is, so it is built on those alone, as Fujisawa, Kojima &
-Nakata exploit sparse data (Math. Program. 1997): a scatter of the nonzero
-entries of A_k with np.bincount adds each product Lx[i, r] A_k[i, c] into
-cell (r, position of c) of the block's (m, d, w) stack, which meets the same
-w rows of Lz^-T, gathered by precomputed indices, in one batched matmul.  w
-is 4 of 20 for the certification SDP at (n, p') = (4, 4) and 12 of 30 at
-(3, 6), and at most 1 for a 1x1 block; dense data has w = d.  A(V) and
-A*(y) are scatters too, over the cell map: A(V) adds each A_k[c] V[c] into
-entry k in order of c, and A*(y) each y_k A_k[c] into cell c in order of k,
-so at (3, 6) each reads the 927 nonzero entries of the (210, 901) A
-instead of all of it.  For the certification SDP the scatters of B and of
-A*(y) are exact: each pair matrix is a 0/1 partial permutation, with no two
-nonzeros in a row or column, so each cell of Lx' A_k receives at most one
-product, the one term a matrix product sums with exact zeros; the pair
-matrices' supports are disjoint, so each cell of their block in A*(y)
-receives one term too, and the sigma cell receives its terms in order of k,
-as einsum over the dense rows adds them.  So those results are bit for bit
-the dense products'; for dense data they agree up to rounding, as A(V) does
-with A @ v on all data, since BLAS adds a row's terms in its own order.
-The scatter of B keeps i + 1 products per nonzero entry in row i, those of
-Lx's lower triangle: d^2 (d + 1) / 2 per block for the pair matrices, whose
-supports cover each cell once, but m d^2 (d + 1) / 2 for dense data, about
-1.3 GB for dense blocks of 60 with 500 constraints.  The gather indices take
-m w d more per block, and a solve adds m d w stack cells per block and the
-(m, N) B.  Each Schur solve takes one round of iterative refinement, whose
-residual is formed as B (B' dy) rather than M dy: near the optimum dy is
-large along M's smallest eigenvectors, where B' dy stays small, so the
-factored form rounds far less.
+every block j, flattened in the column order of A, so B has N columns, not
+D^2 (901, not 961, at Gram size 30).  B is built block by block from dense
+data: the problem keeps each block's checked stack as one (d, m d) array,
+column k d + c holding column c of A_k, so Lx_j' A_k for every k is one
+product, and its m (d, d) parts meet Lz_j^-T in one batched product; a 1x1
+block is kept as its column of values a, and its column of B is (lx a)
+lz^-1.  The stacks hold m N floats, 0.3 MB for dense blocks of 20 with 100
+constraints and 20 MB for the certification SDP at (n, p') = (4, 6), which
+takes samples and so keeps none.  A(V) and A*(y) are scatters over the cell
+map: A(V) adds each A_k[c] V[c] into entry k in order of c, and A*(y) each
+y_k A_k[c] into cell c in order of k, so at (3, 6) each reads the 927
+nonzero entries of the (210, 901) A instead of all of it.  For the
+certification SDP the scatter of A*(y) is exact: the pair matrices'
+supports are disjoint, so each cell of their block receives one term, and
+the sigma cell receives its terms in order of k, as einsum over the dense
+rows adds them.  So it is bit for bit the dense product; for dense data it
+agrees up to rounding, as A(V) does with A @ v on all data, since BLAS adds
+a row's terms in its own order.  Each Schur solve takes one round of
+iterative refinement, whose residual is formed as B (B' dy) rather than M
+dy: near the optimum dy is large along M's smallest eigenvectors, where B'
+dy stays small, so the factored form rounds far less.
 
 A problem with blocks [d, 1] may carry constraint samples
 (ConstraintSamples): m points j at which sum_k T[j, k] A_k =
@@ -122,7 +113,8 @@ Construction checks the samples: T must be invertible with cond(T) at
 most _SAMPLE_COND, and for random symmetric P, z_j' P z_j + s_j p = (T
 A(P))_j must hold to rounding.  The sampled form pays off only on large
 structures, so sos_certify gives samples to those alone (its
-_SAMPLED_ROWS holds the measured crossover).
+_SAMPLED_ROWS holds the measured crossover).  A problem with samples keeps
+no stacks: its solves never form B.
 
 A caller that can prove a certificate from an iterate passes solve_sdp a
 certify hook.  It is called once per iteration, before the tol test, with
@@ -255,62 +247,11 @@ def _cell_map(sizes: List[int]) -> np.ndarray:
 class _Scatter(NamedTuple):
     """The nonzero entries of the (m, N) row matrix, values[e] in row
     rows[e] at entry cells[e] of a flattened D x D matrix, in order of the
-    row, then of the column; each block's (start, end, d) of the columns of
-    the row matrix and of B; and, per block j, what makes up
-    Lx_j' A_k Lz_j^-T on the nonzero columns of A_k for lower triangular Lx
-    and Lz^-1: with c_p the p-th of those columns in order, padded with
-    column 0 to a common width w_j, the products
-    Lx'.take(sources[t]) * factors[t] = Lx_j[i, r] A_k[i, c_p], bins[t]
-    being its cell (k, r, p) of block j's (m, d, w_j) stack, the stacks of
-    all blocks lying one after another in one flat array of length stacked;
-    and gathers[j], the (m, w_j, d) places of the rows c_p of Lz_j^-T in
-    the flattened Lz^-T.  The products with i < r, exact zeros, are left
-    out, and none falls on a padded column."""
+    row, then of the column."""
 
     rows: np.ndarray
     cells: np.ndarray
     values: np.ndarray
-    columns: Tuple[Tuple[int, int, int], ...]
-    sources: np.ndarray
-    factors: np.ndarray
-    bins: np.ndarray
-    gathers: Tuple[np.ndarray, ...]
-    stacked: int
-
-
-def _scatter(rows: np.ndarray, columns: np.ndarray, values: np.ndarray, m: int,
-             sizes: List[int], cell_map: np.ndarray) -> _Scatter:
-    D = sum(sizes)
-    ends = np.cumsum([d * d for d in sizes]).tolist()
-    offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    spans = tuple((end - d * d, end, d) for end, d in zip(ends, sizes))
-    sources, factors, bins, gathers = [], [], [], []
-    stacked = 0
-    for (start, end, d), s in zip(spans, offsets):
-        mine = (columns >= start) & (columns < end)
-        k = rows[mine]
-        i, c = np.divmod(columns[mine] - start, d)
-        used = np.zeros((m, d), dtype=bool)
-        used[k, c] = True
-        width = int(np.max(np.sum(used, axis=1), initial=0))
-        position = np.cumsum(used, axis=1) - 1
-        cols = np.zeros((m, width), dtype=np.intp)
-        k_used, c_used = np.nonzero(used)
-        cols[k_used, position[k_used, c_used]] = c_used
-        r = np.arange(d)[:, None]
-        lower = r <= i
-        # Lx[s + i, s + r] is entry (s + r, s + i) of Lx'
-        sources.append(((s + r) * D + s + i)[lower])
-        factors.append(np.broadcast_to(values[mine], lower.shape)[lower])
-        bins.append((stacked + (d * k + r) * width + position[k, c])[lower])
-        gathers.append((s + cols[:, :, None]) * D + s + np.arange(d))
-        stacked += m * d * width
-    scatter = _Scatter(rows, cell_map[columns], values, spans, np.concatenate(sources),
-                       np.concatenate(factors), np.concatenate(bins), tuple(gathers),
-                       stacked)
-    for array in (*scatter[:3], *scatter[4:7], *gathers):
-        array.setflags(write=False)
-    return scatter
 
 
 def _apply(V: np.ndarray, scatter: _Scatter, m: int) -> np.ndarray:
@@ -327,25 +268,30 @@ def _adjoint(y: np.ndarray, scatter: _Scatter, D: int) -> np.ndarray:
                        minlength=D * D).reshape(D, D)
 
 
-def _schur_factor(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
+def _schur_factor(stacks: Blocks, Lx: np.ndarray, Lz_inv: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """out, an (m, N) array, filled with B and returned, where B B' is the
     Schur complement M[i, j] = sum_blocks <A_i, X A_j Z^-1>.
 
-    Lx is the lower Cholesky factor of the D x D matrix X and Lz_inv the
-    inverse of Z's.  Row k of B holds Lx_j' A_k Lz_j^-T of each block j,
-    whose Frobenius products are the terms of M.  Lx' and Lz^-T are read
-    flattened in row order, which for dpotrf's and dtrtri's column-ordered
-    results takes no copy."""
-    LxA = np.bincount(scatter.bins, Lx.T.take(scatter.sources) * scatter.factors,
-                      minlength=scatter.stacked)
-    Lz_inv_t = Lz_inv.T
-    stacked = 0
-    for (start, end, d), gather in zip(scatter.columns, scatter.gathers):
-        m, w, _ = gather.shape
-        np.matmul(LxA[stacked:stacked + m * d * w].reshape(m, d, w),
-                  Lz_inv_t.take(gather), out=out[:, start:end].reshape(m, d, d))
-        stacked += m * d * w
+    stacks are the problem's constraint blocks in the layout of
+    SdpProblem._stacks, Lx is the lower Cholesky factor of the D x D matrix
+    X and Lz_inv the inverse of Z's.  Row k of B holds Lx_j' A_k Lz_j^-T of
+    each block j, whose Frobenius products are the terms of M: Lx_j' A_k
+    for every k is one product with the (d, m d) block, and each of its m
+    (d, d) parts meets Lz_j^-T in one batched product; a 1x1 block is (lx
+    a) lz^-1 over its column of values."""
+    m = len(out)
+    s = start = 0  # the block's place on the diagonal and its first column of B
+    for a in stacks:
+        if a.ndim == 1:
+            np.multiply(Lx[s, s] * a, Lz_inv[s, s], out=out[:, start])
+            s, start = s + 1, start + 1
+            continue
+        d = len(a)
+        LxA = Lx[s:s + d, s:s + d].T @ a
+        np.matmul(LxA.reshape(d, m, d).transpose(1, 0, 2), Lz_inv[s:s + d, s:s + d].T,
+                  out=out[:, start:start + d * d].reshape(m, d, d))
+        s, start = s + d, start + d * d
     return out
 
 
@@ -418,7 +364,7 @@ def _checked_samples(samples: ConstraintSamples, scatter: _Scatter, m: int,
     return samples
 
 
-def _row_schur(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
+def _row_schur(stacks: Blocks, Lx: np.ndarray, Lz_inv: np.ndarray,
                B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The solve dy = M^-1 rhs of the Schur system on the rows, M = B B'
     with B filled in place by _schur_factor.
@@ -429,7 +375,7 @@ def _row_schur(scatter: _Scatter, Lx: np.ndarray, Lz_inv: np.ndarray,
     residual is taken as B (B' sol): the rounding of M @ sol grows with
     |M| |sol|, which is large exactly when sol is large along M's small
     eigenvectors, while B' sol stays small there."""
-    _schur_factor(scatter, Lx, Lz_inv, B)
+    _schur_factor(stacks, Lx, Lz_inv, B)
     # numpy computes B B' as one dsyrk, so M is symmetric to the bit
     M_chol = _chol(B @ B.T)
 
@@ -482,14 +428,17 @@ class SdpProblem:
     solve an inconsistent system as if it were consistent.  Construction
     also inverts the constraint Gram matrix through its Cholesky factor,
     which raises LinAlgError if it is not numerically positive definite;
-    without constraints the inverse is empty.  The stacks are not kept: the
-    problem holds their nonzero entries, in its scatter.  samples, for
-    blocks [d, 1] only, poses the Schur complement in a sampled dual basis
-    (ConstraintSamples; see the module docstring); construction checks them
-    against the constraints and raises ValueError if they do not match or
-    if their T is singular or ill-conditioned.  The stored blocks, the
-    inverse, the cell map, the scatter and the samples are read-only and
-    shared by with_rhs.
+    without constraints the inverse is empty.  The problem holds the
+    stacks' nonzero entries, in its scatter, and the checked stacks in the
+    layout of _schur_factor, each block's as one (d, m d) array and a 1x1
+    block's as its column of values.  samples, for blocks [d, 1] only,
+    poses the Schur complement in a sampled dual basis instead
+    (ConstraintSamples; see the module docstring), and then no stacks are
+    kept; construction checks them against the constraints and raises
+    ValueError if they do not match or if their T is singular or
+    ill-conditioned.  The stored blocks, the inverse, the cell map, the
+    scatter, the stacks and the samples are read-only and shared by
+    with_rhs.
     """
 
     objective: Blocks
@@ -500,6 +449,7 @@ class SdpProblem:
     _a_scale: float = field(init=False, repr=False, compare=False)
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
     _scatter: _Scatter = field(init=False, repr=False, compare=False)
+    _stacks: Optional[Blocks] = field(init=False, repr=False, compare=False)
     _c: np.ndarray = field(init=False, repr=False, compare=False)
     _samples: Optional[ConstraintSamples] = field(init=False, repr=False,
                                                   compare=False)
@@ -515,6 +465,7 @@ class SdpProblem:
         m = len(b)
         objective: Blocks = []
         entries = []  # (rows, columns of the row matrix, values) of each block
+        stacks: Optional[Blocks] = [] if samples is None else None
         start = 0  # the block's first column in the row matrix
         for j, (c, a) in enumerate(zip(self.objective, constraints)):
             c = np.asarray(c, dtype=float)
@@ -533,6 +484,9 @@ class SdpProblem:
             a = _symmetrized(a, f"constraint {{}} in block {j}")
             k, r, s = np.nonzero(a)
             entries.append((k, start + r * d + s, a[k, r, s]))
+            if stacks is not None:
+                stacks.append(a[:, 0, 0] if d == 1
+                              else a.transpose(1, 0, 2).reshape(d, m * d))
             start += d * d
 
         # a stable sort by row keeps each row's entries in order of the column
@@ -554,11 +508,12 @@ class SdpProblem:
         c = np.zeros(D * D)
         c[cells] = np.concatenate([block.ravel() for block in objective])
         c = c.reshape(D, D)
-        for array in (*objective, gram_inv, cells, c):
+        self._scatter = _Scatter(rows, cells[columns], values)
+        for array in (*objective, gram_inv, cells, c, *self._scatter, *(stacks or ())):
             array.setflags(write=False)
         self._gram_inv, self._cells, self._c = gram_inv, cells, c
         self._a_scale = math.sqrt(float(np.max(squares, initial=0.0)))
-        self._scatter = _scatter(rows, columns, values, m, sizes, cells)
+        self._stacks = stacks
         self._samples = (None if samples is None
                          else _checked_samples(samples, self._scatter, m, sizes))
         self.objective, self.b = objective, b
@@ -786,7 +741,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
             Lx = _chol(X)
             Lz = _chol(Z)
             Lz_inv, Z_inv = _inverse(Lz)
-            solve_schur = (_row_schur(scatter, Lx, Lz_inv, B) if samples is None
+            solve_schur = (_row_schur(problem._stacks, Lx, Lz_inv, B) if samples is None
                            else _sample_schur(samples, Lx, Lz_inv))
 
             def project_primal(dX: np.ndarray) -> np.ndarray:

@@ -91,14 +91,14 @@ _HESSIAN_SLACK = 1e-8  # sampled Hessian eigenvalue >= -this * (1 + spectral rad
 _GRAM_SLACK = 1e-9  # lambda_min(Q) >= -this * (1 + max |Q|) passes
 # Row counts whose structures take the sampled Schur complement.  Per IPM
 # iteration, over the rows against at sample points (tools/schur_crossover.py,
-# three seed-0 certify_grid models, one BLAS thread, 2-core host): 0.16
-# against 0.19 ms at (n, p') = (2, 4), m = 18, the bundled runs' and scans';
-# 0.27 against 0.30 at (3, 4), m = 60; 0.79 against 0.65 at (4, 4), m = 150;
-# 2.0 against 1.0 at (3, 6), m = 210; 46.4 against 13.5 at (4, 6), m = 700.
-# Above 700 the points were not good enough: at (5, 6), m = 1890, cond(T) is
-# 4.4e4 and one of three grid models ended NumericalFailure where the rows
-# certify it, so the range stops at the largest structure checked.
-_SAMPLED_ROWS = range(100, 701)
+# three seed-0 grid models, five passes, three at (5, 6), one BLAS thread,
+# 2-core host): 0.21 against 0.23 ms at (n, p') = (2, 4), m = 18, the
+# bundled runs' and scans'; 0.36 against 0.36 at (3, 4), m = 60; 0.33
+# against 0.33 at (2, 6), m = 45; 1.22 against 0.85 at (4, 4), m = 150; 3.2
+# against 1.5 at (3, 6), m = 210; 68 against 19 at (4, 6), m = 700; 1097
+# against 165 at (5, 6), m = 1890, where all three grid models certify on
+# both paths.  The range stops at the largest structure checked.
+_SAMPLED_ROWS = range(100, 1891)
 _SAMPLE_SEED = 0  # seed of the candidate sample points, so every process picks the same
 # Standard deviation of the candidate points' u, measured on certify_grid's
 # (3, 6) cell, seeds 0-3: with u uniform in [-1, 1]^n (cond(T) = 812) 7 of

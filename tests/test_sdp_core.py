@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestCertifyHook:
     # sha256 of the X, y and Z blocks of ACCEPTANCE 9's planted batch as
     # solve_sdp computes them without a hook, all 100 ending Optimal in 1347
     # IPM iterations (scipy's bundled OpenBLAS 0.3.30, one or two threads)
-    BATCH_DIGEST = "2a1a844c7ea1d75a021df8cb3c3e6ef70907a4995fb08bb8973f0313d9718cbc"
+    BATCH_DIGEST = "757842e86f68765ef182eeb5d4372727539d26e9ebbbe7fea2862fe35de36faa"
 
     @staticmethod
     def batch_digest(**kwargs) -> str:
@@ -349,6 +350,27 @@ class TestProblemChecks:
             SdpProblem(objective=objective, constraints=constraints, b=b)
 
 
+class TestConstructionMemory:
+    def test_dense_problem_holds_little_more_than_its_data(self):
+        # 100 dense (20, 20) constraints are 0.31 MiB of floats; the problem
+        # keeps them as its stacks, their nonzero entries with row and cell
+        # indices and the (100, 100) inverse Gram matrix, about 1.4 MiB.
+        # The inputs are made before tracing starts, so only what
+        # construction allocates and keeps is counted
+        rng = np.random.default_rng(33)
+        raw = rng.standard_normal((100, 20, 20))
+        constraints = [raw + raw.transpose(0, 2, 1)]
+        objective, b = [np.eye(20)], np.zeros(100)
+        tracemalloc.start()
+        try:
+            problem = SdpProblem(objective=objective, constraints=constraints, b=b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(problem.b) == 100
+        assert held <= 3 * 2 ** 20
+
+
 class TestWithRhs:
     @pytest.mark.parametrize("b, message", [
         ([1.0, np.inf, 1.0], "entry 1 of b is not finite"),
@@ -369,10 +391,10 @@ class TestWithRhs:
         scatter = problem._scatter
         assert other._scatter is scatter
         assert other._cells is problem._cells
+        assert other._stacks is problem._stacks
         assert np.array_equal(other.b, 2.0 * problem.b)
         shared = [*problem.objective, problem._gram_inv, problem._cells, problem._c,
-                  scatter.rows, scatter.cells, scatter.values,
-                  scatter.sources, scatter.factors, scatter.bins, *scatter.gathers]
+                  *scatter, *problem._stacks]
         for array in shared:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -6,8 +6,8 @@ The LAPACK kernels compute what scipy.linalg computes by another route, so
 they are compared within 1e-12 relative; the eigenvalues and the 1x1
 blocks' closed forms promise the same bits, so those comparisons are exact
 equality.  The kernels check no input for inf or NaN (the solver checks each
-iterate once).  The constraint scatters promise the dense products' bits
-only for the certification SDP's 0/1 pair matrices; on dense data they agree
+iterate once).  A*(y) through the scatter promises the dense product's bits
+only for the certification SDP's 0/1 pair matrices; on dense data it agrees
 up to rounding, as does the Schur complement B B' with its dense
 definition.  A(V) through the scatter agrees with the dense product A v
 up to rounding on all data, since BLAS adds a row's terms in its own order.
@@ -17,7 +17,6 @@ The dense references are built here: the row matrix A of planted data from
 its input stacks, and that of the certification SDP from the basis pairs.
 """
 
-import copy
 import dataclasses
 import math
 
@@ -335,6 +334,17 @@ def _certification_rows(n, p_prime):
     return np.concatenate([A.reshape(m, -1), -structure.reg[:, None]], axis=1)
 
 
+def _rows_problem(n, p_prime):
+    """The certification SDP of (n, p') over its rows: the structure's own,
+    or, for a structure that takes samples and so keeps no rows-path data,
+    the same SDP built without them from the row matrix."""
+    problem = _gram_structure(n, p_prime).problem
+    if problem._samples is None:
+        return problem
+    return SdpProblem(problem.objective, _stacks(_certification_rows(n, p_prime),
+                                                 problem.block_sizes), problem.b)
+
+
 def _b_array(problem):
     """An (m, N) array of NaN, for _schur_factor to fill with B."""
     return np.full((len(problem.b), len(problem._cells)), np.nan)
@@ -349,50 +359,6 @@ def _embedded(problem, flat):
     return out.reshape(D, D)
 
 
-def _scattered_stacks(problem, Lx):
-    """Each block's (m, d, w) stack of Lx_j' A_k on the nonzero columns of
-    A_k, cut from the scatter of the block-diagonal lower triangular
-    block_diag(Lx)."""
-    scatter = problem._scatter
-    m = len(problem.b)
-    shapes = [(m, d, gather.shape[1]) for (_, _, d), gather in zip(scatter.columns,
-                                                                 scatter.gathers)]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    assert scatter.stacked == sum(sizes)
-    flat = np.bincount(scatter.bins, block_diag(*Lx).T.take(scatter.sources)
-                       * scatter.factors, minlength=sum(sizes))
-    ends = np.cumsum(sizes)
-    return [flat[end - size:end].reshape(shape)
-            for end, size, shape in zip(ends, sizes, shapes)]
-
-
-def _expected_stacks(problem, Lx, rows):
-    """The dense Lx_j' A_k on the same columns, A_k read from the row matrix
-    rows, zero where a row's columns are padded; and a check that the
-    columns are each A_k's nonzero ones, and that the gathers pick their
-    rows of Lz^-T in the flattened D x D Lz^-T."""
-    stacks = []
-    D = problem.n_total
-    sizes = problem.block_sizes
-    for s, gather, L, a in zip(_offsets(sizes), problem._scatter.gathers,
-                               Lx, _stacks(rows, sizes)):
-        d = a.shape[1]
-        cols = gather[:, :, 0] // D - s
-        assert np.array_equal(gather, (s + cols[:, :, None]) * D + s + np.arange(d))
-        counts = np.count_nonzero(np.any(a != 0.0, axis=1), axis=1)
-        assert cols.shape[1] == np.max(counts, initial=0)
-        for k, count in enumerate(counts):
-            assert np.array_equal(cols[k, :count], np.flatnonzero(np.any(a[k] != 0.0, axis=0)))
-        padded = np.arange(cols.shape[1]) >= counts[:, None]
-        dense = np.take_along_axis(L.T @ a, cols[:, None, :], axis=2)
-        stacks.append(np.where(padded[:, None, :], 0.0, dense))
-    return stacks
-
-
-def _lower(rng, d):
-    return np.tril(_wide_range(rng, (d, d)))
-
-
 def _wide_range(rng, shape):
     """Finite entries of both signs across ten orders of magnitude."""
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
@@ -405,10 +371,6 @@ class TestConstraintScatter:
         rows = _certification_rows(n, p_prime)
         rng = np.random.default_rng(10 * n + p_prime)
         for _ in range(5):
-            Lx = [_lower(rng, d) for d in problem.block_sizes]
-            for got, expected in zip(_scattered_stacks(problem, Lx),
-                                     _expected_stacks(problem, Lx, rows)):
-                assert np.array_equal(got, expected)
             y = _wide_range(rng, len(problem.b))
             # the sigma cell sums one term per row: the order of k matters
             expected = _embedded(problem, np.einsum("k,kn->n", y, rows))
@@ -425,15 +387,7 @@ class TestConstraintScatter:
             constraints.append(raw + raw.transpose(0, 2, 1))
         problem = SdpProblem(objective=objective, constraints=constraints,
                              b=np.zeros(m))
-        # dense blocks: every row uses every column
-        assert [gather.shape for gather in problem._scatter.gathers] == [
-            (m, 7, 7), (m, 1, 1), (m, 4, 4)]
         rows = _rows(constraints)
-        Lx = [np.tril(rng.standard_normal((d, d))) for d in sizes]
-        for got, expected in zip(_scattered_stacks(problem, Lx),
-                                 _expected_stacks(problem, Lx, rows)):
-            np.testing.assert_allclose(got, expected, rtol=1e-12,
-                                       atol=1e-12 * np.max(np.abs(expected)))
         y = rng.standard_normal(m)
         expected = _embedded(problem, np.einsum("k,kn->n", y, rows))
         np.testing.assert_allclose(_adjoint(y, problem._scatter, problem.n_total),
@@ -570,7 +524,7 @@ def _factors(X, Z):
 def _schur(problem, X, Z):
     """B B' from _schur_factor at X and Z, given as lists of PD blocks."""
     Lx, Lz_inv = _factors(X, Z)
-    B = _schur_factor(problem._scatter, Lx, Lz_inv, _b_array(problem))
+    B = _schur_factor(problem._stacks, Lx, Lz_inv, _b_array(problem))
     return B @ B.T
 
 
@@ -609,8 +563,8 @@ class TestSchurFactor:
 
     @pytest.mark.parametrize("n, p_prime", BENCH_STRUCTURES)
     def test_certification_structures(self, n, p_prime):
-        self._check(_gram_structure(n, p_prime).problem,
-                    _certification_rows(n, p_prime), np.random.default_rng(n + p_prime))
+        self._check(_rows_problem(n, p_prime), _certification_rows(n, p_prime),
+                    np.random.default_rng(n + p_prime))
 
     @pytest.mark.parametrize("scalars", list(SCALAR_PLANS.values()),
                              ids=list(SCALAR_PLANS))
@@ -638,15 +592,14 @@ class TestSchurFactor:
         assert np.array_equal(scatter.rows, nonzero[0])
         assert np.array_equal(scatter.cells, nonzero[1])
         assert np.array_equal(scatter.values, cells[nonzero])
-        assert [gather.shape[0] for gather in scatter.gathers] == [m, m, m]
-        Lx = [_lower(rng, d) for d in problem.block_sizes]
-        for got, expected in zip(_scattered_stacks(problem, Lx),
-                                 _expected_stacks(problem, Lx, rows)):
-            np.testing.assert_allclose(got, expected, rtol=1e-12,
-                                       atol=1e-12 * np.max(np.abs(expected)))
+        # each block's stack as (d, m d), column k d + c holding A_k[:, c],
+        # and the 1x1 block as its column of values
+        for kept, a in zip(problem._stacks, _stacks(rows, problem.block_sizes)):
+            d = a.shape[1]
+            assert np.array_equal(kept, a[:, 0, 0] if d == 1
+                                  else np.concatenate(list(a), axis=1))
         self._check(problem, rows, rng)
-        for array in (problem._cells, scatter.rows, scatter.cells, scatter.values,
-                      scatter.sources, scatter.factors, scatter.bins, *scatter.gathers):
+        for array in (problem._cells, *scatter, *problem._stacks):
             assert not array.flags.writeable
 
 
@@ -655,15 +608,19 @@ class TestSampledSchur:
     the check of the samples on construction."""
 
     def test_crossover(self):
-        # 60 rows at (3, 4) stay on the rows, 150 at (4, 4) take samples
+        # 60 rows at (3, 4) stay on the rows, 150 at (4, 4) take samples; a
+        # problem at samples keeps no rows-path data
         sampled = [(n, p_prime) for n, p_prime in BENCH_STRUCTURES
                    if _gram_structure(n, p_prime).problem._samples is not None]
         assert sampled == SAMPLED_STRUCTURES[:2]
+        for n, p_prime in BENCH_STRUCTURES:
+            problem = _gram_structure(n, p_prime).problem
+            assert (problem._stacks is None) == ((n, p_prime) in sampled)
         assert all(len(_gram_structure(*s).rows) in _SAMPLED_ROWS
                    for s in SAMPLED_STRUCTURES)
         # (5, 6), 15 pairs times 126 monomials of degree <= 4 in 5 variables,
-        # stays on the rows: its points lost a certificate the rows prove
-        assert 15 * 126 not in _SAMPLED_ROWS
+        # takes samples too; nothing larger was checked
+        assert _SAMPLED_ROWS[-1] == 15 * 126
 
     # one model at (4, 6), where a solve over the rows takes about 1 s
     @pytest.mark.parametrize("n, p_prime, models", [(4, 4, 3), (3, 6, 3), (4, 6, 1)])
@@ -672,9 +629,7 @@ class TestSampledSchur:
         # same structure: every certificate the rows prove is proven at the
         # samples too, to a sigma_bar within the benchmark's 1e-6 gate
         structure = _gram_structure(n, p_prime)
-        rows = copy.copy(structure.problem)
-        rows._samples = None
-        over_rows = dataclasses.replace(structure, problem=rows)
+        over_rows = dataclasses.replace(structure, problem=_rows_problem(n, p_prime))
         solves = []
         solve = sos_certify.solve_sdp
 
@@ -716,13 +671,14 @@ class TestSampledSchur:
     @pytest.mark.parametrize("n, p_prime", SAMPLED_STRUCTURES)
     def test_solve_matches_rows(self, n, p_prime):
         problem = _gram_structure(n, p_prime).problem
+        stacks = _rows_problem(n, p_prime)._stacks
         sizes = problem.block_sizes
         rng = np.random.default_rng(3 * n + p_prime)
         for _ in range(3):
             X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
             Lx, Lz_inv = _factors(X, Z)
             rhs = rng.standard_normal(len(problem.b))
-            rows = _row_schur(problem._scatter, Lx, Lz_inv, _b_array(problem))(rhs)
+            rows = _row_schur(stacks, Lx, Lz_inv, _b_array(problem))(rhs)
             sampled = _sample_schur(problem._samples, Lx, Lz_inv)(rhs)
             np.testing.assert_allclose(sampled, rows, rtol=1e-9,
                                        atol=1e-12 * np.max(np.abs(rows)))
@@ -777,7 +733,7 @@ class TestSampledSchur:
 def _layout_problems():
     """(id, problem, row matrix): the certification structures, and planted
     dense data with 1x1 blocks at every position."""
-    problems = [(f"pairs{n}{p_prime}", _gram_structure(n, p_prime).problem,
+    problems = [(f"pairs{n}{p_prime}", _rows_problem(n, p_prime),
                  _certification_rows(n, p_prime))
                 for n, p_prime in BENCH_STRUCTURES]
     for name, scalars in SCALAR_PLANS.items():
@@ -822,12 +778,14 @@ class TestDenseLayout:
             sizes = problem.block_sizes
             X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
             Lx, Lz_inv = _factors(X, Z)
-            B = _schur_factor(problem._scatter, Lx, Lz_inv, _b_array(problem))
-            for (start, end, d), s, a in zip(problem._scatter.columns,
-                                             _offsets(sizes), _stacks(rows, sizes)):
+            B = _schur_factor(problem._stacks, Lx, Lz_inv, _b_array(problem))
+            start = 0
+            for s, a in zip(_offsets(sizes), _stacks(rows, sizes)):
+                d = a.shape[1]
                 block = slice(s, s + d)
                 expected = Lx[block, block].T @ a @ Lz_inv[block, block].T
-                got = B[:, start:end].reshape(-1, d, d)
+                got = B[:, start:start + d * d].reshape(-1, d, d)
+                start += d * d
                 assert _relative(got, expected) <= 1e-12, name
 
     def test_step_length_is_smallest_block_bound(self, problems):

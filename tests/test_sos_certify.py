@@ -455,9 +455,10 @@ class TestRegularizerGram:
 class TestStructureMemory:
     def test_built_structure_holds_no_dense_constraints(self):
         # (n, p') = (4, 6): 700 rows over a Gram matrix of size 60, whose
-        # dense pair stack alone is 20 MB; what stays is mostly the scatter
-        # and the inverse constraint Gram matrix, about 10 MB.  Built
-        # uncached, so every array it keeps is allocated under tracemalloc
+        # dense pair stack alone is 20 MB; it takes samples, so what stays
+        # is mostly the inverse constraint Gram matrix (3.7 MiB) and the
+        # samples, 5.66 MiB in a fresh process.  Built uncached, so every
+        # array it keeps is allocated under tracemalloc
         tracemalloc.start()
         try:
             structure = _gram_structure.__wrapped__(4, 6)
@@ -465,7 +466,8 @@ class TestStructureMemory:
         finally:
             tracemalloc.stop()
         assert len(structure.rows) == 700 and len(structure.basis) == 60
-        assert held <= 12 * 2 ** 20
+        assert structure.problem._stacks is None
+        assert held <= 6.5 * 2 ** 20
 
 
 class TestBalancing:

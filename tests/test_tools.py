@@ -5,7 +5,6 @@ tools/sdp_counts' tally of solves, its proof outcome and Schur path
 columns and its --p option; tools/fingerprint's structures digest; and the two sides of
 tools/schur_crossover."""
 
-import copy
 import shutil
 import subprocess
 import sys
@@ -337,10 +336,9 @@ class TestStructuresDigest:
         assert _digest(add_problem, problem(2.0)) != _digest(add_problem, problem(3.0))
 
     def test_hashes_the_samples(self):
-        problem = sos_certify._gram_structure(4, 4).problem
-        without = copy.copy(problem)
-        without._samples = None
-        assert problem._samples is not None
+        # (4, 4) takes samples; the same constraints built without them
+        _, without, problem = both_paths(sos_certify, sdp_core, 4, 4)
+        assert problem._samples is not None and without._samples is None
         assert _digest(add_problem, problem) != _digest(add_problem, without)
 
 

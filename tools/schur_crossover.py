@@ -20,7 +20,6 @@ checkout takes, each side's median over the passes and their ratio.
 from __future__ import annotations
 
 import argparse
-import copy
 import statistics
 import sys
 import time
@@ -30,14 +29,20 @@ from fingerprint import load_checkout
 
 
 def both_paths(sos_certify, sdp_core, n: int, p_prime: int):
-    """The structure and its SDP over the rows and at sample points."""
+    """The structure and its SDP over the rows and at sample points, both
+    built afresh from the structure's basis pairs, as _gram_structure builds
+    its own, without and with sos_certify._constraint_samples."""
+    import numpy as np  # loaded by load_checkout, after the thread setting was pinned
     structure = sos_certify._gram_structure(n, p_prime)
-    rows, sampled = copy.copy(structure.problem), copy.copy(structure.problem)
-    rows._samples = None
-    if sampled._samples is None:
-        sampled._samples = sdp_core._checked_samples(
-            sos_certify._constraint_samples(n, p_prime, structure.reg),
-            rows._scatter, len(rows.b), rows.block_sizes)
+    pairs, m, size = structure.pairs, len(structure.rows), len(structure.basis)
+    pair_matrices = np.zeros((m, size, size))
+    pair_matrices[pairs.bins, pairs.u, pairs.w] = \
+        pair_matrices[pairs.bins, pairs.w, pairs.u] = 1.0
+    rows, sampled = (sdp_core.SdpProblem(
+        objective=[np.zeros((size, size)), np.ones((1, 1))],
+        constraints=[pair_matrices, -structure.reg[:, None, None]], b=np.zeros(m),
+        samples=samples)
+        for samples in (None, sos_certify._constraint_samples(n, p_prime, structure.reg)))
     return structure, rows, sampled
 
 
