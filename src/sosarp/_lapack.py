@@ -4,9 +4,9 @@ The solver calls LAPACK directly: dpotrf, dpotrs, dtrtri, dsygst and
 dsyevd in sdp_core, whose Cholesky factor and solve the subsolver shares,
 and dtrtrs, whose two triangular solves replace dpotrs on the Schur
 complement at sample points; sos_certify picks those points with dgeqp3's
-pivoted QR.  An IPM iteration makes 16 calls over the constraint rows
-(3 dpotrf, 1 dtrtri, 4 dpotrs, 4 dsygst, 4 dsyevd) and 20 at sample points
-(8 dtrtrs for the 4 dpotrs).
+pivoted QR.  An IPM iteration makes 15 calls over the constraint rows
+(3 dpotrf, 1 dtrtri, 3 dpotrs, 4 dsygst, 4 dsyevd) and 18 at sample points
+(6 dtrtrs for the 3 dpotrs).
 All of them live in one f2py extension, scipy.linalg._flapack, which
 scipy.linalg.lapack re-exports.  Importing that through the scipy.linalg
 package would run the package's __init__, which pulls in scipy's array-API

@@ -9,6 +9,13 @@ the corrector 0.9 + 0.09 min(ap_aff, ad_aff) of it, ap_aff and ad_aff the
 predictor's step lengths, as SDPT3 does (Toh, Todd & Tutuncu, Optim.
 Methods Softw. 1999): as the predictor nears a full step the corrector
 steps up to 0.99 of the way, and each IterateLog records the fraction.
+The predictor (affine-scaling) direction is never taken: it only sets the
+centering and the corrector's second-order term (Mehrotra, SIAM J. Optim.
+1992).  Its R_c = -XZ makes T1 = R_c Z^-1 exactly -X, so it is formed in
+closed form (_predictor), without XZ or A(T1), with the bare factor solve
+of the Schur system and no projection of dX; the corrector, whose step is
+taken, gets the refined solve and the projection onto A(dX) = r_p
+(_project_primal).
 It is sized for small blocks with sparse constraint data, such as the
 certification SDP's 0/1 pair matrices (see the scatters below).
 
@@ -29,8 +36,9 @@ solution's blocks are copies of the diagonal blocks.
 The LAPACK routines come from sosarp._lapack, which loads scipy's compiled
 wrappers without the scipy.linalg package (about 0.17 s and 23 MB per
 process): besides the factors above, dpotrf factors the Schur complement
-(M, or H at sample points, below), whose 4 solves an iteration are one
-dpotrs each over the rows and two dtrtrs each at sample points, the
+(M, or H at sample points, below), whose 3 solves an iteration (the
+predictor's, and the corrector's with its refinement) are one dpotrs
+each over the rows and two dtrtrs each at sample points, the
 cheaper call at each path's sizes (_triangular_solves), and each step
 length is the smallest eigenvalue, from dsyevd, of L^-1 dS L^-T,
 which dsygst forms in one call from the lower triangles of dS and of the
@@ -38,9 +46,9 @@ factor L of S, as SDPT3 takes the step length from the Cholesky-reduced
 matrix.  Every operand reaches LAPACK in column order, so f2py copies none
 to transpose it: the factors come from dpotrf in that order, and a
 symmetric matrix held in row order is passed as its transpose, the same
-matrix.  An iteration makes 16 calls over the rows, 3 dpotrf, 1 dtrtri,
-4 dpotrs, 4 dsygst and 4 dsyevd, whatever the blocks, and 20 at sample
-points, the 4 dpotrs replaced by 8 dtrtrs.
+matrix.  An iteration makes 15 calls over the rows, 3 dpotrf, 1 dtrtri,
+3 dpotrs, 4 dsygst and 4 dsyevd, whatever the blocks, and 18 at sample
+points, the 3 dpotrs replaced by 6 dtrtrs.
 
 An SdpProblem checks its data once, on construction, and keeps what every
 solve needs.  The constraints are the rows of the (m, N) row matrix A, row
@@ -86,10 +94,11 @@ supports are disjoint, so each cell of their block receives one term, and
 the sigma cell receives its terms in order of k, as einsum over the dense
 rows adds them.  So it is bit for bit the dense product; for dense data it
 agrees up to rounding, as A(V) does with A @ v on all data, since BLAS adds
-a row's terms in its own order.  Each Schur solve takes one round of
-iterative refinement, whose residual is formed as B (B' dy) rather than M
-dy: near the optimum dy is large along M's smallest eigenvectors, where B'
-dy stays small, so the factored form rounds far less.
+a row's terms in its own order.  The corrector's Schur solve takes one
+round of iterative refinement, whose residual is formed as B (B' dy)
+rather than M dy: near the optimum dy is large along M's smallest
+eigenvectors, where B' dy stays small, so the factored form rounds far
+less.  The predictor's solve takes none: its direction is an estimate.
 
 A problem with blocks [d, 1] may carry constraint samples
 (ConstraintSamples): m points j at which sum_k T[j, k] A_k =
@@ -101,11 +110,11 @@ and z the 1x1 blocks, so with F = V Lx and G = V Lz^-T over the d x d
 block, the z_j the rows of V, H = (F F') o (G G') + c c', c = s sqrt(x /
 z): two dsyrks of (m, d) arrays and a Hadamard product, O(m^2 d) against
 the O(m^2 N) of B B', and symmetric to the bit.  Each Schur system is
-solved as dy = T' H^-1 T r, since M^-1 = T' H^-1 T, with the one round of
-refinement taking its residual as K (K' v) for the rows K_j = (vec(F_j
-G_j'), c_j) of H = K K', K = T B, as B (B' dy) is taken above; never as
-H v.  Only the Schur solve changes basis: the rows, b, the residuals,
-A(V), A*(y), project_primal and the start point stay in coefficient
+solved as dy = T' H^-1 T r, since M^-1 = T' H^-1 T, with the corrector's
+round of refinement taking its residual as K (K' v) for the rows K_j =
+(vec(F_j G_j'), c_j) of H = K K', K = T B, as B (B' dy) is taken above;
+never as H v.  Only the Schur solve changes basis: the rows, b, the residuals,
+A(V), A*(y), _project_primal and the start point stay in coefficient
 form, so the (X, y, Z) directions are those of the rows in exact
 arithmetic.  T is kept as its row-wise Khatri-Rao factors, so T r and
 T' v are one matrix product each.
@@ -189,6 +198,8 @@ class IterateLog(NamedTuple):
 # solve_sdp's hook: from the D x D primal iterate and its log, None or the
 # X to end the solve with
 Certify = Callable[[np.ndarray, IterateLog], Optional[np.ndarray]]
+# a solve of the Schur system, dy = M^-1 rhs (_row_schur, _sample_schur)
+Solve = Callable[[np.ndarray], np.ndarray]
 
 
 def _symmetrized(stack: np.ndarray, what: str) -> np.ndarray:
@@ -365,39 +376,47 @@ def _checked_samples(samples: ConstraintSamples, scatter: _Scatter, m: int,
 
 
 def _row_schur(stacks: Blocks, Lx: np.ndarray, Lz_inv: np.ndarray,
-               B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve dy = M^-1 rhs of the Schur system on the rows, M = B B'
-    with B filled in place by _schur_factor.
+               B: np.ndarray) -> Tuple[Solve, Solve]:
+    """The factor solve and the refined solve of the Schur system on the
+    rows, dy = M^-1 rhs for M = B B' with B filled in place by
+    _schur_factor.
 
-    Each solve takes one round of iterative refinement against the
-    unjittered M: the Schur complement gets very ill-conditioned near the
-    optimum and the raw solve error regrows the primal residual.  The
-    residual is taken as B (B' sol): the rounding of M @ sol grows with
-    |M| |sol|, which is large exactly when sol is large along M's small
-    eigenvectors, while B' sol stays small there."""
+    The factor solve is one dpotrs with M's factor; it serves the
+    predictor, which is never taken.  The refined solve adds one round of
+    iterative refinement against the unjittered M: the Schur complement
+    gets very ill-conditioned near the optimum and the raw solve error
+    regrows the primal residual of the step taken.  The residual is taken
+    as B (B' sol): the rounding of M @ sol grows with |M| |sol|, which is
+    large exactly when sol is large along M's small eigenvectors, while B'
+    sol stays small there."""
     _schur_factor(stacks, Lx, Lz_inv, B)
     # numpy computes B B' as one dsyrk, so M is symmetric to the bit
     M_chol = _chol(B @ B.T)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
+        return _cho_solve(M_chol, rhs)
+
+    def refined(rhs: np.ndarray) -> np.ndarray:
         sol = _cho_solve(M_chol, rhs)
         return sol + _cho_solve(M_chol, rhs - B @ (B.T @ sol))
 
-    return solve
+    return solve, refined
 
 
 def _sample_schur(samples: ConstraintSamples, Lx: np.ndarray,
-                  Lz_inv: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve dy = M^-1 rhs of the Schur system in the sampled dual
-    basis: M^-1 = T' H^-1 T for H = T M T', the Schur complement of the
-    sampled constraints diag(z_j z_j', s_j).
+                  Lz_inv: np.ndarray) -> Tuple[Solve, Solve]:
+    """The factor solve and the refined solve of the Schur system in the
+    sampled dual basis: M^-1 = T' H^-1 T for H = T M T', the Schur
+    complement of the sampled constraints diag(z_j z_j', s_j).
 
     With F = V Lx and G = V Lz^-T over the d x d block, H[i, j] =
     (z_i' X z_j)(z_i' Z^-1 z_j) + c_i c_j, c = s sqrt(x / z) from the 1x1
     block: two dsyrks and a Hadamard product, so H is symmetric to the bit.
-    H = K K' for the rows K_j = (vec(F_j G_j'), c_j), and the one round of
-    refinement takes its residual as K (K' v), as _row_schur takes B (B'
-    sol): K' v is F' diag(v) G and c'v, and row j of K W is F_j W G_j'."""
+    The factor solve is T' H^-1 T rhs with two dtrtrs on H's factor; the
+    refined solve adds the one round of refinement, with its residual taken
+    as K (K' v) for H = K K', the rows K_j = (vec(F_j G_j'), c_j), as
+    _row_schur takes B (B' sol): K' v is F' diag(v) G and c'v, and row j of
+    K W is F_j W G_j'."""
     d = samples.V.shape[1]
     F = samples.V @ Lx[:d, :d]
     G = samples.V @ Lz_inv[:d, :d].T
@@ -408,12 +427,15 @@ def _sample_schur(samples: ConstraintSamples, Lx: np.ndarray,
     H_chol = _chol(H)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
+        return _from_samples(samples, _triangular_solves(H_chol, _to_samples(samples, rhs)))
+
+    def refined(rhs: np.ndarray) -> np.ndarray:
         t = _to_samples(samples, rhs)
         v = _triangular_solves(H_chol, t)
         KKv = np.sum((F @ (F.T @ (v[:, None] * G))) * G, axis=1) + c * (c @ v)
         return _from_samples(samples, v + _triangular_solves(H_chol, t - KKv))
 
-    return solve
+    return solve, refined
 
 
 @dataclass
@@ -661,6 +683,45 @@ def _diagonal_blocks(V: np.ndarray, sizes: List[int]) -> Blocks:
     return blocks
 
 
+def _predictor(b: np.ndarray, X: np.ndarray, Z_inv: np.ndarray, R_d: np.ndarray,
+               A_XRZ: np.ndarray, solve: Solve,
+               scatter: _Scatter) -> Tuple[np.ndarray, np.ndarray]:
+    """dX and dZ of the predictor (affine-scaling) direction, the HKM
+    direction at R_c = -XZ, in closed form; A_XRZ is A(X R_d Z^-1).
+
+    T1 = R_c Z^-1 is exactly -X, so the Schur right-hand side r_p - A(T1) +
+    A(X R_d Z^-1) is b + A(X R_d Z^-1), and dX = sym(T1 - X dZ Z^-1) =
+    -X - sym(X dZ Z^-1): neither XZ nor A(T1) is formed.  The direction is
+    never taken, it only sets the centering and the corrector's
+    second-order term (Mehrotra, SIAM J. Optim. 1992), so solve is the bare
+    factor solve and dX is not projected onto A(dX) = r_p, which it meets
+    in exact arithmetic."""
+    dy = solve(b + A_XRZ)
+    dZ = R_d - _adjoint(dy, scatter, len(X))
+    W = X @ dZ @ Z_inv
+    return -X - (W + W.T) / 2.0, dZ
+
+
+def _project_primal(dX: np.ndarray, r_p: np.ndarray, gram_inv: np.ndarray,
+                    scatter: _Scatter) -> np.ndarray:
+    """The symmetric dX moved back onto A(dX) = r_p by two rounds of dX +=
+    A*((A A')^-1 defect), or dX itself if they do not shrink the defect.
+
+    The direction inherits the Schur system's ill-conditioning near the
+    optimum; re-imposing A(dX) = r_p through the stored inverse of the
+    constant, well-conditioned constraint Gram matrix stops the primal
+    residual from regrowing late in the run."""
+    m, D = len(r_p), len(dX)
+    before = r_p - _apply(dX, scatter, m)
+    corrected, defect = dX, before
+    for _ in range(2):
+        corrected = corrected + _adjoint(gram_inv @ defect, scatter, D)
+        defect = r_p - _apply(corrected, scatter, m)
+    if math.sqrt(defect @ defect) <= math.sqrt(before @ before):
+        return corrected
+    return dX
+
+
 # a step that overflows makes numpy warn before the iterate check turns it
 # into NUMERICAL_FAILURE; under warnings-as-errors the warning would escape
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -741,44 +802,26 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
             Lx = _chol(X)
             Lz = _chol(Z)
             Lz_inv, Z_inv = _inverse(Lz)
-            solve_schur = (_row_schur(problem._stacks, Lx, Lz_inv, B) if samples is None
-                           else _sample_schur(samples, Lx, Lz_inv))
-
-            def project_primal(dX: np.ndarray) -> np.ndarray:
-                # The direction inherits the Schur system's ill-conditioning
-                # near the optimum; re-imposing A(dX) = r_p through the stored
-                # inverse of the constant, well-conditioned constraint Gram
-                # matrix stops the primal residual from regrowing late in the
-                # run.
-                before = r_p - _apply(dX, scatter, m)
-                corrected, defect = dX, before
-                for _ in range(2):
-                    corrected = corrected + _adjoint(gram_inv @ defect, scatter, D)
-                    defect = r_p - _apply(corrected, scatter, m)
-                if math.sqrt(defect @ defect) <= math.sqrt(before @ before):
-                    return corrected
-                return dX
-
-            # A(X R_d Zinv), the same in both directions
+            solve, refined = (_row_schur(problem._stacks, Lx, Lz_inv, B) if samples is None
+                              else _sample_schur(samples, Lx, Lz_inv))
+            # A(X R_d Z^-1), in both Schur right-hand sides
             A_XRZ = _apply(X @ R_d @ Z_inv, scatter, m)
 
-            def direction(Rc: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-                T1 = Rc @ Z_inv
-                dy = solve_schur(r_p - _apply(T1, scatter, m) + A_XRZ)
-                dZ = R_d - _adjoint(dy, scatter, D)
-                dX = T1 - X @ dZ @ Z_inv
-                return project_primal((dX + dX.T) / 2.0), dy, dZ
-
-            # predictor (affine scaling): Rc = -XZ
-            XZ = X @ Z
-            dX_aff, dy_aff, dZ_aff = direction(-XZ)
+            dX_aff, dZ_aff = _predictor(b, X, Z_inv, R_d, A_XRZ, solve, scatter)
             ap_aff = min(1.0, _PREDICTOR_FRACTION * _max_step(Lx, dX_aff))
             ad_aff = min(1.0, _PREDICTOR_FRACTION * _max_step(Lz, dZ_aff))
             mu_aff = float(np.vdot(X + ap_aff * dX_aff, Z + ad_aff * dZ_aff)) / D
             center = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-            # corrector with Mehrotra second-order term
-            dX, dy, dZ = direction(center * mu * eye - XZ - dX_aff @ dZ_aff)
+            # corrector with Mehrotra's second-order term: the HKM direction
+            # at R_c = center mu I - XZ - dX_aff dZ_aff, whose T1 = R_c Z^-1
+            # is formed without XZ
+            T1 = (center * mu) * Z_inv - X - dX_aff @ dZ_aff @ Z_inv
+            dy = refined(r_p - _apply(T1, scatter, m) + A_XRZ)
+            dZ = R_d - _adjoint(dy, scatter, D)
+            dX = T1 - X @ dZ @ Z_inv
+            dX = _project_primal((dX + dX.T) / 2.0, r_p, gram_inv, scatter)
+
             # SDPT3's step to the cone boundary (Toh, Todd & Tutuncu 1999)
             fraction = _STEP_BASE + _STEP_GAIN * min(ap_aff, ad_aff)
             alpha_p = min(1.0, fraction * _max_step(Lx, dX))

@@ -128,8 +128,9 @@ class TestPlanted:
 class TestCertifyHook:
     # sha256 of the X, y and Z blocks of ACCEPTANCE 9's planted batch as
     # solve_sdp computes them without a hook, all 100 ending Optimal in 1347
-    # IPM iterations (scipy's bundled OpenBLAS 0.3.30, one or two threads)
-    BATCH_DIGEST = "757842e86f68765ef182eeb5d4372727539d26e9ebbbe7fea2862fe35de36faa"
+    # IPM iterations (scipy's bundled OpenBLAS 0.3.30, checked with one BLAS
+    # thread and with two)
+    BATCH_DIGEST = "539b5ee4e15d2abf0bc04ba8abfb3eb8611e3dbee8376d38fac829b216a315b0"
 
     @staticmethod
     def batch_digest(**kwargs) -> str:
@@ -428,8 +429,9 @@ class TestNonFiniteIterate:
         problem, _ = planted_sdp(np.random.default_rng(4), max_block=8, max_m=20)
         return problem
 
-    # four solves per iteration: each direction makes two Schur solves, the
-    # solve and its refinement; 8 poisons the third iteration's first
+    # three solves per iteration: the predictor's factor solve, then the
+    # corrector's solve and its refinement; 8 poisons the third iteration's
+    # refinement
     @pytest.mark.parametrize("after", [0, 8], ids=["first_step", "later_step"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("kind", ["scalar_blocks", "planted"])

@@ -678,8 +678,9 @@ class TestSampledSchur:
             X, Z = _pd_blocks(rng, sizes), _pd_blocks(rng, sizes)
             Lx, Lz_inv = _factors(X, Z)
             rhs = rng.standard_normal(len(problem.b))
-            rows = _row_schur(stacks, Lx, Lz_inv, _b_array(problem))(rhs)
-            sampled = _sample_schur(problem._samples, Lx, Lz_inv)(rhs)
+            # the refined solves, which the corrector's step takes
+            rows = _row_schur(stacks, Lx, Lz_inv, _b_array(problem))[1](rhs)
+            sampled = _sample_schur(problem._samples, Lx, Lz_inv)[1](rhs)
             np.testing.assert_allclose(sampled, rows, rtol=1e-9,
                                        atol=1e-12 * np.max(np.abs(rows)))
 
@@ -728,6 +729,61 @@ class TestSampledSchur:
         bad[0] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             SdpProblem(problem.objective, stacks, b, samples=samples._replace(s=bad))
+
+
+def _near_optimal(rng, sizes, spread):
+    """Block-diagonal X and Z with the eigenvectors of a random basis, X's
+    eigenvalues spread over spread orders of magnitude in each block and
+    Z's their reciprocals, so X Z = I and M is ill-conditioned as near an
+    optimum."""
+    X, Z = [], []
+    for d in sizes:
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        x = np.logspace(0.0, -spread, d)
+        X.append((basis * x) @ basis.T)
+        Z.append((basis / x) @ basis.T)
+    X, Z = block_diag(*X), block_diag(*Z)
+    return (X + X.T) / 2.0, (Z + Z.T) / 2.0
+
+
+class TestSchurSolves:
+    """Each Schur path hands back the factor solve, for the predictor, and
+    the refined solve, for the corrector.  On iterates where M is
+    ill-conditioned as near an optimum, the refined solves' residual
+    against M = B B', formed in extended precision, is no larger than the
+    factor solves'.  One solve's residual sits at rounding level, where one
+    round of refinement need not lower it (on (2, 4) it did not in about
+    one solve in six), so the test compares root sums of squares over
+    3 iterates and 16 right-hand sides each."""
+
+    @staticmethod
+    def _residual(B, rhs, sol) -> float:
+        wide = B.astype(np.longdouble)
+        return float(np.linalg.norm(rhs - wide @ (wide.T @ sol.astype(np.longdouble))))
+
+    @pytest.mark.parametrize("n, p_prime", [(2, 4), (3, 4), (4, 4), (3, 6)])
+    def test_refined_residual_no_larger(self, n, p_prime):
+        problem = _gram_structure(n, p_prime).problem
+        rows = _rows_problem(n, p_prime)
+        rng = np.random.default_rng(5 * n + p_prime)
+        # per path, the squared residuals of the factor and the refined solves
+        squares = {}
+        for _ in range(3):
+            X, Z = _near_optimal(rng, problem.block_sizes, 4.0)
+            Lx, Lz_inv = _chol(X), _inverse(_chol(Z))[0]
+            B = _schur_factor(rows._stacks, Lx, Lz_inv, _b_array(rows))
+            paths = {"rows": _row_schur(rows._stacks, Lx, Lz_inv, _b_array(rows))}
+            if problem._samples is not None:
+                paths["samples"] = _sample_schur(problem._samples, Lx, Lz_inv)
+            for _ in range(16):
+                rhs = rng.standard_normal(len(problem.b))
+                for path, solves in paths.items():
+                    sums = squares.setdefault(path, [0.0, 0.0])
+                    for k, solve in enumerate(solves):
+                        sums[k] += self._residual(B, rhs, solve(rhs)) ** 2
+        assert len(squares) == 1 + (problem._samples is not None)
+        for path, (factor, refined) in squares.items():
+            assert refined <= factor, path
 
 
 def _layout_problems():
@@ -846,20 +902,21 @@ def _counted(monkeypatch, names):
 
 
 class TestLapackCalls:
-    # per iteration: the rows' 4 Schur solves are one dpotrs each, the
-    # sampled path's two dtrtrs each
-    ROWS = {"dpotrf": 3, "dpotrs": 4, "dtrtri": 1, "dtrtrs": 0, "dsygst": 4,
+    # per iteration: the predictor's factor solve and the corrector's
+    # refined solve make 3 Schur solves, one dpotrs each over the rows and
+    # two dtrtrs each at sample points
+    ROWS = {"dpotrf": 3, "dpotrs": 3, "dtrtri": 1, "dtrtrs": 0, "dsygst": 4,
             "dsyevd": 4}
-    SAMPLES = {"dpotrf": 3, "dpotrs": 0, "dtrtri": 1, "dtrtrs": 8, "dsygst": 4,
+    SAMPLES = {"dpotrf": 3, "dpotrs": 0, "dtrtri": 1, "dtrtrs": 6, "dsygst": 4,
                "dsyevd": 4}
 
-    def test_sixteen_calls_per_iteration(self, monkeypatch):
+    def test_fifteen_calls_per_iteration(self, monkeypatch):
         # the certification SDP of the bundled runs, (n, p') = (2, 4), whose
         # blocks are [6, 1], over its rows
         self._check(monkeypatch, 2, 3, p_prime=4, size=6, sampled=False,
                     per_iteration=self.ROWS)
 
-    def test_twenty_calls_per_iteration_at_samples(self, monkeypatch):
+    def test_eighteen_calls_per_iteration_at_samples(self, monkeypatch):
         # the one of certify_grid's Gram-size-30 cell, (3, 6), at sample
         # points, where dpotrf factors H instead of M
         self._check(monkeypatch, 3, 4, p_prime=6, size=30, sampled=True,
@@ -899,3 +956,123 @@ class TestLapackCalls:
                           for name, calls in per_iteration.items()}
         # the certified iterate passed the first check it reached
         assert checks == [(size, size)]
+
+
+def _old_predictor(problem, rows, X, y, Z):
+    """dX and dZ of the predictor as the HKM direction at R_c = -XZ, T1 =
+    R_c Z^-1, with the Schur system solved densely from M's definition and
+    no projection onto A(dX) = r_p, which this dX meets in exact
+    arithmetic."""
+    sizes = problem.block_sizes
+
+    def apply(V):
+        return rows @ V.ravel()[problem._cells]
+
+    def adjoint(v):
+        return _embedded(problem, rows.T @ v)
+
+    blocks = [slice(s, s + d) for s, d in zip(_offsets(sizes), sizes)]
+    M = _dense_schur(_stacks(rows, sizes), [X[k, k] for k in blocks],
+                     [Z[k, k] for k in blocks])
+    Z_inv = np.linalg.inv(Z)
+    r_p = problem.b - apply(X)
+    R_d = problem._c - Z - adjoint(y)
+    T1 = -(X @ Z) @ Z_inv
+    dy = np.linalg.solve(M, r_p - apply(T1) + apply(X @ R_d @ Z_inv))
+    dZ = R_d - adjoint(dy)
+    dX = T1 - X @ dZ @ Z_inv
+    return (dX + dX.T) / 2.0, dZ
+
+
+def _predictor_problem(name):
+    """The problem named and its row matrix: "planted", with a 1x1 block
+    between two dense ones, or "pairsNP", the certification structure (N,
+    P), the bundled runs' [6, 1] over its rows and (3, 6) at sample points;
+    each with a random right-hand side."""
+    rng = np.random.default_rng(29)
+    if name == "planted":
+        data = planted_data(rng, max_block=8, max_m=30, scalars=(1,), nblocks=2)
+        return (SdpProblem(data.objective, data.constraints, data.b),
+                _rows(data.constraints))
+    n, p_prime = int(name[-2]), int(name[-1])
+    problem = _gram_structure(n, p_prime).problem
+    return (problem.with_rhs(rng.standard_normal(len(problem.b))),
+            _certification_rows(n, p_prime))
+
+
+class TestPredictor:
+    """The closed-form predictor, b + A(X R_d Z^-1) through the factor solve
+    and dX = -X - sym(X dZ Z^-1), against the HKM direction at R_c = -XZ
+    on random interior iterates."""
+
+    @pytest.mark.parametrize("name", ["planted", "pairs24", "pairs36"])
+    def test_matches_the_rc_formula(self, name):
+        problem, rows = _predictor_problem(name)
+        assert (problem._samples is not None) == (name == "pairs36")
+        sizes = problem.block_sizes
+        m, D = len(problem.b), problem.n_total
+        scatter = problem._scatter
+        rng = np.random.default_rng(len(name))
+        for _ in range(3):
+            X, Z = block_diag(*_pd_blocks(rng, sizes)), block_diag(*_pd_blocks(rng, sizes))
+            y = rng.standard_normal(m)
+            Lx = _chol(X)
+            Lz_inv, Z_inv = _inverse(_chol(Z))
+            solve = (_row_schur(problem._stacks, Lx, Lz_inv, _b_array(problem))
+                     if problem._samples is None
+                     else _sample_schur(problem._samples, Lx, Lz_inv))[0]
+            R_d = problem._c - Z - _adjoint(y, scatter, D)
+            A_XRZ = _apply(X @ R_d @ Z_inv, scatter, m)
+            dX, dZ = sdp_core._predictor(problem.b, X, Z_inv, R_d, A_XRZ, solve, scatter)
+            expected_dX, expected_dZ = _old_predictor(problem, rows, X, y, Z)
+            assert np.array_equal(dX, dX.T)
+            assert _relative(dX, expected_dX) <= 1e-8
+            assert _relative(dZ, expected_dZ) <= 1e-8
+
+
+class TestOperatorCounts:
+    """Per IPM iteration A(V) (_apply) runs 6 times: the primal residual,
+    A(X R_d Z^-1), the corrector's A(T1) and project_primal's 3; A*(y)
+    (_adjoint) 5 times: the dual residual, each direction's dZ and
+    project_primal's 2; and project_primal's constraint-Gram product twice,
+    for the corrector alone.  The iteration that ends the solve forms its
+    two residuals only."""
+
+    @pytest.mark.parametrize("n, p, p_prime, sampled",
+                             [(2, 3, 4, False), (3, 4, 6, True)], ids=["rows", "samples"])
+    def test_per_iteration(self, monkeypatch, n, p, p_prime, sampled):
+        # the structure is built before the count starts
+        model = random_certified_model(np.random.default_rng(0), n, p)
+        problem = _gram_structure(n, p_prime).problem
+        assert (problem._samples is not None) == sampled
+        counts = dict.fromkeys(("_apply", "_adjoint", "gram"), 0)
+        for name in ("_apply", "_adjoint"):
+            operator = getattr(sdp_core, name)
+
+            def counting(*args, _name=name, _operator=operator):
+                counts[_name] += 1
+                return _operator(*args)
+
+            monkeypatch.setattr(sdp_core, name, counting)
+
+        class CountedProducts(np.ndarray):
+            def __matmul__(self, other):
+                counts["gram"] += 1
+                return np.asarray(self) @ other
+
+        # with_rhs shares the inverse of the constraint Gram matrix
+        monkeypatch.setattr(problem, "_gram_inv", problem._gram_inv.view(CountedProducts))
+        solves = []
+        solve = sos_certify.solve_sdp
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", recording)
+        min_sigma_sos(model)
+        assert len(solves) == 1 and solves[0].status is SdpStatus.CERTIFIED
+        iterations = solves[0].iterations
+        assert iterations > 5
+        assert counts == {"_apply": 6 * iterations + 1, "_adjoint": 5 * iterations + 1,
+                          "gram": 2 * iterations}
