@@ -14,21 +14,28 @@ cell of Q belongs to one row, so only the sigma cell is shared between
 rows, and its rank check and constraint Gram matrix need no dense rows.
 One SDP is solved per model, with sigma linear in the rows, minimized: its
 primal iterate, once proven (below), is the certificate at sigma_bar, and
-its dual objective bounds the minimal weight from below.
+its dual objective b'y estimates the minimal weight from below, without
+being a rigorous bound.
 Q_bar + (sigma - sigma_bar) R matches h_hat at any other sigma exactly, so
 the same solve answers membership at a fixed sigma.
 
 A certificate is accepted only when it is proven; an over-estimate of
-sigma_bar is safe, since feasibility is monotone in sigma.  An iterate's
-Gram block Q at weight sigma is projected onto the rows at that sigma in
-closed form (Peyrl & Parrilo, Theor. Comput. Sci. 2008): the pair matrices
-have disjoint supports, so Q' = Q + sum_k lambda_k A_k with
-lambda_k = (b_k + reg_k sigma - <A_k, Q>) / ||A_k||^2.  Q' is the
-certificate once a shifted Cholesky factor proves it positive definite
-(Rump, BIT 2006, Corollary 2.4; see _proven_positive_definite).  Through
-solve_sdp's certify hook the proof is tried on each iterate with sigma > 0,
-both residuals at most _CLEAN_RESIDUAL and (sigma - b'y) <= gap sigma, and
-the solve ends Certified on the first that proves.  A solve that ends
+sigma_bar is safe, since feasibility is monotone in sigma.  One routine,
+_proven, decides every certificate, on an iterate, after a solve, in
+is_sos_convex and in verify_certificate: it bounds the residual of z'Qz
+against the exact target in floating point, adds the norm of the
+minimum-norm correction of Q that removes it (Lofberg, IEEE TAC 2009) to
+the shift of a Cholesky factorization, and so proves Q plus that
+correction positive definite (Rump, BIT 2006, Corollary 2.4), after an
+exact power-of-two diagonal scaling.  An iterate's Gram block Q at weight
+sigma is first projected onto the rows at that sigma in closed form
+(Peyrl & Parrilo, Theor. Comput. Sci. 2008): the pair matrices have
+disjoint supports, so Q' = Q + sum_k lambda_k A_k with
+lambda_k = (b_k + reg_k sigma - <A_k, Q>) / ||A_k||^2, and Q' is the
+certificate once _proven proves it.  Through solve_sdp's certify hook the
+proof is tried on each iterate with sigma > 0, both residuals at most
+_CLEAN_RESIDUAL and (sigma - b'y) <= gap sigma, and the solve ends
+Certified on the first that proves.  A solve that ends
 otherwise with clean residuals has its returned iterate tried once more,
 lifted to Q + t sigma R at sigma (1 + t) for t = 0, then (if sigma > 0)
 gap/8: R's rows are reg exactly, so the lift costs a factor 1 + gap/8.
@@ -80,7 +87,6 @@ from .tensor_poly import (Exponents, SymmetricTensor, min_eigenvalue,
 BasisElement = Tuple[int, Exponents]
 
 _CLEAN_RESIDUAL = 1e-8  # residuals at or below this let an SDP iterate's certificate be tried
-_COEFF_MATCH = 1e-7  # coefficient match, relative to 1 + max |coefficient| of h_hat
 _MIN_SIGMA_TOL = 1e-10  # SDP tolerance of the minimal-weight solve (sigma_bar)
 _CERT_GAP = 5e-7  # (sigma - b'y) / sigma at which an iterate's certificate is tried: half the 1e-6 reference gate
 _LIFT = 0.125  # t / gap of the lift Q + t sigma R tried after a solve whose own iterate fails
@@ -88,7 +94,6 @@ _MARGIN_SLACK = 1e-10  # rounding by which an SosModel's lambda_min(H_bar) may m
 _VERIFY_SAMPLES = 100  # steps at which verify_certificate samples the model Hessian
 _VERIFY_SEED = 0  # seed of those steps, so a report is reproducible
 _HESSIAN_SLACK = 1e-8  # sampled Hessian eigenvalue >= -this * (1 + spectral radius) passes
-_GRAM_SLACK = 1e-9  # lambda_min(Q) >= -this * (1 + max |Q|) passes
 # Row counts whose structures take the sampled Schur complement.  Per IPM
 # iteration, over the rows against at sample points (tools/schur_crossover.py,
 # three seed-0 grid models; two runs of nine passes, medians averaged, five
@@ -123,8 +128,9 @@ class CertificationError(RuntimeError):
 
 class SosIndeterminate(CertificationError):
     """The certification SDP ended without a proven certificate, or a fixed
-    sigma lies between the dual bound and sigma_bar; membership is
-    undecided, not false."""
+    sigma is not proven and lies between the solve's dual objective b'y
+    (not a rigorous bound) and sigma_bar; membership is undecided, not
+    false."""
 
 
 def regularizer_order(p: int) -> int:
@@ -229,6 +235,13 @@ class GramCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
+    """verify_certificate's report.  ok is True when _proven proves that Q,
+    corrected by its bounded coefficient residual, is a positive definite
+    Gram matrix of the model's exact Hessian form, and no sampled Hessian
+    is indefinite.  max_coeff_mismatch, the largest coefficient mismatch of
+    z'Qz, and gram_min_eigenvalue, lambda_min(Q) from LAPACK, are reported
+    but decide nothing."""
+
     max_coeff_mismatch: float
     gram_min_eigenvalue: float
     hessian_violations: int
@@ -242,18 +255,29 @@ def gram_basis(n: int, p_prime: int) -> List[BasisElement]:
     return [(i, beta) for i in range(n) for beta in monomials_up_to(n, half)]
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative error
+    bound of k roundings."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
 class _BasisPairs(NamedTuple):
     """z'Qz re-expanded from a basis: the pairs (u[t], w[t]), u <= w, in
     row-major order, each adding weights[t] * Q[u, w] (1 on the diagonal,
     2 off it) to the coefficient of its product monomial, whose index is
     bins[t]: the row of that monomial, or a bin past the rows for a
-    monomial outside every row.  size is the number of bins."""
+    monomial outside every row.  size is the number of bins.  Per bin k,
+    norms[k] = ||A_k||^2, the sum of its weights, and gammas[k] =
+    gamma_(terms+1) for its number of pairs, the error factor of its sum
+    (see _residual_bounds)."""
 
     u: np.ndarray
     w: np.ndarray
     weights: np.ndarray
     bins: np.ndarray
     size: int
+    norms: np.ndarray
+    gammas: np.ndarray
 
 
 def _basis_pairs(basis: Sequence[BasisElement],
@@ -269,10 +293,13 @@ def _basis_pairs(basis: Sequence[BasisElement],
         (ia, beta_a), (ic, beta_c) = basis[a], basis[c]
         key = (min(ia, ic), max(ia, ic), tuple(x + y for x, y in zip(beta_a, beta_c)))
         bins[t] = row_index.setdefault(key, len(row_index))
-    pairs = _BasisPairs(u, w, np.where(u == w, 1.0, 2.0), bins, len(row_index))
-    for array in pairs[:4]:
+    weights = np.where(u == w, 1.0, 2.0)
+    size = len(row_index)
+    norms = np.bincount(bins, weights, minlength=size)
+    gammas = _gamma(np.bincount(bins, minlength=size) + 1)
+    for array in (u, w, weights, bins, norms, gammas):
         array.setflags(write=False)
-    return pairs
+    return _BasisPairs(u, w, weights, bins, size, norms, gammas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,55 +519,95 @@ def _projected(pairs: _BasisPairs, Q: np.ndarray, target: np.ndarray) -> np.ndar
     Parrilo, Theor. Comput. Sci. 2008), for the pairs of a structure's own
     basis, every product of which lies in a row: the pair matrices have
     disjoint supports, so the projection is Q + sum_k lambda_k A_k with
-    lambda_k = (target_k - <A_k, Q>) / ||A_k||^2, and ||A_k||^2 is the sum
-    of row k's pair weights.  Built on the upper triangle and mirrored, so
-    the result is symmetric to the bit."""
-    norms = np.bincount(pairs.bins, pairs.weights, minlength=pairs.size)
-    lam = (target - _expand(pairs, Q)) / norms
+    lambda_k = (target_k - <A_k, Q>) / ||A_k||^2.  Built on the upper
+    triangle and mirrored, so the result is symmetric to the bit."""
+    lam = (target - _expand(pairs, Q)) / pairs.norms
     projected = np.empty_like(Q)
     projected[pairs.u, pairs.w] = Q[pairs.u, pairs.w] + lam[pairs.bins]
     projected[pairs.w, pairs.u] = projected[pairs.u, pairs.w]
     return projected
 
 
-def _proven_positive_definite(Q: np.ndarray) -> bool:
-    """Whether a floating-point Cholesky factor of Q - c I proves the
-    symmetric Q positive definite, after Rump ("Verification of positive
-    definiteness", BIT 2006, Corollary 2.4).
+def _residual_bounds(pairs: _BasisPairs, Q: np.ndarray, base: np.ndarray,
+                     sigma: float, reg: np.ndarray) -> np.ndarray:
+    """Per bin k, an upper bound on |c_k - <A_k, Q>|, the exact residual of
+    z'Qz: c_k = e_k + sigma reg[k] on row k, e_k the model's exact
+    coefficient, which base[k] rounds at most twice (_coefficients' division
+    by prod(alpha!), the balanced SDP's division by scale), and c_k = 0 on a
+    bin past the rows.  A-priori bounds (Higham, Accuracy and Stability of
+    Numerical Algorithms, chs. 3-4): the computed |target - sum| plus the
+    target's rounding, gamma_4 (|base| + |sigma reg|), plus the bincount
+    sum's, gamma_(terms+1) sum |weights Q[u, w]| (the products by weights 1
+    and 2 are exact), plus 2^-1022 for underflow.  _proven doubles the
+    correction built from the bounds, which covers their own rounding."""
+    rows = len(base)
+    terms = pairs.weights * Q[pairs.u, pairs.w]
+    residual = -np.bincount(pairs.bins, terms, minlength=pairs.size)
+    bounds = pairs.gammas * np.bincount(pairs.bins, np.abs(terms), minlength=pairs.size)
+    weight = sigma * reg
+    residual[:rows] += base + weight
+    bounds[:rows] += _gamma(4) * (np.abs(base) + np.abs(weight))
+    return bounds + np.abs(residual) + 2.0 ** -1022
 
-    The argument is Rump's.  If dpotrf factors A = fl(Q - c I) into G'G,
-    Demmel's backward error bound gives G'G = A + E with
-    |E| <= gamma_(n+1) |G'| |G|, gamma_k = k u / (1 - k u), u = 2^-53, for
-    any order of the inner products; a column of G has squared norm at most
-    a_ii / (1 - gamma_(n+1)), so ||E||_2 <= gamma_(n+1) / (1 - gamma_(n+1))
-    tr(A), and A + E = G'G is PSD.  So lambda_min(Q) > 0 whenever c
-    exceeds that bound plus the rounding of the shifted diagonal: Rump's
-    Corollary 2.4 shift, gamma_(n+1) / (1 - gamma_(n+1)) tr(Q) plus terms
-    of order u tr(Q) and of underflow.  The check takes
-    c = 2 gamma_(n+1) (tr(Q) + n tiny), tiny = 2^-1022: the factor 2 covers
-    those terms, the rounding of c and of the trace, and one more relative
-    rounding of each entry of Q (at most u tr(Q) in norm for a PSD Q, the
-    map back by the scale of _min_sigma_solve), and n tiny covers
-    underflow.  A factor exists only if every q_ii > c >= 0, so tr(Q) is
-    positive whenever the check passes.
+
+def _proven(pairs: _BasisPairs, Q: np.ndarray, base: np.ndarray, sigma: float,
+            reg: np.ndarray) -> bool:
+    """Whether Q proves that a positive definite Gram matrix reproduces the
+    target base + sigma reg exactly: the one acceptance test of a
+    certificate, on an iterate, after a solve, in is_sos_convex and in
+    verify_certificate.  pairs re-expand z'Qz; Q is judged by its upper
+    triangle, which the pairs and dpotrf both read.
+
+    The residual r of z'Qz against the exact target c is at most bound
+    (_residual_bounds).  The pair matrices have disjoint supports, so
+    E = sum_k (r_k / ||A_k||^2) A_k is the minimum-norm correction with
+    <A_k, Q + E> = c_k (Lofberg, "Pre- and post-processing sum-of-squares
+    programs in practice", IEEE TAC 2009).  D = diag(d), d_u =
+    2^-round(log2(Q_uu)/2), scales exactly and puts the diagonal of
+    A = D Q D in [1/2, 2], and ||D E D||_F is at most
+    F = sqrt(sum_k (bound_k / ||A_k||^2)^2 sum_{t in k} w_t d_u^2 d_w^2);
+    so Q + E is positive definite when lambda_min(A) > F.
+
+    That follows from a Cholesky factor of A - c I, after Rump
+    ("Verification of positive definiteness", BIT 2006, Corollary 2.4).
+    If dpotrf factors fl(A - c I) into G'G, Demmel's backward error bound
+    gives G'G = fl(A - c I) + E' with |E'| <= gamma_(n+1) |G'| |G| for any
+    order of the inner products; a column of G has squared norm at most
+    a_ii / (1 - gamma_(n+1)), so ||E'||_2 <= gamma_(n+1) / (1 - gamma_(n+1))
+    tr(A).  So lambda_min(A) exceeds c less that, less u tr(A) for the
+    rounding of the shifted diagonal and less underflow terms.  The check
+    takes c = 2 (gamma_(n+1) tr(A) + F + n 2^-537): the factor 2 covers the
+    rounding of c, of the trace, of F and of the bounds, and n 2^-537 covers
+    underflow in A, in the factorization and in F's squares.  A factor that
+    is not finite, a non-finite Q, a diagonal entry <= 0 and a row that no
+    pair reaches, which no correction can match, prove nothing.
     """
+    diagonal = np.diagonal(Q)
+    if not (np.isfinite(Q).all() and (diagonal > 0.0).all()
+            and (pairs.norms > 0.0).all()):
+        return False
     n = len(Q)
-    gamma = (n + 1) * 2.0 ** -53 / (1.0 - (n + 1) * 2.0 ** -53)
-    c = 2.0 * gamma * (float(np.trace(Q)) + n * np.finfo(float).tiny)
-    shifted = Q.copy()
-    shifted[np.diag_indices(n)] -= c
-    # shifted is symmetric, so its transpose is the same matrix in the
-    # column order dpotrf takes without a copy
-    _, info = dpotrf(shifted.T, lower=1)
-    return info == 0
+    exponents = -np.rint(np.log2(diagonal) / 2.0).astype(np.int64)
+    cells = exponents[:, None] + exponents[None, :]
+    bounds = _residual_bounds(pairs, Q, base, sigma, reg)
+    correction = np.ldexp((bounds / pairs.norms)[pairs.bins], cells[pairs.u, pairs.w])
+    F = math.sqrt(float(pairs.weights @ (correction * correction)))
+    A = np.ldexp(Q, cells)
+    c = 2.0 * (_gamma(n + 1) * float(np.trace(A)) + F + n * 2.0 ** -537)
+    A.flat[::n + 1] -= c
+    # A.T holds A's upper triangle as the lower one of a column-major
+    # array, which dpotrf takes without a copy
+    factor, info = dpotrf(A.T, lower=1)
+    return info == 0 and bool(np.isfinite(np.diagonal(factor)).all())
 
 
 def _proven_gram(structure: _GramStructure, Q: np.ndarray, b: np.ndarray,
                  sigma: float) -> Optional[np.ndarray]:
     """Q projected onto the rows with right-hand side b at weight sigma, if
-    Rump's check proves the projection positive definite, else None."""
+    _proven proves the projection, else None."""
     projected = _projected(structure.pairs, Q, b + sigma * structure.reg)
-    return projected if _proven_positive_definite(projected) else None
+    return (projected if _proven(structure.pairs, projected, b, sigma, structure.reg)
+            else None)
 
 
 def _certifier(structure: _GramStructure, b: np.ndarray,
@@ -551,8 +618,8 @@ def _certifier(structure: _GramStructure, b: np.ndarray,
     size = len(structure.basis)
 
     def certify(X: np.ndarray, log: IterateLog) -> Optional[np.ndarray]:
-        sigma, bound = log.primal_objective, log.dual_objective
-        if not (sigma > 0.0 and sigma - bound <= gap * sigma
+        sigma, dual = log.primal_objective, log.dual_objective
+        if not (sigma > 0.0 and sigma - dual <= gap * sigma
                 and log.primal_residual <= _CLEAN_RESIDUAL
                 and log.dual_residual <= _CLEAN_RESIDUAL):
             return None
@@ -644,7 +711,7 @@ def min_sigma_sos(model: SosModel,
     so r can cost iterations but never soundness.
 
     The certificate is proven (see the module docstring): on the first
-    iterate within gap of its dual bound, (sigma - b'y) <= gap sigma, or
+    iterate within gap of its dual objective, (sigma - b'y) <= gap sigma, or
     after the solve, at most a factor 1 + gap/8 above the solve's own sigma.
     gap must lie in (0, 1); it sets how early the solve may stop, never how
     the certificate is proven.  The default, _CERT_GAP, is half the
@@ -660,50 +727,60 @@ def min_sigma_sos(model: SosModel,
     return sigma_bar, _certificate(structure, Q, base + sigma_bar * structure.reg)
 
 
-def _gram_min(Q: np.ndarray) -> Tuple[float, bool]:
-    """lambda_min(Q), and whether it passes -_GRAM_SLACK * (1 + max |Q|)."""
-    if not Q.size:
-        return 0.0, True
-    gram_min = float(np.min(np.linalg.eigvalsh(Q)))
-    return gram_min, gram_min >= -_GRAM_SLACK * (1.0 + float(np.max(np.abs(Q))))
-
-
 def is_sos_convex(model: SosModel) -> Tuple[bool, Optional[GramCertificate]]:
     """Membership check at the model's fixed sigma, from the min-sigma solve.
 
     Q = Q_bar + (sigma - sigma_bar) R matches h_hat at sigma, since R's rows
     are exactly reg, and is PSD up to rounding for every sigma >= sigma_bar.
-    True, with Q as the certificate, when lambda_min(Q) passes the test
-    verify_certificate applies; False when sigma lies below the solve's dual
-    bound sigma_lo on the minimal weight.  In between, and when the solve
-    breaks down, membership is undecided: SosIndeterminate, not false.
+    True, with Q as the certificate, when _proven proves Q, the same proof
+    verify_certificate applies; False when sigma lies below sigma_lo, the
+    solve's dual objective b'y mapped back, which estimates the minimal
+    weight from below but is not a rigorous bound.  In between, and when
+    the solve breaks down, membership is undecided: SosIndeterminate, not
+    false.  At sigma = 0 the top-degree rows come from the regularizer
+    alone, so every Gram matrix matching them has a zero diagonal block and
+    none is positive definite: sigma = 0 is undecided even where the
+    minimal weight is 0.
     """
     structure, base, sigma_bar, Q_bar, sigma_lo = _min_sigma_solve(model)
     Q = Q_bar + (model.sigma - sigma_bar) * structure.R
-    if _gram_min(Q)[1]:
+    if _proven(structure.pairs, Q, base, model.sigma, structure.reg):
         return True, _certificate(structure, Q, base + model.sigma * structure.reg)
     if model.sigma < sigma_lo:
         return False, None
     raise SosIndeterminate(
-        f"sigma={model.sigma:.6e} lies between the dual bound "
-        f"sigma_lo={sigma_lo:.6e} and sigma_bar={sigma_bar:.6e}")
+        f"sigma={model.sigma:.6e} is not proven and lies between the dual "
+        f"objective sigma_lo={sigma_lo:.6e} and sigma_bar={sigma_bar:.6e}")
 
 
 def verify_certificate(cert: GramCertificate, model: SosModel) -> CertificateReport:
-    """Independent soundness report for a certificate.
+    """Independent soundness report for a certificate at the model's sigma.
 
     Reconstructs z'Qz against the model's Hessian form coefficient by
-    coefficient, reports lambda_min(Q), and spot-checks positive
-    semidefiniteness of the model Hessian at _VERIFY_SAMPLES steps drawn
-    from a generator seeded with _VERIFY_SEED, so the report is reproducible.
+    coefficient, reports lambda_min(Q), proves the certificate with
+    _proven, and spot-checks positive semidefiniteness of the model Hessian
+    at _VERIFY_SAMPLES steps drawn from a generator seeded with
+    _VERIFY_SEED, so the report is reproducible.  A malformed certificate,
+    whose Q is not a finite, exactly symmetric (len(basis), len(basis))
+    matrix, raises ValueError.
     """
+    size = len(cert.basis)
+    Q = np.asarray(cert.Q, dtype=float)
+    if Q.shape != (size, size):
+        raise ValueError(f"Gram matrix of shape {Q.shape} does not match a "
+                         f"basis of {size} elements")
+    if not np.isfinite(Q).all():
+        raise ValueError("Gram matrix has non-finite entries")
+    if not np.array_equal(Q, Q.T):
+        raise ValueError("Gram matrix is not symmetric")
     structure = _gram_structure(model.n, model.p_prime)
-    target = _coefficients(model, structure, model.sigma)
+    base = _coefficients(model, structure, 0.0)
     # a certificate over another basis is re-expanded over its own pairs
     pairs = (structure.pairs if tuple(cert.basis) == structure.basis
              else _basis_pairs(cert.basis, structure.rows))
-    mismatch = _coefficient_residual(pairs, cert.Q, target)
-    gram_min, gram_ok = _gram_min(cert.Q)
+    mismatch = _coefficient_residual(pairs, Q, base + model.sigma * structure.reg)
+    proven = _proven(pairs, Q, base, model.sigma, structure.reg)
+    gram_min = float(np.linalg.eigvalsh(Q)[0]) if size else 0.0
 
     rng = np.random.default_rng(_VERIFY_SEED)
     violations = 0
@@ -715,9 +792,8 @@ def verify_certificate(cert: GramCertificate, model: SosModel) -> CertificateRep
         if float(eigenvalues[0]) < -_HESSIAN_SLACK * (1.0 + spectral):
             violations += 1
 
-    ok = (mismatch <= _COEFF_MATCH * (1.0 + float(np.max(np.abs(target))))
-          and gram_ok and violations == 0)
     return CertificateReport(max_coeff_mismatch=mismatch,
                              gram_min_eigenvalue=gram_min,
                              hessian_violations=violations,
-                             samples=_VERIFY_SAMPLES, ok=ok)
+                             samples=_VERIFY_SAMPLES,
+                             ok=proven and violations == 0)

@@ -240,9 +240,9 @@ class TestRuns:
     def test_bundled_certificates_match_to_rounding(self, bundled,
                                                     monkeypatch, proof_outcomes):
         # every certificate the driver gets on the bundled runs reproduces
-        # h_hat to rounding, far inside verify_certificate's 1e-7 threshold,
-        # and the driver's gap lets every SDP stop on a proven certificate,
-        # on an iterate or after the solve
+        # h_hat to rounding, verify_certificate proves it, and the driver's
+        # gap lets every SDP stop on a proven certificate, on an iterate or
+        # after the solve
         certified = []
 
         def certify(model, *args, **kwargs):

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from sosarp.sos_certify import (CertificationError, ConvexityCase,
                                 GramCertificate, SosIndeterminate, SosModel,
                                 _CERT_GAP, _MIN_SIGMA_TOL, _balancing_exponent,
                                 _certifier, _coefficient_residual,
-                                _coefficients, _gram_structure, _proven_gram,
-                                _proven_positive_definite, _scale_gram,
+                                _coefficients, _expand, _gram_structure,
+                                _proven, _proven_gram, _residual_bounds,
+                                _scale_gram,
                                 _scale_rows, gram_basis, is_sos_convex,
                                 min_sigma_sos, verify_certificate)
 from sosarp.tensor_poly import SymmetricTensor
@@ -587,23 +589,37 @@ class TestMembership:
         ok, cert = is_sos_convex(above)
         assert ok is True
         assert verify_certificate(cert, above).ok
-        if not is_sos_convex(replace(model, sigma=0.0))[0]:
-            assert is_sos_convex(replace(model, sigma=sigma_bar * 0.99)) == (
-                False, None)
+        # no Gram matrix at sigma = 0 is positive definite (is_sos_convex):
+        # where the minimal weight is 0 that query is undecided, elsewhere
+        # refuted, and then so is 0.99 sigma_bar
+        try:
+            at_zero = is_sos_convex(replace(model, sigma=0.0))
+        except SosIndeterminate:
+            return
+        assert at_zero == (False, None)
+        assert is_sos_convex(replace(model, sigma=sigma_bar * 0.99)) == (
+            False, None)
 
     @pytest.mark.parametrize("n, p", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
     def test_zero_tensors_are_convex_at_zero_weight(self, n, p):
-        # sigma_bar comes back about 1e-11 and its dual bound just below 0;
-        # Q_bar - sigma_bar R is still PSD to rounding
+        # sigma_bar comes back about 1e-10 and its dual objective just
+        # below 0.  At sigma = 0 the top-degree rows are 0, so every PSD
+        # Gram matrix has a zero top-degree block and none is positive
+        # definite: the model is convex, but no proof exists, and the query
+        # is undecided.  At sigma_bar the regularizer's block proves it
         model = random_certified_model(np.random.default_rng(n + p), n, p)
         model = replace(model, higher=[SymmetricTensor(order, n, {})
                                        for order in range(3, p + 1)])
-        ok, cert = is_sos_convex(model)
+        with pytest.raises(SosIndeterminate, match="sigma=0.000000e"):
+            is_sos_convex(model)
+        sigma_bar, _ = min_sigma_sos(model)
+        at_weight = replace(model, sigma=sigma_bar)
+        ok, cert = is_sos_convex(at_weight)
         assert ok is True
-        assert verify_certificate(cert, model).ok
+        assert verify_certificate(cert, at_weight).ok
 
     def test_just_below_a_large_minimal_weight_is_refuted(self):
-        # sigma_bar ~ 310.6 with the dual bound within 6e-9 relative, so
+        # sigma_bar ~ 310.6 with the dual objective within 6e-9 relative, so
         # 0.999 sigma_bar is certainly too small; a threshold relative to
         # 1 + max |target| is loose at this weight and accepted it
         model = random_certified_model(np.random.default_rng(4), 2, 4,
@@ -750,18 +766,31 @@ def _exactly_positive_definite(Q) -> bool:
     return True
 
 
+# (n, p') of a structure per Gram size, whose pairs re-expand a bare matrix
+_STRUCTURE_OF_SIZE = {2: (1, 4), 3: (1, 6), 6: (2, 4), 12: (3, 4)}
+
+
+def _proves_own_form(Q) -> bool:
+    """_proven on Q against its own form z'Qz at sigma = 0, over the basis
+    of a structure of its size: Rump's check, with a correction for the
+    rounding of the re-expansion only."""
+    structure = _gram_structure(*_STRUCTURE_OF_SIZE[len(Q)])
+    return _proven(structure.pairs, Q, _expand(structure.pairs, Q), 0.0,
+                   structure.reg)
+
+
 class TestCertifiedStop:
     def test_rump_check_accepts_a_margin(self):
-        assert _proven_positive_definite(np.eye(12))
-        assert _proven_positive_definite(np.diag([1e-10, 1.0, 3.0]))
+        assert _proves_own_form(np.eye(12))
+        assert _proves_own_form(np.diag([1e-10, 1.0, 3.0]))
 
     def test_rump_check_rejects_the_boundary(self):
         v = np.random.default_rng(0).standard_normal(6)
         assert _exactly_positive_definite(np.eye(6))
         assert not _exactly_positive_definite(np.outer(v, v))
-        assert not _proven_positive_definite(np.outer(v, v))
-        assert not _proven_positive_definite(np.zeros((3, 3)))
-        assert not _proven_positive_definite(-np.eye(3))
+        assert not _proves_own_form(np.outer(v, v))
+        assert not _proves_own_form(np.zeros((3, 3)))
+        assert not _proves_own_form(-np.eye(3))
 
     def test_rump_check_rejects_a_lowered_optimal_gram(self):
         # the Gram block of a solve run to the gap, without the hook, sits on
@@ -777,14 +806,15 @@ class TestCertifiedStop:
         _, vectors = np.linalg.eigh(Q)
         v = vectors[:, 0]
         lowered = Q - 1e-6 * float(np.max(np.abs(Q))) * np.outer(v, v)
-        assert not _proven_positive_definite(lowered)
+        assert not _proves_own_form(lowered)
         assert not _exactly_positive_definite(lowered)
         # the same solve with the hook ends on a certificate that passes
         certified = solve_sdp(problem, tol=_MIN_SIGMA_TOL,
                               certify=_certifier(structure, problem.b))
         assert certified.status is SdpStatus.CERTIFIED
         assert certified.iterations < solution.iterations
-        assert _proven_positive_definite(certified.X[0])
+        assert _proven(structure.pairs, certified.X[0], problem.b,
+                       float(certified.X[1][0, 0]), structure.reg)
         assert _exactly_positive_definite(certified.X[0])
 
     def test_certificate_sigma_within_the_gate_of_the_bound(self):
@@ -805,6 +835,131 @@ class TestCertifiedStop:
         sigma_bar, cert = min_sigma_sos(model)
         assert _exactly_positive_definite(cert.Q)
         assert verify_certificate(cert, replace(model, sigma=sigma_bar)).ok
+
+
+def _exact_rows(model, structure, sigma):
+    """Row coefficients of h_hat at sigma as exact rationals: the closed
+    form of _coefficients, from the model's float data, without rounding."""
+    rows = []
+    for (i, ip, alpha), reg in zip(structure.rows, structure.reg.tolist()):
+        degree = sum(alpha)
+        if degree == 0:
+            value = Fraction(float(model.H_bar[i, ip]))
+        elif degree + 2 <= model.p:
+            key = (i, ip) + tuple(j for j, e in enumerate(alpha) for _ in range(e))
+            value = (Fraction(model.higher[degree - 1].get(key))
+                     / math.prod(math.factorial(e) for e in alpha))
+        else:
+            value = Fraction(0)
+        rows.append((value if i == ip else 2 * value) + Fraction(sigma) * Fraction(reg))
+    return rows
+
+
+def _exact_form(pairs, Q):
+    """<A_k, Q> of every bin as exact rationals."""
+    form = [Fraction(0)] * pairs.size
+    for u, w, weight, k in zip(pairs.u.tolist(), pairs.w.tolist(),
+                               pairs.weights.tolist(), pairs.bins.tolist()):
+        form[k] += Fraction(weight) * Fraction(float(Q[u, w]))
+    return form
+
+
+class TestOneProof:
+    """_proven is the one acceptance test of a certificate."""
+
+    @given(n=st.integers(1, 3), p=st.sampled_from([3, 4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=3, p=4, seed=0)
+    @settings(max_examples=20, deadline=None)
+    def test_residual_bounds_cover_the_exact_residual(self, n, p, seed):
+        # each row's float bound is at least its exact residual against the
+        # model's exact coefficients, for a certificate as returned, whose
+        # residual is rounding, perturbed, whose residual is not, and for 0,
+        # whose residual is the exact target, which base + sigma reg rounds
+        rng = np.random.default_rng(seed)
+        model = random_certified_model(rng, n, p)
+        sigma_bar, cert = min_sigma_sos(model)
+        structure = _gram_structure(n, model.p_prime)
+        base = _coefficients(model, structure, 0.0)
+        exact = _exact_rows(model, structure, sigma_bar)
+        raw = rng.standard_normal(cert.Q.shape)
+        perturbed = cert.Q + 1e-9 * float(np.max(np.abs(cert.Q))) * (raw + raw.T)
+        for Q in (cert.Q, perturbed, np.zeros_like(cert.Q)):
+            bounds = _residual_bounds(structure.pairs, Q, base, sigma_bar,
+                                      structure.reg)
+            form = _exact_form(structure.pairs, Q)
+            for bound, target, matched in zip(bounds.tolist(), exact, form):
+                assert Fraction(bound) >= abs(target - matched)
+
+    def test_true_answers_come_with_positive_definite_grams(self, monkeypatch):
+        # certify_grid's seed-0 models k = 0-3 of every cell, queried just
+        # below sigma_bar: an answer True once came with lambda_min(Q) of
+        # -8.8e-9; now every True has Q positive definite (47 of the 72
+        # queries answer True, 10 False and 15 are undecided)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+        answers = []
+        for n, p in workloads.GRID_CELLS:
+            for k in range(4):
+                model = workloads.grid_model(0, n, p, k)
+                sigma_bar, _ = min_sigma_sos(model)
+                for e in (1e-7, 1e-9, 1e-12):
+                    query = replace(model, sigma=sigma_bar * (1.0 - e))
+                    try:
+                        ok, cert = is_sos_convex(query)
+                    except SosIndeterminate:
+                        answers.append(None)
+                        continue
+                    answers.append(ok)
+                    if ok:
+                        assert np.linalg.eigvalsh(cert.Q)[0] > 0.0
+                        assert verify_certificate(cert, query).ok
+        assert len(answers) == 72 and answers.count(True) > 0
+
+    def test_mismatch_at_a_large_weight_is_refused(self):
+        # h = 1, t = 1024: the minimal weight is t^2 / 12 ~ 8.7e4, where
+        # [[1, 512], [512, 262144]] matches h_hat exactly and is singular.
+        # Q raises its corner by 2^-12, so Q is positive definite with
+        # lambda_min ~ 9e-10, and Rump's check alone proves it.  Queried
+        # 1e-8 below the minimal weight, where no certificate exists, Q
+        # misses the s^2 y^2 row by about 2.9e-3.  Both slack tests used to
+        # pass it; that row is one diagonal cell of Q, so the correction
+        # moves the cell by the whole mismatch, far past lambda_min(Q)
+        model = univariate_model(1.0, 1024.0, sigma=1024.0 ** 2 / 12.0 * (1.0 - 1e-8))
+        Q = np.array([[1.0, 512.0], [512.0, 262144.0 + 2.0 ** -12]])
+        assert _exactly_positive_definite(Q) and _proves_own_form(Q)
+        cert = GramCertificate(basis=gram_basis(1, 4), Q=Q, residual=0.0)
+        report = verify_certificate(cert, model)
+        target = _coefficients(model, _gram_structure(1, 4), model.sigma)
+        assert report.max_coeff_mismatch <= 1e-7 * (1.0 + float(np.max(np.abs(target))))
+        assert report.gram_min_eigenvalue >= -1e-9 * (1.0 + float(np.max(np.abs(Q))))
+        assert report.max_coeff_mismatch > 1e6 * report.gram_min_eigenvalue > 0.0
+        assert report.hessian_violations == 0
+        assert not report.ok
+
+    def test_basis_that_leaves_a_row_unreached_proves_nothing(self):
+        # over the basis {y} alone, z'Qz has no s y^2 or s^2 y^2 term, so
+        # the positive definite Q = [[1]] matches only the first row
+        model = univariate_model(1.0, 6.0, sigma=3.0)
+        cert = GramCertificate(basis=gram_basis(1, 4)[:1], Q=np.eye(1), residual=0.0)
+        report = verify_certificate(cert, model)
+        assert report.max_coeff_mismatch == 9.0 and not report.ok
+
+    @pytest.mark.parametrize("malform, message", [
+        ("non-finite", "non-finite"), ("short", "shape"),
+        ("asymmetric", "not symmetric")])
+    def test_malformed_certificate_raises(self, malform, message):
+        model = univariate_model(1.0, 6.0)
+        sigma_bar, cert = min_sigma_sos(model)
+        Q = cert.Q.copy()
+        if malform == "non-finite":
+            Q[1, 1] = np.inf
+        elif malform == "short":
+            Q = Q[:-1]
+        else:
+            Q[0, 1] += 1e-3  # the upper triangle alone moves
+        with pytest.raises(ValueError, match=message):
+            verify_certificate(replace(cert, Q=Q), replace(model, sigma=sigma_bar))
 
 
 _GAP_MODELS = pytest.mark.parametrize("model", [
