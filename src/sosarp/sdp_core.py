@@ -125,6 +125,23 @@ structures, so sos_certify gives samples to those alone (its
 _SAMPLED_ROWS holds the measured crossover).  A problem with samples keeps
 no stacks: its solves never form B.
 
+Every solve starts at X0 = xi I, y0 = 0 and Z0 = eta I on its data's own
+scale: xi = _START_PRIMAL max|b_k| and eta = _START_DUAL ||C||_F, with 1 in
+place of a zero max|b_k| or ||C||_F, which sets no scale.  It is one rule
+for every SdpProblem, with no parameter.  Multiplying b by beta multiplies
+every primal solution by beta, and multiplying C by gamma multiplies y and
+every dual slack by gamma; X0 and Z0 move with them, and mu0 = xi eta with
+their product.  On the certification SDP each row sets a sum of Gram
+entries to b_k, so the Gram matrix is of the size of b, and Z0 exceeds C,
+the dual slack at y0 = 0, by half its norm.  The rule replaces SDPT3's
+start for unscaled data (Toh, Todd & Tutuncu 1999): xi = max(10, sqrt D,
+D max|b| / max(1, a)) and eta = max(10, sqrt D, ||C||_F, a), a the largest
+row norm.  sos_certify balances its SDP to max|b| = 1 and C = e_sigma
+e_sigma', with a from 3.2 to 8.5 and D <= 31.  So the floor of 10 decided
+both values on every SDP it solved: each began at mu0 = 100, two decades
+above its data, and spent its first iterations shrinking mu.  The factors
+are measured; the counts stand beside _START_PRIMAL and _START_DUAL.
+
 A caller that can prove a certificate from an iterate passes solve_sdp a
 certify hook.  It is called once per iteration, before the tol test, with
 the D x D primal iterate and the iteration's IterateLog (objectives, gap,
@@ -162,6 +179,14 @@ _JITTER_START = 1e-14  # first relative Cholesky shift: rounding level, changes 
 _JITTER_GROWTH = 100.0  # three tries reach _JITTER_MAX, so a failing factor fails fast
 _JITTER_MAX = 1e-10  # a matrix that needs a larger relative shift is not numerically PD
 _PREDICTOR_FRACTION = 0.98  # predictor's share of the step to the boundary; 0.99 or 1 stall scans SDPs
+# the start X0 = _START_PRIMAL max|b| I, Z0 = _START_DUAL ||C||_F I (module docstring);
+# IPM iterations, one BLAS thread, of certify_grid, scans and bundled_runs at seeds 0-3,
+# the planted batch and rosenbrock at n = 4, p = 3: (1, 1.5) 3081, 3909, 2312, 1321,
+# 579; (1, 1.25) 3091, 3883, 2372, 1324, 556; (1, 1.75) 3071, 3926, 2320, 1329, 494;
+# (0.75, 1.5) 3052, 3863, 2280, 1315, 611; (1.25, 1.5) 3140, 3999, 2356, 1331, 458;
+# SDPT3's start with its floor of 10: 3603, 4248, 2336, 1347, 504
+_START_PRIMAL = 1.0
+_START_DUAL = 1.5
 _STEP_BASE = 0.9  # the corrector's share is SDPT3's _STEP_BASE + _STEP_GAIN times the
 _STEP_GAIN = 0.09  # smaller predictor step: bolder as the predictor nears a full step
 _DIVERGENCE = 1e12  # an objective or trace(X) beyond this marks (dual) infeasibility
@@ -729,6 +754,9 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
               certify: Optional[Certify] = None) -> SdpSolution:
     """Infeasible-start predictor-corrector interior-point solve.
 
+    The start is X0 = xi I, y0 = 0, Z0 = eta I on the data's scale, xi =
+    _START_PRIMAL max|b_k| and eta = _START_DUAL ||C||_F, each with 1 for a
+    zero scale (module docstring).
     On OPTIMAL: normalized duality gap and feasibility residuals <= tol,
     reached within _MAX_ITER iterations.
     certify, when given, is called once per iteration before that test,
@@ -747,7 +775,6 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
     m = len(b)
     gram_inv = problem._gram_inv
     scatter = problem._scatter
-    a_scale = problem._a_scale
     C = problem._c
     samples = problem._samples
     eye = np.eye(D)
@@ -755,14 +782,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-8,
     # needs no B
     B = np.empty((m, len(problem._cells))) if samples is None else None
 
-    b_scale = float(np.max(np.abs(b), initial=1.0))
     b_norm = float(np.linalg.norm(b))
     c_scale = math.sqrt(np.vdot(C, C))
-    xi = max(10.0, math.sqrt(D), D * b_scale / max(1.0, a_scale))
-    eta = max(10.0, math.sqrt(D), c_scale, a_scale)
-
-    X = xi * eye
-    Z = eta * eye
+    # the start on the data's own scale (module docstring); zero data has none
+    X = (_START_PRIMAL * (float(np.max(np.abs(b), initial=0.0)) or 1.0)) * eye
+    Z = (_START_DUAL * (c_scale or 1.0)) * eye
     y = np.zeros(m)
 
     trace: List[IterateLog] = []

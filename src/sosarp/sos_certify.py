@@ -65,7 +65,8 @@ r = 2^k chosen from the model so that sigma r^(p'-2) is about max |H_bar|.
 Each row, sigma and the Gram matrix scale by a power of r, which is a power
 of two and so exact in floating point, and the Gram matrix by a positive
 diagonal congruence, which keeps it PSD.  The certificate is mapped back and
-checked in the original basis, so r can cost iterations but never soundness.
+proven once more in the original basis, as it is returned, so r can cost
+iterations but never soundness.
 """
 
 from __future__ import annotations
@@ -659,11 +660,15 @@ def _min_sigma_solve(model: SosModel, gap: float = _CERT_GAP) -> Tuple[
     <A_k, Q> - reg[k] * sigma = rows[k], Q PSD, sigma >= 0.
 
     The certificate is proven on an iterate (Certified, see _certifier) or
-    after the solve (_proven_after_solve).  Returns the structure, the rows
-    at sigma = 0 (base), sigma_bar, Q_bar over the s basis, matching
-    base + sigma_bar * reg, and sigma_lo, the dual objective b'y mapped back
-    like sigma_bar.  An unproven solve raises SosIndeterminate naming the
-    SDP status, gap and residuals.
+    after the solve (_proven_after_solve), and then once more as it is
+    returned, mapped back to the s basis: Q_bar = D^-1 fl(Q_u scale) D^-1
+    at sigma_bar = fl(sigma_u (1 + t) scale) 2^-k(p'-2) carries two
+    roundings that the balanced proof did not see.  Returns the structure,
+    the rows at sigma = 0 (base), sigma_bar, Q_bar over the s basis,
+    matching base + sigma_bar * reg, and sigma_lo, the dual objective b'y
+    mapped back like sigma_bar.  An unproven solve raises SosIndeterminate
+    naming the SDP status, gap and residuals, and so does a returned pair
+    that does not prove.
     """
     structure = _gram_structure(model.n, model.p_prime)
     base = _coefficients(model, structure, 0.0)
@@ -687,6 +692,11 @@ def _min_sigma_solve(model: SosModel, gap: float = _CERT_GAP) -> Tuple[
     sigma_bar = math.ldexp(sigma_u, -k * q)
     sigma_lo = math.ldexp(float(problem.b @ solution.y) * scale, -k * q)
     Q = _scale_gram(structure, Q_u * scale, -k)
+    # Q_u * scale and sigma_u round once more after the balanced proof
+    if not _proven(structure.pairs, Q, base, sigma_bar, structure.reg):
+        raise SosIndeterminate(
+            f"the certificate proven in the balanced basis is not proven at "
+            f"sigma_bar={sigma_bar:.6e} in the original one")
     return structure, base, sigma_bar, Q, sigma_lo
 
 
@@ -707,7 +717,7 @@ def min_sigma_sos(model: SosModel,
     a float by a power of two only moves its exponent, so the rows, sigma_bar
     and Q = D^-1 Q_u D^-1 carry no rounding of the substitution, and a
     congruence by a positive diagonal keeps Q PSD.  The certificate is then
-    built and checked in the original basis against base + sigma_bar * reg,
+    built and proven in the original basis against base + sigma_bar * reg,
     so r can cost iterations but never soundness.
 
     The certificate is proven (see the module docstring): on the first
@@ -719,7 +729,8 @@ def min_sigma_sos(model: SosModel,
     needs a proven upper bound, passes a larger one.  gap bounds sigma_bar's
     distance to b'y, the balanced SDP's dual objective, not to the minimal
     weight.  An unproven solve raises SosIndeterminate (a
-    CertificationError) naming the SDP status, gap and residuals.
+    CertificationError) naming the SDP status, gap and residuals, and so
+    does a certificate that does not prove as it is returned.
     """
     if not 0.0 < gap < 1.0:
         raise ValueError(f"gap must lie in (0, 1), got {gap!r}")

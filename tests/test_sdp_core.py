@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,10 +128,10 @@ class TestPlanted:
 
 class TestCertifyHook:
     # sha256 of the X, y and Z blocks of ACCEPTANCE 9's planted batch as
-    # solve_sdp computes them without a hook, all 100 ending Optimal in 1347
+    # solve_sdp computes them without a hook, all 100 ending Optimal in 1321
     # IPM iterations (scipy's bundled OpenBLAS 0.3.30, checked with one BLAS
     # thread and with two)
-    BATCH_DIGEST = "539b5ee4e15d2abf0bc04ba8abfb3eb8611e3dbee8376d38fac829b216a315b0"
+    BATCH_DIGEST = "e39fdfe905a798bae4415a3905235f16591670182bdf6099a04f9d0d54294fb2"
 
     @staticmethod
     def batch_digest(**kwargs) -> str:
@@ -254,6 +255,60 @@ class TestStepRule:
         assert sol.status is SdpStatus.CERTIFIED
         self._check(sol, *spied)
 
+
+
+def _certification_problem(model) -> SdpProblem:
+    """The balanced certification SDP that min_sigma_sos solves for model."""
+    problems = []
+
+    def recording(problem, *args, **kwargs):
+        problems.append(problem)
+        return solve_sdp(problem, *args, **kwargs)
+
+    solve = sos_certify.solve_sdp
+    sos_certify.solve_sdp = recording
+    try:
+        min_sigma_sos(model)
+    finally:
+        sos_certify.solve_sdp = solve
+    [problem] = problems
+    return problem
+
+
+class TestStart:
+    """solve_sdp starts at X0 = xi I, Z0 = eta I on the data's own scale,
+    xi = _START_PRIMAL max|b_k| and eta = _START_DUAL ||C||_F, so its first
+    mu is xi eta."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _certification_problem(random_certified_model(np.random.default_rng(0), 2, 3)),
+        lambda: _certification_problem(random_certified_model(np.random.default_rng(0), 3, 4)),
+        lambda: planted_sdp(np.random.default_rng(0), max_block=20, max_m=100)[0],
+    ], ids=["cert-2-4", "cert-3-6", "planted"])
+    def test_first_mu_is_the_rule(self, make):
+        problem = make()
+        xi = sdp_core._START_PRIMAL * float(np.max(np.abs(problem.b)))
+        eta = sdp_core._START_DUAL * math.sqrt(sum(float(np.sum(c * c))
+                                                   for c in problem.objective))
+        assert solve_sdp(problem).trace[0].mu == pytest.approx(xi * eta, rel=1e-14)
+
+    def test_grid_cell_3_4_iterations(self, monkeypatch):
+        # certify_grid's twelve seed-0 (3, 4) models, structure (3, 6) at
+        # Gram size 30, certify in 199 IPM iterations from this start; the
+        # floor of 10 that SDPT3 puts on xi and eta took 245
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+        iterations = []
+
+        def counting(problem, *args, **kwargs):
+            solution = solve_sdp(problem, *args, **kwargs)
+            iterations.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(sos_certify, "solve_sdp", counting)
+        for k in range(workloads.GRID_MODELS_PER_CELL):
+            min_sigma_sos(workloads.grid_model(0, 3, 4, k))
+        assert len(iterations) == 12 and sum(iterations) <= 199
 
 class TestScalarPart:
     """1x1 blocks at any position form the solver's scalar part."""

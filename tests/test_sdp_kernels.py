@@ -954,8 +954,9 @@ class TestLapackCalls:
         assert iterations > 5
         assert counts == {name: calls * iterations
                           for name, calls in per_iteration.items()}
-        # the certified iterate passed the first check it reached
-        assert checks == [(size, size)]
+        # the certified iterate passed the first check it reached, and the
+        # pair returned, mapped back to the s basis, the one after it
+        assert checks == [(size, size), (size, size)]
 
 
 def _old_predictor(problem, rows, X, y, Z):

@@ -196,15 +196,15 @@ class TestOneSolve:
         monkeypatch.setattr(sos_certify, "solve_sdp", solve)
 
     @pytest.mark.parametrize("model", [
-        random_certified_model(np.random.default_rng(6), 2, 3),
+        random_certified_model(np.random.default_rng(8), 2, 3),
         random_certified_model(np.random.default_rng(7), 2, 4),
     ], ids=["n2-p3", "n2-p4"])
     def test_unproven_stalled_solve_raises(self, model, monkeypatch,
                                            membership_calls):
         # the rows fix most of the lambda_min direction, so the projection
         # gives back nearly all of a lowering along it: lowered by 10 times
-        # its largest entry, the block projects to lambda_min about -4e-8
-        # (n2-p3) and -5e-5 (n2-p4), and the lift by gap/8 along R does not
+        # its largest entry, the block projects to lambda_min about -3e-8
+        # (n2-p3) and -2e-3 (n2-p4), and the lift by gap/8 along R does not
         # prove it.  (A univariate Gram matrix is fixed by its rows, so the
         # projection would undo any lowering.)
         self.solve_lowered(monkeypatch, 10.0)
@@ -230,7 +230,7 @@ class TestOneSolve:
         # largest that the lift by gap/8 along R proves are read from this
         # solve's own iterate, so the lowering halfway between them, which
         # only the lift proves, follows the IPM trajectory
-        model = random_certified_model(np.random.default_rng(6), 2, 3)
+        model = random_certified_model(np.random.default_rng(8), 2, 3)
         solves = []
 
         def recording(problem, tol, certify=None):
@@ -962,9 +962,82 @@ class TestOneProof:
             verify_certificate(replace(cert, Q=Q), replace(model, sigma=sigma_bar))
 
 
+
+_BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+class TestReturnedPair:
+    """min_sigma_sos proves the pair it returns: Q_bar = D^-1 fl(Q_u scale)
+    D^-1 at sigma_bar = fl(sigma_u (1 + t) scale) 2^-k(p'-2) rounds twice
+    more than the balanced iterate that the hook or the post-solve proof
+    proved."""
+
+    @staticmethod
+    def returned_proofs(monkeypatch):
+        """A list that receives, for each min-sigma solve, the returned Q_bar
+        and sigma_bar and the (Q, sigma, verdict) of the last _proven call
+        before they are returned."""
+        proofs, returned = [], []
+        proven, solve = sos_certify._proven, sos_certify._min_sigma_solve
+
+        def spying(pairs, Q, base, sigma, reg):
+            proofs.append((Q, sigma, proven(pairs, Q, base, sigma, reg)))
+            return proofs[-1][2]
+
+        def recording(model, gap=_CERT_GAP):
+            result = solve(model, gap)
+            returned.append((result[3], result[2], proofs[-1]))
+            return result
+
+        monkeypatch.setattr(sos_certify, "_proven", spying)
+        monkeypatch.setattr(sos_certify, "_min_sigma_solve", recording)
+        return returned
+
+    @staticmethod
+    def assert_proven_as_returned(returned):
+        for Q_bar, sigma_bar, (Q, sigma, verdict) in returned:
+            assert Q is Q_bar and sigma == sigma_bar and verdict
+
+    def test_every_seed0_grid_certificate(self, monkeypatch):
+        monkeypatch.syspath_prepend(_BENCH)
+        import workloads
+        returned = self.returned_proofs(monkeypatch)
+        for n, p in workloads.GRID_CELLS:
+            for k in range(workloads.GRID_MODELS_PER_CELL):
+                min_sigma_sos(workloads.grid_model(0, n, p, k))
+        assert len(returned) == 72
+        self.assert_proven_as_returned(returned)
+
+    def test_every_bundled_run_certificate(self, monkeypatch):
+        monkeypatch.syspath_prepend(_BENCH)
+        import workloads
+        from sosarp.arp_driver import run
+        returned = self.returned_proofs(monkeypatch)
+        for _, func, config in workloads.BundledRuns(0).problems:
+            assert run(func, config).status.value == "Converged"
+        # the 74 certifications of tools/sdp_counts.py's bundled_runs line
+        assert len(returned) == 74
+        self.assert_proven_as_returned(returned)
+
+    def test_perturbed_returned_certificate_raises(self, monkeypatch):
+        # the univariate Q_bar = [[1, 3], [3, 9]] at sigma_bar = 3 is
+        # singular up to the solve's gap; its s^2 y^2 cell lowered by 1e-6
+        # relative misses that row by far more than lambda_min(Q_bar), while
+        # the balanced iterate before the mapping still proves
+        scale_gram = sos_certify._scale_gram
+
+        def lowered(structure, Q, k):
+            Q = scale_gram(structure, Q, k)
+            Q[-1, -1] *= 1.0 - 1e-6
+            return Q
+
+        monkeypatch.setattr(sos_certify, "_scale_gram", lowered)
+        with pytest.raises(SosIndeterminate, match="not proven at sigma_bar"):
+            min_sigma_sos(univariate_model(1.0, 6.0))
+
 _GAP_MODELS = pytest.mark.parametrize("model", [
     univariate_model(1.0, 6.0),
-    random_certified_model(np.random.default_rng(6), 2, 3),
+    random_certified_model(np.random.default_rng(8), 2, 3),
     random_certified_model(np.random.default_rng(7), 2, 4),
 ], ids=["univariate", "n2-p3", "n2-p4"])
 

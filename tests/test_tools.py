@@ -2,8 +2,8 @@
 runs: wins, the claim rule, the bound, and the separated and unresolved
 verdicts; tools/bench_pairs.revision, which names the measured code;
 tools/sdp_counts' tally of solves, its proof outcome and Schur path
-columns and its --p option; tools/fingerprint's structures digest; and the two sides of
-tools/schur_crossover."""
+columns, its --p option and its planted line; tools/fingerprint's
+structures digest; and the two sides of tools/schur_crossover."""
 
 import shutil
 import subprocess
@@ -25,7 +25,7 @@ from fingerprint import _Digest, add_problem, structures  # noqa: E402
 import sdp_counts  # noqa: E402
 from schur_crossover import both_paths  # noqa: E402
 from sdp_counts import SolveCounter, count_columns, header  # noqa: E402
-from conftest import random_certified_model  # noqa: E402
+from conftest import planted_sdp, random_certified_model  # noqa: E402
 
 LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {"unit": "count", "better": "higher", "bound": 0.1}
@@ -305,6 +305,40 @@ class TestOrderOption:
         # the Gram-size line ends with its Schur path: 45 rows stay on the rows
         assert lines[3][-1] == "schur" and lines[4][-1] == "rows"
 
+
+
+class TestPlantedLine:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_counts_acceptance_9s_batch(self):
+        # a stubbed solve sees ACCEPTANCE 9's hundred problems in order,
+        # the first of them planted_sdp's first draw from seed 0
+        seen = []
+
+        def solve(problem):
+            seen.append(problem)
+            return SimpleNamespace(status=SdpStatus.OPTIMAL, iterations=3)
+
+        counts = sdp_counts.count_planted(self.ROOT, solve)
+        assert counts == {"sdps": 100, "ipm_iters": 300, "Optimal": 100}
+        first, _ = planted_sdp(np.random.default_rng(0), max_block=20, max_m=100)
+        assert len(seen) == 100 and np.array_equal(seen[0].b, first.b)
+
+    def test_printed_after_the_sums(self, monkeypatch, capsys):
+        # a stand-in checkout without workloads: the header, the planted
+        # line with its proof outcome columns at 0, then the Gram-size
+        # header (TestOrderOption shows that --p prints no planted line)
+        stub = SimpleNamespace(status=SdpStatus.OPTIMAL, iterations=2)
+        workloads = SimpleNamespace(WORKLOADS={}, sos_certify=SimpleNamespace(
+            SdpStatus=SdpStatus, solve_sdp=lambda problem: stub))
+        monkeypatch.setattr(sdp_counts, "load_checkout", lambda checkout: workloads)
+        assert sdp_counts.main([str(self.ROOT)]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [line[:2] for line in lines] == [["workload", "seed"], ["planted", "0"],
+                                                ["workload", "gram"]]
+        expected = dict.fromkeys(lines[0][2:], "0")
+        expected.update(sdps="100", ipm_iters="200", Optimal="100")
+        assert dict(zip(lines[0][2:], lines[1][2:])) == expected
 
 def _digest(hash_into, *args) -> str:
     digest = _Digest()

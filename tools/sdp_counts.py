@@ -27,9 +27,16 @@ repeat exactly for a checkout and seed, so two checkouts compare line by
 line without timing noise, and the path column shows which structures
 moved.
 
+A last line before that second header, planted, counts ACCEPTANCE 9's
+batch on general data: the PLANTED_PROBLEMS problems that
+CHECKOUT/tests/conftest.planted_sdp draws from seed PLANTED_SEED, each
+solved by solve_sdp without a hook.  They certify nothing, so its proof
+outcome columns read 0, and it has no Gram-size line.
+
 With --p P only bundled_runs' six problems run, each with its ArpConfig at
 model order P (their workload is at p = 3), and their lines are labelled
-bundled_pP; the seed does not enter bundled_runs.
+bundled_pP; the seed does not enter bundled_runs, and no planted line
+follows.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Set
 
+import numpy as np
+
 from fingerprint import load_checkout
 
 
@@ -51,6 +60,8 @@ def schur_path(problem) -> str:
 
 
 OUTCOMES = ("proven_iterate", "proven_solve", "proven_lift", "unproven")
+PLANTED_SEED = 0  # ACCEPTANCE 9's batch (tests/test_acceptance.py)
+PLANTED_PROBLEMS = 100
 
 
 class SolveCounter:
@@ -115,6 +126,21 @@ def count_pass(workloads, name: str, seed: int, p=None) -> SolveCounter:
     return counter
 
 
+def count_planted(checkout: Path, solve) -> Counter:
+    """SDPs, IPM iterations and statuses of ACCEPTANCE 9's planted batch,
+    each problem solved by solve."""
+    sys.path.insert(0, str(checkout / "tests"))
+    from conftest import planted_sdp
+    rng = np.random.default_rng(PLANTED_SEED)
+    counts: Counter = Counter()
+    for _ in range(PLANTED_PROBLEMS):
+        problem, _ = planted_sdp(rng, max_block=20, max_m=100)
+        solution = solve(problem)
+        counts.update({"sdps": 1, "ipm_iters": solution.iterations,
+                       solution.status.value: 1})
+    return counts
+
+
 def count_columns(statuses) -> List[str]:
     """The tally's columns: "sdps", "ipm_iters", one per member of the
     checkout's SdpStatus, so a new status gets its column unasked, and the
@@ -132,14 +158,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--p", type=int, help="run only bundled_runs, at this model order")
     args = parser.parse_args(argv)
-    workloads = load_checkout(args.checkout.resolve())
+    checkout = args.checkout.resolve()
+    workloads = load_checkout(checkout)
     columns = count_columns(workloads.sos_certify.SdpStatus)
     names = {name: name for name in workloads.WORKLOADS}
     if args.p is not None:
         names = {"bundled_runs": f"bundled_p{args.p}"}
 
     def line(name: str, label, counts: Counter) -> str:
-        return f"{names[name]:13s} {label:>4} " + " ".join(f"{counts[c]:16d}" for c in columns)
+        return f"{name:13s} {label:>4} " + " ".join(f"{counts[c]:16d}" for c in columns)
 
     print(header("seed", columns))
     sums = {name: Counter() for name in names}
@@ -153,14 +180,17 @@ def main(argv=None) -> int:
                 size_sums[name].setdefault(size, Counter()).update(counts)
             for size, paths in counter.paths.items():
                 size_paths[name].setdefault(size, set()).update(paths)
-            print(line(name, seed, counter.counts), flush=True)
+            print(line(names[name], seed, counter.counts), flush=True)
     for name, counts in sums.items():
-        print(line(name, "sum", counts))
+        print(line(names[name], "sum", counts))
+    if args.p is None:
+        print(line("planted", PLANTED_SEED,
+                   count_planted(checkout, workloads.sos_certify.solve_sdp)))
     print(header("gram", columns) + f" {'schur':>12s}")
     for name, by_size in size_sums.items():
         for size in sorted(by_size):
             path = "+".join(sorted(size_paths[name][size]))
-            print(line(name, size, by_size[size]) + f" {path:>12s}")
+            print(line(names[name], size, by_size[size]) + f" {path:>12s}")
     return 0
 
 
